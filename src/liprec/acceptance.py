@@ -275,9 +275,12 @@ def criterion_6() -> CriterionResult:
         details={"seed": qualifying_seed, "delta_chain": chain})
 
 
-def criterion_7() -> CriterionResult:
-    """The 1-D ramp fixture: certified interval, collision, union constants."""
-    start = time.perf_counter()
+def ramp_fixture() -> Tuple[List[Check], Dict[str, object]]:
+    """The 1-D ramp facts: certified interval, plateau collision, union constants.
+
+    Returns the four checks and the set sizes, union ratio and violating
+    witness that the example3 task reports.
+    """
     ramp = PiecewiseExampleOperator()
     interval = LabeledSet.from_operator(ramp, np.linspace(0.0, 1.0, 201)[:, None])
     cert_interval = verify_lipschitz(interval, 1.0)
@@ -301,6 +304,19 @@ def criterion_7() -> CriterionResult:
         Check("union_violated_at_1p99", not cert_199.passed,
               cert_199.max_ratio, 1.99),
     ]
+    results = {
+        "interval_points": len(interval),
+        "union_points": len(union),
+        "union_max_ratio": cert_2.max_ratio,
+        "union_witness": cert_199.witness,
+    }
+    return checks, results
+
+
+def criterion_7() -> CriterionResult:
+    """The 1-D ramp fixture: certified interval, collision, union constants."""
+    start = time.perf_counter()
+    checks, _ = ramp_fixture()
     marks = sum(1 for c in checks if c.passed)
     return _finish(
         7, "ramp example fixture", "example3", checks, start, 1.0,

@@ -51,9 +51,11 @@ from .core import (
     TOL_CERT,
     TOL_EVAL,
     LabeledSet,
+    LipschitzCertificate,
     LiprecError,
     NotApplicableError,
     NotInjectiveError,
+    NotLipschitzError,
     seeded_rng,
 )
 from .covering import cover_pipeline
@@ -180,6 +182,13 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _count(value: Any, where: str) -> int:
+    count = _integer(value, where)
+    if count < 1:
+        raise ProblemError(f"{where} must be >= 1, got {count}")
+    return count
+
+
 def build_operator(spec: Any) -> Operator:
     if not isinstance(spec, dict):
         raise ProblemError("field 'operator' must be an object")
@@ -221,21 +230,17 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
     if kind == "affine_segment":
         start = np.asarray(_require(spec, "start", "signals"), dtype=np.float64).ravel()
         end = np.asarray(_require(spec, "end", "signals"), dtype=np.float64).ravel()
-        count = _integer(_require(spec, "count", "signals"), "signals.count")
+        count = _count(_require(spec, "count", "signals"), "signals.count")
         if start.shape != (operator.signal_dim,) or end.shape != (operator.signal_dim,):
             raise ProblemError(
                 f"signals.start/end must have length {operator.signal_dim}")
-        if count < 1:
-            raise ProblemError(f"signals.count must be >= 1, got {count}")
         steps = np.linspace(0.0, 1.0, count)[:, None]
         return start[None, :] + steps * (end - start)[None, :]
     if kind == "sparse_random":
-        count = _integer(_require(spec, "count", "signals"), "signals.count")
+        count = _count(_require(spec, "count", "signals"), "signals.count")
         sparsity = _integer(_require(spec, "S", "signals"), "signals.S")
         seed = _integer(spec.get("seed", default_seed), "signals.seed")
         n = operator.signal_dim
-        if count < 1:
-            raise ProblemError(f"signals.count must be >= 1, got {count}")
         if not 1 <= sparsity <= n:
             raise ProblemError(f"signals.S must be in [1, {n}], got {sparsity}")
         return sparse_signals(n, sparsity, count, seeded_rng(seed))
@@ -290,12 +295,12 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     omega1 = params.get("omega")
     if omega1 is not None:
         omega1 = _number(omega1, "params.omega")
+    num_pairs = _count(params.get("num_pairs", 1000), "params.num_pairs")
     try:
         hypothesis = fit(sample, omega1)
     except LiprecError as exc:
         raise ProblemError(f"fit failed: {exc}")
     residuals = hypothesis.training_residuals()
-    num_pairs = _integer(params.get("num_pairs", 1000), "params.num_pairs")
     audit = hypothesis.lipschitz_audit(num_pairs, seed)
     results = {
         "sample_size": len(sample),
@@ -315,6 +320,14 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     return assertions, results, {"training_residual": residuals}
 
 
+def _certification(cert: LipschitzCertificate, results: Dict[str, Any]) -> Dict[str, Any]:
+    """The sample_certified assertion; records max_ratio, and the witness on failure."""
+    results["max_ratio"] = cert.max_ratio
+    if not cert.passed:
+        results["witness"] = cert.witness
+    return assertion("sample_certified", cert.passed, cert.max_ratio, cert.omega)
+
+
 def run_theorem1(operator: Operator, signals: np.ndarray,
                  params: Dict[str, Any]) -> TaskOutput:
     omega = _number(_require(params, "omega", "params"), "params.omega")
@@ -322,18 +335,16 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
     norm_op, scale = normalize(operator, signals)
     sample = _labeled(norm_op, signals)
     omega_n = omega * scale
-    cert = verify_lipschitz(sample, omega_n)
     results: Dict[str, Any] = {
         "sample_size": len(sample),
         "scale": scale,
         "omega_normalized": omega_n,
-        "max_ratio": cert.max_ratio,
     }
-    certified = assertion("sample_certified", cert.passed, cert.max_ratio, omega_n)
-    if not cert.passed:
-        results["witness"] = cert.witness
-        return [certified], results, {}
-    outcome = cover_pipeline(sample, omega_n, epsilon)
+    try:
+        outcome = cover_pipeline(sample, omega_n, epsilon)
+    except NotLipschitzError as exc:
+        return [_certification(exc.certificate, results)], results, {}
+    certified = _certification(outcome.certificate, results)
     report = outcome.report
     results.update(dataclasses.asdict(report))
     assertions = [
@@ -357,17 +368,14 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'theorem3' needs a matrix operator")
+    num_draws = _count(params.get("num_pairs", 1000), "params.num_pairs")
     sample = _labeled(operator, signals)
-    cert = verify_lipschitz(sample, omega)
-    results: Dict[str, Any] = {
-        "sample_size": len(sample),
-        "max_ratio": cert.max_ratio,
-    }
-    certified = assertion("sample_certified", cert.passed, cert.max_ratio, omega)
-    if not cert.passed:
-        results["witness"] = cert.witness
-        return [certified], results, {}
-    outcome = fit_reduced(sample, operator, omega, epsilon)
+    results: Dict[str, Any] = {"sample_size": len(sample)}
+    try:
+        outcome = fit_reduced(sample, operator, omega, epsilon)
+    except NotLipschitzError as exc:
+        return [_certification(exc.certificate, results)], results, {}
+    certified = _certification(outcome.certificate, results)
     report = outcome.report
     results.update(dataclasses.asdict(report))
     if report.exact_inversion:
@@ -376,7 +384,6 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
             np.linalg.norm(sample.signals, axis=1).max()))
     else:
         err_bound = epsilon + TOL_CERT
-    num_draws = _integer(params.get("num_pairs", 1000), "params.num_pairs")
     rng = seeded_rng(seed)
     probes = rng.standard_normal((num_draws, operator.signal_dim))
     observations = probes @ operator.matrix.T
@@ -406,7 +413,7 @@ def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'rip' needs a matrix operator")
     sparsity = _integer(_require(params, "S", "params"), "params.S")
-    num_pairs = _integer(params.get("num_pairs", 1000), "params.num_pairs")
+    num_pairs = _count(params.get("num_pairs", 1000), "params.num_pairs")
     report = rip_delta(operator, sparsity)
     try:
         check = verify_sparse_lipschitz(operator, sparsity, num_pairs, seed)
@@ -444,42 +451,9 @@ def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput
 
 def run_example3(params: Dict[str, Any]) -> TaskOutput:
     """Built-in ramp fixture: the three certification facts in one report."""
-    ramp = PiecewiseExampleOperator()
-    interval = LabeledSet.from_operator(
-        ramp, np.linspace(0.0, 1.0, 201)[:, None])
-    cert_interval = verify_lipschitz(interval, 1.0)
-
-    plateau_pair = LabeledSet.from_operator(ramp, np.array([[1.0], [2.0]]))
-    try:
-        tight_omega(plateau_pair)
-        collided = False
-    except NotInjectiveError:
-        collided = True
-
-    union = LabeledSet.from_operator(ramp, np.concatenate([
-        np.linspace(0.0, 0.5, 51),
-        [1.5],
-        np.linspace(2.5, 3.0, 51),
-    ])[:, None])
-    cert_union_2 = verify_lipschitz(union, 2.0)
-    cert_union_199 = verify_lipschitz(union, 1.99)
-
-    assertions = [
-        assertion("unit_interval_certified_at_1", cert_interval.passed,
-                  cert_interval.max_ratio, 1.0),
-        assertion("plateau_pair_collides", collided),
-        assertion("union_certified_at_2", cert_union_2.passed,
-                  cert_union_2.max_ratio, 2.0),
-        assertion("union_violated_at_1p99", not cert_union_199.passed,
-                  cert_union_199.max_ratio, 1.99),
-    ]
-    results = {
-        "interval_points": len(interval),
-        "union_points": len(union),
-        "union_max_ratio": cert_union_2.max_ratio,
-        "union_witness": cert_union_199.witness,
-    }
-    return assertions, results, {}
+    checks, results = acceptance.ramp_fixture()
+    return ([assertion(c.name, c.passed, c.observed, c.bound) for c in checks],
+            results, {})
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,10 @@ tolerances:
 
 All are far above double rounding and far below any experiment's target
 precision, and every operation that uses one accepts an override.
+
+Every pairwise check runs on one O(n^2) scan, ``_row_pairs``, one row at a
+time so memory stays linear; ``_first_max_pair`` breaks ties to the first
+pair in row-major index order, so witnesses never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -90,11 +94,12 @@ class OutOfBoxError(LiprecError):
 
 
 class NotLipschitzError(LiprecError):
-    """A sample failed certification; carries the violating witness pair."""
+    """A sample failed certification; carries the certificate and its witness."""
 
-    def __init__(self, message: str, witness: Optional[Tuple[int, int]] = None):
+    def __init__(self, message: str, certificate: Optional[LipschitzCertificate] = None):
         super().__init__(message)
-        self.witness = witness
+        self.certificate = certificate
+        self.witness = None if certificate is None else certificate.witness
 
 
 class RankZeroError(LiprecError):
@@ -137,6 +142,22 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_batch(x, width: int, name: str) -> Tuple[np.ndarray, bool]:
+    """Coerce one finite vector (width,) or a stack (k, width) to a 2-D batch.
+
+    Returns the batch and whether the input was a single vector.
+    """
+    batch = np.asarray(x, dtype=np.float64)
+    single = batch.ndim == 1
+    if single:
+        batch = batch[None, :]
+    if batch.ndim != 2 or batch.shape[1] != width:
+        raise DimensionError(f"expected {name} of length {width}, got shape {np.shape(x)}")
+    if not np.all(np.isfinite(batch)):
+        raise DomainError(f"{name}: entries must be finite")
+    return batch, single
+
+
 def readonly(a: np.ndarray) -> np.ndarray:
     """Return a C-contiguous copy with the writeable flag cleared."""
     out = np.array(a, dtype=np.float64, order="C", copy=True)
@@ -149,6 +170,29 @@ def seeded_rng(seed: int) -> np.random.Generator:
     if not isinstance(seed, (int, np.integer)):
         raise ParameterError(f"seed must be an integer, got {type(seed).__name__}")
     return np.random.default_rng(int(seed))
+
+
+def _row_pairs(*arrays: np.ndarray) -> Iterator[tuple]:
+    """Yield (i, d_1, ...) with d_a[k] = ||a[i + 1 + k] - a[i]||, row by row."""
+    for i in range(arrays[0].shape[0] - 1):
+        yield (i, *[np.linalg.norm(a[i + 1:] - a[i], axis=1) for a in arrays])
+
+
+def _first_max_pair(labeled_set: LabeledSet, score) -> Tuple[float, Tuple[int, int]]:
+    """Maximum over pairs i < j of score(i, dx, dy), and the first pair attaining it.
+
+    ``score`` maps row i's signal and observation distances to later rows
+    to one value per pair. Needs at least two rows.
+    """
+    best = -np.inf
+    witness = (0, 1)
+    for i, dx, dy in _row_pairs(labeled_set.signals, labeled_set.observations):
+        values = score(i, dx, dy)
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best = float(values[k])
+            witness = (i, i + 1 + k)
+    return best, witness
 
 
 def distance(a, b) -> float:
@@ -229,9 +273,7 @@ class LabeledSet:
         return cls.from_arrays(sig, obs, check_duplicates=check_duplicates, tol_dup=tol_dup)
 
     def _find_duplicate(self, tol_dup: float) -> Optional[Tuple[int, int]]:
-        x = self.signals
-        for i in range(len(self) - 1):
-            d = np.linalg.norm(x[i + 1:] - x[i], axis=1)
+        for i, d in _row_pairs(self.signals):
             hits = np.flatnonzero(d < tol_dup)
             if hits.size:
                 return i, i + 1 + int(hits[0])

@@ -32,6 +32,7 @@ from .core import (
     DegenerateSetError,
     DimensionError,
     LabeledSet,
+    LipschitzCertificate,
     NoNullSpaceError,
     NotLipschitzError,
     OutOfBoxError,
@@ -181,14 +182,17 @@ class CoverPipelineResult:
     hypothesis: MwetHypothesis
     report: CoverReport
     recovery_errors: np.ndarray  # per sample point, in input order
+    certificate: LipschitzCertificate  # the sample's certification at omega
 
 
 def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
                    tol_cert: float = TOL_CERT) -> CoverPipelineResult:
-    """Cover, fit, and verify recovery of a certified sample.
+    """Certify the sample, then cover, fit, and verify its recovery.
 
     The sample stands in for the (possibly uncountable) Lipschitz set: it
     must certify at ``omega`` and its observations must lie in [0,1]^M.
+    This is the sample's one certification scan: the result carries the
+    certificate, and so does the NotLipschitzError raised when it fails.
     The fitted hypothesis uses per-coordinate constant omega, so its
     training residuals are ~0 and every sample point is recovered to
     within epsilon; both maxima are reported for assertion by the caller.
@@ -197,7 +201,7 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
     if not cert.passed:
         raise NotLipschitzError(
             f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "
-            f"{cert.max_ratio:.6g}", witness=cert.witness)
+            f"{cert.max_ratio:.6g}", certificate=cert)
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
     cover = build_cover(sample, spec, tol=tol_cert)
     hypothesis = fit(cover.representative_set(), omega1=omega, tol_cert=tol_cert)
@@ -212,4 +216,4 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
         epsilon=float(epsilon),
     )
     return CoverPipelineResult(cover=cover, hypothesis=hypothesis, report=report,
-                               recovery_errors=errors)
+                               recovery_errors=errors, certificate=cert)

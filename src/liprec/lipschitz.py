@@ -9,15 +9,17 @@ and checks the relaxed inequality ||x1 - x2|| <= 2*eps + omega*||y1 - y2||
 that an omega-Lipschitz recovery map with error eps forces on any set it
 recovers.
 
-All scans are exhaustive over the O(n^2) unordered pairs, row-blocked so
-memory stays linear; maxima tie-break to the first pair in row-major index
-order, making every result independent of evaluation order.
+All three checks are exhaustive over the O(n^2) unordered pairs through
+the package's one pair scan and first-maximum reduction
+(``core._first_max_pair``): maxima tie-break to the first pair in row-major
+index order, and the relaxed check's minimum slack is the exact negation of
+the maximum of -slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .core import (
     NotInjectiveError,
     OperatorClassError,
     ParameterError,
+    _first_max_pair,
     as_vector,
     readonly,
 )
@@ -59,14 +62,6 @@ class RelaxedLipschitzResult:
     worst_pair: Tuple[int, int]
 
 
-def _row_pairs(x: np.ndarray, y: np.ndarray) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i, ||x_j - x_i||, ||y_j - y_i||) for all j > i, one row at a time."""
-    for i in range(x.shape[0] - 1):
-        dx = np.linalg.norm(x[i + 1:] - x[i], axis=1)
-        dy = np.linalg.norm(y[i + 1:] - y[i], axis=1)
-        yield i, dx, dy
-
-
 def injectivity_tolerance(observations: np.ndarray) -> float:
     """Observation distances at or below this level count as collisions."""
     return 1e-12 * (1.0 + float(np.linalg.norm(observations, axis=1).max()))
@@ -80,26 +75,21 @@ def tight_omega(labeled_set: LabeledSet, *, tol_inj: Optional[float] = None) -> 
     witness. Any pair whose observations are closer than the injectivity
     tolerance makes the ratio meaningless and raises NotInjectiveError.
     """
-    n = len(labeled_set)
-    if n < 2:
+    if len(labeled_set) < 2:
         raise DegenerateSetError("the tight constant needs at least two pairs")
-    x, y = labeled_set.signals, labeled_set.observations
     if tol_inj is None:
-        tol_inj = injectivity_tolerance(y)
-    best = -np.inf
-    witness = (0, 1)
-    for i, dx, dy in _row_pairs(x, y):
+        tol_inj = injectivity_tolerance(labeled_set.observations)
+
+    def ratios(i, dx, dy):
         collisions = np.flatnonzero(dy <= tol_inj)
         if collisions.size:
             j = i + 1 + int(collisions[0])
             raise NotInjectiveError(
                 f"signals {i} and {j} share an observation "
                 f"(distance {dy[collisions[0]]:.3e} <= {tol_inj:.3e})", pair=(i, j))
-        ratios = dx / dy
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best = float(ratios[k])
-            witness = (i, i + 1 + k)
+        return dx / dy
+
+    best, witness = _first_max_pair(labeled_set, ratios)
     return LipschitzCertificate(omega=best, verdict="certified", witness=witness, max_ratio=best)
 
 
@@ -113,22 +103,18 @@ def verify_lipschitz(labeled_set: LabeledSet, omega: float, *,
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ParameterError(f"omega must be a positive finite number, got {omega}")
-    n = len(labeled_set)
-    if n < 2:
+    if len(labeled_set) < 2:
         return LipschitzCertificate(omega=float(omega), verdict="certified",
                                     witness=None, max_ratio=0.0)
-    x, y = labeled_set.signals, labeled_set.observations
-    best = -np.inf
-    witness = (0, 1)
     violated = False
-    for i, dx, dy in _row_pairs(x, y):
+
+    def ratios(i, dx, dy):
+        nonlocal violated
         violated = violated or bool(np.any(dx > omega * dy + tol_cert))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best = float(ratios[k])
-            witness = (i, i + 1 + k)
+            return np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
+
+    best, witness = _first_max_pair(labeled_set, ratios)
     return LipschitzCertificate(
         omega=float(omega),
         verdict="violated" if violated else "certified",
@@ -173,14 +159,8 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float, epsilon: floa
         raise ParameterError(f"epsilon must be a nonnegative finite number, got {epsilon}")
     if len(labeled_set) < 2:
         raise DegenerateSetError("the relaxed check needs at least two pairs")
-    x, y = labeled_set.signals, labeled_set.observations
-    worst = np.inf
-    worst_pair = (0, 1)
-    for i, dx, dy in _row_pairs(x, y):
-        slack = 2.0 * epsilon + omega * dy - dx
-        k = int(np.argmin(slack))
-        if slack[k] < worst:
-            worst = float(slack[k])
-            worst_pair = (i, i + 1 + k)
+    neg_worst, worst_pair = _first_max_pair(
+        labeled_set, lambda i, dx, dy: -(2.0 * epsilon + omega * dy - dx))
+    worst = -neg_worst
     return RelaxedLipschitzResult(passed=bool(worst >= -tol_cert),
                                   min_slack=worst, worst_pair=worst_pair)

@@ -25,9 +25,9 @@ from .core import (
     TOL_CERT,
     ConstantTooSmallError,
     DegenerateSetError,
-    DimensionError,
     LabeledSet,
     ParameterError,
+    as_batch,
     seeded_rng,
 )
 from .lipschitz import tight_omega
@@ -66,13 +66,7 @@ class MwetHypothesis:
 
     def evaluate(self, y) -> np.ndarray:
         """Recover signals for one observation (m,) or a stack (k, m)."""
-        q = np.asarray(y, dtype=np.float64)
-        single = q.ndim == 1
-        if single:
-            q = q[None, :]
-        if q.ndim != 2 or q.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected observations of length {self.input_dim}, got shape {np.shape(y)}")
+        q, single = as_batch(y, self.input_dim, "observations")
         obs = self.training.observations
         sig = self.training.signals
         out = np.empty((q.shape[0], self.output_dim))

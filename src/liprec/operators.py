@@ -21,6 +21,7 @@ from .core import (
     CalibrationError,
     DimensionError,
     DomainError,
+    as_batch,
     as_matrix,
     readonly,
 )
@@ -33,15 +34,7 @@ class Operator:
     obs_dim: int
 
     def apply(self, x) -> np.ndarray:
-        batch = np.asarray(x, dtype=np.float64)
-        single = batch.ndim == 1
-        if single:
-            batch = batch[None, :]
-        if batch.ndim != 2 or batch.shape[1] != self.signal_dim:
-            raise DimensionError(
-                f"expected input of length {self.signal_dim}, got shape {np.shape(x)}")
-        if not np.all(np.isfinite(batch)):
-            raise DomainError("signal entries must be finite")
+        batch, single = as_batch(x, self.signal_dim, "input")
         out = self._apply(batch)
         return out[0] if single else out
 
@@ -125,8 +118,7 @@ class NormalizedOperator(Operator):
 def normalize(operator: Operator, calibration) -> Tuple[NormalizedOperator, float]:
     """Fit a unit-box normalization of ``operator`` on calibration signals.
 
-    The shift is the coordinate-wise minimum of the calibration outputs and
-    the scale is the largest coordinate range (1 if all outputs coincide),
+    The shift and scale are the ``unit_box`` of the calibration outputs,
     so every calibration output lands in [0, 1]^M. Returns the wrapper and
     the scale, which is the factor by which any Lipschitz constant measured
     under the inner operator must be multiplied to apply to the wrapper.
@@ -134,8 +126,13 @@ def normalize(operator: Operator, calibration) -> Tuple[NormalizedOperator, floa
     cal = np.atleast_2d(np.asarray(calibration, dtype=np.float64))
     if cal.size == 0:
         raise CalibrationError("normalization needs at least one calibration signal")
-    outputs = operator.apply(cal)
-    lo = outputs.min(axis=0)
-    span = float((outputs.max(axis=0) - lo).max())
-    scale = span if span > 0.0 else 1.0
+    lo, scale = unit_box(operator.apply(cal))
     return NormalizedOperator(operator, lo, scale), scale
+
+
+def unit_box(points: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Shift (coordinate-wise minimum) and scale (largest coordinate range,
+    1 if all points coincide) that map a (k, M) point stack into [0, 1]^M."""
+    lo = points.min(axis=0)
+    span = float((points.max(axis=0) - lo).max())
+    return lo, span if span > 0.0 else 1.0

@@ -36,16 +36,18 @@ from .core import (
     DegenerateSetError,
     DimensionError,
     LabeledSet,
+    LipschitzCertificate,
     NotLipschitzError,
     OperatorClassError,
     RankZeroError,
+    as_batch,
     readonly,
     validate_labeled_set,
 )
 from .covering import GridCover, build_cover, grid_spec
 from .lipschitz import verify_lipschitz
 from .mwet import MwetHypothesis, fit
-from .operators import MatrixOperator
+from .operators import MatrixOperator, unit_box
 
 RANK_TOL = 1e-10
 
@@ -184,14 +186,7 @@ class SvdRecoveryMap:
         return self.hypothesis is None
 
     def recover(self, y) -> np.ndarray:
-        q = np.asarray(y, dtype=np.float64)
-        single = q.ndim == 1
-        if single:
-            q = q[None, :]
-        if q.ndim != 2 or q.shape[1] != self.factors.source_obs_dim:
-            raise DimensionError(
-                f"expected observations of length {self.factors.source_obs_dim}, "
-                f"got shape {np.shape(y)}")
+        q, single = as_batch(y, self.factors.source_obs_dim, "observations")
         q = self.factors.project(q)
         head = q @ self.factors.psi.T
         out = head @ self.factors.v1.T
@@ -236,15 +231,7 @@ class FitReducedResult:
     cover: Optional[GridCover]
     report: ReducedReport
     recovery_errors: np.ndarray  # per sample point, in input order
-
-
-def _normalize_observations(obs: np.ndarray):
-    """Shift/scale into [0,1]^r for cell assignment only. Returns (unit, scale)."""
-    lo = obs.min(axis=0)
-    scale = float((obs.max(axis=0) - lo).max())
-    if scale <= 0.0:
-        scale = 1.0
-    return (obs - lo) / scale, scale
+    certificate: LipschitzCertificate  # the sample's certification at omega
 
 
 def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
@@ -253,6 +240,8 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     """Cover, fit, and assemble the reduced recovery map for a linear operator.
 
     The sample must be labeled by ``operator`` and certify at ``omega``.
+    This is the sample's one certification scan: the result carries the
+    certificate, and so does the NotLipschitzError raised when it fails.
     Covering happens in the effective observation space, box-normalized
     for cell assignment (which rescales the grid constant to omega*scale);
     the hypothesis itself trains on raw effective observations, keeping
@@ -272,7 +261,7 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     if not cert.passed:
         raise NotLipschitzError(
             f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "
-            f"{cert.max_ratio:.6g}", witness=cert.witness)
+            f"{cert.max_ratio:.6g}", certificate=cert)
     factors = svd_factor(operator, rank_tol)
     eff_obs = factors.project(sample.observations)
     n, r = factors.signal_dim, factors.rank
@@ -286,9 +275,10 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
             max_training_residual=0.0, max_recovery_error=float(errors.max()),
             epsilon=float(epsilon), effective_rank=r, exact_inversion=True)
         return FitReducedResult(recovery=recovery, cover=None, report=report,
-                                recovery_errors=errors)
+                                recovery_errors=errors, certificate=cert)
 
-    unit_obs, scale = _normalize_observations(eff_obs)
+    lo, scale = unit_box(eff_obs)
+    unit_obs = (eff_obs - lo) / scale
     spec = grid_spec(n, r, omega * scale, epsilon, "reduced")
     spec_full = grid_spec(n, r, omega * scale, epsilon, "full")
     cover_source = LabeledSet.from_arrays(sample.signals, unit_obs,
@@ -317,4 +307,4 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
         effective_rank=r,
         exact_inversion=False)
     return FitReducedResult(recovery=recovery, cover=cover, report=report,
-                            recovery_errors=errors)
+                            recovery_errors=errors, certificate=cert)

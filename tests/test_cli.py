@@ -442,6 +442,19 @@ def test_main_run_input_error_for_bad_dimensions(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("problem_file", ["mwet_segment.json", "theorem3_projection.json",
+                                          "rip_balanced.json"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_main_run_rejects_nonpositive_num_pairs(tmp_path, capsys, problem_file, value):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out),
+                      "--set", f"params.num_pairs={value}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"params.num_pairs must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_run_with_trace_and_overrides(tmp_path):
     path = _write_problem(tmp_path, THEOREM1_PROBLEM)
     out = tmp_path / "report.json"

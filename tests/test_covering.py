@@ -175,6 +175,7 @@ def test_cover_pipeline_ramp_recovery():
     assert result.report.cells_occupied <= result.report.cells_bound
     assert len(result.recovery_errors) == len(sample)
     assert result.hypothesis.omega1 == 1.0
+    assert result.certificate.passed and result.certificate.omega == 1.0
 
 
 def test_cover_pipeline_rejects_uncertified_sample():
@@ -184,6 +185,9 @@ def test_cover_pipeline_rejects_uncertified_sample():
     with pytest.raises(NotLipschitzError) as exc:
         cover_pipeline(sample, omega=0.5, epsilon=0.2)
     assert exc.value.witness is not None
+    assert exc.value.witness == exc.value.certificate.witness
+    assert exc.value.certificate.verdict == "violated"
+    assert exc.value.certificate.max_ratio > 0.5
 
 
 def test_cover_pipeline_linear_segment():

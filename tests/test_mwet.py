@@ -13,6 +13,7 @@ import pytest
 from liprec import (
     ConstantTooSmallError,
     DimensionError,
+    DomainError,
     LabeledSet,
     MatrixOperator,
     MwetHypothesis,
@@ -92,6 +93,13 @@ def test_evaluate_rejects_wrong_width():
     hyp = fit(_random_instance(rng))
     with pytest.raises(DimensionError):
         hyp.evaluate(np.zeros(3))
+
+
+def test_evaluate_rejects_non_finite_queries():
+    hyp = fit(_random_instance(seeded_rng(25)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            hyp.evaluate([bad, 0.0])
 
 
 def test_coordinate_lipschitz_bound():

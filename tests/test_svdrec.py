@@ -10,6 +10,7 @@ import pytest
 
 from liprec import (
     DimensionError,
+    DomainError,
     LabeledSet,
     MatrixOperator,
     NotLipschitzError,
@@ -137,6 +138,7 @@ def test_fit_reduced_interpolates_and_recovers():
     sample = LabeledSet.from_operator(op, x)
     omega = tight_omega(sample).omega
     result = fit_reduced(sample, op, omega, epsilon=0.5)
+    assert result.certificate.passed and result.certificate.max_ratio == omega
     assert not result.report.exact_inversion
     assert result.report.max_training_residual <= 1e-9
     assert result.report.max_recovery_error <= 0.5
@@ -200,8 +202,11 @@ def test_fit_reduced_guards():
     omega = tight_omega(sample).omega
     with pytest.raises(OperatorClassError):
         fit_reduced(sample, PiecewiseExampleOperator(), omega, 0.5)
-    with pytest.raises(NotLipschitzError):
+    with pytest.raises(NotLipschitzError) as exc:
         fit_reduced(sample, op, omega * 0.5, 0.5)
+    assert exc.value.certificate.verdict == "violated"
+    assert exc.value.certificate.max_ratio == omega
+    assert exc.value.witness == tight_omega(sample).witness
 
 
 def test_recover_rejects_wrong_observation_width():
@@ -212,3 +217,14 @@ def test_recover_rejects_wrong_observation_width():
     result = fit_reduced(sample, op, tight_omega(sample).omega, epsilon=1.0)
     with pytest.raises(DimensionError):
         result.recovery.recover(np.zeros(3))
+
+
+def test_recover_rejects_non_finite_observations():
+    rng = seeded_rng(62)
+    for m, n in ((2, 4), (2, 2)):  # trained hypothesis, exact inversion
+        op = _random_operator(rng, m, n)
+        sample = LabeledSet.from_operator(op, rng.standard_normal((10, n)))
+        result = fit_reduced(sample, op, tight_omega(sample).omega, epsilon=1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                result.recovery.recover(np.array([bad] + [0.0] * (m - 1)))
