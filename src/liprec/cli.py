@@ -182,11 +182,18 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
-def _count(value: Any, where: str) -> int:
-    count = _integer(value, where)
-    if count < 1:
-        raise ProblemError(f"{where} must be >= 1, got {count}")
-    return count
+def _at_least(value: Any, where: str, low: int) -> int:
+    number = _integer(value, where)
+    if number < low:
+        raise ProblemError(f"{where} must be >= {low}, got {number}")
+    return number
+
+
+def _float_array(value: Any, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ProblemError(f"field '{where}' must be a numeric array") from None
 
 
 def build_operator(spec: Any) -> Operator:
@@ -194,7 +201,7 @@ def build_operator(spec: Any) -> Operator:
         raise ProblemError("field 'operator' must be an object")
     kind = _require(spec, "type", "operator")
     if kind == "matrix":
-        data = _require(spec, "data", "operator")
+        data = _float_array(_require(spec, "data", "operator"), "operator.data")
         try:
             op = MatrixOperator(data)
         except LiprecError as exc:
@@ -219,7 +226,7 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
         raise ProblemError("field 'signals' must be an object")
     kind = _require(spec, "type", "signals")
     if kind in ("list", "finite_list"):
-        data = np.asarray(_require(spec, "data", "signals"), dtype=np.float64)
+        data = _float_array(_require(spec, "data", "signals"), "signals.data")
         if data.ndim == 1:
             data = data[:, None]
         if data.ndim != 2 or data.shape[1] != operator.signal_dim:
@@ -228,18 +235,18 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
                 f"got shape {data.shape}")
         return data
     if kind == "affine_segment":
-        start = np.asarray(_require(spec, "start", "signals"), dtype=np.float64).ravel()
-        end = np.asarray(_require(spec, "end", "signals"), dtype=np.float64).ravel()
-        count = _count(_require(spec, "count", "signals"), "signals.count")
+        start = _float_array(_require(spec, "start", "signals"), "signals.start").ravel()
+        end = _float_array(_require(spec, "end", "signals"), "signals.end").ravel()
+        count = _at_least(_require(spec, "count", "signals"), "signals.count", 1)
         if start.shape != (operator.signal_dim,) or end.shape != (operator.signal_dim,):
             raise ProblemError(
                 f"signals.start/end must have length {operator.signal_dim}")
         steps = np.linspace(0.0, 1.0, count)[:, None]
         return start[None, :] + steps * (end - start)[None, :]
     if kind == "sparse_random":
-        count = _count(_require(spec, "count", "signals"), "signals.count")
+        count = _at_least(_require(spec, "count", "signals"), "signals.count", 1)
         sparsity = _integer(_require(spec, "S", "signals"), "signals.S")
-        seed = _integer(spec.get("seed", default_seed), "signals.seed")
+        seed = _at_least(spec.get("seed", default_seed), "signals.seed", 0)
         n = operator.signal_dim
         if not 1 <= sparsity <= n:
             raise ProblemError(f"signals.S must be in [1, {n}], got {sparsity}")
@@ -295,7 +302,7 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     omega1 = params.get("omega")
     if omega1 is not None:
         omega1 = _number(omega1, "params.omega")
-    num_pairs = _count(params.get("num_pairs", 1000), "params.num_pairs")
+    num_pairs = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
     try:
         hypothesis = fit(sample, omega1)
     except LiprecError as exc:
@@ -368,7 +375,7 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'theorem3' needs a matrix operator")
-    num_draws = _count(params.get("num_pairs", 1000), "params.num_pairs")
+    num_draws = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
     sample = _labeled(operator, signals)
     results: Dict[str, Any] = {"sample_size": len(sample)}
     try:
@@ -413,7 +420,7 @@ def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'rip' needs a matrix operator")
     sparsity = _integer(_require(params, "S", "params"), "params.S")
-    num_pairs = _count(params.get("num_pairs", 1000), "params.num_pairs")
+    num_pairs = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
     report = rip_delta(operator, sparsity)
     try:
         check = verify_sparse_lipschitz(operator, sparsity, num_pairs, seed)
@@ -470,7 +477,7 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     params = problem.get("params") or {}
     if not isinstance(params, dict):
         raise ProblemError("field 'params' must be an object")
-    seed = _integer(params.get("seed", 0), "params.seed")
+    seed = _at_least(params.get("seed", 0), "params.seed", 0)
     start = time.perf_counter()
 
     if task == "example3":

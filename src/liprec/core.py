@@ -166,9 +166,11 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator from an explicit integer seed."""
+    """Deterministic generator from an explicit nonnegative integer seed."""
     if not isinstance(seed, (int, np.integer)):
         raise ParameterError(f"seed must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(int(seed))
 
 

@@ -10,7 +10,10 @@ on all of observation space, and the stacked map G = (g_1, ..., g_d) is
 omega1 * sqrt(d)-Lipschitz, where d is the output dimension. Fitting stores
 nothing beyond the training data and omega1; evaluation is the exact min,
 scanned over every training point, because any nearest-neighbor shortcut
-would void the interpolation guarantee.
+would void the interpolation guarantee. Queries are processed in tiles
+whose (rows, n, m) difference block is bounded by an element count, so
+evaluation memory is O(tile) whatever the number of queries, and the
+result is the same exact min over every training point for any tile size.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from .core import (
 )
 from .lipschitz import tight_omega
 
-_EVAL_BLOCK = 4096  # query rows per distance-matrix block
+# Element budget for one query tile's (rows, n, m) float64 difference
+# block: 2**16 elements is 512 KiB, which stays in a core's L2 cache. A
+# tile holds max(1, budget // (n * m)) query rows. The einsum sums over m
+# alone, in an order that does not depend on the number of rows, so the
+# output is bit-identical for every budget; only speed and memory change.
+_TILE_ELEMENTS = 1 << 16
 
 # Drawn audit pairs closer than this fraction of the sampling box are
 # redrawn: their ratio measures rounding noise, not the map's expansion.
@@ -69,13 +77,17 @@ class MwetHypothesis:
         q, single = as_batch(y, self.input_dim, "observations")
         obs = self.training.observations
         sig = self.training.signals
+        rows = max(1, _TILE_ELEMENTS // obs.size)
         out = np.empty((q.shape[0], self.output_dim))
-        for start in range(0, q.shape[0], _EVAL_BLOCK):
-            block = q[start:start + _EVAL_BLOCK]
+        scratch = np.empty((min(rows, q.shape[0]), obs.shape[0]))
+        for start in range(0, q.shape[0], rows):
+            block = q[start:start + rows]
             diffs = block[:, None, :] - obs[None, :, :]
             base = self.omega1 * np.sqrt(np.einsum("kjm,kjm->kj", diffs, diffs))
+            shifted = scratch[:block.shape[0]]
             for i in range(self.output_dim):
-                out[start:start + _EVAL_BLOCK, i] = (base + sig[:, i]).min(axis=1)
+                np.add(base, sig[:, i], out=shifted)
+                shifted.min(axis=1, out=out[start:start + rows, i])
         return out[0] if single else out
 
     __call__ = evaluate

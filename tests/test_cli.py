@@ -455,6 +455,43 @@ def test_main_run_rejects_nonpositive_num_pairs(tmp_path, capsys, problem_file, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem_file", ["mwet_segment.json", "theorem3_projection.json",
+                                          "rip_balanced.json"])
+def test_main_run_rejects_negative_seed(tmp_path, capsys, problem_file):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", "params.seed=-1"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "params.seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_run_rejects_negative_signals_seed(tmp_path, capsys):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set",
+                      'signals={"type": "sparse_random", "count": 20, "S": 2, "seed": -4}'])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "signals.seed must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ('signals={"type": "list", "data": [[1, 2, 3, 4], [1, 2]]}', "signals.data"),
+    ('signals.start=["a", 0, 0, 0]', "signals.start"),
+    ('signals.end={"x": 1}', "signals.end"),
+    ("operator.data=[[1, 2], [3]]", "operator.data"),
+    ('operator.data=[["x"]]', "operator.data"),
+])
+def test_main_run_rejects_ragged_or_non_numeric_arrays(tmp_path, capsys, override, field):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", override])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"field '{field}' must be a numeric array" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_run_with_trace_and_overrides(tmp_path):
     path = _write_problem(tmp_path, THEOREM1_PROBLEM)
     out = tmp_path / "report.json"

@@ -68,6 +68,13 @@ def test_seeded_rng_rejects_non_integers():
         seeded_rng("7")
 
 
+def test_seeded_rng_rejects_negative_seeds():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        seeded_rng(-1)
+    with pytest.raises(ParameterError):
+        seeded_rng(np.int64(-2))
+
+
 def test_distance_matches_norm():
     rng = seeded_rng(0)
     a = rng.standard_normal(6)

@@ -1,14 +1,19 @@
 """The min-form extension: interpolation, expansion bounds, fitting guards.
 
-Evaluation is compared against a transparent per-point oracle, and the
+Evaluation is compared against a transparent per-point oracle and,
+bit for bit, against the fixed 4096-row blocking it replaced, and the
 two Lipschitz properties (per-coordinate omega1, stacked omega1 * sqrt(d))
 are exercised on random query pairs well outside the training data.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liprec import (
     ConstantTooSmallError,
@@ -20,6 +25,7 @@ from liprec import (
     NotInjectiveError,
     ParameterError,
     fit,
+    mwet,
     tight_omega,
 )
 from liprec.core import seeded_rng
@@ -78,14 +84,84 @@ def test_evaluate_batch_agrees_with_single():
 
 
 def test_evaluate_blocking_boundary():
-    # more queries than one evaluation block, to cross the block seam
+    # more queries than one evaluation tile, to cross the tile seam
     rng = seeded_rng(24)
     ls = _random_instance(rng, n=3)
     hyp = fit(ls)
-    queries = rng.standard_normal((5000, 2))
+    tile = mwet._TILE_ELEMENTS // ls.observations.size
+    queries = rng.standard_normal((tile + 10, 2))
     batch = hyp.evaluate(queries)
-    assert np.allclose(batch[4090:4100], np.stack(
-        [_naive_eval(hyp, q) for q in queries[4090:4100]]), atol=1e-12)
+    seam = slice(tile - 5, tile + 5)
+    assert np.allclose(batch[seam], np.stack(
+        [_naive_eval(hyp, q) for q in queries[seam]]), atol=1e-12)
+
+
+def _blocked_4096_eval(self, y):
+    """MwetHypothesis.evaluate as it was with fixed 4096-row query blocks."""
+    q, single = mwet.as_batch(y, self.input_dim, "observations")
+    obs = self.training.observations
+    sig = self.training.signals
+    out = np.empty((q.shape[0], self.output_dim))
+    for start in range(0, q.shape[0], 4096):
+        block = q[start:start + 4096]
+        diffs = block[:, None, :] - obs[None, :, :]
+        base = self.omega1 * np.sqrt(np.einsum("kjm,kjm->kj", diffs, diffs))
+        for i in range(self.output_dim):
+            out[start:start + 4096, i] = (base + sig[:, i]).min(axis=1)
+    return out[0] if single else out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.sampled_from([1, 2, 50]), obs_dim=st.integers(1, 12),
+       sig_dim=st.integers(1, 8),
+       count=st.sampled_from(["single", "tile-1", "tile", "tile+1", "3*tile+2"]),
+       tile_rows=st.sampled_from([None, 1, 7]),
+       omega1=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+       grid=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
+                                                     tile_rows, omega1, grid, seed):
+    # Integer-grid data makes distances and minima tie and lets training
+    # observations coincide; its sums are exact, so Gaussian data is drawn
+    # too, to catch any change of summation order. The tile is the default
+    # one, or 1 or 7 rows.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        if grid:
+            return rng.integers(-3, 4, size=shape).astype(float)
+        return rng.standard_normal(shape) * 3.0
+
+    training = LabeledSet(draw((n, sig_dim)), draw((n, obs_dim)))
+    hyp = MwetHypothesis(training=training, omega1=omega1)
+    budget = mwet._TILE_ELEMENTS if tile_rows is None else tile_rows * n * obs_dim
+    tile = max(1, budget // (n * obs_dim))
+    k = {"tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
+         "3*tile+2": 3 * tile + 2}.get(count, 1)
+    queries = draw((k, obs_dim))
+    if count == "single":
+        queries = queries[0]
+    with mock.patch.object(mwet, "_TILE_ELEMENTS", budget):
+        got = hyp.evaluate(queries)
+    expected = _blocked_4096_eval(hyp, queries)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_evaluate_peak_memory_is_bounded_by_the_tile():
+    # 10^4 queries against 1500 x 8 training points: the fixed 4096-row
+    # blocking peaked near 800 MB of traced allocations here.
+    rng = seeded_rng(26)
+    training = LabeledSet(rng.standard_normal((1500, 8)), rng.standard_normal((1500, 8)))
+    hyp = MwetHypothesis(training=training, omega1=2.0)
+    queries = rng.standard_normal((10 ** 4, 8))
+    tracemalloc.start()
+    try:
+        hyp.evaluate(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_evaluate_rejects_wrong_width():
