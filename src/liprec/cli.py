@@ -49,17 +49,20 @@ import numpy as np
 from . import __version__, acceptance
 from .core import (
     TOL_CERT,
+    TOL_DUP,
     TOL_EVAL,
     LabeledSet,
+    LabelingError,
     LipschitzCertificate,
     LiprecError,
     NotApplicableError,
-    NotInjectiveError,
     NotLipschitzError,
+    ParameterError,
+    _duplicate_error,
     seeded_rng,
 )
 from .covering import cover_pipeline
-from .lipschitz import tight_omega, verify_lipschitz
+from .lipschitz import _check_omega, _scan_sample, injectivity_tolerance
 from .mwet import fit
 from .operators import (
     MatrixOperator,
@@ -255,11 +258,19 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
                        "'affine_segment', or 'sparse_random')")
 
 
-def _labeled(operator: Operator, signals: np.ndarray) -> LabeledSet:
+def _labeling_failed(exc: LiprecError) -> ProblemError:
+    return ProblemError(f"labeling the sample failed: {exc}")
+
+
+def _labeled(operator: Operator, signals: np.ndarray, *,
+             check_duplicates: bool = True) -> LabeledSet:
+    """Label the sample. Tasks that scan its pairs anyway pass
+    check_duplicates=False and report duplicates from that scan."""
     try:
-        return LabeledSet.from_operator(operator, signals)
+        return LabeledSet.from_operator(operator, signals,
+                                        check_duplicates=check_duplicates)
     except LiprecError as exc:
-        raise ProblemError(f"labeling the sample failed: {exc}")
+        raise _labeling_failed(exc)
 
 
 # --------------------------------------------------------------------------
@@ -271,28 +282,39 @@ TaskOutput = Tuple[List[Dict[str, Any]], Dict[str, Any], Dict[str, np.ndarray]]
 
 def run_certify(operator: Operator, signals: np.ndarray,
                 params: Dict[str, Any]) -> TaskOutput:
-    sample = _labeled(operator, signals)
-    results: Dict[str, Any] = {"sample_size": len(sample)}
-    collision = None
-    if len(sample) < 2:
-        results["tight_omega"] = 0.0
-    else:
-        try:
-            results["tight_omega"] = tight_omega(sample).omega
-        except NotInjectiveError as exc:
-            collision = exc.pair
-            results["tight_omega"] = None
-    results["collision"] = collision
+    sample = _labeled(operator, signals, check_duplicates=False)
     omega = params.get("omega")
+    bad_omega = None
+    if omega is not None:
+        try:
+            omega = _check_omega(_number(omega, "params.omega"))
+        except (ProblemError, ParameterError) as exc:
+            omega, bad_omega = None, exc
+    # One pass over the pairs finds duplicate signals, the first observation
+    # collision and the verdict at omega. Without a collision its maximum
+    # ratio is the tight constant. A duplicate is a labeling error, so it is
+    # reported ahead of a bad omega.
+    scan = _scan_sample(sample, omega, TOL_CERT, tol_dup=TOL_DUP,
+                        tol_inj=injectivity_tolerance(sample.observations))
+    if scan.duplicate is not None:
+        raise _labeling_failed(_duplicate_error(scan.duplicate))
+    if bad_omega is not None:
+        raise bad_omega
+    results: Dict[str, Any] = {
+        "sample_size": len(sample),
+        "tight_omega": None if scan.collision is not None else scan.max_ratio,
+        "collision": scan.collision,
+    }
     if omega is None:
-        return ([assertion("observations_injective", collision is None)],
+        return ([assertion("observations_injective", scan.collision is None)],
                 results, {})
-    omega = _number(omega, "params.omega")
-    cert = verify_lipschitz(sample, omega)
+    cert = scan.certificate(omega)
     results["verdict"] = cert.verdict
     results["max_ratio"] = cert.max_ratio
     results["witness"] = cert.witness
-    return ([assertion("certified_at_omega", cert.passed, cert.max_ratio, omega)],
+    # Over fewer than two signals no pair was checked: that certifies nothing.
+    return ([assertion("certified_at_omega", cert.passed and len(sample) > 1,
+                       cert.max_ratio, omega)],
             results, {})
 
 
@@ -328,11 +350,16 @@ def run_mwet(operator: Operator, signals: np.ndarray,
 
 
 def _certification(cert: LipschitzCertificate, results: Dict[str, Any]) -> Dict[str, Any]:
-    """The sample_certified assertion; records max_ratio, and the witness on failure."""
+    """The sample_certified assertion; records max_ratio, and the witness on failure.
+
+    A sample of fewer than two signals has no pair to check, so its vacuous
+    certificate does not pass the assertion.
+    """
     results["max_ratio"] = cert.max_ratio
     if not cert.passed:
         results["witness"] = cert.witness
-    return assertion("sample_certified", cert.passed, cert.max_ratio, cert.omega)
+    return assertion("sample_certified", cert.passed and results["sample_size"] > 1,
+                     cert.max_ratio, cert.omega)
 
 
 def run_theorem1(operator: Operator, signals: np.ndarray,
@@ -340,7 +367,7 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
     omega = _number(_require(params, "omega", "params"), "params.omega")
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     norm_op, scale = normalize(operator, signals)
-    sample = _labeled(norm_op, signals)
+    sample = _labeled(norm_op, signals, check_duplicates=False)
     omega_n = omega * scale
     results: Dict[str, Any] = {
         "sample_size": len(sample),
@@ -349,6 +376,8 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
     }
     try:
         outcome = cover_pipeline(sample, omega_n, epsilon)
+    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
+        raise _labeling_failed(exc)
     except NotLipschitzError as exc:
         return [_certification(exc.certificate, results)], results, {}
     certified = _certification(outcome.certificate, results)
@@ -376,10 +405,12 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'theorem3' needs a matrix operator")
     num_draws = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
-    sample = _labeled(operator, signals)
+    sample = _labeled(operator, signals, check_duplicates=False)
     results: Dict[str, Any] = {"sample_size": len(sample)}
     try:
         outcome = fit_reduced(sample, operator, omega, epsilon)
+    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
+        raise _labeling_failed(exc)
     except NotLipschitzError as exc:
         return [_certification(exc.certificate, results)], results, {}
     certified = _certification(outcome.certificate, results)
@@ -485,6 +516,9 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     else:
         operator = build_operator(_require(problem, "operator", "problem"))
         if task == "rip":
+            if "signals" in problem:
+                # rip draws its own probes, but a malformed block is still bad input.
+                build_signals(problem["signals"], operator, seed)
             assertions, results, traces = run_rip(operator, params, seed)
         else:
             signals = build_signals(_require(problem, "signals", "problem"),

@@ -19,6 +19,9 @@ precision, and every operation that uses one accepts an override.
 Every pairwise check runs on one O(n^2) scan, ``_row_pairs``, one row at a
 time so memory stays linear; ``_first_max_pair`` breaks ties to the first
 pair in row-major index order, so witnesses never depend on evaluation order.
+``score`` sees each row's signal distances, so the certification pass also
+finds the first duplicate signal pair, and a pipeline that certifies a
+sample checks it for duplicates without a second scan.
 """
 
 from __future__ import annotations
@@ -180,6 +183,12 @@ def _row_pairs(*arrays: np.ndarray) -> Iterator[tuple]:
         yield (i, *[np.linalg.norm(a[i + 1:] - a[i], axis=1) for a in arrays])
 
 
+def _first_pair(i: int, hits: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j) whose entry of row i's mask over j > i is set, if any."""
+    found = np.flatnonzero(hits)
+    return (i, i + 1 + int(found[0])) if found.size else None
+
+
 def _first_max_pair(labeled_set: LabeledSet, score) -> Tuple[float, Tuple[int, int]]:
     """Maximum over pairs i < j of score(i, dx, dy), and the first pair attaining it.
 
@@ -195,6 +204,10 @@ def _first_max_pair(labeled_set: LabeledSet, score) -> Tuple[float, Tuple[int, i
             best = float(values[k])
             witness = (i, i + 1 + k)
     return best, witness
+
+
+def _duplicate_error(pair: Tuple[int, int]) -> LabelingError:
+    return LabelingError(f"duplicate signals at indices {pair[0]} and {pair[1]}", index=pair[1])
 
 
 def distance(a, b) -> float:
@@ -230,7 +243,8 @@ class LabeledSet:
     (count, signal_dim) and ``observations`` with shape (count, obs_dim).
     Duplicate signals (closer than ``TOL_DUP``) are rejected at
     construction unless explicitly waived, e.g. for derived training data
-    whose targets may legitimately coincide.
+    whose targets may legitimately coincide, or for a sample whose
+    certification pass checks for duplicates itself.
     """
 
     signals: np.ndarray
@@ -253,8 +267,7 @@ class LabeledSet:
         if check_duplicates:
             dup = out._find_duplicate(tol_dup)
             if dup is not None:
-                raise LabelingError(
-                    f"duplicate signals at indices {dup[0]} and {dup[1]}", index=dup[1])
+                raise _duplicate_error(dup)
         return out
 
     @classmethod
@@ -276,9 +289,9 @@ class LabeledSet:
 
     def _find_duplicate(self, tol_dup: float) -> Optional[Tuple[int, int]]:
         for i, d in _row_pairs(self.signals):
-            hits = np.flatnonzero(d < tol_dup)
-            if hits.size:
-                return i, i + 1 + int(hits[0])
+            dup = _first_pair(i, d < tol_dup)
+            if dup is not None:
+                return dup
         return None
 
     @property
@@ -312,6 +325,14 @@ def validate_labeled_set(labeled_set: LabeledSet, operator, *,
     Raises LabelingError (carrying the offending index) if some pair is off
     by more than ``tol_eval`` or two signals are closer than ``tol_dup``.
     """
+    _check_observations(labeled_set, operator, tol_eval)
+    dup = labeled_set._find_duplicate(tol_dup)
+    if dup is not None:
+        raise _duplicate_error(dup)
+
+
+def _check_observations(labeled_set: LabeledSet, operator, tol_eval: float) -> None:
+    """The O(n) half of ``validate_labeled_set``: dimensions and residuals."""
     if labeled_set.signal_dim != operator.signal_dim or labeled_set.obs_dim != operator.obs_dim:
         raise DimensionError(
             f"set dims ({labeled_set.signal_dim}, {labeled_set.obs_dim}) do not match "
@@ -323,9 +344,6 @@ def validate_labeled_set(labeled_set: LabeledSet, operator, *,
         i = int(bad[0])
         raise LabelingError(
             f"pair {i}: observation is off by {residual[i]:.3e} (> {tol_eval:.1e})", index=i)
-    dup = labeled_set._find_duplicate(tol_dup)
-    if dup is not None:
-        raise LabelingError(f"duplicate signals at indices {dup[0]} and {dup[1]}", index=dup[1])
 
 
 # ---------------------------------------------------------------------------

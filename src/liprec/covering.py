@@ -34,11 +34,10 @@ from .core import (
     LabeledSet,
     LipschitzCertificate,
     NoNullSpaceError,
-    NotLipschitzError,
     OutOfBoxError,
     ParameterError,
 )
-from .lipschitz import verify_lipschitz
+from .lipschitz import _certify_sample
 from .mwet import MwetHypothesis, fit
 
 GridMode = Literal["full", "reduced"]
@@ -191,17 +190,15 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
 
     The sample stands in for the (possibly uncountable) Lipschitz set: it
     must certify at ``omega`` and its observations must lie in [0,1]^M.
-    This is the sample's one certification scan: the result carries the
-    certificate, and so does the NotLipschitzError raised when it fails.
-    The fitted hypothesis uses per-coordinate constant omega, so its
-    training residuals are ~0 and every sample point is recovered to
-    within epsilon; both maxima are reported for assertion by the caller.
+    This is the sample's one pass over its pairs. It rejects duplicate
+    signals (closer than ``TOL_DUP``) with a LabelingError before anything
+    else, and it certifies: the result carries the certificate, and so
+    does the NotLipschitzError raised when certification fails. The
+    fitted hypothesis uses per-coordinate constant omega, so its training
+    residuals are ~0 and every sample point is recovered to within
+    epsilon; both maxima are reported for assertion by the caller.
     """
-    cert = verify_lipschitz(sample, omega, tol_cert=tol_cert)
-    if not cert.passed:
-        raise NotLipschitzError(
-            f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "
-            f"{cert.max_ratio:.6g}", certificate=cert)
+    cert = _certify_sample(sample, omega, tol_cert)
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
     cover = build_cover(sample, spec, tol=tol_cert)
     hypothesis = fit(cover.representative_set(), omega1=omega, tol_cert=tol_cert)

@@ -14,26 +14,36 @@ the package's one pair scan and first-maximum reduction
 (``core._first_max_pair``): maxima tie-break to the first pair in row-major
 index order, and the relaxed check's minimum slack is the exact negation of
 the maximum of -slack.
+
+The verification pass (``_scan_sample``) can also report the first
+observation collision and the first duplicate signal pair it meets. That
+lets the pipelines reject duplicates (``_certify_sample``) and the
+``certify`` task read the tight constant, the first collision and its
+verdict from one pass over the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import (
     TOL_CERT,
+    TOL_DUP,
     DegenerateScaleError,
     DegenerateSetError,
     DimensionError,
     LabeledSet,
     LipschitzCertificate,
     NotInjectiveError,
+    NotLipschitzError,
     OperatorClassError,
     ParameterError,
+    _duplicate_error,
     _first_max_pair,
+    _first_pair,
     as_vector,
     readonly,
 )
@@ -81,16 +91,74 @@ def tight_omega(labeled_set: LabeledSet, *, tol_inj: Optional[float] = None) -> 
         tol_inj = injectivity_tolerance(labeled_set.observations)
 
     def ratios(i, dx, dy):
-        collisions = np.flatnonzero(dy <= tol_inj)
-        if collisions.size:
-            j = i + 1 + int(collisions[0])
+        collision = _first_pair(i, dy <= tol_inj)
+        if collision is not None:
+            j = collision[1]
             raise NotInjectiveError(
                 f"signals {i} and {j} share an observation "
-                f"(distance {dy[collisions[0]]:.3e} <= {tol_inj:.3e})", pair=(i, j))
+                f"(distance {dy[j - i - 1]:.3e} <= {tol_inj:.3e})", pair=collision)
         return dx / dy
 
     best, witness = _first_max_pair(labeled_set, ratios)
     return LipschitzCertificate(omega=best, verdict="certified", witness=witness, max_ratio=best)
+
+
+def _check_omega(omega: float) -> float:
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ParameterError(f"omega must be a positive finite number, got {omega}")
+    return omega
+
+
+class _SampleScan(NamedTuple):
+    """What one verification pass saw; pairs are first in row-major order."""
+
+    max_ratio: float
+    witness: Optional[Tuple[int, int]]
+    violated: bool
+    collision: Optional[Tuple[int, int]]
+    duplicate: Optional[Tuple[int, int]]
+
+    def certificate(self, omega: float) -> LipschitzCertificate:
+        return LipschitzCertificate(
+            omega=float(omega),
+            verdict="violated" if self.violated else "certified",
+            witness=self.witness,
+            max_ratio=self.max_ratio,
+        )
+
+
+def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: float, *,
+                 tol_inj: Optional[float] = None,
+                 tol_dup: Optional[float] = None) -> _SampleScan:
+    """The verification pass of ``verify_lipschitz``, with what else it sees.
+
+    Reports the maximum ratio and its first pair (an observation collision
+    between distinct signals counts as an infinite ratio), whether some
+    pair breaks ||x1 - x2|| <= omega * ||y1 - y2|| + tol_cert (never, for
+    omega None), the first pair whose observations are within ``tol_inj``
+    and the first pair of signals closer than ``tol_dup``. A check whose
+    tolerance is None is skipped and reports None. Where no pair collides,
+    the maximum ratio is bit-identical to ``tight_omega``'s constant.
+    Fewer than two rows give the vacuous scan: ratio 0 and no pairs.
+    """
+    if len(labeled_set) < 2:
+        return _SampleScan(0.0, None, False, None, None)
+    violated = False
+    collision = duplicate = None
+
+    def ratios(i, dx, dy):
+        nonlocal violated, collision, duplicate
+        if omega is not None:
+            violated = violated or bool(np.any(dx > omega * dy + tol_cert))
+        if collision is None and tol_inj is not None:
+            collision = _first_pair(i, dy <= tol_inj)
+        if duplicate is None and tol_dup is not None:
+            duplicate = _first_pair(i, dx < tol_dup)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
+
+    best, witness = _first_max_pair(labeled_set, ratios)
+    return _SampleScan(best, witness, violated, collision, duplicate)
 
 
 def verify_lipschitz(labeled_set: LabeledSet, omega: float, *,
@@ -101,26 +169,28 @@ def verify_lipschitz(labeled_set: LabeledSet, omega: float, *,
     the first pair attaining the maximum ratio; observation collisions
     between distinct signals simply show up as violations (infinite ratio).
     """
-    if not (np.isfinite(omega) and omega > 0.0):
-        raise ParameterError(f"omega must be a positive finite number, got {omega}")
-    if len(labeled_set) < 2:
-        return LipschitzCertificate(omega=float(omega), verdict="certified",
-                                    witness=None, max_ratio=0.0)
-    violated = False
+    _check_omega(omega)
+    return _scan_sample(labeled_set, omega, tol_cert).certificate(omega)
 
-    def ratios(i, dx, dy):
-        nonlocal violated
-        violated = violated or bool(np.any(dx > omega * dy + tol_cert))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
 
-    best, witness = _first_max_pair(labeled_set, ratios)
-    return LipschitzCertificate(
-        omega=float(omega),
-        verdict="violated" if violated else "certified",
-        witness=witness,
-        max_ratio=best,
-    )
+def _certify_sample(sample: LabeledSet, omega: float, tol_cert: float) -> LipschitzCertificate:
+    """A pipeline's one pass over its sample: reject duplicates, then certify.
+
+    Raises LabelingError for the first pair of signals closer than
+    ``TOL_DUP``, ahead of any other complaint about the sample or omega,
+    and NotLipschitzError, carrying the certificate, when the sample is
+    not omega-certified. Returns the certificate otherwise.
+    """
+    valid = bool(np.isfinite(omega) and omega > 0.0)
+    scan = _scan_sample(sample, omega if valid else None, tol_cert, tol_dup=TOL_DUP)
+    if scan.duplicate is not None:
+        raise _duplicate_error(scan.duplicate)
+    cert = scan.certificate(_check_omega(omega))
+    if not cert.passed:
+        raise NotLipschitzError(
+            f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "
+            f"{cert.max_ratio:.6g}", certificate=cert)
+    return cert
 
 
 def affine_transform(labeled_set: LabeledSet, operator: MatrixOperator,
@@ -153,8 +223,7 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float, epsilon: floa
     the minimum slack 2*epsilon + omega*||y1 - y2|| - ||x1 - x2|| and the
     pair attaining it; passes when that slack is >= -tol_cert.
     """
-    if not (np.isfinite(omega) and omega > 0.0):
-        raise ParameterError(f"omega must be a positive finite number, got {omega}")
+    _check_omega(omega)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ParameterError(f"epsilon must be a nonnegative finite number, got {epsilon}")
     if len(labeled_set) < 2:

@@ -33,19 +33,19 @@ import numpy as np
 
 from .core import (
     TOL_CERT,
+    TOL_EVAL,
     DegenerateSetError,
     DimensionError,
     LabeledSet,
     LipschitzCertificate,
-    NotLipschitzError,
     OperatorClassError,
     RankZeroError,
+    _check_observations,
     as_batch,
     readonly,
-    validate_labeled_set,
 )
 from .covering import GridCover, build_cover, grid_spec
-from .lipschitz import verify_lipschitz
+from .lipschitz import _certify_sample
 from .mwet import MwetHypothesis, fit
 from .operators import MatrixOperator, unit_box
 
@@ -239,9 +239,12 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
                 rank_tol: float = RANK_TOL) -> FitReducedResult:
     """Cover, fit, and assemble the reduced recovery map for a linear operator.
 
-    The sample must be labeled by ``operator`` and certify at ``omega``.
-    This is the sample's one certification scan: the result carries the
-    certificate, and so does the NotLipschitzError raised when it fails.
+    The sample must be labeled by ``operator`` (an O(n) residual check,
+    LabelingError otherwise) and certify at ``omega``. One pass over the
+    sample's pairs then rejects duplicate signals (closer than
+    ``TOL_DUP``) with a LabelingError, ahead of any certification failure,
+    and certifies: the result carries the certificate, and so does the
+    NotLipschitzError raised when certification fails.
     Covering happens in the effective observation space, box-normalized
     for cell assignment (which rescales the grid constant to omega*scale);
     the hypothesis itself trains on raw effective observations, keeping
@@ -256,12 +259,8 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
             f"reduced recovery needs a matrix operator, got {type(operator).__name__}")
     if len(sample) == 0:
         raise DegenerateSetError("cannot fit on an empty sample")
-    validate_labeled_set(sample, operator)
-    cert = verify_lipschitz(sample, omega, tol_cert=tol_cert)
-    if not cert.passed:
-        raise NotLipschitzError(
-            f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "
-            f"{cert.max_ratio:.6g}", certificate=cert)
+    _check_observations(sample, operator, TOL_EVAL)
+    cert = _certify_sample(sample, omega, tol_cert)
     factors = svd_factor(operator, rank_tol)
     eff_obs = factors.project(sample.observations)
     n, r = factors.signal_dim, factors.rank

@@ -492,6 +492,56 @@ def test_main_run_rejects_ragged_or_non_numeric_arrays(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem_file,name", [
+    ("certify_segment.json", "certified_at_omega"),
+    ("theorem1_ramp.json", "sample_certified"),
+    ("theorem3_projection.json", "sample_certified"),
+    ("theorem3_square.json", "sample_certified"),
+])
+def test_main_run_certification_over_zero_pairs_fails(tmp_path, problem_file, name):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", "signals.count=1"])
+    assert code == cli.EXIT_ASSERTION_FAILURE
+    report = json.loads(out.read_text())
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert failed == [name]
+    assert report["results"]["sample_size"] == 1
+    assert report["results"]["max_ratio"] == 0.0
+    # Two signals give one pair, which is enough.
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", "signals.count=2"])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("omega,message", [
+    ("0", "ParameterError: omega must be a positive finite number, got 0.0"),
+    ("-1.5", "ParameterError: omega must be a positive finite number, got -1.5"),
+    ('"x"', "field 'params.omega' must be a number, got 'x'"),
+])
+def test_main_run_certify_rejects_bad_omega(tmp_path, capsys, omega, message):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "certify_segment.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", f"params.omega={omega}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("signals.seed=-1", "signals.seed must be >= 0, got -1"),
+    ('signals.count="x"', "field 'signals.count' must be an integer, got 'x'"),
+    ('signals.type="bogus"', "unknown signals.type 'bogus'"),
+    ("signals=3", "field 'signals' must be an object"),
+])
+def test_main_run_rip_validates_its_signals_block(tmp_path, capsys, override, message):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", override])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_run_with_trace_and_overrides(tmp_path):
     path = _write_problem(tmp_path, THEOREM1_PROBLEM)
     out = tmp_path / "report.json"

@@ -8,6 +8,7 @@ import pytest
 from liprec import (
     DimensionError,
     LabeledSet,
+    LabelingError,
     MatrixOperator,
     NoNullSpaceError,
     NotLipschitzError,
@@ -188,6 +189,16 @@ def test_cover_pipeline_rejects_uncertified_sample():
     assert exc.value.witness == exc.value.certificate.witness
     assert exc.value.certificate.verdict == "violated"
     assert exc.value.certificate.max_ratio > 0.5
+
+
+def test_cover_pipeline_rejects_duplicate_signals_first():
+    op = PiecewiseExampleOperator()
+    x = np.linspace(0.0, 1.0, 50)[:, None]
+    x[30] = x[12]
+    sample = LabeledSet.from_operator(op, x, check_duplicates=False)
+    for omega in (1.0, 0.5, 0.0):  # certified, uncertified, invalid
+        with pytest.raises(LabelingError, match="duplicate signals at indices 12 and 30"):
+            cover_pipeline(sample, omega=omega, epsilon=0.2)
 
 
 def test_cover_pipeline_linear_segment():

@@ -5,7 +5,9 @@ scan and its first-maximum reduction were shared (tight constant,
 verification, relaxed check, duplicate search), copied verbatim. Every
 certified constant, verdict, witness and collision pair must match it
 bit for bit, including on sets built to produce tied ratios, colliding
-observations and near-duplicate signals.
+observations and near-duplicate signals. The fused verification pass,
+which also reports the first collision and the first duplicate, must
+match all three oracles from its one pass.
 """
 
 import json
@@ -24,6 +26,7 @@ from liprec import (
     check_relaxed_lipschitz,
     cli,
     core,
+    lipschitz,
     tight_omega,
     verify_lipschitz,
 )
@@ -133,15 +136,17 @@ def labeled_arrays(draw):
 @given(data=labeled_arrays(),
        omega=st.floats(1e-3, 1e3),
        epsilon=st.sampled_from([0.0, 1e-3, 0.5]),
-       tol=st.sampled_from([TOL_DUP, 1e-9, 0.5, 1.5]))
+       tol=st.sampled_from([TOL_DUP, 1e-9, 0.5, 1.0, 1.5]))
 def test_scan_matches_original_loops(data, omega, epsilon, tol):
     x, y = data
     labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
 
     omegas = [omega]
+    collision = None
     try:
         expected = _oracle_tight(x, y)
     except NotInjectiveError as exc:
+        collision = exc.pair
         with pytest.raises(NotInjectiveError) as got:
             tight_omega(labeled)
         assert got.value.pair == exc.pair
@@ -159,6 +164,15 @@ def test_scan_matches_original_loops(data, omega, epsilon, tol):
         cert = verify_lipschitz(labeled, w)
         assert (cert.verdict, cert.witness) == (verdict, witness)
         assert _bits(cert.max_ratio) == _bits(max_ratio)
+        # The fused pass: verification, first collision, first duplicate.
+        scan = lipschitz._scan_sample(labeled, w, 1e-9, tol_dup=tol,
+                                      tol_inj=injectivity_tolerance(y))
+        assert scan.certificate(w) == cert
+        assert scan.collision == collision
+        assert scan.duplicate == _oracle_duplicate(x, tol)
+        if collision is None:  # then its maximum ratio is the tight constant
+            assert _bits(scan.max_ratio) == _bits(expected[0])
+            assert scan.witness == expected[1]
 
     passed, min_slack, worst_pair = _oracle_relaxed(x, y, omega, epsilon, 1e-9)
     relaxed = check_relaxed_lipschitz(labeled, omega, epsilon)
@@ -170,37 +184,82 @@ def test_scan_matches_original_loops(data, omega, epsilon, tol):
 
 
 # --------------------------------------------------------------------------
-# One certification scan per theorem1 / theorem3 run.
+# One pass over the sample per certify / theorem1 / theorem3 run.
 
 
+ASSERTION = {
+    "certify_segment.json": "certified_at_omega",
+    "theorem1_ramp.json": "sample_certified",
+    "theorem3_projection.json": "sample_certified",
+}
 FAILED_KEYS = {
     "theorem1_ramp.json": {"sample_size", "scale", "omega_normalized", "max_ratio", "witness"},
     "theorem3_projection.json": {"sample_size", "max_ratio", "witness"},
 }
 
 
-@pytest.mark.parametrize("problem_file", sorted(FAILED_KEYS))
-@pytest.mark.parametrize("omega_factor", [1.0, 0.3])
-def test_cli_certifies_the_sample_once(monkeypatch, problem_file, omega_factor):
-    problem = json.loads((PROBLEMS / problem_file).read_text())
-    problem["params"]["omega"] *= omega_factor
+def _load(problem_file):
+    return json.loads((PROBLEMS / problem_file).read_text())
+
+
+def _count_scans(monkeypatch):
+    """Record the row count of every pass of the pair scan."""
     scans = []
     original = core._row_pairs
 
     def counting(*arrays):
-        scans.append([a.shape[0] for a in arrays])
+        scans.append(arrays[0].shape[0])
         return original(*arrays)
 
     monkeypatch.setattr(core, "_row_pairs", counting)
+    return scans
+
+
+@pytest.mark.parametrize("problem_file", sorted(ASSERTION))
+@pytest.mark.parametrize("omega_factor", [1.0, 0.3])
+def test_cli_certifies_the_sample_once(monkeypatch, problem_file, omega_factor):
+    problem = _load(problem_file)
+    problem["params"]["omega"] *= omega_factor
+    scans = _count_scans(monkeypatch)
     report, _ = cli.execute(problem)
     n = report["results"]["sample_size"]
     certified = report["assertions"][0]["passed"]
-    assert report["assertions"][0]["name"] == "sample_certified"
+    assert report["assertions"][0]["name"] == ASSERTION[problem_file]
     assert certified == (omega_factor == 1.0)
-    if certified:
-        # The fitted hypothesis scans its training set, which is smaller.
-        assert report["results"]["cells_occupied"] < n
-    else:
-        assert len(report["assertions"]) == 1
-        assert set(report["results"]) == FAILED_KEYS[problem_file]
-    assert scans.count([n, n]) == 1
+    if problem_file in FAILED_KEYS:
+        if certified:
+            # The fitted hypothesis scans its training set, which is smaller.
+            assert report["results"]["cells_occupied"] < n
+        else:
+            assert len(report["assertions"]) == 1
+            assert set(report["results"]) == FAILED_KEYS[problem_file]
+    # Labeling, duplicate check, certification and (for certify) the tight
+    # constant all come from this one pass.
+    assert scans.count(n) == 1
+
+
+def test_mwet_keeps_its_two_scans(monkeypatch):
+    # tight_omega raises mid-scan on a collision, so the labeling duplicate
+    # scan stays separate to keep the duplicate error first.
+    scans = _count_scans(monkeypatch)
+    report, _ = cli.execute(_load("mwet_segment.json"))
+    assert scans.count(report["results"]["sample_size"]) == 2
+
+
+@pytest.mark.parametrize("problem_file", sorted(ASSERTION))
+@pytest.mark.parametrize("omega_factor", [1.0, 0.3, 0.0])
+@pytest.mark.parametrize("pair", [(3, 7), (0, 1)], ids=["3_7", "0_1"])
+def test_cli_duplicate_signals_exit_1_before_certification(tmp_path, capsys, problem_file,
+                                                           omega_factor, pair):
+    problem = _load(problem_file)
+    problem["params"]["omega"] *= omega_factor
+    signals = cli.build_signals(problem["signals"], cli.build_operator(problem["operator"]), 0)
+    signals[pair[1]] = signals[pair[0]]
+    problem["signals"] = {"type": "list", "data": signals.tolist()}
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    code = cli.main(["run", str(path), "--out", str(out)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == ("error: labeling the sample failed: duplicate "
+                                       f"signals at indices {pair[0]} and {pair[1]}\n")
+    assert not out.exists()

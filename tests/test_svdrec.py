@@ -12,9 +12,11 @@ from liprec import (
     DimensionError,
     DomainError,
     LabeledSet,
+    LabelingError,
     MatrixOperator,
     NotLipschitzError,
     OperatorClassError,
+    ParameterError,
     PiecewiseExampleOperator,
     RankZeroError,
     fit_reduced,
@@ -22,6 +24,7 @@ from liprec import (
     svd_factor,
     tight_omega,
 )
+from liprec import core
 from liprec.core import seeded_rng
 
 
@@ -207,6 +210,35 @@ def test_fit_reduced_guards():
     assert exc.value.certificate.verdict == "violated"
     assert exc.value.certificate.max_ratio == omega
     assert exc.value.witness == tight_omega(sample).witness
+
+
+def test_fit_reduced_checks_labels_and_duplicates_in_one_scan(monkeypatch):
+    rng = seeded_rng(63)
+    op = _random_operator(rng, 2, 3)
+    x = rng.standard_normal((12, 3))
+    x[9] = x[4]
+    sample = LabeledSet.from_operator(op, x, check_duplicates=False)
+    omega = 2.0 * tight_omega(LabeledSet.from_operator(op, x[:9])).omega
+    scans = []
+    original = core._row_pairs
+    monkeypatch.setattr(core, "_row_pairs",
+                        lambda *arrays: scans.append(len(arrays[0])) or original(*arrays))
+    # The duplicate wins over an uncertified sample and over a bad omega.
+    for w in (omega, 1e-6 * omega, 0.0):
+        scans.clear()
+        with pytest.raises(LabelingError, match="duplicate signals at indices 4 and 9") as exc:
+            fit_reduced(sample, op, w, 0.5)
+        assert exc.value.index == 9
+        assert scans == [12]
+    distinct = LabeledSet.from_operator(op, x[:9])
+    with pytest.raises(ParameterError):
+        fit_reduced(distinct, op, 0.0, 0.5)
+    # The O(n) residual check stays ahead of the pair scan.
+    scans.clear()
+    off = LabeledSet.from_arrays(x, sample.observations + 1e-6, check_duplicates=False)
+    with pytest.raises(LabelingError, match="pair 0: observation is off"):
+        fit_reduced(off, op, omega, 0.5)
+    assert scans == []
 
 
 def test_recover_rejects_wrong_observation_width():
