@@ -16,13 +16,19 @@ __version__ = "0.1.0"
 
 # Honor LIPREC_THREADS before numpy loads its BLAS, which sizes its thread
 # pool from these variables at library-load time. Only defaults are set;
-# explicit user settings win. Invalid values are ignored here and rejected
-# with a proper diagnostic by the command-line layer.
+# explicit user settings win. The value counts when int() accepts it and it
+# is >= 1, the rule of core.thread_budget, which the rip kernel and the
+# command-line layer read and which rejects other values; it cannot run
+# here because core loads numpy.
 _raw = _os.environ.get("LIPREC_THREADS", "").strip()
-if _raw.isdigit() and int(_raw) >= 1:
+try:
+    _count = int(_raw)
+except ValueError:
+    _count = 0
+if _count >= 1:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _raw)
-del _os, _raw
+        _os.environ.setdefault(_var, str(_count))
+del _os, _raw, _count
 
 from .core import (
     TOL_CERT,

@@ -61,6 +61,7 @@ from .core import (
     _duplicate_error,
     seeded_rng,
 )
+from .core import thread_budget as core_thread_budget
 from .covering import cover_pipeline
 from .lipschitz import _check_omega, _scan_sample, injectivity_tolerance
 from .mwet import fit
@@ -93,22 +94,17 @@ class ProblemError(ValueError):
 
 
 def thread_budget() -> int:
-    """Parallelism cap from LIPREC_THREADS, hardware count by default.
+    """Worker-thread cap from LIPREC_THREADS, hardware count by default.
 
-    The package itself is single-threaded; the cap is applied to the BLAS
-    pool via environment defaults at import time (see the package
-    __init__) and recorded in report metadata.
+    ``core.thread_budget`` is the one reader: the same value caps the BLAS
+    pool (set as an environment default at import time, see the package
+    __init__) and the worker threads of the rip subset-spectra kernel, and
+    it is recorded in report metadata. An invalid value is a ProblemError.
     """
-    raw = os.environ.get("LIPREC_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ProblemError(f"LIPREC_THREADS must be an integer, got {raw!r}")
-        if value < 1:
-            raise ProblemError(f"LIPREC_THREADS must be positive, got {value}")
-        return value
-    return os.cpu_count() or 1
+    try:
+        return core_thread_budget()
+    except ParameterError as exc:
+        raise ProblemError(str(exc)) from None
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -305,14 +301,15 @@ def run_certify(operator: Operator, signals: np.ndarray,
         "tight_omega": None if scan.collision is not None else scan.max_ratio,
         "collision": scan.collision,
     }
+    # Over fewer than two signals no pair was checked: that certifies nothing.
     if omega is None:
-        return ([assertion("observations_injective", scan.collision is None)],
+        return ([assertion("observations_injective",
+                           scan.collision is None and len(sample) > 1)],
                 results, {})
     cert = scan.certificate(omega)
     results["verdict"] = cert.verdict
     results["max_ratio"] = cert.max_ratio
     results["witness"] = cert.witness
-    # Over fewer than two signals no pair was checked: that certifies nothing.
     return ([assertion("certified_at_omega", cert.passed and len(sample) > 1,
                        cert.max_ratio, omega)],
             results, {})
@@ -342,8 +339,11 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     assertions = [
         assertion("training_interpolation", residuals.max() <= TOL_EVAL,
                   float(residuals.max()), TOL_EVAL),
+        # A one-signal sample has a zero-size audit box, so the audit drew no
+        # pair and its 0.0 measures nothing. Two or more signals have distinct
+        # observations (fit rejects collisions), so the box has a positive size.
         assertion("audit_within_global_bound",
-                  audit <= hypothesis.omega_global + TOL_EVAL,
+                  audit <= hypothesis.omega_global + TOL_EVAL and len(sample) > 1,
                   audit, hypothesis.omega_global + TOL_EVAL),
     ]
     return assertions, results, {"training_residual": residuals}
@@ -509,6 +509,7 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     if not isinstance(params, dict):
         raise ProblemError("field 'params' must be an object")
     seed = _at_least(params.get("seed", 0), "params.seed", 0)
+    threads = thread_budget()  # an invalid LIPREC_THREADS fails before any work
     start = time.perf_counter()
 
     if task == "example3":
@@ -544,7 +545,7 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
             "timestamp": datetime.datetime.now(datetime.timezone.utc)
                          .isoformat(timespec="seconds"),
             "version": __version__,
-            "threads": thread_budget(),
+            "threads": threads,
             # Continuous signal sets are represented by their finite samples;
             # every quantified claim in the report ranges over the sample.
             "sample_surrogate": task in ("theorem1", "theorem3"),
@@ -725,6 +726,7 @@ def _corrupt(entry: Dict[str, Any], factor: float) -> None:
 
 
 def selftest_command(args: argparse.Namespace) -> int:
+    thread_budget()  # an invalid LIPREC_THREADS fails before any criterion runs
     selected = [runner for task, runner in acceptance.ALL_CRITERIA
                 if args.filter is None or task == args.filter]
     if not selected:

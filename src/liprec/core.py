@@ -1,5 +1,6 @@
 """Shared numeric vocabulary: vectors, labeled signal/observation sets,
-Lipschitz certificates, the error taxonomy, and deterministic RNG seeding.
+Lipschitz certificates, the error taxonomy, deterministic RNG seeding, and
+the worker-thread budget read from LIPREC_THREADS.
 
 Everything is float64. Containers are frozen dataclasses whose arrays are
 marked read-only after construction, so objects may be shared freely across
@@ -26,6 +27,7 @@ sample checks it for duplicates without a second scan.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Sequence, Tuple
 
@@ -175,6 +177,25 @@ def seeded_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(int(seed))
+
+
+def thread_budget() -> int:
+    """Worker-thread cap from LIPREC_THREADS, the hardware count by default.
+
+    The package __init__ also passes the value to the BLAS pool as an
+    environment default before numpy loads. Raises ParameterError for a
+    value that is not a positive integer.
+    """
+    raw = os.environ.get("LIPREC_THREADS", "").strip()
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ParameterError(f"LIPREC_THREADS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ParameterError(f"LIPREC_THREADS must be positive, got {value}")
+    return value
 
 
 def _row_pairs(*arrays: np.ndarray) -> Iterator[tuple]:

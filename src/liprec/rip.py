@@ -7,6 +7,17 @@ matrices. No sampling: estimates would defeat the point of comparing
 against the exact constant. The classical sparse-recovery condition is
 delta_2S + delta_3S < 1.
 
+Every constant comes from one kernel, ``_subset_spectra``. It lists each
+size's subsets in colex order as a numpy array built level by level,
+gathers their Gram matrices and runs ``np.linalg.eigvalsh`` in fixed
+blocks, spread over up to ``core.thread_budget()`` worker threads (numpy
+releases the GIL inside the eigensolver). Block results are reduced in
+block order with a strict comparison, so the constants and the extremal
+subset (the first in size-then-colex order) are bit-identical for every
+block size and thread count. ``rip_delta`` and ``spectral_balance`` fold
+the kernel's per-size records, and ``check_recoverability_condition``
+reads delta_2S and delta_3S from one pass at 3S.
+
 Differences of S-sparse signals are 2S-sparse, so delta_2S < 1 makes any
 set of S-sparse signals Lipschitz-recoverable with constant
 1/sqrt(1 - delta_2S); verify_sparse_lipschitz probes that bound with
@@ -17,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -28,11 +39,16 @@ from .core import (
     ParameterError,
     TooLargeError,
     seeded_rng,
+    thread_budget,
 )
 from .operators import MatrixOperator
 
 ENUMERATION_CAP = 10 ** 7
-_EIG_BLOCK = 1 << 15
+
+# Subsets per eigvalsh call. Each worker thread holds one block's Gram stack
+# and spectra at a time, so a small block keeps peak memory level; the
+# results do not depend on the block size.
+_EIG_BLOCK = 1 << 12
 
 
 def _as_matrix_array(operator) -> np.ndarray:
@@ -44,6 +60,27 @@ def _as_matrix_array(operator) -> np.ndarray:
     return a
 
 
+def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in colex order, as a (C(n, k), k) array per k = 1..S.
+
+    Colex lists every subset of range(t) before any subset whose top
+    element is t, so level k is, for each top t, the first C(t, k - 1)
+    rows of level k - 1 with t appended.
+    """
+    level = np.arange(n, dtype=np.intp)[:, None]
+    yield level
+    for k in range(2, S + 1):
+        grown = np.empty((math.comb(n, k), k), dtype=np.intp)
+        row = 0
+        for top in range(k - 1, n):
+            count = math.comb(top, k - 1)
+            grown[row:row + count, :-1] = level[:count]
+            grown[row:row + count, -1] = top
+            row += count
+        level = grown
+        yield level
+
+
 def colex_subsets(n: int, k: int) -> Iterator[Tuple[int, ...]]:
     """All k-subsets of range(n) as ascending tuples, in colex order.
 
@@ -53,9 +90,80 @@ def colex_subsets(n: int, k: int) -> Iterator[Tuple[int, ...]]:
     if k == 0:
         yield ()
         return
-    for top in range(k - 1, n):
-        for rest in colex_subsets(top, k - 1):
-            yield rest + (top,)
+    *_, level = _colex_levels(n, k)
+    yield from map(tuple, level.tolist())
+
+
+def _check_enumeration(a: np.ndarray, S: int, cap: int) -> None:
+    """Rejects an S out of range, or more than cap subsets of size 1..S."""
+    m, n = a.shape
+    if not 1 <= S <= min(m, n):
+        raise ParameterError(f"need 1 <= S <= min(M, N) = {min(m, n)}, got S = {S}")
+    total = sum(math.comb(n, k) for k in range(1, S + 1))
+    if total > cap:
+        raise TooLargeError(
+            f"{total} subsets exceed the enumeration cap {cap}; "
+            "exact computation at this size is off the table")
+
+
+@dataclass(frozen=True)
+class _SizeSpectra:
+    """Extremes of the Gram spectra over every column subset of one size."""
+
+    lambda_min: float
+    lambda_max: float
+    deviation: float  # largest max(1 - lambda_min, lambda_max - 1)
+    subset: Tuple[int, ...]  # first subset in colex order attaining it
+
+
+def _extremes(low: np.ndarray, high: np.ndarray) -> Tuple[float, float, float, int]:
+    """Smallest low, largest high, largest deviation and its first index."""
+    dev = np.maximum(1.0 - low, high - 1.0)
+    j = int(np.argmax(dev))
+    return float(low.min()), float(high.max()), float(dev[j]), j
+
+
+def _map_blocks(fn, starts: range, workers: int) -> List[tuple]:
+    """fn over starts, results in order; on worker threads when workers > 1."""
+    if workers <= 1:
+        return [fn(start) for start in starts]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts))
+
+
+def _subset_spectra(a: np.ndarray, S: int, cap: int) -> List[_SizeSpectra]:
+    """One record per subset size 1..S: the one enumeration pass of this module.
+
+    Above ``cap`` subsets the call refuses with TooLargeError rather than
+    falling back to an estimate.
+    """
+    _check_enumeration(a, S, cap)
+    gram = a.T @ a
+    threads = thread_budget()
+    records = []
+    for k, level in enumerate(_colex_levels(a.shape[1], S), start=1):
+        if k == 1:
+            # 1x1 Grams are the squared column norms; no eigensolver needed.
+            diag = np.diag(gram)
+            starts, parts = range(1), [_extremes(diag, diag)]
+        else:
+            def block(start: int, level: np.ndarray = level) -> tuple:
+                sub = level[start:start + _EIG_BLOCK]
+                lam = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
+                return _extremes(lam[:, 0], lam[:, -1])
+
+            starts = range(0, level.shape[0], _EIG_BLOCK)
+            parts = _map_blocks(block, starts, min(threads, len(starts)))
+        lo, hi, best, where = math.inf, -math.inf, -math.inf, None
+        for start, (b_lo, b_hi, b_dev, j) in zip(starts, parts):
+            lo, hi = min(lo, b_lo), max(hi, b_hi)
+            if b_dev > best:
+                best, where = b_dev, start + j
+        subset = () if where is None else tuple(int(i) for i in level[where])
+        records.append(_SizeSpectra(lo, hi, best, subset))
+    return records
 
 
 @dataclass(frozen=True)
@@ -68,6 +176,17 @@ class RipReport:
     extremal_subset: Tuple[int, ...]
 
 
+def _rip_report(records: List[_SizeSpectra], n: int, S: int) -> RipReport:
+    """delta_S from the kernel's records of sizes 1..S; ties go to the smaller size."""
+    best, subset = -math.inf, ()
+    for record in records[:S]:
+        if record.deviation > best:
+            best, subset = record.deviation, record.subset
+    return RipReport(S=S, delta=max(best, 0.0),
+                     subsets_examined=sum(math.comb(n, k) for k in range(1, S + 1)),
+                     extremal_subset=subset)
+
+
 def rip_delta(operator, S: int, *, cap: int = ENUMERATION_CAP) -> RipReport:
     """Exact delta_S by exhausting all column subsets of size 1..S.
 
@@ -77,41 +196,7 @@ def rip_delta(operator, S: int, *, cap: int = ENUMERATION_CAP) -> RipReport:
     order of increasing size then colex.
     """
     a = _as_matrix_array(operator)
-    m, n = a.shape
-    if not 1 <= S <= min(m, n):
-        raise ParameterError(f"need 1 <= S <= min(M, N) = {min(m, n)}, got S = {S}")
-    total = sum(math.comb(n, k) for k in range(1, S + 1))
-    if total > cap:
-        raise TooLargeError(
-            f"{total} subsets exceed the enumeration cap {cap}; "
-            "exact computation at this size is off the table")
-    gram = a.T @ a
-    best = -math.inf
-    best_subset: Tuple[int, ...] = ()
-    for k in range(1, S + 1):
-        if k == 1:
-            # 1x1 Grams are the squared column norms; no eigensolver needed.
-            diag = np.diag(gram)
-            dev = np.maximum(1.0 - diag, diag - 1.0)
-            j = int(np.argmax(dev))
-            if dev[j] > best:
-                best = float(dev[j])
-                best_subset = (j,)
-            continue
-        subs = np.fromiter(
-            (i for sub in colex_subsets(n, k) for i in sub),
-            dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
-        for start in range(0, subs.shape[0], _EIG_BLOCK):
-            block = subs[start:start + _EIG_BLOCK]
-            grams = gram[block[:, :, None], block[:, None, :]]
-            lam = np.linalg.eigvalsh(grams)
-            dev = np.maximum(1.0 - lam[:, 0], lam[:, -1] - 1.0)
-            j = int(np.argmax(dev))
-            if dev[j] > best:
-                best = float(dev[j])
-                best_subset = tuple(int(i) for i in block[j])
-    return RipReport(S=S, delta=max(best, 0.0), subsets_examined=total,
-                     extremal_subset=best_subset)
+    return _rip_report(_subset_spectra(a, S, cap), a.shape[1], S)
 
 
 @dataclass(frozen=True)
@@ -135,33 +220,9 @@ def spectral_balance(operator, S: int, *, cap: int = ENUMERATION_CAP) -> Balance
     is singular, however badly the unscaled constant overshoots. The
     returned delta is the predicted constant of scale * A.
     """
-    a = _as_matrix_array(operator)
-    m, n = a.shape
-    if not 1 <= S <= min(m, n):
-        raise ParameterError(f"need 1 <= S <= min(M, N) = {min(m, n)}, got S = {S}")
-    total = sum(math.comb(n, k) for k in range(1, S + 1))
-    if total > cap:
-        raise TooLargeError(
-            f"{total} subsets exceed the enumeration cap {cap}; "
-            "exact computation at this size is off the table")
-    gram = a.T @ a
-    lo = math.inf
-    hi = 0.0
-    for k in range(1, S + 1):
-        if k == 1:
-            diag = np.diag(gram)
-            lo = min(lo, float(diag.min()))
-            hi = max(hi, float(diag.max()))
-            continue
-        subs = np.fromiter(
-            (i for sub in colex_subsets(n, k) for i in sub),
-            dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
-        for start in range(0, subs.shape[0], _EIG_BLOCK):
-            block = subs[start:start + _EIG_BLOCK]
-            grams = gram[block[:, :, None], block[:, None, :]]
-            lam = np.linalg.eigvalsh(grams)
-            lo = min(lo, float(lam[:, 0].min()))
-            hi = max(hi, float(lam[:, -1].max()))
+    lo, hi = math.inf, 0.0
+    for record in _subset_spectra(_as_matrix_array(operator), S, cap):
+        lo, hi = min(lo, record.lambda_min), max(hi, record.lambda_max)
     lo = max(lo, 0.0)
     if hi <= 0.0:
         raise ParameterError("cannot balance a zero matrix")
@@ -189,13 +250,15 @@ class RecoverabilityCheck:
 
 def check_recoverability_condition(operator, S: int, *,
                                    cap: int = ENUMERATION_CAP) -> RecoverabilityCheck:
-    """Evaluate delta_2S + delta_3S < 1 with exact constants."""
+    """Evaluate delta_2S + delta_3S < 1 with exact constants from one pass at 3S."""
     a = _as_matrix_array(operator)
     n = a.shape[1]
     if 3 * S > n:
         raise ParameterError(f"need 3S <= N, got S = {S}, N = {n}")
-    r2 = rip_delta(a, 2 * S, cap=cap)
-    r3 = rip_delta(a, 3 * S, cap=cap)
+    _check_enumeration(a, 2 * S, cap)  # a bad or over-cap 2S is reported first
+    records = _subset_spectra(a, 3 * S, cap)
+    r2 = _rip_report(records, n, 2 * S)
+    r3 = _rip_report(records, n, 3 * S)
     return RecoverabilityCheck(S=S, passed=r2.delta + r3.delta < 1.0,
                                report_2s=r2, report_3s=r3)
 

@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from liprec import cli
+from liprec import cli, core
 
 
 def _run_main(argv):
@@ -142,15 +142,33 @@ def test_build_signals_sparse_random():
 
 def test_thread_budget(monkeypatch):
     monkeypatch.setenv("LIPREC_THREADS", "4")
-    assert cli.thread_budget() == 4
-    monkeypatch.setenv("LIPREC_THREADS", "abc")
-    with pytest.raises(cli.ProblemError):
-        cli.thread_budget()
-    monkeypatch.setenv("LIPREC_THREADS", "0")
-    with pytest.raises(cli.ProblemError):
-        cli.thread_budget()
+    assert cli.thread_budget() == core.thread_budget() == 4
+    for raw, message in [("abc", "LIPREC_THREADS must be an integer, got 'abc'"),
+                         ("0", "LIPREC_THREADS must be positive, got 0")]:
+        monkeypatch.setenv("LIPREC_THREADS", raw)
+        with pytest.raises(cli.ProblemError, match=f"^{message}$"):
+            cli.thread_budget()
+        # the one reader behind the CLI and the rip kernel
+        with pytest.raises(core.ParameterError, match=f"^{message}$"):
+            core.thread_budget()
     monkeypatch.delenv("LIPREC_THREADS")
-    assert cli.thread_budget() >= 1
+    assert cli.thread_budget() == core.thread_budget() >= 1
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "rip_balanced.json"],
+    ["run", "certify_segment.json"],
+    ["selftest", "--filter", "rip"],
+])
+def test_main_rejects_invalid_thread_budget(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("LIPREC_THREADS", "abc")
+    out = tmp_path / "report.json"
+    if command[0] == "run":
+        problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / command[1]
+        command = ["run", str(problem), "--out", str(out)]
+    assert _run_main(command) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: LIPREC_THREADS must be an integer, got 'abc'\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -510,6 +528,26 @@ def test_main_run_certification_over_zero_pairs_fails(tmp_path, problem_file, na
     assert report["results"]["max_ratio"] == 0.0
     # Two signals give one pair, which is enough.
     code = _run_main(["run", str(problem), "--out", str(out), "--set", "signals.count=2"])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("problem_file,overrides,name", [
+    ("certify_segment.json", ["params.omega=null"], "observations_injective"),
+    ("mwet_segment.json", [], "audit_within_global_bound"),
+])
+def test_main_run_zero_pair_checks_fail(tmp_path, problem_file, overrides, name):
+    # One signal leaves no pair for the injectivity check or the audit to examine.
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    out = tmp_path / "report.json"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    code = _run_main(["run", str(problem), "--out", str(out), *sets,
+                      "--set", "signals.count=1"])
+    assert code == cli.EXIT_ASSERTION_FAILURE
+    report = json.loads(out.read_text())
+    assert [a["name"] for a in report["assertions"] if not a["passed"]] == [name]
+    assert report["results"]["sample_size"] == 1
+    code = _run_main(["run", str(problem), "--out", str(out), *sets,
+                      "--set", "signals.count=2"])
     assert code == cli.EXIT_OK
 
 

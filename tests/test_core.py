@@ -1,5 +1,9 @@
 """Container, coercion, and validation behavior in liprec.core."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -190,3 +194,28 @@ def test_certificate_passed_property():
     bad = LipschitzCertificate(omega=1.0, verdict="violated", witness=(0, 1), max_ratio=2.0)
     assert ok.passed
     assert not bad.passed
+
+
+@pytest.mark.parametrize("raw,blas,budget", [
+    ("2", "2", "2"),
+    (" +2 ", "2", "2"),
+    ("1_0", "10", "10"),
+    ("0", None, "ParameterError: LIPREC_THREADS must be positive, got 0"),
+    ("\u00b2", None, "ParameterError: LIPREC_THREADS must be an integer, got '\u00b2'"),
+])
+def test_import_applies_the_thread_budget_rule_to_blas(raw, blas, budget):
+    # The import-time BLAS default and core.thread_budget accept the same
+    # values; any other value is left alone at import and rejected later.
+    code = ("import os, liprec\n"
+            "from liprec import core\n"
+            "try:\n"
+            "    budget = str(core.thread_budget())\n"
+            "except core.ParameterError as exc:\n"
+            "    budget = f'ParameterError: {exc}'\n"
+            "print(repr((os.environ.get('OPENBLAS_NUM_THREADS'), budget)))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["LIPREC_THREADS"] = raw
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == repr((blas, budget))

@@ -1,17 +1,30 @@
 """Restricted isometry constants, spectral balancing, sparse pair checks.
 
-rip_delta is exhaustive, so its oracle here is a different exhaustive
-route: singular values of each column submatrix via itertools, instead of
-Gram eigenvalues in colex blocks. Both must agree to rounding on random
-inputs.
+rip_delta is exhaustive, so its first oracle here is a different
+exhaustive route: singular values of each column submatrix via itertools,
+instead of Gram eigenvalues in colex blocks. Both must agree to rounding
+on random inputs. The second oracle is the enumeration as it stood before
+the subset-spectra kernel (recursive colex generator, one loop per public
+function), copied verbatim: the kernel must match it bit for bit for
+every block size and thread count.
 """
 
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from liprec import cli, rip
 from liprec import (
     MatrixOperator,
     NotApplicableError,
@@ -208,3 +221,224 @@ def test_verify_sparse_lipschitz_guards():
     degenerate[0, 0] = 0.0
     with pytest.raises(NotApplicableError):
         verify_sparse_lipschitz(degenerate, 2, 100, seed=0)
+
+
+# --------------------------------------------------------------------------
+# Oracle: the enumeration loops before the subset-spectra kernel, verbatim
+# apart from names (recursive colex generator, 2**15-subset blocks, no cap).
+
+_ORACLE_BLOCK = 1 << 15
+
+
+def _oracle_colex_subsets(n, k):
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in _oracle_colex_subsets(top, k - 1):
+            yield rest + (top,)
+
+
+def _oracle_rip_delta(a, S):
+    n = a.shape[1]
+    total = sum(math.comb(n, k) for k in range(1, S + 1))
+    gram = a.T @ a
+    best = -math.inf
+    best_subset = ()
+    for k in range(1, S + 1):
+        if k == 1:
+            # 1x1 Grams are the squared column norms; no eigensolver needed.
+            diag = np.diag(gram)
+            dev = np.maximum(1.0 - diag, diag - 1.0)
+            j = int(np.argmax(dev))
+            if dev[j] > best:
+                best = float(dev[j])
+                best_subset = (j,)
+            continue
+        subs = np.fromiter(
+            (i for sub in _oracle_colex_subsets(n, k) for i in sub),
+            dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
+        for start in range(0, subs.shape[0], _ORACLE_BLOCK):
+            block = subs[start:start + _ORACLE_BLOCK]
+            grams = gram[block[:, :, None], block[:, None, :]]
+            lam = np.linalg.eigvalsh(grams)
+            dev = np.maximum(1.0 - lam[:, 0], lam[:, -1] - 1.0)
+            j = int(np.argmax(dev))
+            if dev[j] > best:
+                best = float(dev[j])
+                best_subset = tuple(int(i) for i in block[j])
+    return rip.RipReport(S=S, delta=max(best, 0.0), subsets_examined=total,
+                         extremal_subset=best_subset)
+
+
+def _oracle_spectral_balance(a, S):
+    n = a.shape[1]
+    gram = a.T @ a
+    lo = math.inf
+    hi = 0.0
+    for k in range(1, S + 1):
+        if k == 1:
+            diag = np.diag(gram)
+            lo = min(lo, float(diag.min()))
+            hi = max(hi, float(diag.max()))
+            continue
+        subs = np.fromiter(
+            (i for sub in _oracle_colex_subsets(n, k) for i in sub),
+            dtype=np.int64, count=math.comb(n, k) * k).reshape(-1, k)
+        for start in range(0, subs.shape[0], _ORACLE_BLOCK):
+            block = subs[start:start + _ORACLE_BLOCK]
+            grams = gram[block[:, :, None], block[:, None, :]]
+            lam = np.linalg.eigvalsh(grams)
+            lo = min(lo, float(lam[:, 0].min()))
+            hi = max(hi, float(lam[:, -1].max()))
+    lo = max(lo, 0.0)
+    if hi <= 0.0:
+        raise ParameterError("cannot balance a zero matrix")
+    return rip.BalanceResult(
+        scale=math.sqrt(2.0 / (lo + hi)),
+        lambda_min=lo,
+        lambda_max=hi,
+        delta=(hi - lo) / (hi + lo),
+    )
+
+
+def _outcome(fn, *args):
+    """repr of the result (exact for floats, -0.0 included) or of the error."""
+    try:
+        return repr(fn(*args))
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+@st.composite
+def rip_cases(draw):
+    """(matrix, S) with N <= 10 and S <= 4.
+
+    Entries in {-1, 0, 1} give tied deviations across subsets and sizes,
+    zero columns and singular subsets; Gaussian entries give distinct ones.
+    """
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    S = draw(st.integers(1, min(m, n, 4)))
+    if draw(st.booleans()):
+        a = draw(arrays(np.float64, (m, n), elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    else:
+        a = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((m, n))
+    return a, S
+
+
+DEFAULT_BLOCK = rip._EIG_BLOCK
+# Every block size and thread budget the kernel is run under; block 1 puts
+# each subset in a block of its own, so every tie falls across a block seam.
+KERNEL_SETTINGS = [(block, threads) for block in (1, 7, DEFAULT_BLOCK)
+                   for threads in ("1", "2")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=rip_cases())
+def test_kernel_bit_identical_to_seed_loops(case):
+    a, S = case
+    expected_colex = {k: list(_oracle_colex_subsets(a.shape[1], k)) for k in range(S + 1)}
+    expected_delta = _outcome(_oracle_rip_delta, a, S)
+    expected_balance = _outcome(_oracle_spectral_balance, a, S)
+    for block, threads in KERNEL_SETTINGS:
+        with mock.patch.object(rip, "_EIG_BLOCK", block), \
+                mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
+            assert _outcome(rip_delta, a, S) == expected_delta, (block, threads)
+            assert _outcome(spectral_balance, a, S) == expected_balance, (block, threads)
+    for k, subsets in expected_colex.items():
+        assert list(colex_subsets(a.shape[1], k)) == subsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=rip_cases())
+def test_kernel_per_size_extremes_interlace(case):
+    # Cauchy interlacing: every k-subset's spectrum lies within the range of
+    # some (k+1)-superset's, so the smallest lambda_min can only fall and
+    # the largest lambda_max only rise with k (to rounding).
+    a, S = case
+    records = rip._subset_spectra(a, S, rip.ENUMERATION_CAP)
+    assert len(records) == S
+    slack = 1e-12 * (1.0 + max(abs(r.lambda_max) for r in records))
+    for small, large in zip(records, records[1:]):
+        assert large.lambda_min <= small.lambda_min + slack
+        assert large.lambda_max >= small.lambda_max - slack
+    for k, record in enumerate(records, start=1):
+        # the extremal subset of each size attains its size's deviation
+        assert len(record.subset) == k
+        lam = np.linalg.eigvalsh(a[:, list(record.subset)].T @ a[:, list(record.subset)])
+        assert max(1.0 - lam[0], lam[-1] - 1.0) == pytest.approx(record.deviation, abs=slack)
+
+
+def _counting_kernel(monkeypatch):
+    sizes = []
+    kernel = rip._subset_spectra
+
+    def counted(a, S, cap):
+        sizes.append(S)
+        return kernel(a, S, cap)
+
+    monkeypatch.setattr(rip, "_subset_spectra", counted)
+    return sizes
+
+
+def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
+    a = seeded_rng(79).standard_normal((9, 10)) / 3.0
+    expected = (rip_delta(a, 2), rip_delta(a, 3))
+    sizes = _counting_kernel(monkeypatch)
+    check = check_recoverability_condition(a, 1)
+    assert sizes == [3]
+    assert (repr(check.report_2s), repr(check.report_3s)) == tuple(map(repr, expected))
+    assert check.passed == (expected[0].delta + expected[1].delta < 1.0)
+    # a bad or over-cap 2S is still reported before any pass
+    with pytest.raises(TooLargeError, match="^55 subsets"):
+        check_recoverability_condition(a, 1, cap=54)
+    assert sizes == [3]
+
+
+def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
+    workers = []
+    map_blocks = rip._map_blocks
+
+    def spy(fn, starts, count):
+        workers.append(count)
+        return map_blocks(fn, starts, count)
+
+    monkeypatch.setattr(rip, "_map_blocks", spy)
+    sizes = _counting_kernel(monkeypatch)
+    reports = {}
+    for block in (7, DEFAULT_BLOCK):
+        monkeypatch.setattr(rip, "_EIG_BLOCK", block)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LIPREC_THREADS", threads)
+            workers.clear()
+            out = tmp_path / f"report-{block}-{threads}.json"
+            assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
+            report = json.loads(out.read_text())
+            assert report["metadata"].pop("threads") == int(threads)
+            for clock in ("runtime_ms", "timestamp"):
+                report["metadata"].pop(clock)
+            reports[block, threads] = json.dumps(report, sort_keys=True)
+            # block 7 splits every size >= 2 into several blocks (C(8, 2) = 28)
+            assert max(workers) == (int(threads) if block == 7 else 1)
+    assert len(set(reports.values())) == 1
+    # rip_delta(S) then delta_2S inside verify_sparse_lipschitz: two passes per run
+    assert sizes == [2, 4] * 4
+
+
+def test_import_and_single_block_runs_load_no_thread_pool():
+    # set-up time is measured end to end: the pool module loads only when a
+    # size needs more than one block
+    code = ("import sys, numpy as np, liprec\n"
+            "liprec.rip_delta(np.eye(6), 3)\n"
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, LIPREC_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_kernel_rejects_invalid_thread_budget(monkeypatch):
+    monkeypatch.setenv("LIPREC_THREADS", "0")
+    with pytest.raises(ParameterError, match="LIPREC_THREADS must be positive, got 0"):
+        rip_delta(np.eye(4), 2)
