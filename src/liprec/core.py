@@ -17,12 +17,17 @@ tolerances:
 All are far above double rounding and far below any experiment's target
 precision, and every operation that uses one accepts an override.
 
-Every pairwise check runs on one O(n^2) scan, ``_row_pairs``, one row at a
-time so memory stays linear; ``_first_max_pair`` breaks ties to the first
-pair in row-major index order, so witnesses never depend on evaluation order.
-``score`` sees each row's signal distances, so the certification pass also
-finds the first duplicate signal pair, and a pipeline that certifies a
-sample checks it for duplicates without a second scan.
+Every pairwise check runs on one O(n^2) scan, ``_pair_tiles``. It yields
+tiles of consecutive rows against every later row, each bounded by the
+``_PAIR_TILE_ELEMENTS`` budget, so memory stays O(n + budget). A tile is
+computed coordinate by coordinate, with the squares summed in the order
+``np.add.reduce`` uses; every distance is therefore bit-identical to
+``np.linalg.norm(a[i + 1:] - a[i], axis=1)``, for any budget.
+``_first_max_pair`` breaks ties to the first pair in row-major index order,
+so witnesses never depend on the tiling. ``score`` sees each tile's signal
+distances, so the certification pass also finds the first duplicate signal
+pair, and a pipeline that certifies a sample checks it for duplicates
+without a second scan.
 """
 
 from __future__ import annotations
@@ -198,32 +203,154 @@ def thread_budget() -> int:
     return value
 
 
-def _row_pairs(*arrays: np.ndarray) -> Iterator[tuple]:
-    """Yield (i, d_1, ...) with d_a[k] = ||a[i + 1 + k] - a[i]||, row by row."""
-    for i in range(arrays[0].shape[0] - 1):
-        yield (i, *[np.linalg.norm(a[i + 1:] - a[i], axis=1) for a in arrays])
+# Element budget of one pair-scan tile: rows * width distances per array,
+# 2**14 float64s (128 KiB), so a tile and its few temporaries stay in a
+# core's L2 cache. A tile holds max(1, budget // width) rows. Every distance
+# is computed by the same per-pair arithmetic whatever the tile shape, so
+# constants and witnesses are bit-identical for every budget; only speed
+# and memory change.
+_PAIR_TILE_ELEMENTS = 1 << 14
+
+# numpy's PW_BLOCKSIZE: add.reduce sums at most this many contiguous
+# elements with eight accumulators before it splits the range in two.
+_PAIRWISE_BLOCK = 128
 
 
-def _first_pair(i: int, hits: np.ndarray) -> Optional[Tuple[int, int]]:
-    """The first pair (i, j) whose entry of row i's mask over j > i is set, if any."""
-    found = np.flatnonzero(hits)
-    return (i, i + 1 + int(found[0])) if found.size else None
+def _pairwise_sum(term, start: int, stop: int) -> np.ndarray:
+    """term(start) + ... + term(stop - 1), added in numpy's pairwise order.
+
+    This is the order in which ``np.add.reduce`` sums a contiguous axis of
+    stop - start elements (Higham 1993): in sequence below eight elements;
+    up to ``_PAIRWISE_BLOCK``, into eight accumulators r_k = t_k + t_{k+8}
+    + ..., combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    with the terms past the last multiple of eight added in sequence; and
+    by halving, rounded to a multiple of eight, above it. Each accumulator
+    is completed before the next is started, which adds the same terms in
+    the same order while keeping at most four partial sums alive. The
+    helpers are not recursive: a recursive closure is a reference cycle,
+    which would hold each scan's arrays until the cyclic garbage
+    collector ran. numpy
+    starts each sum from 0.0; every term here is a fresh array of
+    nonnegative entries, so 0.0 + x is exactly x and that step is skipped,
+    and terms are accumulated in place.
+    """
+    count = stop - start
+    if count < 8:
+        total = term(start)
+        for m in range(start + 1, stop):
+            total += term(m)
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        blocked = stop - count % 8
+
+        def accumulator(k: int) -> np.ndarray:
+            acc = term(start + k)
+            for m in range(start + k + 8, blocked, 8):
+                acc += term(m)
+            return acc
+
+        def quad(k: int) -> np.ndarray:
+            left = accumulator(k)
+            left += accumulator(k + 1)
+            right = accumulator(k + 2)
+            right += accumulator(k + 3)
+            left += right
+            return left
+
+        total = quad(0)
+        total += quad(4)
+        for m in range(blocked, stop):
+            total += term(m)
+        return total
+    half = count // 2
+    half -= half % 8
+    total = _pairwise_sum(term, start, start + half)
+    total += _pairwise_sum(term, start + half, stop)
+    return total
+
+
+def _tile_distances(columns: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """out[r, c] = ||a[i0 + 1 + c] - a[i0 + r]|| for rows i0 <= i0 + r < i1.
+
+    ``columns`` is a.T, C-contiguous, so each coordinate's differences are
+    one broadcast subtraction. The squares are summed over coordinates in
+    ``np.add.reduce``'s order, which makes every entry bit-identical to
+    ``np.linalg.norm(a[i + 1:] - a[i], axis=1)``. Entries with c < r are
+    not pairs (j <= i) and are set to NaN, so every comparison with one
+    is False.
+    """
+    rows = i1 - i0
+
+    def square(m):
+        d = columns[m, i0 + 1:] - columns[m, i0:i1, None]
+        return np.multiply(d, d, out=d)
+
+    out = _pairwise_sum(square, 0, columns.shape[0])
+    np.sqrt(out, out=out)
+    out[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.nan
+    return out
+
+
+def _pair_tiles(**arrays: np.ndarray) -> Iterator[tuple]:
+    """The package's one pair scan: yield (i0, d_1, ...) tile by tile.
+
+    Each keyword names an (n, width_a) array. Tiles cover rows [i0, i1) in
+    order, i1 - i0 = max(1, _PAIR_TILE_ELEMENTS // (n - 1 - i0)) capped at
+    the rows left, and d_a[r, c] = ||a[i0 + 1 + c] - a[i0 + r]|| for every
+    later row; entries with c < r are NaN (see ``_tile_distances``).
+    Raises DomainError, before any tile, when some array's squared
+    bounding-box diagonal overflows: its distances would be inf, and
+    inf/inf ratios certify nothing.
+    """
+    for name, a in arrays.items():
+        with np.errstate(over="ignore"):
+            span = a.max(axis=0) - a.min(axis=0)
+            diagonal2 = np.sum(span * span)
+        if not np.isfinite(diagonal2):
+            raise DomainError(f"{name}: pairwise distances overflow float64 (the squared "
+                              "diagonal of their bounding box is not finite)")
+    columns = [np.ascontiguousarray(a.T) for a in arrays.values()]
+    n = columns[0].shape[1]
+    i0 = 0
+    while i0 < n - 1:
+        width = n - 1 - i0
+        i1 = i0 + min(width, max(1, _PAIR_TILE_ELEMENTS // width))
+        yield (i0, *[_tile_distances(c, i0, i1) for c in columns])
+        i0 = i1
+
+
+def _first_pair(i0: int, hits: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The first pair, in row-major order, whose entry of a tile's mask is set."""
+    k = int(np.argmax(hits))
+    if not hits.flat[k]:
+        return None
+    r, c = divmod(k, hits.shape[1])
+    return (i0 + r, i0 + 1 + c)
 
 
 def _first_max_pair(labeled_set: LabeledSet, score) -> Tuple[float, Tuple[int, int]]:
-    """Maximum over pairs i < j of score(i, dx, dy), and the first pair attaining it.
+    """Maximum over pairs i < j of score(i0, dx, dy), and the first pair attaining it.
 
-    ``score`` maps row i's signal and observation distances to later rows
-    to one value per pair. Needs at least two rows.
+    ``score`` maps a tile's signal and observation distances (see
+    ``_pair_tiles``) to a new array of one value per entry; its non-pair
+    entries are overwritten. Each tile row's first maximum is folded in
+    row order with a strict comparison, so ties go to the first pair in
+    row-major order and a row whose maximum is NaN never wins, exactly as
+    in a row-by-row scan. Needs at least two rows.
     """
     best = -np.inf
     witness = (0, 1)
-    for i, dx, dy in _row_pairs(labeled_set.signals, labeled_set.observations):
-        values = score(i, dx, dy)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            witness = (i, i + 1 + k)
+    for i0, dx, dy in _pair_tiles(signals=labeled_set.signals,
+                                  observations=labeled_set.observations):
+        values = score(i0, dx, dy)
+        rows = values.shape[0]
+        values[:, :rows][np.tri(rows, k=-1, dtype=bool)] = -np.inf
+        cols = np.argmax(values, axis=1)
+        maxima = values[np.arange(rows), cols]
+        r = int(np.argmax(np.where(np.isnan(maxima), -np.inf, maxima)))
+        if maxima[r] > best:
+            best = float(maxima[r])
+            witness = (i0 + r, i0 + 1 + int(cols[r]))
     return best, witness
 
 
@@ -309,8 +436,8 @@ class LabeledSet:
         return cls.from_arrays(sig, obs, check_duplicates=check_duplicates, tol_dup=tol_dup)
 
     def _find_duplicate(self, tol_dup: float) -> Optional[Tuple[int, int]]:
-        for i, d in _row_pairs(self.signals):
-            dup = _first_pair(i, d < tol_dup)
+        for i0, d in _pair_tiles(signals=self.signals):
+            dup = _first_pair(i0, d < tol_dup)
             if dup is not None:
                 return dup
         return None

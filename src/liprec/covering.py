@@ -155,11 +155,10 @@ def build_cover(sample: LabeledSet, spec: GridSpec, *, tol: float = TOL_CERT) ->
         raise DimensionError(
             f"sample obs dim {sample.obs_dim} != grid dim {spec.obs_dim}")
     digits = _cell_indices(spec, sample.observations, tol)
-    reps: Dict[Tuple[int, ...], int] = {}
-    for row in range(digits.shape[0]):
-        key = tuple(int(d) for d in digits[row])
-        if key not in reps:
-            reps[key] = row
+    # np.unique sorts stably, so each cell's index is its first row.
+    _, first = np.unique(digits, axis=0, return_index=True)
+    first.sort()
+    reps = {tuple(digits[row].tolist()): int(row) for row in first}
     return GridCover(spec=spec, representatives=reps, source=sample)
 
 

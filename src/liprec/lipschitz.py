@@ -11,9 +11,13 @@ recovers.
 
 All three checks are exhaustive over the O(n^2) unordered pairs through
 the package's one pair scan and first-maximum reduction
-(``core._first_max_pair``): maxima tie-break to the first pair in row-major
-index order, and the relaxed check's minimum slack is the exact negation of
-the maximum of -slack.
+(``core._first_max_pair``). The scan hands each check a tile of rows
+against every later row, within a fixed element budget, with distances
+bit-identical to a row-by-row ``np.linalg.norm``. Maxima tie-break to the
+first pair in row-major index order, and the relaxed check's minimum
+slack is the exact negation of the maximum of -slack. Samples whose
+pairwise distances would overflow float64 raise DomainError before any
+pair is examined: an inf/inf ratio certifies nothing.
 
 The verification pass (``_scan_sample``) can also report the first
 observation collision and the first duplicate signal pair it meets. That
@@ -35,6 +39,7 @@ from .core import (
     DegenerateScaleError,
     DegenerateSetError,
     DimensionError,
+    DomainError,
     LabeledSet,
     LipschitzCertificate,
     NotInjectiveError,
@@ -73,8 +78,17 @@ class RelaxedLipschitzResult:
 
 
 def injectivity_tolerance(observations: np.ndarray) -> float:
-    """Observation distances at or below this level count as collisions."""
-    return 1e-12 * (1.0 + float(np.linalg.norm(observations, axis=1).max()))
+    """Observation distances at or below this level count as collisions.
+
+    Raises DomainError when an observation's norm overflows: an infinite
+    tolerance would make every pair a collision.
+    """
+    with np.errstate(over="ignore"):
+        tol = 1e-12 * (1.0 + float(np.linalg.norm(observations, axis=1).max()))
+    if not np.isfinite(tol):
+        raise DomainError("observations: their norms overflow float64, so the "
+                          "injectivity tolerance is not finite")
+    return tol
 
 
 def tight_omega(labeled_set: LabeledSet, *, tol_inj: Optional[float] = None) -> LipschitzCertificate:
@@ -90,13 +104,13 @@ def tight_omega(labeled_set: LabeledSet, *, tol_inj: Optional[float] = None) -> 
     if tol_inj is None:
         tol_inj = injectivity_tolerance(labeled_set.observations)
 
-    def ratios(i, dx, dy):
-        collision = _first_pair(i, dy <= tol_inj)
+    def ratios(i0, dx, dy):
+        collision = _first_pair(i0, dy <= tol_inj)
         if collision is not None:
-            j = collision[1]
+            i, j = collision
             raise NotInjectiveError(
                 f"signals {i} and {j} share an observation "
-                f"(distance {dy[j - i - 1]:.3e} <= {tol_inj:.3e})", pair=collision)
+                f"(distance {dy[i - i0, j - i0 - 1]:.3e} <= {tol_inj:.3e})", pair=collision)
         return dx / dy
 
     best, witness = _first_max_pair(labeled_set, ratios)
@@ -146,14 +160,14 @@ def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: floa
     violated = False
     collision = duplicate = None
 
-    def ratios(i, dx, dy):
+    def ratios(i0, dx, dy):
         nonlocal violated, collision, duplicate
         if omega is not None:
             violated = violated or bool(np.any(dx > omega * dy + tol_cert))
         if collision is None and tol_inj is not None:
-            collision = _first_pair(i, dy <= tol_inj)
+            collision = _first_pair(i0, dy <= tol_inj)
         if duplicate is None and tol_dup is not None:
-            duplicate = _first_pair(i, dx < tol_dup)
+            duplicate = _first_pair(i0, dx < tol_dup)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
 
@@ -229,7 +243,7 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float, epsilon: floa
     if len(labeled_set) < 2:
         raise DegenerateSetError("the relaxed check needs at least two pairs")
     neg_worst, worst_pair = _first_max_pair(
-        labeled_set, lambda i, dx, dy: -(2.0 * epsilon + omega * dy - dx))
+        labeled_set, lambda i0, dx, dy: -(2.0 * epsilon + omega * dy - dx))
     worst = -neg_worst
     return RelaxedLipschitzResult(passed=bool(worst >= -tol_cert),
                                   min_slack=worst, worst_pair=worst_pair)

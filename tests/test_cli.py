@@ -551,6 +551,25 @@ def test_main_run_zero_pair_checks_fail(tmp_path, problem_file, overrides, name)
     assert code == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("task", ["certify", "theorem1", "mwet"])
+def test_main_run_overflowing_distances_exit_1(tmp_path, capsys, task):
+    # Every pair's distances overflow to inf; certify used to pass with
+    # max_ratio -Infinity, theorem1 to report max_ratio Infinity.
+    problem = {
+        "task": task,
+        "operator": {"type": "matrix", "data": [[1.0, 0.0], [0.0, 1e-300]]},
+        "signals": {"type": "list", "data": [[0.0, 0.0], [1e200, 1.0], [2e200, -1.0]]},
+        "params": {"omega": 1.0, "epsilon": 0.2},
+    }
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    code = _run_main(["run", str(path), "--out", str(out)])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "overflow float64" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("omega,message", [
     ("0", "ParameterError: omega must be a positive finite number, got 0.0"),
     ("-1.5", "ParameterError: omega must be a positive finite number, got -1.5"),

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liprec import (
     DimensionError,
@@ -20,6 +23,7 @@ from liprec import (
     cover_pipeline,
     grid_spec,
 )
+from liprec import covering
 from liprec.core import seeded_rng
 
 
@@ -144,6 +148,34 @@ def test_build_cover_every_sampled_cell_occupied():
     # each representative's observation really lies in its cell
     for cell, row in cover.representatives.items():
         assert cell_index(spec, ls.observations[row]) == cell
+
+
+def _oracle_representatives(digits):
+    # The per-row dict loop build_cover used before np.unique, verbatim.
+    reps = {}
+    for row in range(digits.shape[0]):
+        key = tuple(int(d) for d in digits[row])
+        if key not in reps:
+            reps[key] = row
+    return reps
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), t=st.integers(1, 5), m=st.integers(1, 4), n=st.integers(1, 60))
+def test_build_cover_matches_dict_loop(data, t, m, n):
+    # Few cells, with cell edges and the clamped top face among the values.
+    edges = [k / t for k in range(t + 1)]
+    elements = st.sampled_from(edges) | st.floats(0.0, 1.0)
+    obs = data.draw(arrays(np.float64, (n, m), elements=elements))
+    spec = covering.GridSpec(t=t, obs_dim=m, signal_dim=1, omega=1.0, epsilon=1.0,
+                             dim_factor=1.0)
+    sample = LabeledSet.from_arrays(np.arange(n, dtype=float)[:, None], obs,
+                                    check_duplicates=False)
+    expected = _oracle_representatives(covering._cell_indices(spec, obs, 1e-9))
+    got = build_cover(sample, spec).representatives
+    assert list(got.items()) == list(expected.items())
+    assert all(type(d) is int for key in got for d in key)
+    assert all(type(row) is int for row in got.values())
 
 
 def test_build_cover_guards():

@@ -13,6 +13,7 @@ from liprec import (
     DegenerateScaleError,
     DegenerateSetError,
     DimensionError,
+    DomainError,
     LabeledSet,
     MatrixOperator,
     NotInjectiveError,
@@ -224,3 +225,27 @@ def test_relaxed_check_parameter_guards():
         check_relaxed_lipschitz(ls, 1.0, -0.1)
     with pytest.raises(DegenerateSetError):
         check_relaxed_lipschitz(ls.subset([0]), 1.0, 0.0)
+
+
+def test_overflowing_distances_raise_before_any_pair():
+    # Every ratio would be inf/inf = NaN: nothing could be violated, and
+    # the sample used to certify with max_ratio -inf.
+    x = np.array([[0.0, 0.0], [1e200, 1.0], [2e200, -1.0]])
+    y = x * [1.0, 1e-300]
+    with pytest.raises(DomainError, match="signals: pairwise distances overflow"):
+        LabeledSet.from_arrays(x, y)
+    ls = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    for check in (tight_omega, lambda s: verify_lipschitz(s, 1.0),
+                  lambda s: check_relaxed_lipschitz(s, 1.0, 0.0)):
+        with pytest.raises(DomainError):
+            check(ls)
+    with pytest.raises(DomainError, match="injectivity tolerance is not finite"):
+        injectivity_tolerance(y)
+    # Finite norms, but the observations' span overflows when squared.
+    far = LabeledSet.from_arrays([[0.0], [1.0]], [[-1e154], [1e154]])
+    assert np.isfinite(injectivity_tolerance(far.observations))
+    with pytest.raises(DomainError, match="observations: pairwise distances overflow"):
+        tight_omega(far)
+    # Just inside the range every check still runs.
+    near = LabeledSet.from_arrays([[0.0], [1.0]], [[0.0], [1e154]])
+    assert tight_omega(near).omega == 1e-154

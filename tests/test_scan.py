@@ -5,9 +5,14 @@ scan and its first-maximum reduction were shared (tight constant,
 verification, relaxed check, duplicate search), copied verbatim. Every
 certified constant, verdict, witness and collision pair must match it
 bit for bit, including on sets built to produce tied ratios, colliding
-observations and near-duplicate signals. The fused verification pass,
-which also reports the first collision and the first duplicate, must
-match all three oracles from its one pass.
+observations and near-duplicate signals, for every tile budget. The
+fused verification pass, which also reports the first collision and the
+first duplicate, must match all three oracles from its one pass.
+
+The tiles sum squared differences coordinate by coordinate in the order
+numpy's add.reduce uses, so a guard test compares them with
+np.linalg.norm row by row: should numpy change that order, this fails
+instead of an omega moving in its last bit.
 """
 
 import json
@@ -112,9 +117,11 @@ def _bits(value):
 
 @st.composite
 def labeled_arrays(draw):
-    n = draw(st.sampled_from([2, 3, 50]))
-    sig_dim = draw(st.integers(1, 3))
-    obs_dim = draw(st.integers(1, 3))
+    # Dimensions from 8 up take add.reduce's eight-accumulator path; with
+    # the default budget, n = 200 spans two tiles.
+    n = draw(st.sampled_from([2, 3, 9, 50, 200]))
+    sig_dim = draw(st.integers(1, 12))
+    obs_dim = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["grid", "float", "near_duplicate"]))
     if kind == "grid":
         elements = st.integers(-2, 2).map(float)
@@ -136,8 +143,15 @@ def labeled_arrays(draw):
 @given(data=labeled_arrays(),
        omega=st.floats(1e-3, 1e3),
        epsilon=st.sampled_from([0.0, 1e-3, 0.5]),
-       tol=st.sampled_from([TOL_DUP, 1e-9, 0.5, 1.0, 1.5]))
-def test_scan_matches_original_loops(data, omega, epsilon, tol):
+       tol=st.sampled_from([TOL_DUP, 1e-9, 0.5, 1.0, 1.5]),
+       budget=st.sampled_from([1, 7, core._PAIR_TILE_ELEMENTS]))
+def test_scan_matches_original_loops(data, omega, epsilon, tol, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+        _check_against_oracles(data, omega, epsilon, tol)
+
+
+def _check_against_oracles(data, omega, epsilon, tol):
     x, y = data
     labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
 
@@ -183,6 +197,30 @@ def test_scan_matches_original_loops(data, omega, epsilon, tol):
     assert labeled._find_duplicate(tol) == _oracle_duplicate(x, tol)
 
 
+ROW_NORM_DIMS = list(range(1, 21)) + [127, 128, 129, 200, 256, 300]
+
+
+@pytest.mark.parametrize("dim", ROW_NORM_DIMS)
+@pytest.mark.parametrize("budget", [1, 7, None], ids=["1", "7", "default"])
+def test_tiles_match_numpy_row_norms(monkeypatch, dim, budget):
+    if budget is not None:
+        monkeypatch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+    rng = np.random.default_rng(dim)
+    # Row lengths 1..9 (n = 10) and longer (n = 40); entries spread over
+    # scales 1e-3..1e3, so the order of the sums shows in the last bits.
+    for n in (10, 40):
+        a = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, dim))
+        rows = []
+        for i0, tile in core._pair_tiles(signals=a):
+            for r in range(tile.shape[0]):
+                i = i0 + r
+                assert np.isnan(tile[r, :r]).all()
+                expected = np.linalg.norm(a[i + 1:] - a[i], axis=1)
+                assert tile[r, r:].tobytes() == expected.tobytes(), (n, i)
+                rows.append(i)
+        assert rows == list(range(n - 1))
+
+
 # --------------------------------------------------------------------------
 # One pass over the sample per certify / theorem1 / theorem3 run.
 
@@ -205,13 +243,13 @@ def _load(problem_file):
 def _count_scans(monkeypatch):
     """Record the row count of every pass of the pair scan."""
     scans = []
-    original = core._row_pairs
+    original = core._pair_tiles
 
-    def counting(*arrays):
-        scans.append(arrays[0].shape[0])
-        return original(*arrays)
+    def counting(**arrays):
+        scans.append(len(arrays["signals"]))
+        return original(**arrays)
 
-    monkeypatch.setattr(core, "_row_pairs", counting)
+    monkeypatch.setattr(core, "_pair_tiles", counting)
     return scans
 
 

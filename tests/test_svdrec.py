@@ -220,9 +220,9 @@ def test_fit_reduced_checks_labels_and_duplicates_in_one_scan(monkeypatch):
     sample = LabeledSet.from_operator(op, x, check_duplicates=False)
     omega = 2.0 * tight_omega(LabeledSet.from_operator(op, x[:9])).omega
     scans = []
-    original = core._row_pairs
-    monkeypatch.setattr(core, "_row_pairs",
-                        lambda *arrays: scans.append(len(arrays[0])) or original(*arrays))
+    original = core._pair_tiles
+    monkeypatch.setattr(core, "_pair_tiles",
+                        lambda **arrays: scans.append(len(arrays["signals"])) or original(**arrays))
     # The duplicate wins over an uncertified sample and over a bad omega.
     for w in (omega, 1e-6 * omega, 0.0):
         scans.clear()
