@@ -40,7 +40,6 @@ from .core import (
     DegenerateSetError,
     DimensionError,
     DomainError,
-    LabeledPair,
     LabeledSet,
     LabelingError,
     LipschitzCertificate,
@@ -80,7 +79,6 @@ from .covering import (
     GridCover,
     GridSpec,
     build_cover,
-    cell_index,
     cover_pipeline,
     grid_spec,
 )
@@ -99,7 +97,6 @@ from .rip import (
     RipReport,
     SparseLipschitzCheck,
     check_recoverability_condition,
-    colex_subsets,
     rip_delta,
     rip_to_omega,
     sparse_signals,
@@ -125,7 +122,6 @@ __all__ = [
     "FitReducedResult",
     "GridCover",
     "GridSpec",
-    "LabeledPair",
     "LabeledSet",
     "LabelingError",
     "LipschitzCertificate",
@@ -153,10 +149,8 @@ __all__ = [
     "TooLargeError",
     "affine_transform",
     "build_cover",
-    "cell_index",
     "check_recoverability_condition",
     "check_relaxed_lipschitz",
-    "colex_subsets",
     "cover_pipeline",
     "fit",
     "fit_reduced",

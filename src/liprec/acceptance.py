@@ -361,9 +361,3 @@ ALL_CRITERIA: Tuple[Tuple[str, Callable[[], CriterionResult]], ...] = (
     ("example3", criterion_7),
     ("certify", criterion_8),
 )
-
-
-def run_suite(task_filter: Optional[str] = None) -> List[CriterionResult]:
-    """Run the criteria in order, optionally only one task family."""
-    return [runner() for task, runner in ALL_CRITERIA
-            if task_filter is None or task == task_filter]

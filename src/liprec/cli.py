@@ -4,9 +4,16 @@ A problem file names an operator, a signal sample (explicit list or
 generator), a task, and task parameters. ``liprec run problem.json --out
 report.json`` executes the task and writes a report with one entry per
 assertion; the exit code is 0 when every assertion passed, 2 when some
-failed (the report is still written), and 1 for malformed or inconsistent
-input. ``liprec selftest`` runs the bundled acceptance suite (the eight
-fixed-seed criteria in liprec.acceptance) and prints a pass/fail table.
+failed (the report is still written), and 1, with one ``error:`` line and
+no report, for malformed or inconsistent input: a problem file that cannot
+be read, is not UTF-8 JSON or is not a JSON object, a bad field or
+override, or an output path that cannot be written. ``liprec selftest``
+runs the bundled acceptance suite (the eight fixed-seed criteria in
+liprec.acceptance) and prints a pass/fail table.
+
+The repository's problems/ directory holds one sample problem per task.
+Those files are the only copy of the sample problems; the tests run each
+of them and re-derive the balanced matrix of rip_balanced.json.
 
 Tasks:
   certify    pairwise Lipschitz certification of the labeled sample
@@ -71,12 +78,7 @@ from .operators import (
     PiecewiseExampleOperator,
     normalize,
 )
-from .rip import (
-    rip_delta,
-    sparse_signals,
-    spectral_balance,
-    verify_sparse_lipschitz,
-)
+from .rip import rip_delta, sparse_signals, verify_sparse_lipschitz
 from .svdrec import fit_reduced
 
 EXIT_OK = 0
@@ -565,13 +567,19 @@ def write_trace(traces: Dict[str, np.ndarray], path: str) -> None:
 
 def load_problem(path: str) -> Dict[str, Any]:
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, encoding="utf-8") as handle:
+            problem = json.load(handle)
     except OSError as exc:
         raise ProblemError(f"cannot read problem file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ProblemError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    # Checked here as well as in execute, so that --set never meets a non-object.
+    if not isinstance(problem, dict):
+        raise ProblemError("problem file must contain a JSON object")
+    return problem
 
 
 def apply_overrides(problem: Dict[str, Any], overrides: List[str]) -> None:
@@ -600,97 +608,27 @@ def _report_passed(report: Dict[str, Any]) -> bool:
     return all(entry["passed"] for entry in report["assertions"])
 
 
+def _write(writer, payload, path: str) -> None:
+    """Call writer(payload, path); an OS error, such as a missing directory,
+    is reported as bad input."""
+    try:
+        writer(payload, path)
+    except OSError as exc:
+        raise ProblemError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def run_command(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     apply_overrides(problem, args.set or [])
     report, traces = execute(problem)
-    write_json(report, args.out)
+    # The trace goes first: a run that exits 1 leaves no report behind.
     if args.trace:
-        write_trace(traces, args.trace)
+        _write(write_trace, traces, args.trace)
+    _write(write_json, report, args.out)
     for entry in report["assertions"]:
         status = "pass" if entry["passed"] else "FAIL"
         print(f"{report['task']:<10} {entry['name']:<40} {status}")
     return EXIT_OK if _report_passed(report) else EXIT_ASSERTION_FAILURE
-
-
-# --------------------------------------------------------------------------
-# Sample problems: one deterministic fixture per task. These are the
-# sources of the files in the repository's problems/ directory and give
-# the tests a known-good problem per task.
-
-
-def _rip_fixture_matrix() -> Tuple[List[List[float]], int]:
-    """First seed whose balanced 6x8 Gaussian keeps delta_4 below 1.
-
-    Wide unit-column Gaussians at desk scale always overshoot delta = 1
-    on the lambda_max side, so the fixture applies the optimal uniform
-    rescaling first; that qualifies whenever no 4-column subset is
-    singular, which seed 0 already satisfies. The scan stays in place to
-    keep the fixture self-repairing.
-    """
-    for seed in range(100):
-        rng = seeded_rng(seed)
-        a = rng.standard_normal((6, 8))
-        a /= np.linalg.norm(a, axis=0)
-        a *= spectral_balance(a, 4).scale
-        if rip_delta(a, 4).delta < 1.0:
-            return a.tolist(), seed
-    raise RuntimeError("no qualifying restricted-isometry fixture in 100 seeds")
-
-
-def sample_problems() -> List[Tuple[str, Dict[str, Any]]]:
-    segment3 = {"type": "affine_segment", "start": [0.0, 0.0, 0.0],
-                "end": [1.0, 1.0, 1.0], "count": 120}
-    rip_matrix, rip_seed = _rip_fixture_matrix()
-    return [
-        ("example3", {"task": "example3"}),
-        ("certify", {
-            "task": "certify",
-            "operator": {"type": "matrix", "data": [[1.0, 0.5]]},
-            "signals": {"type": "affine_segment", "start": [0.0, 0.0],
-                        "end": [1.0, 0.6], "count": 40},
-            "params": {"omega": 0.9},
-        }),
-        ("mwet", {
-            "task": "mwet",
-            "operator": {"type": "matrix",
-                         "data": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]},
-            "signals": {"type": "affine_segment",
-                        "start": [0.0, 0.0, 0.0, 0.0],
-                        "end": [1.0, 0.5, -0.25, 0.75], "count": 30},
-            "params": {"num_pairs": 2000, "seed": 7},
-        }),
-        ("theorem1", {
-            "task": "theorem1",
-            "operator": {"type": "piecewise_example"},
-            "signals": {"type": "affine_segment", "start": [0.0], "end": [1.0],
-                        "count": 201},
-            "params": {"omega": 1.0, "epsilon": 0.2},
-        }),
-        ("theorem3", {
-            "task": "theorem3",
-            "operator": {"type": "matrix",
-                         "data": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
-            "signals": segment3,
-            "params": {"omega": 1.3, "epsilon": 0.3, "seed": 11,
-                       "num_pairs": 500},
-        }),
-        ("theorem3_square", {
-            "task": "theorem3",
-            "operator": {"type": "matrix", "data": [[2.0, 1.0], [1.0, 3.0]]},
-            "signals": {"type": "affine_segment", "start": [0.0, 0.0],
-                        "end": [1.0, 0.5], "count": 10},
-            "params": {"omega": 0.5, "epsilon": 0.1, "seed": 3,
-                       "num_pairs": 500},
-        }),
-        ("rip", {
-            "task": "rip",
-            "operator": {"type": "matrix", "data": rip_matrix},
-            "signals": {"type": "sparse_random", "count": 1, "S": 2,
-                        "seed": rip_seed},
-            "params": {"S": 2, "num_pairs": 2000, "seed": rip_seed},
-        }),
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -746,8 +684,8 @@ def selftest_command(args: argparse.Namespace) -> int:
     marks = sum(1 for e in entries if e["passed"])
     print(f"selftest: {marks}/{len(entries)} criteria passed")
     if args.out:
-        write_json({"task": "selftest", "passed": all_passed,
-                    "criteria": entries}, args.out)
+        _write(write_json, {"task": "selftest", "passed": all_passed,
+                            "criteria": entries}, args.out)
     return EXIT_OK if all_passed else EXIT_ASSERTION_FAILURE
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Sequence, Tuple
+from typing import Iterator, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -358,30 +358,9 @@ def _duplicate_error(pair: Tuple[int, int]) -> LabelingError:
     return LabelingError(f"duplicate signals at indices {pair[0]} and {pair[1]}", index=pair[1])
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise DimensionError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.linalg.norm(va - vb))
-
-
 # ---------------------------------------------------------------------------
 # Labeled data
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LabeledPair:
-    """One signal together with its known observation."""
-
-    signal: np.ndarray
-    observation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "signal", readonly(as_vector(self.signal, "signal")))
-        object.__setattr__(self, "observation", readonly(as_vector(self.observation, "observation")))
-
 
 @dataclass(frozen=True)
 class LabeledSet:
@@ -419,15 +398,6 @@ class LabeledSet:
         return out
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[LabeledPair], *, check_duplicates: bool = True,
-                   tol_dup: float = TOL_DUP) -> "LabeledSet":
-        if len(pairs) == 0:
-            raise DegenerateSetError("cannot build a labeled set from zero pairs")
-        sig = np.stack([p.signal for p in pairs])
-        obs = np.stack([p.observation for p in pairs])
-        return cls.from_arrays(sig, obs, check_duplicates=check_duplicates, tol_dup=tol_dup)
-
-    @classmethod
     def from_operator(cls, operator, signals, *, check_duplicates: bool = True,
                       tol_dup: float = TOL_DUP) -> "LabeledSet":
         """Label the given signals by applying the operator to each."""
@@ -452,13 +422,6 @@ class LabeledSet:
 
     def __len__(self) -> int:
         return self.signals.shape[0]
-
-    def __iter__(self) -> Iterator[LabeledPair]:
-        for i in range(len(self)):
-            yield LabeledPair(self.signals[i], self.observations[i])
-
-    def pair(self, i: int) -> LabeledPair:
-        return LabeledPair(self.signals[i], self.observations[i])
 
     def subset(self, indices) -> "LabeledSet":
         """Rows selected by index, in the given order (no duplicate re-check)."""

@@ -96,23 +96,12 @@ def grid_spec(signal_dim: int, obs_dim: int, omega: float, epsilon: float,
     return _grid(obs_dim, omega, epsilon, factor, signal_dim)
 
 
-def cell_index(spec: GridSpec, y, *, tol: float = TOL_CERT) -> Tuple[int, ...]:
-    """Cell digits of one observation in [0,1]^M (within tol per coordinate).
+def _cell_indices(spec: GridSpec, observations: np.ndarray, tol: float) -> np.ndarray:
+    """Cell digits of each observation row in [0,1]^M (within tol per coordinate).
 
     Digit k is floor(y_k * t) clamped into [0, t-1], which assigns the
     closed top face to the last cell.
     """
-    v = np.asarray(y, dtype=np.float64)
-    if v.shape != (spec.obs_dim,):
-        raise DimensionError(f"expected length {spec.obs_dim}, got shape {v.shape}")
-    if np.any(v < -tol) or np.any(v > 1.0 + tol):
-        k = int(np.argmax((v < -tol) | (v > 1.0 + tol)))
-        raise OutOfBoxError(f"coordinate {k} = {v[k]:.6g} outside [0, 1] + {tol:.1e}")
-    digits = np.clip(np.floor(v * spec.t).astype(np.int64), 0, spec.t - 1)
-    return tuple(int(d) for d in digits)
-
-
-def _cell_indices(spec: GridSpec, observations: np.ndarray, tol: float) -> np.ndarray:
     if np.any(observations < -tol) or np.any(observations > 1.0 + tol):
         row = int(np.argmax(np.any((observations < -tol) | (observations > 1.0 + tol), axis=1)))
         raise OutOfBoxError(f"observation {row} lies outside [0, 1]^M + {tol:.1e}")
@@ -134,9 +123,6 @@ class GridCover:
 
     def __len__(self) -> int:
         return len(self.representatives)
-
-    def pair_for_cell(self, cell: Tuple[int, ...]):
-        return self.source.pair(self.representatives[cell])
 
     def representative_indices(self) -> np.ndarray:
         return np.fromiter(self.representatives.values(), dtype=np.int64,

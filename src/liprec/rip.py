@@ -34,10 +34,10 @@ import numpy as np
 
 from .core import (
     TOL_CERT,
-    DimensionError,
     NotApplicableError,
     ParameterError,
     TooLargeError,
+    as_matrix,
     seeded_rng,
     thread_budget,
 )
@@ -54,10 +54,7 @@ _EIG_BLOCK = 1 << 12
 def _as_matrix_array(operator) -> np.ndarray:
     if isinstance(operator, MatrixOperator):
         return operator.matrix
-    a = np.asarray(operator, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {a.shape}")
-    return a
+    return as_matrix(operator, "matrix")
 
 
 def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
@@ -79,19 +76,6 @@ def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
             row += count
         level = grown
         yield level
-
-
-def colex_subsets(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """All k-subsets of range(n) as ascending tuples, in colex order.
-
-    Colex compares the largest differing element, so (0,1) < (0,2) < (1,2);
-    ties in the extremal search break toward the first subset generated.
-    """
-    if k == 0:
-        yield ()
-        return
-    *_, level = _colex_levels(n, k)
-    yield from map(tuple, level.tolist())
 
 
 def _check_enumeration(a: np.ndarray, S: int, cap: int) -> None:

@@ -35,7 +35,6 @@ from .core import (
     TOL_CERT,
     TOL_EVAL,
     DegenerateSetError,
-    DimensionError,
     LabeledSet,
     LipschitzCertificate,
     OperatorClassError,
@@ -107,17 +106,14 @@ class SvdFactors:
 def svd_factor(operator, rank_tol: float = RANK_TOL) -> SvdFactors:
     """Factor a matrix operator for reduced recovery.
 
-    Accepts a MatrixOperator or a raw (M, N) array with M <= N. Singular
-    values at or below rank_tol (relative to the largest) are treated as
-    zero; if any are dropped the factors describe the projected rank-r
-    operator instead (see the class docstring).
+    Accepts a MatrixOperator or a raw (M, N) array, coerced as one (finite
+    entries, M <= N). Singular values at or below rank_tol (relative to the
+    largest) are treated as zero; if any are dropped the factors describe
+    the projected rank-r operator instead (see the class docstring).
     """
-    if isinstance(operator, MatrixOperator):
-        a = operator.matrix
-    else:
-        a = np.asarray(operator, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] > a.shape[1]:
-            raise DimensionError(f"expected a wide matrix (M <= N), got shape {a.shape}")
+    if not isinstance(operator, MatrixOperator):
+        operator = MatrixOperator(operator)
+    a = operator.matrix
     m, n = a.shape
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     if s[0] <= 0.0:
@@ -151,15 +147,10 @@ def identity_check(factors: SvdFactors, x) -> np.ndarray:
     """Residual of V [Psi A x ; V2^T x] = x for one signal or a stack.
 
     Returns a scalar for a single (N,) input, a vector of residual norms
-    for a (k, N) stack. Stays at roundoff (<= 1e-8 relative) for any x.
+    for a (k, N) stack. Stays at roundoff (<= 1e-8 relative) for any
+    finite x; non-finite entries raise DomainError.
     """
-    q = np.asarray(x, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    if q.ndim != 2 or q.shape[1] != factors.signal_dim:
-        raise DimensionError(
-            f"expected signals of length {factors.signal_dim}, got shape {np.shape(x)}")
+    q, single = as_batch(x, factors.signal_dim, "signals")
     head = (q @ factors.matrix.T) @ factors.psi.T
     tail = q @ factors.v2
     rebuilt = head @ factors.v1.T + tail @ factors.v2.T

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from liprec import cli, core
+from liprec.rip import rip_delta, spectral_balance
+
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 def _run_main(argv):
@@ -164,7 +167,7 @@ def test_main_rejects_invalid_thread_budget(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setenv("LIPREC_THREADS", "abc")
     out = tmp_path / "report.json"
     if command[0] == "run":
-        problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / command[1]
+        problem = PROBLEMS / command[1]
         command = ["run", str(problem), "--out", str(out)]
     assert _run_main(command) == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err == "error: LIPREC_THREADS must be an integer, got 'abc'\n"
@@ -333,13 +336,7 @@ def test_execute_theorem3_needs_matrix():
 
 
 def test_execute_rip_pass():
-    matrix, seed = cli._rip_fixture_matrix()
-    problem = {
-        "task": "rip",
-        "operator": {"type": "matrix", "data": matrix},
-        "params": {"S": 2, "num_pairs": 500, "seed": seed},
-    }
-    report, _ = cli.execute(problem)
+    report, _ = cli.execute(json.loads((PROBLEMS / "rip_balanced.json").read_text()))
     by_name = {a["name"]: a for a in report["assertions"]}
     assert by_name["derived_constant_applicable"]["passed"]
     assert by_name["sparse_pairs_within_derived_constant"]["passed"]
@@ -448,6 +445,41 @@ def test_main_run_missing_file(tmp_path):
     assert code == 1
 
 
+def test_main_run_non_object_root_with_overrides(tmp_path, capsys):
+    path = _write_problem(tmp_path, [1, 2])
+    out = tmp_path / "report.json"
+    code = _run_main(["run", path, "--out", str(out), "--set", "a=1"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: problem file must contain a JSON object\n"
+    assert not out.exists()
+
+
+def test_main_run_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"task": "certify\xe9"}')
+    out = tmp_path / "report.json"
+    assert _run_main(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text: invalid continuation byte")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "missing/report.json"],
+    ["run", "--out", "report.json", "--trace", "missing/trace.csv"],
+    ["selftest", "--filter", "example3", "--out", "missing/report.json"],
+])
+def test_main_output_into_missing_directory(tmp_path, capsys, command):
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in command]
+    if args[0] == "run":
+        args.insert(1, str(PROBLEMS / "example3.json"))
+    assert _run_main(args) == cli.EXIT_INPUT_ERROR
+    missing = tmp_path / "missing"
+    err = capsys.readouterr().err
+    assert f"error: cannot write {missing}/" in err and err.endswith(": No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []  # no report, and no stray temp file
+
+
 def test_main_run_input_error_for_bad_dimensions(tmp_path):
     problem = {
         "task": "certify",
@@ -464,7 +496,7 @@ def test_main_run_input_error_for_bad_dimensions(tmp_path):
                                           "rip_balanced.json"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_main_run_rejects_nonpositive_num_pairs(tmp_path, capsys, problem_file, value):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    problem = PROBLEMS / problem_file
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out),
                       "--set", f"params.num_pairs={value}"])
@@ -476,7 +508,7 @@ def test_main_run_rejects_nonpositive_num_pairs(tmp_path, capsys, problem_file, 
 @pytest.mark.parametrize("problem_file", ["mwet_segment.json", "theorem3_projection.json",
                                           "rip_balanced.json"])
 def test_main_run_rejects_negative_seed(tmp_path, capsys, problem_file):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    problem = PROBLEMS / problem_file
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set", "params.seed=-1"])
     assert code == cli.EXIT_INPUT_ERROR
@@ -485,7 +517,7 @@ def test_main_run_rejects_negative_seed(tmp_path, capsys, problem_file):
 
 
 def test_main_run_rejects_negative_signals_seed(tmp_path, capsys):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    problem = PROBLEMS / "mwet_segment.json"
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set",
                       'signals={"type": "sparse_random", "count": 20, "S": 2, "seed": -4}'])
@@ -502,7 +534,7 @@ def test_main_run_rejects_negative_signals_seed(tmp_path, capsys):
     ('operator.data=[["x"]]', "operator.data"),
 ])
 def test_main_run_rejects_ragged_or_non_numeric_arrays(tmp_path, capsys, override, field):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    problem = PROBLEMS / "mwet_segment.json"
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set", override])
     assert code == cli.EXIT_INPUT_ERROR
@@ -517,7 +549,7 @@ def test_main_run_rejects_ragged_or_non_numeric_arrays(tmp_path, capsys, overrid
     ("theorem3_square.json", "sample_certified"),
 ])
 def test_main_run_certification_over_zero_pairs_fails(tmp_path, problem_file, name):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    problem = PROBLEMS / problem_file
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set", "signals.count=1"])
     assert code == cli.EXIT_ASSERTION_FAILURE
@@ -537,7 +569,7 @@ def test_main_run_certification_over_zero_pairs_fails(tmp_path, problem_file, na
 ])
 def test_main_run_zero_pair_checks_fail(tmp_path, problem_file, overrides, name):
     # One signal leaves no pair for the injectivity check or the audit to examine.
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / problem_file
+    problem = PROBLEMS / problem_file
     out = tmp_path / "report.json"
     sets = [arg for item in overrides for arg in ("--set", item)]
     code = _run_main(["run", str(problem), "--out", str(out), *sets,
@@ -576,7 +608,7 @@ def test_main_run_overflowing_distances_exit_1(tmp_path, capsys, task):
     ('"x"', "field 'params.omega' must be a number, got 'x'"),
 ])
 def test_main_run_certify_rejects_bad_omega(tmp_path, capsys, omega, message):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "certify_segment.json"
+    problem = PROBLEMS / "certify_segment.json"
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set", f"params.omega={omega}"])
     assert code == cli.EXIT_INPUT_ERROR
@@ -591,7 +623,7 @@ def test_main_run_certify_rejects_bad_omega(tmp_path, capsys, omega, message):
     ("signals=3", "field 'signals' must be an object"),
 ])
 def test_main_run_rip_validates_its_signals_block(tmp_path, capsys, override, message):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
+    problem = PROBLEMS / "rip_balanced.json"
     out = tmp_path / "report.json"
     code = _run_main(["run", str(problem), "--out", str(out), "--set", override])
     assert code == cli.EXIT_INPUT_ERROR
@@ -643,22 +675,38 @@ def test_main_run_rip_over_enumeration_cap(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sample_problems_all_pass():
-    for name, problem in cli.sample_problems():
-        report, _ = cli.execute(problem)
-        assert all(entry["passed"] for entry in report["assertions"]), name
+@pytest.mark.parametrize("name", sorted(path.name for path in PROBLEMS.glob("*.json")))
+def test_sample_problems_all_pass(name):
+    report, _ = cli.execute(json.loads((PROBLEMS / name).read_text()))
+    assert report["assertions"]
+    assert all(entry["passed"] for entry in report["assertions"])
+
+
+def _rip_fixture_matrix():
+    """First seed whose balanced 6x8 unit-column Gaussian keeps delta_4 below 1.
+
+    Wide unit-column Gaussians at desk scale overshoot delta = 1 on the
+    lambda_max side, so the optimal uniform rescaling is applied first;
+    that qualifies whenever no 4-column subset is singular.
+    """
+    for seed in range(100):
+        a = core.seeded_rng(seed).standard_normal((6, 8))
+        a /= np.linalg.norm(a, axis=0)
+        a *= spectral_balance(a, 4).scale
+        if rip_delta(a, 4).delta < 1.0:
+            return a, seed
+    raise AssertionError("no qualifying restricted-isometry fixture in 100 seeds")
 
 
 def test_sample_problems_match_files_on_disk():
-    directory = pathlib.Path(__file__).resolve().parent.parent / "problems"
-    files = {path.name: json.loads(path.read_text())
-             for path in directory.glob("*.json")}
-    fixtures = cli.sample_problems()
-    assert len(files) == len(fixtures)
-    for name, problem in fixtures:
-        matches = [fname for fname, content in files.items()
-                   if content == cli.to_jsonable(problem)]
-        assert matches, f"no problems/ file matches fixture {name!r}"
+    # problems/ is the only copy of the sample problems; the one derived
+    # fixture, rip_balanced.json, must equal its derivation bit for bit.
+    problem = json.loads((PROBLEMS / "rip_balanced.json").read_text())
+    matrix, seed = _rip_fixture_matrix()
+    on_disk = np.array(problem["operator"]["data"])
+    assert on_disk.shape == matrix.shape == (6, 8)
+    assert np.array_equal(on_disk.view(np.uint64), matrix.view(np.uint64))
+    assert problem["signals"]["seed"] == problem["params"]["seed"] == seed
 
 
 def test_selftest_runs_all_criteria(capsys):

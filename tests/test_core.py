@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from liprec import (
-    DegenerateSetError,
     DimensionError,
     DomainError,
-    LabeledPair,
     LabeledSet,
     LabelingError,
     LipschitzCertificate,
@@ -19,7 +17,7 @@ from liprec import (
     ParameterError,
     validate_labeled_set,
 )
-from liprec.core import as_matrix, as_vector, distance, readonly, seeded_rng
+from liprec.core import as_matrix, as_vector, readonly, seeded_rng
 
 
 def test_as_vector_accepts_lists_and_arrays():
@@ -79,32 +77,15 @@ def test_seeded_rng_rejects_negative_seeds():
         seeded_rng(np.int64(-2))
 
 
-def test_distance_matches_norm():
-    rng = seeded_rng(0)
-    a = rng.standard_normal(6)
-    b = rng.standard_normal(6)
-    assert distance(a, b) == pytest.approx(np.linalg.norm(a - b), rel=0, abs=0)
-    with pytest.raises(DimensionError):
-        distance([1.0], [1.0, 2.0])
-
-
-def test_labeled_pair_is_readonly():
-    p = LabeledPair([1.0, 2.0], [3.0])
-    with pytest.raises(ValueError):
-        p.signal[0] = 0.0
-    assert p.observation.shape == (1,)
-
-
-def test_labeled_set_shapes_and_iteration():
+def test_labeled_set_shapes():
     sig = np.arange(12.0).reshape(4, 3)
     obs = np.arange(8.0).reshape(4, 2)
     ls = LabeledSet.from_arrays(sig, obs)
     assert len(ls) == 4
     assert ls.signal_dim == 3
     assert ls.obs_dim == 2
-    pairs = list(ls)
-    assert np.array_equal(pairs[2].signal, sig[2])
-    assert np.array_equal(ls.pair(1).observation, obs[1])
+    assert np.array_equal(ls.signals, sig)
+    assert np.array_equal(ls.observations, obs)
 
 
 def test_labeled_set_arrays_are_readonly():
@@ -139,15 +120,6 @@ def test_duplicate_check_uses_tolerance():
     # a tighter tolerance also lets the near-duplicate through
     ls = LabeledSet.from_arrays(sig, obs, tol_dup=1e-14)
     assert len(ls) == 2
-
-
-def test_from_pairs_round_trip():
-    pairs = [LabeledPair([0.0, 1.0], [2.0]), LabeledPair([3.0, 4.0], [5.0])]
-    ls = LabeledSet.from_pairs(pairs)
-    assert np.array_equal(ls.signals, [[0.0, 1.0], [3.0, 4.0]])
-    assert np.array_equal(ls.observations, [[2.0], [5.0]])
-    with pytest.raises(DegenerateSetError):
-        LabeledSet.from_pairs([])
 
 
 def test_from_operator_labels_by_applying():

@@ -18,8 +18,8 @@ from liprec import (
     OutOfBoxError,
     ParameterError,
     PiecewiseExampleOperator,
+    TOL_CERT,
     build_cover,
-    cell_index,
     cover_pipeline,
     grid_spec,
 )
@@ -81,33 +81,36 @@ def test_grid_spec_guards():
         grid_spec(3, 3, 1.0, 0.5, "reduced")
 
 
+def _digits(spec, *rows, tol=TOL_CERT):
+    """Cell digits of each observation row, as tuples."""
+    return list(map(tuple, covering._cell_indices(spec, np.array(rows), tol).tolist()))
+
+
 def test_cell_index_hand_values():
     spec = grid_spec(3, 2, 1.0, 0.5, "full")
     assert spec.t == 8
-    assert cell_index(spec, [0.0, 0.0]) == (0, 0)
-    assert cell_index(spec, [0.5, 0.99]) == (4, 7)
     # the top face belongs to the last cell
-    assert cell_index(spec, [1.0, 1.0]) == (7, 7)
+    assert _digits(spec, [0.0, 0.0], [0.5, 0.99], [1.0, 1.0]) == [(0, 0), (4, 7), (7, 7)]
 
 
 def test_cell_index_tolerance_and_out_of_box():
     spec = grid_spec(3, 2, 1.0, 0.5, "full")
-    assert cell_index(spec, [-1e-10, 0.5]) == (0, 4)
-    assert cell_index(spec, [1.0 + 1e-10, 0.5]) == (7, 4)
+    assert _digits(spec, [-1e-10, 0.5], [1.0 + 1e-10, 0.5]) == [(0, 4), (7, 4)]
+    assert _digits(spec, [-0.005, 1.005], tol=0.01) == [(0, 7)]
+    for outside in ([-0.01, 0.5], [0.5, 1.01]):
+        with pytest.raises(OutOfBoxError, match="observation 1 lies outside"):
+            _digits(spec, [0.5, 0.5], outside)
     with pytest.raises(OutOfBoxError):
-        cell_index(spec, [-0.01, 0.5])
-    with pytest.raises(OutOfBoxError):
-        cell_index(spec, [0.5, 1.01])
+        _digits(spec, [-0.02, 0.5], tol=0.01)
     with pytest.raises(DimensionError):
-        cell_index(spec, [0.5])
+        build_cover(LabeledSet.from_arrays([[0.0, 0.0, 0.0]], [[0.5]]), spec)
 
 
 def test_cell_index_consistent_with_side():
     spec = grid_spec(2, 1, 1.0, 0.4, "full")
-    rng = seeded_rng(41)
-    for y in rng.uniform(0.0, 1.0, size=200):
-        (digit,) = cell_index(spec, [y])
-        assert digit == min(int(y * spec.t), spec.t - 1)
+    y = seeded_rng(41).uniform(0.0, 1.0, size=200)
+    digits = [digit for (digit,) in _digits(spec, *y[:, None])]
+    assert digits == [min(int(v * spec.t), spec.t - 1) for v in y]
 
 
 def test_same_cell_observations_are_close():
@@ -115,8 +118,8 @@ def test_same_cell_observations_are_close():
     rng = seeded_rng(42)
     obs = rng.uniform(0.0, 1.0, size=(400, 2))
     cells = {}
-    for row, y in enumerate(obs):
-        cells.setdefault(cell_index(spec, y), []).append(row)
+    for row, cell in enumerate(_digits(spec, *obs)):
+        cells.setdefault(cell, []).append(row)
     bound = math.sqrt(2) / spec.t
     for rows in cells.values():
         for a in rows:
@@ -131,8 +134,7 @@ def test_build_cover_first_wins():
     cover = build_cover(ls, spec)
     assert len(cover) == 1
     assert cover.representatives[(0,)] == 0
-    pair = cover.pair_for_cell((0,))
-    assert np.array_equal(pair.signal, [0.0, 0.0])
+    assert np.array_equal(cover.representative_set().signals, [[0.0, 0.0]])
 
 
 def test_build_cover_every_sampled_cell_occupied():
@@ -143,11 +145,11 @@ def test_build_cover_every_sampled_cell_occupied():
     spec = grid_spec(1, 1, 1.0, 0.2, "full")
     cover = build_cover(ls, spec)
     assert len(cover) <= spec.t
-    seen = {cell_index(spec, y) for y in ls.observations}
-    assert set(cover.representatives) == seen
+    cells = _digits(spec, *ls.observations)
+    assert set(cover.representatives) == set(cells)
     # each representative's observation really lies in its cell
     for cell, row in cover.representatives.items():
-        assert cell_index(spec, ls.observations[row]) == cell
+        assert cells[row] == cell
 
 
 def _oracle_representatives(digits):

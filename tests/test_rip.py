@@ -26,12 +26,13 @@ from hypothesis.extra.numpy import arrays
 
 from liprec import cli, rip
 from liprec import (
+    DimensionError,
+    DomainError,
     MatrixOperator,
     NotApplicableError,
     ParameterError,
     TooLargeError,
     check_recoverability_condition,
-    colex_subsets,
     rip_delta,
     rip_to_omega,
     sparse_signals,
@@ -51,16 +52,20 @@ def _naive_delta(a, S):
     return best
 
 
+def _colex(n, S):
+    """_colex_levels(n, S) as one list of ascending tuples per size 1..S."""
+    return [list(map(tuple, level.tolist())) for level in rip._colex_levels(n, S)]
+
+
 def test_colex_order_small_cases():
-    assert list(colex_subsets(3, 2)) == [(0, 1), (0, 2), (1, 2)]
-    assert list(colex_subsets(4, 2)) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert list(colex_subsets(3, 1)) == [(0,), (1,), (2,)]
-    assert list(colex_subsets(0, 0)) == [()]
+    assert _colex(3, 2) == [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+    assert _colex(4, 2)[1] == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert _colex(3, 3)[2] == [(0, 1, 2)]
 
 
 def test_colex_counts():
     for n, k in [(6, 3), (8, 2), (5, 5)]:
-        subs = list(colex_subsets(n, k))
+        subs = _colex(n, k)[-1]
         assert len(subs) == math.comb(n, k)
         assert len(set(subs)) == len(subs)
         assert all(len(s) == k and list(s) == sorted(s) for s in subs)
@@ -120,6 +125,25 @@ def test_rip_delta_parameter_guards():
         rip_delta(a, 0)
     with pytest.raises(ParameterError):
         rip_delta(a, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_matrix_must_be_finite(bad):
+    # A NaN entry used to give rip_delta a delta of 0.0 with no extremal subset.
+    a = np.eye(6)
+    a[0, 1] = bad
+    calls = [lambda: rip_delta(a, 1), lambda: spectral_balance(a, 1),
+             lambda: check_recoverability_condition(a, 1),
+             lambda: verify_sparse_lipschitz(a, 1, 10, 0)]
+    for call in calls:
+        with pytest.raises(DomainError, match="^matrix: entries must be finite$"):
+            call()
+
+
+def test_raw_matrix_must_be_non_empty_2d():
+    for bad in (np.ones(3), np.zeros((0, 3)), [[]]):
+        with pytest.raises(DimensionError, match="^matrix: expected a non-empty 2-D array"):
+            rip_delta(bad, 1)
 
 
 def test_rip_delta_enumeration_cap():
@@ -337,7 +361,7 @@ KERNEL_SETTINGS = [(block, threads) for block in (1, 7, DEFAULT_BLOCK)
 @given(case=rip_cases())
 def test_kernel_bit_identical_to_seed_loops(case):
     a, S = case
-    expected_colex = {k: list(_oracle_colex_subsets(a.shape[1], k)) for k in range(S + 1)}
+    expected_colex = [list(_oracle_colex_subsets(a.shape[1], k)) for k in range(1, S + 1)]
     expected_delta = _outcome(_oracle_rip_delta, a, S)
     expected_balance = _outcome(_oracle_spectral_balance, a, S)
     for block, threads in KERNEL_SETTINGS:
@@ -345,8 +369,7 @@ def test_kernel_bit_identical_to_seed_loops(case):
                 mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
             assert _outcome(rip_delta, a, S) == expected_delta, (block, threads)
             assert _outcome(spectral_balance, a, S) == expected_balance, (block, threads)
-    for k, subsets in expected_colex.items():
-        assert list(colex_subsets(a.shape[1], k)) == subsets
+    assert _colex(a.shape[1], S) == expected_colex
 
 
 @settings(max_examples=60, deadline=None)

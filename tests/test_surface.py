@@ -1,0 +1,37 @@
+"""The names that users and the benchmark tracer rely on all resolve.
+
+``perfbench/spans.py`` wraps each (module, qualname) in its ``TARGETS`` and
+fails with AttributeError at install time if one is gone, which would break
+every traced benchmark run. The file is loaded by path and not modified.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import liprec
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def test_every_public_name_resolves():
+    assert len(set(liprec.__all__)) == len(liprec.__all__)
+    missing = [name for name in liprec.__all__ if not hasattr(liprec, name)]
+    assert missing == []
+
+
+def test_every_tracer_target_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, qualname, _ in spans.TARGETS:
+        module = importlib.import_module(f"liprec.{module_name}")
+        if "." in qualname:  # a method: install() reads the class's own namespace
+            cls_name, attr = qualname.split(".")
+            found = attr in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, qualname, None))
+        if not found:
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []

@@ -91,8 +91,19 @@ def test_identity_single_vector_returns_scalar():
 def test_identity_check_rejects_wrong_width():
     rng = seeded_rng(53)
     f = svd_factor(_random_operator(rng, 2, 4))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^expected signals of length 4, got shape \(3,\)$"):
         identity_check(f, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_domain_error(bad):
+    # svd_factor used to raise numpy's LinAlgError, identity_check to return NaN.
+    with pytest.raises(DomainError, match="^matrix: entries must be finite$"):
+        svd_factor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, bad]]))
+    f = svd_factor(np.eye(2, 3))
+    for x in ([1.0, bad, 0.0], [[0.0, 0.0, 0.0], [bad, 0.0, 1.0]]):
+        with pytest.raises(DomainError, match="^signals: entries must be finite$"):
+            identity_check(f, x)
 
 
 def test_rank_deficient_factorization():
