@@ -242,6 +242,9 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
         if start.shape != (operator.signal_dim,) or end.shape != (operator.signal_dim,):
             raise ProblemError(
                 f"signals.start/end must have length {operator.signal_dim}")
+        for where, point in (("signals.start", start), ("signals.end", end)):
+            if not np.all(np.isfinite(point)):
+                raise ProblemError(f"field '{where}' must be finite, got {point.tolist()}")
         steps = np.linspace(0.0, 1.0, count)[:, None]
         return start[None, :] + steps * (end - start)[None, :]
     if kind == "sparse_random":

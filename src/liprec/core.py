@@ -6,8 +6,8 @@ Everything is float64. Containers are frozen dataclasses whose arrays are
 marked read-only after construction, so objects may be shared freely across
 threads; all operations on them are pure functions of their inputs.
 
-The distance used throughout the package is the Euclidean norm. Default
-tolerances:
+The distance used throughout the package is the Euclidean norm. The
+tolerances are fixed package constants:
 
 * ``TOL_EVAL``  (1e-9)  slack when checking that a stored observation really
   is the operator applied to its signal;
@@ -15,7 +15,7 @@ tolerances:
 * ``TOL_CERT``  (1e-9)  absolute slack in every certification inequality.
 
 All are far above double rounding and far below any experiment's target
-precision, and every operation that uses one accepts an override.
+precision. Every operation reads them directly; none takes an override.
 
 Every pairwise check runs on one O(n^2) scan, ``_pair_tiles``. It yields
 tiles of consecutive rows against every later row, each bounded by the
@@ -121,7 +121,7 @@ class NoNullSpaceError(LiprecError):
 
 
 class TooLargeError(LiprecError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed ``rip.ENUMERATION_CAP``."""
 
 
 class NotApplicableError(LiprecError):
@@ -387,27 +387,25 @@ class LabeledSet:
         object.__setattr__(self, "observations", readonly(obs))
 
     @classmethod
-    def from_arrays(cls, signals, observations, *, check_duplicates: bool = True,
-                    tol_dup: float = TOL_DUP) -> "LabeledSet":
+    def from_arrays(cls, signals, observations, *, check_duplicates: bool = True) -> "LabeledSet":
         out = cls(np.atleast_2d(np.asarray(signals, dtype=np.float64)),
                   np.atleast_2d(np.asarray(observations, dtype=np.float64)))
         if check_duplicates:
-            dup = out._find_duplicate(tol_dup)
+            dup = out._find_duplicate()
             if dup is not None:
                 raise _duplicate_error(dup)
         return out
 
     @classmethod
-    def from_operator(cls, operator, signals, *, check_duplicates: bool = True,
-                      tol_dup: float = TOL_DUP) -> "LabeledSet":
+    def from_operator(cls, operator, signals, *, check_duplicates: bool = True) -> "LabeledSet":
         """Label the given signals by applying the operator to each."""
         sig = np.atleast_2d(np.asarray(signals, dtype=np.float64))
         obs = operator.apply(sig)
-        return cls.from_arrays(sig, obs, check_duplicates=check_duplicates, tol_dup=tol_dup)
+        return cls.from_arrays(sig, obs, check_duplicates=check_duplicates)
 
-    def _find_duplicate(self, tol_dup: float) -> Optional[Tuple[int, int]]:
+    def _find_duplicate(self) -> Optional[Tuple[int, int]]:
         for i0, d in _pair_tiles(signals=self.signals):
-            dup = _first_pair(i0, d < tol_dup)
+            dup = _first_pair(i0, d < TOL_DUP)
             if dup is not None:
                 return dup
         return None
@@ -429,20 +427,19 @@ class LabeledSet:
         return LabeledSet(self.signals[idx], self.observations[idx])
 
 
-def validate_labeled_set(labeled_set: LabeledSet, operator, *,
-                         tol_eval: float = TOL_EVAL, tol_dup: float = TOL_DUP) -> None:
+def validate_labeled_set(labeled_set: LabeledSet, operator) -> None:
     """Check that every stored observation matches the operator's output.
 
     Raises LabelingError (carrying the offending index) if some pair is off
-    by more than ``tol_eval`` or two signals are closer than ``tol_dup``.
+    by more than ``TOL_EVAL`` or two signals are closer than ``TOL_DUP``.
     """
-    _check_observations(labeled_set, operator, tol_eval)
-    dup = labeled_set._find_duplicate(tol_dup)
+    _check_observations(labeled_set, operator)
+    dup = labeled_set._find_duplicate()
     if dup is not None:
         raise _duplicate_error(dup)
 
 
-def _check_observations(labeled_set: LabeledSet, operator, tol_eval: float) -> None:
+def _check_observations(labeled_set: LabeledSet, operator) -> None:
     """The O(n) half of ``validate_labeled_set``: dimensions and residuals."""
     if labeled_set.signal_dim != operator.signal_dim or labeled_set.obs_dim != operator.obs_dim:
         raise DimensionError(
@@ -450,11 +447,11 @@ def _check_observations(labeled_set: LabeledSet, operator, tol_eval: float) -> N
             f"operator dims ({operator.signal_dim}, {operator.obs_dim})")
     expected = operator.apply(labeled_set.signals)
     residual = np.linalg.norm(expected - labeled_set.observations, axis=1)
-    bad = np.flatnonzero(residual > tol_eval)
+    bad = np.flatnonzero(residual > TOL_EVAL)
     if bad.size:
         i = int(bad[0])
         raise LabelingError(
-            f"pair {i}: observation is off by {residual[i]:.3e} (> {tol_eval:.1e})", index=i)
+            f"pair {i}: observation is off by {residual[i]:.3e} (> {TOL_EVAL:.1e})", index=i)
 
 
 # ---------------------------------------------------------------------------

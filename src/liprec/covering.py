@@ -64,12 +64,16 @@ class GridSpec:
         return self.t ** self.obs_dim
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+
+
 def _grid(obs_dim: int, omega: float, epsilon: float, dim_factor: float,
           signal_dim: int) -> GridSpec:
     if not (np.isfinite(omega) and omega > 0.0):
         raise ParameterError(f"omega must be positive, got {omega}")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     t = math.ceil((1.0 + dim_factor) * omega * math.sqrt(obs_dim) / epsilon)
     return GridSpec(t=max(t, 1), obs_dim=obs_dim, signal_dim=signal_dim,
                     omega=float(omega), epsilon=float(epsilon), dim_factor=float(dim_factor))
@@ -133,14 +137,14 @@ class GridCover:
         return self.source.subset(self.representative_indices())
 
 
-def build_cover(sample: LabeledSet, spec: GridSpec, *, tol: float = TOL_CERT) -> GridCover:
+def build_cover(sample: LabeledSet, spec: GridSpec) -> GridCover:
     """Select the first sample point, in input order, per occupied cell."""
     if len(sample) == 0:
         raise DegenerateSetError("cannot cover an empty sample")
     if sample.obs_dim != spec.obs_dim:
         raise DimensionError(
             f"sample obs dim {sample.obs_dim} != grid dim {spec.obs_dim}")
-    digits = _cell_indices(spec, sample.observations, tol)
+    digits = _cell_indices(spec, sample.observations, TOL_CERT)
     # np.unique sorts stably, so each cell's index is its first row.
     _, first = np.unique(digits, axis=0, return_index=True)
     first.sort()
@@ -169,8 +173,7 @@ class CoverPipelineResult:
     certificate: LipschitzCertificate  # the sample's certification at omega
 
 
-def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
-                   tol_cert: float = TOL_CERT) -> CoverPipelineResult:
+def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPipelineResult:
     """Certify the sample, then cover, fit, and verify its recovery.
 
     The sample stands in for the (possibly uncountable) Lipschitz set: it
@@ -183,10 +186,10 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float, *,
     residuals are ~0 and every sample point is recovered to within
     epsilon; both maxima are reported for assertion by the caller.
     """
-    cert = _certify_sample(sample, omega, tol_cert)
+    cert = _certify_sample(sample, omega)
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
-    cover = build_cover(sample, spec, tol=tol_cert)
-    hypothesis = fit(cover.representative_set(), omega1=omega, tol_cert=tol_cert)
+    cover = build_cover(sample, spec)
+    hypothesis = fit(cover.representative_set(), omega1=omega)
     training_residual = float(hypothesis.training_residuals().max())
     errors = np.linalg.norm(hypothesis.evaluate(sample.observations) - sample.signals, axis=1)
     report = CoverReport(

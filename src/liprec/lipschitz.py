@@ -91,18 +91,17 @@ def injectivity_tolerance(observations: np.ndarray) -> float:
     return tol
 
 
-def tight_omega(labeled_set: LabeledSet, *, tol_inj: Optional[float] = None) -> LipschitzCertificate:
+def tight_omega(labeled_set: LabeledSet) -> LipschitzCertificate:
     """Exact Lipschitz constant of a finite labeled set.
 
     Returns a certified certificate whose omega is the maximum over all
     distinct pairs of ||x1 - x2|| / ||y1 - y2||, with the maximizing pair as
-    witness. Any pair whose observations are closer than the injectivity
-    tolerance makes the ratio meaningless and raises NotInjectiveError.
+    witness. Any pair whose observations are within ``injectivity_tolerance``
+    makes the ratio meaningless and raises NotInjectiveError.
     """
     if len(labeled_set) < 2:
         raise DegenerateSetError("the tight constant needs at least two pairs")
-    if tol_inj is None:
-        tol_inj = injectivity_tolerance(labeled_set.observations)
+    tol_inj = injectivity_tolerance(labeled_set.observations)
 
     def ratios(i0, dx, dy):
         collision = _first_pair(i0, dy <= tol_inj)
@@ -175,19 +174,18 @@ def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: floa
     return _SampleScan(best, witness, violated, collision, duplicate)
 
 
-def verify_lipschitz(labeled_set: LabeledSet, omega: float, *,
-                     tol_cert: float = TOL_CERT) -> LipschitzCertificate:
-    """Check ||x1 - x2|| <= omega * ||y1 - y2|| + tol_cert on every pair.
+def verify_lipschitz(labeled_set: LabeledSet, omega: float) -> LipschitzCertificate:
+    """Check ||x1 - x2|| <= omega * ||y1 - y2|| + TOL_CERT on every pair.
 
     Certifies vacuously for fewer than two pairs. On failure the witness is
     the first pair attaining the maximum ratio; observation collisions
     between distinct signals simply show up as violations (infinite ratio).
     """
     _check_omega(omega)
-    return _scan_sample(labeled_set, omega, tol_cert).certificate(omega)
+    return _scan_sample(labeled_set, omega, TOL_CERT).certificate(omega)
 
 
-def _certify_sample(sample: LabeledSet, omega: float, tol_cert: float) -> LipschitzCertificate:
+def _certify_sample(sample: LabeledSet, omega: float) -> LipschitzCertificate:
     """A pipeline's one pass over its sample: reject duplicates, then certify.
 
     Raises LabelingError for the first pair of signals closer than
@@ -196,7 +194,7 @@ def _certify_sample(sample: LabeledSet, omega: float, tol_cert: float) -> Lipsch
     not omega-certified. Returns the certificate otherwise.
     """
     valid = bool(np.isfinite(omega) and omega > 0.0)
-    scan = _scan_sample(sample, omega if valid else None, tol_cert, tol_dup=TOL_DUP)
+    scan = _scan_sample(sample, omega if valid else None, TOL_CERT, tol_dup=TOL_DUP)
     if scan.duplicate is not None:
         raise _duplicate_error(scan.duplicate)
     cert = scan.certificate(_check_omega(omega))
@@ -227,15 +225,15 @@ def affine_transform(labeled_set: LabeledSet, operator: MatrixOperator,
     return LabeledSet.from_operator(operator, moved)
 
 
-def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float, epsilon: float, *,
-                            tol_cert: float = TOL_CERT) -> RelaxedLipschitzResult:
+def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float,
+                            epsilon: float) -> RelaxedLipschitzResult:
     """Check ||x1 - x2|| <= 2*epsilon + omega*||y1 - y2|| on every pair.
 
     ``omega`` is the Lipschitz constant of some external recovery map and
     ``epsilon`` its measured worst-case recovery error on this set; any set
     recovered that well by that map must satisfy the inequality. Reports
     the minimum slack 2*epsilon + omega*||y1 - y2|| - ||x1 - x2|| and the
-    pair attaining it; passes when that slack is >= -tol_cert.
+    pair attaining it; passes when that slack is >= -TOL_CERT.
     """
     _check_omega(omega)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
@@ -245,5 +243,5 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float, epsilon: floa
     neg_worst, worst_pair = _first_max_pair(
         labeled_set, lambda i0, dx, dy: -(2.0 * epsilon + omega * dy - dx))
     worst = -neg_worst
-    return RelaxedLipschitzResult(passed=bool(worst >= -tol_cert),
+    return RelaxedLipschitzResult(passed=bool(worst >= -TOL_CERT),
                                   min_slack=worst, worst_pair=worst_pair)

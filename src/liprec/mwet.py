@@ -133,8 +133,7 @@ class MwetHypothesis:
         return float((num[valid] / den[valid]).max())
 
 
-def fit(training: LabeledSet, omega1: Optional[float] = None, *,
-        tol_cert: float = TOL_CERT) -> MwetHypothesis:
+def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
     """Fit the min-form extension on a labeled set.
 
     When omega1 is omitted it defaults to the set's tight Lipschitz
@@ -156,7 +155,7 @@ def fit(training: LabeledSet, omega1: Optional[float] = None, *,
         omega1 = float(omega1)
         if not (np.isfinite(omega1) and omega1 >= 0.0):
             raise ParameterError(f"omega1 must be a nonnegative finite number, got {omega1}")
-        if omega1 < tight and not np.isclose(omega1, tight, rtol=1e-9, atol=tol_cert):
+        if omega1 < tight and not np.isclose(omega1, tight, rtol=1e-9, atol=TOL_CERT):
             raise ConstantTooSmallError(
                 f"omega1 = {omega1:.6g} is below the tight constant {tight:.6g}")
     return MwetHypothesis(training=training, omega1=float(omega1))

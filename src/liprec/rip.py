@@ -78,15 +78,15 @@ def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
         yield level
 
 
-def _check_enumeration(a: np.ndarray, S: int, cap: int) -> None:
-    """Rejects an S out of range, or more than cap subsets of size 1..S."""
+def _check_enumeration(a: np.ndarray, S: int) -> None:
+    """Rejects an S out of range, or more than ENUMERATION_CAP subsets of size 1..S."""
     m, n = a.shape
     if not 1 <= S <= min(m, n):
         raise ParameterError(f"need 1 <= S <= min(M, N) = {min(m, n)}, got S = {S}")
     total = sum(math.comb(n, k) for k in range(1, S + 1))
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise TooLargeError(
-            f"{total} subsets exceed the enumeration cap {cap}; "
+            f"{total} subsets exceed the enumeration cap {ENUMERATION_CAP}; "
             "exact computation at this size is off the table")
 
 
@@ -117,13 +117,13 @@ def _map_blocks(fn, starts: range, workers: int) -> List[tuple]:
         return list(pool.map(fn, starts))
 
 
-def _subset_spectra(a: np.ndarray, S: int, cap: int) -> List[_SizeSpectra]:
+def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     """One record per subset size 1..S: the one enumeration pass of this module.
 
-    Above ``cap`` subsets the call refuses with TooLargeError rather than
-    falling back to an estimate.
+    Above ``ENUMERATION_CAP`` subsets the call refuses with TooLargeError
+    rather than falling back to an estimate.
     """
-    _check_enumeration(a, S, cap)
+    _check_enumeration(a, S)
     gram = a.T @ a
     threads = thread_budget()
     records = []
@@ -171,16 +171,16 @@ def _rip_report(records: List[_SizeSpectra], n: int, S: int) -> RipReport:
                      extremal_subset=subset)
 
 
-def rip_delta(operator, S: int, *, cap: int = ENUMERATION_CAP) -> RipReport:
+def rip_delta(operator, S: int) -> RipReport:
     """Exact delta_S by exhausting all column subsets of size 1..S.
 
-    Work is sum(C(N, k) for k <= S) Gram spectra; above ``cap`` subsets
-    the call refuses with TooLargeError rather than falling back to an
-    estimate. The extremal subset is the first one attaining delta, in
-    order of increasing size then colex.
+    Work is sum(C(N, k) for k <= S) Gram spectra; above
+    ``ENUMERATION_CAP`` subsets the call refuses with TooLargeError rather
+    than falling back to an estimate. The extremal subset is the first one
+    attaining delta, in order of increasing size then colex.
     """
     a = _as_matrix_array(operator)
-    return _rip_report(_subset_spectra(a, S, cap), a.shape[1], S)
+    return _rip_report(_subset_spectra(a, S), a.shape[1], S)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class BalanceResult:
     delta: float
 
 
-def spectral_balance(operator, S: int, *, cap: int = ENUMERATION_CAP) -> BalanceResult:
+def spectral_balance(operator, S: int) -> BalanceResult:
     """Optimal uniform column rescaling for the isometry constant.
 
     delta_S depends on the overall scale of A: with lam_min and lam_max
@@ -205,7 +205,7 @@ def spectral_balance(operator, S: int, *, cap: int = ENUMERATION_CAP) -> Balance
     returned delta is the predicted constant of scale * A.
     """
     lo, hi = math.inf, 0.0
-    for record in _subset_spectra(_as_matrix_array(operator), S, cap):
+    for record in _subset_spectra(_as_matrix_array(operator), S):
         lo, hi = min(lo, record.lambda_min), max(hi, record.lambda_max)
     lo = max(lo, 0.0)
     if hi <= 0.0:
@@ -232,15 +232,14 @@ class RecoverabilityCheck:
         return self.report_2s.delta + self.report_3s.delta
 
 
-def check_recoverability_condition(operator, S: int, *,
-                                   cap: int = ENUMERATION_CAP) -> RecoverabilityCheck:
+def check_recoverability_condition(operator, S: int) -> RecoverabilityCheck:
     """Evaluate delta_2S + delta_3S < 1 with exact constants from one pass at 3S."""
     a = _as_matrix_array(operator)
     n = a.shape[1]
     if 3 * S > n:
         raise ParameterError(f"need 3S <= N, got S = {S}, N = {n}")
-    _check_enumeration(a, 2 * S, cap)  # a bad or over-cap 2S is reported first
-    records = _subset_spectra(a, 3 * S, cap)
+    _check_enumeration(a, 2 * S)  # a bad or over-cap 2S is reported first
+    records = _subset_spectra(a, 3 * S)
     r2 = _rip_report(records, n, 2 * S)
     r3 = _rip_report(records, n, 3 * S)
     return RecoverabilityCheck(S=S, passed=r2.delta + r3.delta < 1.0,
@@ -279,10 +278,8 @@ class SparseLipschitzCheck:
     seed: int
 
 
-def verify_sparse_lipschitz(operator, S: int, num_pairs: int, seed: int, *,
-                            tol_cert: float = TOL_CERT,
-                            cap: int = ENUMERATION_CAP) -> SparseLipschitzCheck:
-    """Probe |x1 - x2| <= omega |A x1 - A x2| + tol on random S-sparse pairs.
+def verify_sparse_lipschitz(operator, S: int, num_pairs: int, seed: int) -> SparseLipschitzCheck:
+    """Probe |x1 - x2| <= omega |A x1 - A x2| + TOL_CERT on random S-sparse pairs.
 
     omega is the exact 1/sqrt(1 - delta_2S); a difference of S-sparse
     signals is 2S-sparse, so no probe can exceed it (the check exists to
@@ -292,7 +289,7 @@ def verify_sparse_lipschitz(operator, S: int, num_pairs: int, seed: int, *,
     m, n = a.shape
     if 2 * S > min(m, n):
         raise ParameterError(f"need 2S <= min(M, N) = {min(m, n)}, got S = {S}")
-    delta = rip_delta(a, 2 * S, cap=cap).delta
+    delta = rip_delta(a, 2 * S).delta
     omega = rip_to_omega(delta)
     rng = seeded_rng(seed)
     x1 = sparse_signals(n, S, num_pairs, rng)
@@ -300,7 +297,7 @@ def verify_sparse_lipschitz(operator, S: int, num_pairs: int, seed: int, *,
     diff = x1 - x2
     dx = np.linalg.norm(diff, axis=1)
     dy = np.linalg.norm(diff @ a.T, axis=1)
-    passed = bool(np.all(dx <= omega * dy + tol_cert))
+    passed = bool(np.all(dx <= omega * dy + TOL_CERT))
     pos = dy > 0.0
     max_ratio = float((dx[pos] / dy[pos]).max()) if np.any(pos) else 0.0
     return SparseLipschitzCheck(S=S, passed=passed, max_ratio=max_ratio,

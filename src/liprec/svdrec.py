@@ -32,8 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    TOL_CERT,
-    TOL_EVAL,
     DegenerateSetError,
     LabeledSet,
     LipschitzCertificate,
@@ -43,7 +41,7 @@ from .core import (
     as_batch,
     readonly,
 )
-from .covering import GridCover, build_cover, grid_spec
+from .covering import GridCover, _check_epsilon, build_cover, grid_spec
 from .lipschitz import _certify_sample
 from .mwet import MwetHypothesis, fit
 from .operators import MatrixOperator, unit_box
@@ -103,11 +101,11 @@ class SvdFactors:
         return y @ self.projector
 
 
-def svd_factor(operator, rank_tol: float = RANK_TOL) -> SvdFactors:
+def svd_factor(operator) -> SvdFactors:
     """Factor a matrix operator for reduced recovery.
 
     Accepts a MatrixOperator or a raw (M, N) array, coerced as one (finite
-    entries, M <= N). Singular values at or below rank_tol (relative to the
+    entries, M <= N). Singular values at or below ``RANK_TOL`` (relative to the
     largest) are treated as zero; if any are dropped the factors describe
     the projected rank-r operator instead (see the class docstring).
     """
@@ -118,7 +116,7 @@ def svd_factor(operator, rank_tol: float = RANK_TOL) -> SvdFactors:
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     if s[0] <= 0.0:
         raise RankZeroError("cannot factor the zero matrix")
-    r = int(np.sum(s > rank_tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     v = vh.T
     if r == m:
         source = effective = readonly(np.array(a, dtype=np.float64))
@@ -226,8 +224,7 @@ class FitReducedResult:
 
 
 def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
-                epsilon: float, *, tol_cert: float = TOL_CERT,
-                rank_tol: float = RANK_TOL) -> FitReducedResult:
+                epsilon: float) -> FitReducedResult:
     """Cover, fit, and assemble the reduced recovery map for a linear operator.
 
     The sample must be labeled by ``operator`` (an O(n) residual check,
@@ -243,20 +240,22 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     the cover representatives x^j, with per-coordinate constant omega.
 
     A square full-rank operator short-circuits to exact inversion with no
-    hypothesis, no grid, and a report whose grid fields are None.
+    hypothesis, no grid, and a report whose grid fields are None; epsilon
+    must still be positive, as on the covering path.
     """
     if not isinstance(operator, MatrixOperator):
         raise OperatorClassError(
             f"reduced recovery needs a matrix operator, got {type(operator).__name__}")
     if len(sample) == 0:
         raise DegenerateSetError("cannot fit on an empty sample")
-    _check_observations(sample, operator, TOL_EVAL)
-    cert = _certify_sample(sample, omega, tol_cert)
-    factors = svd_factor(operator, rank_tol)
+    _check_observations(sample, operator)
+    cert = _certify_sample(sample, omega)
+    factors = svd_factor(operator)
     eff_obs = factors.project(sample.observations)
     n, r = factors.signal_dim, factors.rank
 
     if r == n:
+        _check_epsilon(epsilon)
         recovery = SvdRecoveryMap(factors=factors, hypothesis=None)
         errors = np.linalg.norm(recovery.recover(sample.observations) - sample.signals,
                                 axis=1)
@@ -273,13 +272,13 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     spec_full = grid_spec(n, r, omega * scale, epsilon, "full")
     cover_source = LabeledSet.from_arrays(sample.signals, unit_obs,
                                           check_duplicates=False)
-    cover = build_cover(cover_source, spec, tol=tol_cert)
+    cover = build_cover(cover_source, spec)
     reps = cover.representative_indices()
     # Null components may repeat across representatives (e.g. a sample inside
     # a translate of range(A)); only the observations must stay distinct.
     training = LabeledSet.from_arrays(sample.signals[reps] @ factors.v2,
                                       eff_obs[reps], check_duplicates=False)
-    hypothesis = fit(training, omega1=omega, tol_cert=tol_cert)
+    hypothesis = fit(training, omega1=omega)
     recovery = SvdRecoveryMap(factors=factors, hypothesis=hypothesis)
 
     rep_err = np.linalg.norm(

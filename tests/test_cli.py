@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -616,6 +617,38 @@ def test_main_run_certify_rejects_bad_omega(tmp_path, capsys, omega, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon,shown", [("-1", "-1.0"), ("0", "0.0"), ("NaN", "nan")])
+def test_main_run_theorem3_square_rejects_bad_epsilon(tmp_path, capsys, epsilon, shown):
+    # the exact-inversion path checks epsilon like the covering path does
+    problem = PROBLEMS / "theorem3_square.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out),
+                      "--set", f"params.epsilon={epsilon}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: ParameterError: epsilon must be positive, got {shown}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ("signals.start=[Infinity, 0]", "signals.start"),
+    ("signals.start=[0, NaN]", "signals.start"),
+    ("signals.end=[1, -Infinity]", "signals.end"),
+])
+def test_main_run_rejects_non_finite_segment_endpoints(tmp_path, capsys, override, field):
+    # checked before the segment is computed, so numpy never warns
+    problem = PROBLEMS / "certify_segment.json"
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(problem), "--out", str(out), "--set", override])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{field}' must be finite, got [")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override,message", [
     ("signals.seed=-1", "signals.seed must be >= 0, got -1"),
     ('signals.count="x"', "field 'signals.count' must be an integer, got 'x'"),
@@ -709,7 +742,7 @@ def test_sample_problems_match_files_on_disk():
     assert problem["signals"]["seed"] == problem["params"]["seed"] == seed
 
 
-def test_selftest_runs_all_criteria(capsys):
+def test_selftest_runs_all_criteria(capsys, cached_criteria):
     code = _run_main(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
@@ -718,7 +751,7 @@ def test_selftest_runs_all_criteria(capsys):
     assert "selftest: 8/8 criteria passed" in out
 
 
-def test_selftest_negative_control_fails(tmp_path):
+def test_selftest_negative_control_fails(tmp_path, cached_criteria):
     out = tmp_path / "selftest.json"
     code = _run_main(["selftest", "--debug-corrupt-tolerance",
                       "--out", str(out)])

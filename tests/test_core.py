@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from liprec import (
+    TOL_DUP,
+    TOL_EVAL,
     DimensionError,
     DomainError,
     LabeledSet,
@@ -110,6 +112,7 @@ def test_duplicate_signals_rejected_with_index():
 
 
 def test_duplicate_check_uses_tolerance():
+    assert TOL_DUP == 1e-12
     sig = [[0.0], [1e-13]]
     obs = [[0.0], [1.0]]
     with pytest.raises(LabelingError):
@@ -117,8 +120,8 @@ def test_duplicate_check_uses_tolerance():
     # explicit waiver keeps both rows
     ls = LabeledSet.from_arrays(sig, obs, check_duplicates=False)
     assert len(ls) == 2
-    # a tighter tolerance also lets the near-duplicate through
-    ls = LabeledSet.from_arrays(sig, obs, tol_dup=1e-14)
+    # signals just beyond TOL_DUP apart are distinct
+    ls = LabeledSet.from_arrays([[0.0], [2e-12]], obs)
     assert len(ls) == 2
 
 
@@ -147,11 +150,13 @@ def test_validate_labeled_set_catches_wrong_observation():
 
 
 def test_validate_labeled_set_respects_tol_eval():
+    assert TOL_EVAL == 1e-9
     op = MatrixOperator([[1.0]])
     ls = LabeledSet.from_arrays([[1.0]], [[1.0 + 5e-10]])
-    validate_labeled_set(ls, op)  # within the default slack
-    with pytest.raises(LabelingError):
-        validate_labeled_set(ls, op, tol_eval=1e-12)
+    validate_labeled_set(ls, op)  # within TOL_EVAL
+    off = LabeledSet.from_arrays([[1.0]], [[1.0 + 2e-9]])
+    with pytest.raises(LabelingError, match=r"^pair 0: observation is off by 2\.000e-09"):
+        validate_labeled_set(off, op)
 
 
 def test_validate_labeled_set_dimension_mismatch():

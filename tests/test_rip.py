@@ -146,10 +146,19 @@ def test_raw_matrix_must_be_non_empty_2d():
             rip_delta(bad, 1)
 
 
-def test_rip_delta_enumeration_cap():
-    a = np.eye(20)
-    with pytest.raises(TooLargeError):
-        rip_delta(a, 10, cap=1000)
+def test_rip_delta_enumeration_cap(monkeypatch):
+    assert rip.ENUMERATION_CAP == 10 ** 7
+    a = np.vstack([np.eye(10)] * 6).T  # 10 x 60
+    total = sum(math.comb(60, k) for k in range(1, 11))
+
+    def no_gram(*args):
+        raise AssertionError("a Gram matrix was formed")
+
+    monkeypatch.setattr(rip, "_colex_levels", no_gram)
+    monkeypatch.setattr(rip.np.linalg, "eigvalsh", no_gram)
+    with pytest.raises(TooLargeError, match=f"^{total} subsets exceed the enumeration "
+                                            f"cap {rip.ENUMERATION_CAP};"):
+        rip_delta(a, 10)
 
 
 def test_spectral_balance_prediction_is_exact():
@@ -379,7 +388,7 @@ def test_kernel_per_size_extremes_interlace(case):
     # some (k+1)-superset's, so the smallest lambda_min can only fall and
     # the largest lambda_max only rise with k (to rounding).
     a, S = case
-    records = rip._subset_spectra(a, S, rip.ENUMERATION_CAP)
+    records = rip._subset_spectra(a, S)
     assert len(records) == S
     slack = 1e-12 * (1.0 + max(abs(r.lambda_max) for r in records))
     for small, large in zip(records, records[1:]):
@@ -396,9 +405,9 @@ def _counting_kernel(monkeypatch):
     sizes = []
     kernel = rip._subset_spectra
 
-    def counted(a, S, cap):
+    def counted(a, S):
         sizes.append(S)
-        return kernel(a, S, cap)
+        return kernel(a, S)
 
     monkeypatch.setattr(rip, "_subset_spectra", counted)
     return sizes
@@ -412,9 +421,13 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
     assert sizes == [3]
     assert (repr(check.report_2s), repr(check.report_3s)) == tuple(map(repr, expected))
     assert check.passed == (expected[0].delta + expected[1].delta < 1.0)
-    # a bad or over-cap 2S is still reported before any pass
-    with pytest.raises(TooLargeError, match="^55 subsets"):
-        check_recoverability_condition(a, 1, cap=54)
+    # a bad or over-cap 2S is still reported before any pass: at S = 2 a
+    # 4 x 200 matrix has sum(C(200, k), k <= 4) subsets of size <= 2S
+    wide = seeded_rng(79).standard_normal((4, 200))
+    total = sum(math.comb(200, k) for k in range(1, 5))
+    assert total == 66018450 > rip.ENUMERATION_CAP
+    with pytest.raises(TooLargeError, match=f"^{total} subsets exceed"):
+        check_recoverability_condition(wide, 2)
     assert sizes == [3]
 
 

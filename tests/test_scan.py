@@ -148,6 +148,9 @@ def labeled_arrays(draw):
 def test_scan_matches_original_loops(data, omega, epsilon, tol, budget):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+        # LabeledSet._find_duplicate reads the package constant; patching it
+        # drives the labeling scan at the drawn radius too.
+        patch.setattr(core, "TOL_DUP", tol)
         _check_against_oracles(data, omega, epsilon, tol)
 
 
@@ -194,7 +197,7 @@ def _check_against_oracles(data, omega, epsilon, tol):
     assert _bits(relaxed.min_slack) == _bits(min_slack)
     assert relaxed.worst_pair == worst_pair
 
-    assert labeled._find_duplicate(tol) == _oracle_duplicate(x, tol)
+    assert labeled._find_duplicate() == _oracle_duplicate(x, tol)
 
 
 ROW_NORM_DIMS = list(range(1, 21)) + [127, 128, 129, 200, 256, 300]

@@ -1,4 +1,5 @@
-"""The names that users and the benchmark tracer rely on all resolve.
+"""The names that users and the benchmark tracer rely on all resolve, and
+none of them takes a per-call tolerance, rank or cap override.
 
 ``perfbench/spans.py`` wraps each (module, qualname) in its ``TARGETS`` and
 fails with AttributeError at install time if one is gone, which would break
@@ -7,6 +8,7 @@ every traced benchmark run. The file is loaded by path and not modified.
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import liprec
@@ -35,3 +37,31 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def _is_override(name):
+    return name.startswith("tol") or name in ("rank_tol", "cap")
+
+
+def test_no_public_call_takes_a_tolerance_rank_or_cap_override():
+    # TOL_*, RANK_TOL and ENUMERATION_CAP are the package's fixed policy:
+    # no exported function, method or classmethod lets a caller change one.
+    found, scanned = [], set()
+    for name in liprec.__all__:
+        obj = getattr(liprec, name)
+        callables = [(name, obj)] if callable(obj) else []
+        if inspect.isclass(obj):
+            callables += [(f"{name}.{attr}", getattr(obj, attr))
+                          for attr, member in vars(obj).items()
+                          if isinstance(member, (classmethod, staticmethod))
+                          or inspect.isfunction(member)]
+        for qualname, func in callables:
+            try:
+                params = inspect.signature(func).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            scanned.add(qualname)
+            found += [f"{qualname}({p})" for p in params if _is_override(p)]
+    assert found == []
+    # the walk reaches classmethods and methods, not only functions
+    assert {"LabeledSet.from_arrays", "MwetHypothesis.evaluate", "rip_delta"} <= scanned

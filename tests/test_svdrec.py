@@ -145,6 +145,20 @@ def test_exact_inversion_square_operator():
     assert np.allclose(result.recovery.recover(op.apply(fresh)), fresh, atol=1e-9)
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan")])
+def test_exact_inversion_rejects_nonpositive_epsilon(epsilon):
+    # The square path trains no grid, yet checks epsilon as the covering
+    # path does, and only after certifying the sample.
+    rng = seeded_rng(55)
+    op = _random_operator(rng, 3, 3)
+    sample = LabeledSet.from_operator(op, rng.standard_normal((30, 3)))
+    omega = tight_omega(sample).omega
+    with pytest.raises(ParameterError, match=f"^epsilon must be positive, got {epsilon}$"):
+        fit_reduced(sample, op, omega, epsilon)
+    with pytest.raises(NotLipschitzError):
+        fit_reduced(sample, op, 0.5 * omega, epsilon)
+
+
 def test_fit_reduced_interpolates_and_recovers():
     rng = seeded_rng(56)
     op = _random_operator(rng, 2, 4)
