@@ -74,7 +74,12 @@ def _grid(obs_dim: int, omega: float, epsilon: float, dim_factor: float,
     if not (np.isfinite(omega) and omega > 0.0):
         raise ParameterError(f"omega must be positive, got {omega}")
     _check_epsilon(epsilon)
-    t = math.ceil((1.0 + dim_factor) * omega * math.sqrt(obs_dim) / epsilon)
+    side = (1.0 + dim_factor) * omega * math.sqrt(obs_dim) / epsilon
+    if not math.isfinite(side):
+        raise ParameterError(
+            f"epsilon = {epsilon!r} is too small for omega = {omega!r}: "
+            f"the grid side t overflows")
+    t = math.ceil(side)
     return GridSpec(t=max(t, 1), obs_dim=obs_dim, signal_dim=signal_dim,
                     omega=float(omega), epsilon=float(epsilon), dim_factor=float(dim_factor))
 

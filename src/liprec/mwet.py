@@ -10,10 +10,17 @@ on all of observation space, and the stacked map G = (g_1, ..., g_d) is
 omega1 * sqrt(d)-Lipschitz, where d is the output dimension. Fitting stores
 nothing beyond the training data and omega1; evaluation is the exact min,
 scanned over every training point, because any nearest-neighbor shortcut
-would void the interpolation guarantee. Queries are processed in tiles
-whose (rows, n, m) difference block is bounded by an element count, so
+would void the interpolation guarantee.
+
+Evaluation is observation-major: the training points are the outer axis.
+They are taken in chunks; each chunk is laid out once as (chunk, rows, m),
+the training point repeated along the rows, and every query tile of up to
+rows queries is then one contiguous subtract against it, one einsum over
+m, and per output coordinate one min over the chunk axis, folded into a
+running min across chunks. Every buffer is bounded by an element count, so
 evaluation memory is O(tile) whatever the number of queries, and the
-result is the same exact min over every training point for any tile size.
+result is the same exact min over every training point for any tile or
+chunk size.
 """
 
 from __future__ import annotations
@@ -35,12 +42,19 @@ from .core import (
 )
 from .lipschitz import tight_omega
 
-# Element budget for one query tile's (rows, n, m) float64 difference
-# block: 2**16 elements is 512 KiB, which stays in a core's L2 cache. A
-# tile holds max(1, budget // (n * m)) query rows. The einsum sums over m
-# alone, in an order that does not depend on the number of rows, so the
-# output is bit-identical for every budget; only speed and memory change.
+# Element budget for one (chunk, rows, m) float64 difference block: 2**16
+# elements is 512 KiB, which stays in a core's L2 cache. A query tile holds
+# rows = max(_MIN_ROWS, budget // (n * m)) queries, capped at the query
+# count, and a training chunk holds max(1, budget // (rows * m)) points,
+# capped at n. The min over a chunk runs along axis 0, one elementwise
+# minimum per training point across a row of `rows` values, so the floor
+# keeps that row long enough to vectorize even when n * m is large; the
+# chunks then keep the block inside the budget. The einsum sums over m
+# alone, in an order that does not depend on rows or chunk, and the min is
+# exact, so the output is bit-identical for every budget and floor; only
+# speed and memory change.
 _TILE_ELEMENTS = 1 << 16
+_MIN_ROWS = 256
 
 # Drawn audit pairs closer than this fraction of the sampling box are
 # redrawn: their ratio measures rounding noise, not the map's expansion.
@@ -77,17 +91,34 @@ class MwetHypothesis:
         q, single = as_batch(y, self.input_dim, "observations")
         obs = self.training.observations
         sig = self.training.signals
-        rows = max(1, _TILE_ELEMENTS // obs.size)
-        out = np.empty((q.shape[0], self.output_dim))
-        scratch = np.empty((min(rows, q.shape[0]), obs.shape[0]))
-        for start in range(0, q.shape[0], rows):
-            block = q[start:start + rows]
-            diffs = block[:, None, :] - obs[None, :, :]
-            base = self.omega1 * np.sqrt(np.einsum("kjm,kjm->kj", diffs, diffs))
-            shifted = scratch[:block.shape[0]]
-            for i in range(self.output_dim):
-                np.add(base, sig[:, i], out=shifted)
-                shifted.min(axis=1, out=out[start:start + rows, i])
+        (count, m), n = q.shape, obs.shape[0]
+        rows = max(1, min(count, max(_MIN_ROWS, _TILE_ELEMENTS // (n * m))))
+        chunk = min(n, max(1, _TILE_ELEMENTS // (rows * m)))
+        out = np.empty((count, self.output_dim))
+        tiled = np.empty((chunk, rows, m))
+        diffs = np.empty((chunk, rows, m))
+        dist = np.empty((chunk, rows))
+        shifted = np.empty((chunk, rows))
+        low = np.empty(rows)
+        for j0 in range(0, n, chunk):
+            c = min(chunk, n - j0)
+            tiled[:c] = obs[j0:j0 + c, None, :]
+            for start in range(0, count, rows):
+                k = min(rows, count - start)
+                d = diffs[:c, :k]
+                np.subtract(q[start:start + k], tiled[:c, :k], out=d)
+                base = dist[:c, :k]
+                np.einsum("jkm,jkm->jk", d, d, out=base)
+                np.sqrt(base, out=base)
+                np.multiply(self.omega1, base, out=base)
+                for i in range(self.output_dim):
+                    col = out[start:start + k, i]
+                    np.add(base, sig[j0:j0 + c, i, None], out=shifted[:c, :k])
+                    if j0 == 0:
+                        shifted[:c, :k].min(axis=0, out=col)
+                    else:
+                        shifted[:c, :k].min(axis=0, out=low[:k])
+                        np.minimum(col, low[:k], out=col)
         return out[0] if single else out
 
     __call__ = evaluate

@@ -630,6 +630,18 @@ def test_main_run_theorem3_square_rejects_bad_epsilon(tmp_path, capsys, epsilon,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["theorem1_ramp.json", "theorem3_projection.json"])
+def test_main_run_rejects_epsilon_that_overflows_the_grid(tmp_path, capsys, name):
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(PROBLEMS / name), "--out", str(out),
+                      "--set", "params.epsilon=1e-320"])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: epsilon = 1e-320 is too small")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ("signals.start=[Infinity, 0]", "signals.start"),
     ("signals.start=[0, NaN]", "signals.start"),

@@ -81,6 +81,16 @@ def test_grid_spec_guards():
         grid_spec(3, 3, 1.0, 0.5, "reduced")
 
 
+@pytest.mark.parametrize("omega,epsilon,mode", [
+    (1.0, 1e-320, "full"), (1.0, 1e-320, "reduced"), (1e308, 0.5, "full")])
+def test_grid_spec_rejects_a_side_that_overflows(omega, epsilon, mode):
+    # the quotient is inf, which math.ceil cannot turn into an integer
+    with pytest.raises(ParameterError, match="grid side t overflows"):
+        grid_spec(3, 2, omega, epsilon, mode)
+    # a tiny epsilon with a finite quotient still gives an exact grid
+    assert grid_spec(3, 2, 1.0, 1e-300, mode).t > 10 ** 300
+
+
 def _digits(spec, *rows, tol=TOL_CERT):
     """Cell digits of each observation row, as tuples."""
     return list(map(tuple, covering._cell_indices(spec, np.array(rows), tol).tolist()))

@@ -84,11 +84,13 @@ def test_evaluate_batch_agrees_with_single():
 
 
 def test_evaluate_blocking_boundary():
-    # more queries than one evaluation tile, to cross the tile seam
+    # 200 x 2 training points: the tile takes its 256-row floor and the
+    # training set splits into two chunks, so both seams are crossed
     rng = seeded_rng(24)
-    ls = _random_instance(rng, n=3)
+    ls = _random_instance(rng, n=200)
     hyp = fit(ls)
-    tile = mwet._TILE_ELEMENTS // ls.observations.size
+    tile = max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // ls.observations.size)
+    assert mwet._TILE_ELEMENTS // (tile * ls.obs_dim) < len(ls)
     queries = rng.standard_normal((tile + 10, 2))
     batch = hyp.evaluate(queries)
     seam = slice(tile - 5, tile + 5)
@@ -111,20 +113,23 @@ def _blocked_4096_eval(self, y):
     return out[0] if single else out
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(n=st.sampled_from([1, 2, 50]), obs_dim=st.integers(1, 12),
+@given(n=st.sampled_from([1, 2, 50, 300]), obs_dim=st.integers(1, 12),
        sig_dim=st.integers(1, 8),
-       count=st.sampled_from(["single", "tile-1", "tile", "tile+1", "3*tile+2"]),
+       count=st.sampled_from(["single", "0", "tile-1", "tile", "tile+1", "3*tile+2"]),
        tile_rows=st.sampled_from([None, 1, 7]),
+       chunk=st.sampled_from([None, 1, 7, "n"]),
        omega1=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
        grid=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
-                                                     tile_rows, omega1, grid, seed):
+def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count, tile_rows,
+                                                     chunk, omega1, grid, seed):
     # Integer-grid data makes distances and minima tie and lets training
     # observations coincide; its sums are exact, so Gaussian data is drawn
-    # too, to catch any change of summation order. The tile is the default
-    # one, or 1 or 7 rows.
+    # too, to catch any change of summation order. The row tile is the
+    # default one, or 1 or 7 rows; the training chunk is the default one
+    # for that tile, 1 or 7 points, or all n. Both module constants are
+    # patched so that evaluate tiles exactly so.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -134,18 +139,60 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
 
     training = LabeledSet(draw((n, sig_dim)), draw((n, obs_dim)))
     hyp = MwetHypothesis(training=training, omega1=omega1)
-    budget = mwet._TILE_ELEMENTS if tile_rows is None else tile_rows * n * obs_dim
-    tile = max(1, budget // (n * obs_dim))
-    k = {"tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
+    tile = tile_rows or max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // (n * obs_dim))
+    points = {None: mwet._TILE_ELEMENTS // (tile * obs_dim), "n": n}.get(chunk, chunk)
+    points = min(n, max(1, points))
+    k = {"0": 0, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
          "3*tile+2": 3 * tile + 2}.get(count, 1)
     queries = draw((k, obs_dim))
     if count == "single":
         queries = queries[0]
-    with mock.patch.object(mwet, "_TILE_ELEMENTS", budget):
+    with mock.patch.object(mwet, "_TILE_ELEMENTS", points * tile * obs_dim), \
+            mock.patch.object(mwet, "_MIN_ROWS", tile):
         got = hyp.evaluate(queries)
     expected = _blocked_4096_eval(hyp, queries)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+EINSUM_DIMS = list(range(1, 21)) + [127, 128, 129, 200, 256, 300]
+
+
+@pytest.mark.parametrize("m", EINSUM_DIMS)
+def test_observation_major_einsum_matches_query_major(m):
+    # evaluate sums each squared difference over m as "jkm,jkm->jk" on an
+    # observation-major block that is a (possibly partial) view of its
+    # buffer; the 4096-row blocking summed the same values as
+    # "kjm,kjm->kj" on the query-major block. Entries spread over scales
+    # 1e-3..1e3, so any change in the order of the sums shows in the bits.
+    rng = np.random.default_rng(m)
+    for chunk, rows in [(1, 1), (1, 9), (7, 1), (5, 12), (40, 3)]:
+        block = rng.standard_normal((rows, chunk, m)) * 10.0 ** rng.uniform(-3, 3, (rows, chunk, m))
+        expected = np.einsum("kjm,kjm->kj", block, block)
+        for spare in (0, 3):
+            diffs = np.empty((chunk, rows + spare, m))
+            dist = np.empty((chunk, rows + spare))
+            d = diffs[:, :rows]
+            d[...] = block.transpose(1, 0, 2)
+            got = np.einsum("jkm,jkm->jk", d, d, out=dist[:, :rows])
+            assert got.T.tobytes() == expected.tobytes(), (chunk, rows, spare)
+
+
+def test_evaluate_accepts_any_query_layout():
+    rng = seeded_rng(33)
+    hyp = fit(_random_instance(rng, n=40, obs_dim=3))
+    queries = rng.standard_normal((700, 3))
+    expected = hyp.evaluate(queries)
+    assert expected.flags.c_contiguous
+    wide = rng.standard_normal((1400, 7))
+    wide[::2, 1:7:2] = queries
+    fortran = np.asfortranarray(queries)
+    for view, want in [(fortran, expected), (wide[::2, 1:7:2], expected),
+                       (queries[::-1], expected[::-1]), (fortran[::-3], expected[::-3]),
+                       (fortran[5], expected[5])]:
+        got = hyp.evaluate(view)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_evaluate_peak_memory_is_bounded_by_the_tile():
