@@ -347,8 +347,10 @@ def run_mwet(operator: Operator, signals: np.ndarray,
         # A one-signal sample has a zero-size audit box, so the audit drew no
         # pair and its 0.0 measures nothing. Two or more signals have distinct
         # observations (fit rejects collisions), so the box has a positive size.
+        # A non-finite ratio fails even against an infinite bound.
         assertion("audit_within_global_bound",
-                  audit <= hypothesis.omega_global + TOL_EVAL and len(sample) > 1,
+                  audit <= hypothesis.omega_global + TOL_EVAL and len(sample) > 1
+                  and math.isfinite(audit),
                   audit, hypothesis.omega_global + TOL_EVAL),
     ]
     return assertions, results, {"training_residual": residuals}

@@ -12,15 +12,19 @@ nothing beyond the training data and omega1; evaluation is the exact min,
 scanned over every training point, because any nearest-neighbor shortcut
 would void the interpolation guarantee.
 
-Evaluation is observation-major: the training points are the outer axis.
-They are taken in chunks; each chunk is laid out once as (chunk, rows, m),
-the training point repeated along the rows, and every query tile of up to
-rows queries is then one contiguous subtract against it, one einsum over
-m, and per output coordinate one min over the chunk axis, folded into a
-running min across chunks. Every buffer is bounded by an element count, so
-evaluation memory is O(tile) whatever the number of queries, and the
-result is the same exact min over every training point for any tile or
-chunk size.
+Evaluation is coordinate-major. Query tiles are the outer loop: each
+tile of up to rows queries is copied once, transposed, into an (m, rows)
+buffer. Training chunks are the inner loop. For one chunk and one tile,
+each observation coordinate costs one broadcast subtract, a query row
+minus a training column, into a (chunk, rows) block, squared in place and
+added into one of two lane accumulators, in the order numpy's einsum dot
+loop sums a contiguous axis (see ``_einsum_lanes``). The squared distances
+are therefore bit-identical to ``np.einsum("kjm,kjm->kj", d, d)`` on the
+(queries, training, m) difference block. Per output coordinate one min
+over the chunk axis is folded into a running min across chunks. Every
+buffer is bounded by an element count, so evaluation memory is O(tile)
+whatever the number of queries, and the result is the same exact min over
+every training point for any tile or chunk size.
 """
 
 from __future__ import annotations
@@ -42,23 +46,49 @@ from .core import (
 )
 from .lipschitz import tight_omega
 
-# Element budget for one (chunk, rows, m) float64 difference block: 2**16
-# elements is 512 KiB, which stays in a core's L2 cache. A query tile holds
-# rows = max(_MIN_ROWS, budget // (n * m)) queries, capped at the query
-# count, and a training chunk holds max(1, budget // (rows * m)) points,
-# capped at n. The min over a chunk runs along axis 0, one elementwise
-# minimum per training point across a row of `rows` values, so the floor
-# keeps that row long enough to vectorize even when n * m is large; the
-# chunks then keep the block inside the budget. The einsum sums over m
-# alone, in an order that does not depend on rows or chunk, and the min is
-# exact, so the output is bit-identical for every budget and floor; only
-# speed and memory change.
-_TILE_ELEMENTS = 1 << 16
+# Element budget for one (chunk, rows) float64 block: 2**15 elements is
+# 256 KiB, and the distance pass keeps three such blocks (two lanes and
+# one square) live, which stays in a core's L2 cache. The coordinates are
+# walked one at a time, so no block has an m axis and the budget does not
+# scale with m. A query tile holds rows = max(_MIN_ROWS, budget // n)
+# queries, capped at the query count, and a training chunk holds
+# max(1, budget // rows) points, capped at n. The min over a chunk runs
+# along axis 0, one elementwise minimum per training point across a row of
+# `rows` values, so the floor keeps that row long enough to vectorize even
+# when n is large; the chunks then keep the block inside the budget. The
+# lanes sum over m alone, in an order that depends on m only, and the min
+# is exact, so the output is bit-identical for every budget and floor;
+# only speed and memory change.
+_TILE_ELEMENTS = 1 << 15
 _MIN_ROWS = 256
 
 # Drawn audit pairs closer than this fraction of the sampling box are
 # redrawn: their ratio measures rounding noise, not the map's expansion.
 _AUDIT_FLOOR = 1e-4
+
+
+def _einsum_lanes(m: int) -> tuple[list[int], list[int]]:
+    """The coordinates each of einsum's two float64 lanes adds, in order.
+
+    This is the order in which numpy's einsum dot loop (SSE baseline: two
+    lanes, separate multiply and add) sums the products over a contiguous
+    axis of m elements: each full block of eight is four two-lane vectors,
+    added into the accumulator last to first, so lane 0 takes b + 6, b + 4,
+    b + 2, b and lane 1 takes b + 7, b + 5, b + 3, b + 1; the m % 8 tail
+    coordinates then alternate between the lanes in increasing order, and
+    the result is lane 0 + lane 1. numpy starts each lane from 0.0; the
+    terms are nonnegative squares, so 0.0 + x is exactly x and that step is
+    skipped. The pair scan's counterpart is ``core._pairwise_sum``, which
+    holds ``np.add.reduce``'s order instead.
+    """
+    full = m - m % 8
+    lanes = ([], [])
+    for b in range(0, full, 8):
+        lanes[0].extend((b + 6, b + 4, b + 2, b))
+        lanes[1].extend((b + 7, b + 5, b + 3, b + 1))
+    for t in range(full, m):
+        lanes[(t - full) % 2].append(t)
+    return lanes
 
 
 @dataclass(frozen=True)
@@ -89,35 +119,42 @@ class MwetHypothesis:
     def evaluate(self, y) -> np.ndarray:
         """Recover signals for one observation (m,) or a stack (k, m)."""
         q, single = as_batch(y, self.input_dim, "observations")
-        obs = self.training.observations
+        columns = np.ascontiguousarray(self.training.observations.T)
         sig = self.training.signals
-        (count, m), n = q.shape, obs.shape[0]
-        rows = max(1, min(count, max(_MIN_ROWS, _TILE_ELEMENTS // (n * m))))
-        chunk = min(n, max(1, _TILE_ELEMENTS // (rows * m)))
+        (count, m), n = q.shape, columns.shape[1]
+        rows = max(1, min(count, max(_MIN_ROWS, _TILE_ELEMENTS // n)))
+        chunk = min(n, max(1, _TILE_ELEMENTS // rows))
+        lanes = _einsum_lanes(m)
         out = np.empty((count, self.output_dim))
-        tiled = np.empty((chunk, rows, m))
-        diffs = np.empty((chunk, rows, m))
-        dist = np.empty((chunk, rows))
-        shifted = np.empty((chunk, rows))
+        tile = np.empty((m, rows))
+        acc = np.empty((2, chunk, rows))
+        scratch = np.empty((chunk, rows))
         low = np.empty(rows)
-        for j0 in range(0, n, chunk):
-            c = min(chunk, n - j0)
-            tiled[:c] = obs[j0:j0 + c, None, :]
-            for start in range(0, count, rows):
-                k = min(rows, count - start)
-                d = diffs[:c, :k]
-                np.subtract(q[start:start + k], tiled[:c, :k], out=d)
-                base = dist[:c, :k]
-                np.einsum("jkm,jkm->jk", d, d, out=base)
+        for start in range(0, count, rows):
+            k = min(rows, count - start)
+            tile[:, :k] = q[start:start + k].T
+            for j0 in range(0, n, chunk):
+                c = min(chunk, n - j0)
+                square = scratch[:c, :k]
+                for lane, coords in zip(acc[:, :c, :k], lanes):
+                    for pos, t in enumerate(coords):
+                        d = square if pos else lane
+                        np.subtract(tile[t, :k], columns[t, j0:j0 + c, None], out=d)
+                        np.multiply(d, d, out=d)
+                        if pos:
+                            lane += square
+                base = acc[0, :c, :k]
+                if lanes[1]:
+                    base += acc[1, :c, :k]
                 np.sqrt(base, out=base)
                 np.multiply(self.omega1, base, out=base)
                 for i in range(self.output_dim):
                     col = out[start:start + k, i]
-                    np.add(base, sig[j0:j0 + c, i, None], out=shifted[:c, :k])
+                    np.add(base, sig[j0:j0 + c, i, None], out=square)
                     if j0 == 0:
-                        shifted[:c, :k].min(axis=0, out=col)
+                        square.min(axis=0, out=col)
                     else:
-                        shifted[:c, :k].min(axis=0, out=low[:k])
+                        square.min(axis=0, out=low[:k])
                         np.minimum(col, low[:k], out=col)
         return out[0] if single else out
 
@@ -171,8 +208,10 @@ def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
     constant (0 for a singleton, which degenerates the extension to the
     constant map). A supplied omega1 may be larger, e.g. the constant of an
     enclosing certified set, but one below the tight constant voids the
-    interpolation guarantee and raises ConstantTooSmallError. Injectivity
-    of the observations is required and checked.
+    interpolation guarantee and raises ConstantTooSmallError. An omega1
+    whose global constant omega1 * sqrt(d) overflows raises ParameterError:
+    an infinite bound would pass any audit. Injectivity of the observations
+    is required and checked.
     """
     if len(training) == 0:
         raise DegenerateSetError("cannot fit on an empty labeled set")
@@ -189,4 +228,7 @@ def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
         if omega1 < tight and not np.isclose(omega1, tight, rtol=1e-9, atol=TOL_CERT):
             raise ConstantTooSmallError(
                 f"omega1 = {omega1:.6g} is below the tight constant {tight:.6g}")
+    if not math.isfinite(omega1 * math.sqrt(training.signal_dim)):
+        raise ParameterError(
+            f"omega1 * sqrt({training.signal_dim}) overflows float64 (omega1 = {omega1:.6g})")
     return MwetHypothesis(training=training, omega1=float(omega1))

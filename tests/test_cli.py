@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liprec import cli, core
+from liprec import MwetHypothesis, cli, core
 from liprec.rip import rip_delta, spectral_balance
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -259,6 +259,20 @@ def test_execute_mwet_rejects_too_small_omega():
     }
     with pytest.raises(cli.ProblemError):
         cli.execute(problem)
+
+
+def test_execute_mwet_audit_fails_on_non_finite_ratio(monkeypatch):
+    # fit now refuses this constant; built directly, its bound omega1 * 2 is
+    # inf, and an infinite audit ratio must not pass as inf <= inf
+    monkeypatch.setattr(cli, "fit", lambda sample, omega1: MwetHypothesis(
+        training=sample, omega1=1e308))
+    problem = json.loads((PROBLEMS / "mwet_segment.json").read_text())
+    with np.errstate(over="ignore"):
+        report, _ = cli.execute(problem)
+    by_name = {a["name"]: a for a in report["assertions"]}
+    assert report["results"]["audit_ratio"] == math.inf
+    assert report["results"]["omega_global"] == math.inf
+    assert not by_name["audit_within_global_bound"]["passed"]
 
 
 THEOREM1_PROBLEM = {
@@ -639,6 +653,20 @@ def test_main_run_rejects_epsilon_that_overflows_the_grid(tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err.startswith("error: ParameterError: epsilon = 1e-320 is too small")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_main_run_mwet_rejects_omega_whose_global_bound_overflows(tmp_path, capsys):
+    # omega1 * sqrt(4) overflows float64; the task used to print two numpy
+    # overflow warnings and pass its audit as inf <= inf
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / "mwet_segment.json"), "--out", str(out),
+                          "--set", "params.omega=1e308"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: fit failed: omega1 * sqrt(4) overflows float64 (omega1 = 1e+308)\n")
     assert not out.exists()
 
 

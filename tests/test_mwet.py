@@ -89,8 +89,8 @@ def test_evaluate_blocking_boundary():
     rng = seeded_rng(24)
     ls = _random_instance(rng, n=200)
     hyp = fit(ls)
-    tile = max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // ls.observations.size)
-    assert mwet._TILE_ELEMENTS // (tile * ls.obs_dim) < len(ls)
+    tile = max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // len(ls))
+    assert mwet._TILE_ELEMENTS // tile < len(ls)
     queries = rng.standard_normal((tile + 10, 2))
     batch = hyp.evaluate(queries)
     seam = slice(tile - 5, tile + 5)
@@ -115,7 +115,7 @@ def _blocked_4096_eval(self, y):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(n=st.sampled_from([1, 2, 50, 300]), obs_dim=st.integers(1, 12),
+@given(n=st.sampled_from([1, 2, 50, 300]), obs_dim=st.integers(1, 20),
        sig_dim=st.integers(1, 8),
        count=st.sampled_from(["single", "0", "tile-1", "tile", "tile+1", "3*tile+2"]),
        tile_rows=st.sampled_from([None, 1, 7]),
@@ -126,10 +126,11 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
                                                      chunk, omega1, grid, seed):
     # Integer-grid data makes distances and minima tie and lets training
     # observations coincide; its sums are exact, so Gaussian data is drawn
-    # too, to catch any change of summation order. The row tile is the
-    # default one, or 1 or 7 rows; the training chunk is the default one
-    # for that tile, 1 or 7 points, or all n. Both module constants are
-    # patched so that evaluate tiles exactly so.
+    # too, to catch any change of summation order; obs_dim reaches one and
+    # two full blocks of eight coordinates, with and without a tail. The
+    # row tile is the default one, or 1 or 7 rows; the training chunk is
+    # the default one for that tile, 1 or 7 points, or all n. Both module
+    # constants are patched so that evaluate tiles exactly so.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -139,15 +140,15 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
 
     training = LabeledSet(draw((n, sig_dim)), draw((n, obs_dim)))
     hyp = MwetHypothesis(training=training, omega1=omega1)
-    tile = tile_rows or max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // (n * obs_dim))
-    points = {None: mwet._TILE_ELEMENTS // (tile * obs_dim), "n": n}.get(chunk, chunk)
+    tile = tile_rows or max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // n)
+    points = {None: mwet._TILE_ELEMENTS // tile, "n": n}.get(chunk, chunk)
     points = min(n, max(1, points))
     k = {"0": 0, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
          "3*tile+2": 3 * tile + 2}.get(count, 1)
     queries = draw((k, obs_dim))
     if count == "single":
         queries = queries[0]
-    with mock.patch.object(mwet, "_TILE_ELEMENTS", points * tile * obs_dim), \
+    with mock.patch.object(mwet, "_TILE_ELEMENTS", points * tile), \
             mock.patch.object(mwet, "_MIN_ROWS", tile):
         got = hyp.evaluate(queries)
     expected = _blocked_4096_eval(hyp, queries)
@@ -155,26 +156,39 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
     assert np.array_equal(got, expected)
 
 
-EINSUM_DIMS = list(range(1, 21)) + [127, 128, 129, 200, 256, 300]
+LANE_DIMS = list(range(1, 41)) + [127, 128, 129, 200, 256, 300]
 
 
-@pytest.mark.parametrize("m", EINSUM_DIMS)
+@pytest.mark.parametrize("m", LANE_DIMS)
 def test_observation_major_einsum_matches_query_major(m):
-    # evaluate sums each squared difference over m as "jkm,jkm->jk" on an
-    # observation-major block that is a (possibly partial) view of its
-    # buffer; the 4096-row blocking summed the same values as
-    # "kjm,kjm->kj" on the query-major block. Entries spread over scales
-    # 1e-3..1e3, so any change in the order of the sums shows in the bits.
+    # evaluate sums the squared differences over m one coordinate at a
+    # time, on observation-major (chunk, rows) blocks, into the two lanes
+    # of mwet._einsum_lanes, each a partial view of its buffer; the
+    # 4096-row blocking summed the same squares as "kjm,kjm->kj" on the
+    # query-major block. Entries spread over scales 1e-3..1e3, so any
+    # change in the order of the sums shows in the bits. The lanes are
+    # those of numpy's two-lane (SSE, no FMA) einsum loop; a numpy build
+    # that sums in another order fails here, as it should, since evaluate
+    # would then differ from the einsum oracle.
     rng = np.random.default_rng(m)
+    lanes = mwet._einsum_lanes(m)
+    assert sorted(lanes[0] + lanes[1]) == list(range(m))
     for chunk, rows in [(1, 1), (1, 9), (7, 1), (5, 12), (40, 3)]:
         block = rng.standard_normal((rows, chunk, m)) * 10.0 ** rng.uniform(-3, 3, (rows, chunk, m))
         expected = np.einsum("kjm,kjm->kj", block, block)
+        columns = block.transpose(2, 1, 0)
         for spare in (0, 3):
-            diffs = np.empty((chunk, rows + spare, m))
-            dist = np.empty((chunk, rows + spare))
-            d = diffs[:, :rows]
-            d[...] = block.transpose(1, 0, 2)
-            got = np.einsum("jkm,jkm->jk", d, d, out=dist[:, :rows])
+            acc = np.empty((2, chunk + spare, rows + spare))
+            square = np.empty((chunk + spare, rows + spare))[:chunk, :rows]
+            for lane, coords in zip(acc[:, :chunk, :rows], lanes):
+                for pos, t in enumerate(coords):
+                    d = square if pos else lane
+                    np.multiply(columns[t], columns[t], out=d)
+                    if pos:
+                        lane += square
+            got = acc[0, :chunk, :rows]
+            if lanes[1]:
+                got += acc[1, :chunk, :rows]
             assert got.T.tobytes() == expected.tobytes(), (chunk, rows, spare)
 
 
@@ -289,6 +303,14 @@ def test_fit_rejects_constant_below_tight():
     # equality within rounding is allowed
     hyp = fit(ls, omega1=omega * (1 - 1e-12))
     assert hyp.training_residuals().max() <= 1e-9
+
+
+def test_fit_rejects_constant_whose_global_bound_overflows():
+    # omega1 is finite, but omega1 * sqrt(4) is inf, a bound any audit passes
+    ls = _random_instance(seeded_rng(34))
+    with pytest.raises(ParameterError, match="overflows float64"):
+        fit(ls, omega1=1e308)
+    assert fit(ls, omega1=1e307).omega_global == 1e307 * 2.0
 
 
 def test_fit_singleton_is_constant_map():
