@@ -305,6 +305,7 @@ def run_certify(operator: Operator, signals: np.ndarray,
         "sample_size": len(sample),
         "tight_omega": None if scan.collision is not None else scan.max_ratio,
         "collision": scan.collision,
+        "pairs_examined": scan.pairs_examined,
     }
     # Over fewer than two signals no pair was checked: that certifies nothing.
     if omega is None:
@@ -357,12 +358,14 @@ def run_mwet(operator: Operator, signals: np.ndarray,
 
 
 def _certification(cert: LipschitzCertificate, results: Dict[str, Any]) -> Dict[str, Any]:
-    """The sample_certified assertion; records max_ratio, and the witness on failure.
+    """The sample_certified assertion; records max_ratio, the pairs the
+    certifying scan examined, and the witness on failure.
 
     A sample of fewer than two signals has no pair to check, so its vacuous
     certificate does not pass the assertion.
     """
     results["max_ratio"] = cert.max_ratio
+    results["pairs_examined"] = cert._pairs_examined
     if not cert.passed:
         results["witness"] = cert.witness
     return assertion("sample_certified", cert.passed and results["sample_size"] > 1,

@@ -9,21 +9,24 @@ and checks the relaxed inequality ||x1 - x2|| <= 2*eps + omega*||y1 - y2||
 that an omega-Lipschitz recovery map with error eps forces on any set it
 recovers.
 
-All three checks are exhaustive over the O(n^2) unordered pairs through
-the package's one pair scan and first-maximum reduction
-(``core._first_max_pair``). The scan hands each check a tile of rows
-against every later row, within a fixed element budget, with distances
-bit-identical to a row-by-row ``np.linalg.norm``. Maxima tie-break to the
-first pair in row-major index order, and the relaxed check's minimum
-slack is the exact negation of the maximum of -slack. Samples whose
-pairwise distances would overflow float64 raise DomainError before any
-pair is examined: an inf/inf ratio certifies nothing.
+All three checks are exact over the O(n^2) unordered pairs, through the
+package's one first-maximum reduction (``core._first_max_pair``), with
+distances bit-identical to a row-by-row ``np.linalg.norm``. On large
+samples whose observations have low intrinsic dimension it examines only
+the leaf-block pairs whose exact box bounds can reach the running maximum
+or hold a violation, collision or duplicate; otherwise it scans every
+pair in tiles (see ``core``). Either way the results are those of the
+exhaustive scan, bit for bit: maxima tie-break to the first pair in
+row-major index order, and the relaxed check's minimum slack is the exact
+negation of the maximum of -slack. Samples whose pairwise distances would
+overflow float64 raise DomainError before any pair is examined: an
+inf/inf ratio certifies nothing.
 
 The verification pass (``_scan_sample``) can also report the first
-observation collision and the first duplicate signal pair it meets. That
-lets the pipelines reject duplicates (``_certify_sample``) and the
-``certify`` task read the tight constant, the first collision and its
-verdict from one pass over the sample.
+observation collision and the first duplicate signal pair, and it counts
+the pairs it examined. That lets the pipelines reject duplicates
+(``_certify_sample``) and the ``certify`` task read the tight constant,
+the first collision and its verdict from one pass over the sample.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .core import (
     ParameterError,
     _duplicate_error,
     _first_max_pair,
-    _first_pair,
     as_vector,
     readonly,
 )
@@ -91,6 +93,15 @@ def injectivity_tolerance(observations: np.ndarray) -> float:
     return tol
 
 
+def _ratios(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dx / dy, with a collision (dy = 0) an infinite ratio, or 0 for equal
+    signals: fmax turns 0 / 0 = NaN into 0 and leaves every other quotient
+    of nonnegative distances as it is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = dx / dy
+    return np.fmax(ratios, 0.0, out=ratios)
+
+
 def tight_omega(labeled_set: LabeledSet) -> LipschitzCertificate:
     """Exact Lipschitz constant of a finite labeled set.
 
@@ -102,18 +113,16 @@ def tight_omega(labeled_set: LabeledSet) -> LipschitzCertificate:
     if len(labeled_set) < 2:
         raise DegenerateSetError("the tight constant needs at least two pairs")
     tol_inj = injectivity_tolerance(labeled_set.observations)
-
-    def ratios(i0, dx, dy):
-        collision = _first_pair(i0, dy <= tol_inj)
-        if collision is not None:
-            i, j = collision
-            raise NotInjectiveError(
-                f"signals {i} and {j} share an observation "
-                f"(distance {dy[i - i0, j - i0 - 1]:.3e} <= {tol_inj:.3e})", pair=collision)
-        return dx / dy
-
-    best, witness = _first_max_pair(labeled_set, ratios)
-    return LipschitzCertificate(omega=best, verdict="certified", witness=witness, max_ratio=best)
+    scan = _first_max_pair(labeled_set, _ratios, (lambda dx, dy: dy <= tol_inj,))
+    collision = scan.firsts[0]
+    if collision is not None:
+        i, j = collision
+        y = labeled_set.observations
+        distance = np.linalg.norm((y[j] - y[i])[None], axis=1)[0]
+        raise NotInjectiveError(f"signals {i} and {j} share an observation "
+                                f"(distance {distance:.3e} <= {tol_inj:.3e})", pair=collision)
+    return LipschitzCertificate(omega=scan.best, verdict="certified", witness=scan.witness,
+                                max_ratio=scan.best, _pairs_examined=scan.pairs_examined)
 
 
 def _check_omega(omega: float) -> float:
@@ -130,6 +139,7 @@ class _SampleScan(NamedTuple):
     violated: bool
     collision: Optional[Tuple[int, int]]
     duplicate: Optional[Tuple[int, int]]
+    pairs_examined: int  # n(n - 1) / 2 unless block bounds skipped some
 
     def certificate(self, omega: float) -> LipschitzCertificate:
         return LipschitzCertificate(
@@ -137,6 +147,7 @@ class _SampleScan(NamedTuple):
             verdict="violated" if self.violated else "certified",
             witness=self.witness,
             max_ratio=self.max_ratio,
+            _pairs_examined=self.pairs_examined,
         )
 
 
@@ -148,30 +159,26 @@ def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: floa
     Reports the maximum ratio and its first pair (an observation collision
     between distinct signals counts as an infinite ratio), whether some
     pair breaks ||x1 - x2|| <= omega * ||y1 - y2|| + tol_cert (never, for
-    omega None), the first pair whose observations are within ``tol_inj``
-    and the first pair of signals closer than ``tol_dup``. A check whose
-    tolerance is None is skipped and reports None. Where no pair collides,
-    the maximum ratio is bit-identical to ``tight_omega``'s constant.
+    omega None), the first pair whose observations are within ``tol_inj``,
+    the first pair of signals closer than ``tol_dup`` and the number of
+    pairs examined. A check whose tolerance is None is skipped and reports
+    None. Where no pair collides, the maximum ratio is bit-identical to
+    ``tight_omega``'s constant.
     Fewer than two rows give the vacuous scan: ratio 0 and no pairs.
     """
     if len(labeled_set) < 2:
-        return _SampleScan(0.0, None, False, None, None)
-    violated = False
-    collision = duplicate = None
-
-    def ratios(i0, dx, dy):
-        nonlocal violated, collision, duplicate
-        if omega is not None:
-            violated = violated or bool(np.any(dx > omega * dy + tol_cert))
-        if collision is None and tol_inj is not None:
-            collision = _first_pair(i0, dy <= tol_inj)
-        if duplicate is None and tol_dup is not None:
-            duplicate = _first_pair(i0, dx < tol_dup)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dy > 0.0, dx / dy, np.where(dx > 0.0, np.inf, 0.0))
-
-    best, witness = _first_max_pair(labeled_set, ratios)
-    return _SampleScan(best, witness, violated, collision, duplicate)
+        return _SampleScan(0.0, None, False, None, None, 0)
+    tests = {}
+    if omega is not None:
+        tests["violation"] = lambda dx, dy: dx > omega * dy + tol_cert
+    if tol_inj is not None:
+        tests["collision"] = lambda dx, dy: dy <= tol_inj
+    if tol_dup is not None:
+        tests["duplicate"] = lambda dx, dy: dx < tol_dup
+    scan = _first_max_pair(labeled_set, _ratios, tuple(tests.values()))
+    found = dict(zip(tests, scan.firsts))
+    return _SampleScan(scan.best, scan.witness, found.get("violation") is not None,
+                       found.get("collision"), found.get("duplicate"), scan.pairs_examined)
 
 
 def verify_lipschitz(labeled_set: LabeledSet, omega: float) -> LipschitzCertificate:
@@ -240,8 +247,7 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float,
         raise ParameterError(f"epsilon must be a nonnegative finite number, got {epsilon}")
     if len(labeled_set) < 2:
         raise DegenerateSetError("the relaxed check needs at least two pairs")
-    neg_worst, worst_pair = _first_max_pair(
-        labeled_set, lambda i0, dx, dy: -(2.0 * epsilon + omega * dy - dx))
-    worst = -neg_worst
+    scan = _first_max_pair(labeled_set, lambda dx, dy: -(2.0 * epsilon + omega * dy - dx))
+    worst = -scan.best
     return RelaxedLipschitzResult(passed=bool(worst >= -TOL_CERT),
-                                  min_slack=worst, worst_pair=worst_pair)
+                                  min_slack=worst, worst_pair=scan.witness)

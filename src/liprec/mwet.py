@@ -193,12 +193,32 @@ class MwetHypothesis:
             if close.size == 0:
                 break
             y2[close] = rng.uniform(lo, hi, size=(close.size, self.input_dim))
-        num = np.linalg.norm(self.evaluate(y1) - self.evaluate(y2), axis=1)
-        den = np.linalg.norm(y1 - y2, axis=1)
+        num = _row_norms(self.evaluate(y1) - self.evaluate(y2))
+        den = _row_norms(y1 - y2)
         valid = den >= floor
         if not np.any(valid):
             return 0.0
         return float((num[valid] / den[valid]).max())
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=1), without overflow in the squares.
+
+    A row whose plain norm is not finite is divided by the power of two at
+    or just below its largest magnitude, which is finite, and its norm
+    multiplied back. Both steps are exact short of underflow, so the
+    result is inf only where the norm itself exceeds float64, and every
+    other row keeps the plain norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(d, axis=1)
+        big = np.flatnonzero(~np.isfinite(out))
+        if big.size:
+            rows = d[big]
+            largest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+            scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+            out[big] = np.linalg.norm(rows / scale[:, None], axis=1) * scale
+    return out
 
 
 def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:

@@ -670,6 +670,22 @@ def test_main_run_mwet_rejects_omega_whose_global_bound_overflows(tmp_path, caps
     assert not out.exists()
 
 
+def test_main_run_mwet_audits_a_huge_finite_constant(tmp_path, capsys):
+    # omega_global = 1e308 is finite and the map stays within it, but the
+    # squares of its output differences overflow: the audit used to warn,
+    # report Infinity and fail
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / "mwet_segment.json"), "--out", str(out),
+                          "--set", "params.omega=5e307"])
+    assert code == cli.EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["omega_global"] == 1e308
+    assert 0.0 < results["audit_ratio"] <= results["omega_global"]
+    assert "warning" not in capsys.readouterr().err.lower()
+
+
 @pytest.mark.parametrize("override,field", [
     ("signals.start=[Infinity, 0]", "signals.start"),
     ("signals.start=[0, NaN]", "signals.start"),

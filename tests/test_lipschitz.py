@@ -22,6 +22,7 @@ from liprec import (
     PiecewiseExampleOperator,
     affine_transform,
     check_relaxed_lipschitz,
+    core,
     tight_omega,
     verify_lipschitz,
 )
@@ -249,3 +250,12 @@ def test_overflowing_distances_raise_before_any_pair():
     # Just inside the range every check still runs.
     near = LabeledSet.from_arrays([[0.0], [1.0]], [[0.0], [1e154]])
     assert tight_omega(near).omega == 1e-154
+
+
+def test_pruned_scan_checks_overflow_before_its_first_block(monkeypatch):
+    monkeypatch.setattr(core, "_scan_tiled", lambda pairs, kept: False)
+    x = np.array([[0.0, 0.0], [1e200, 1.0], [2e200, -1.0]])
+    ls = LabeledSet.from_arrays(x, x * [1.0, 1e-300], check_duplicates=False)
+    for check in (lambda s: verify_lipschitz(s, 1.0), lambda s: check_relaxed_lipschitz(s, 1.0, 0.0)):
+        with pytest.raises(DomainError, match="signals: pairwise distances overflow"):
+            check(ls)

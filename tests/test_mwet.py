@@ -8,6 +8,7 @@ are exercised on random query pairs well outside the training data.
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -275,6 +276,27 @@ def test_lipschitz_audit_within_global_bound_and_deterministic():
     assert 0.0 < r1 <= hyp.omega_global + 1e-9
     with pytest.raises(ParameterError):
         hyp.lipschitz_audit(0, seed=1)
+
+
+def test_lipschitz_audit_measures_a_huge_finite_constant():
+    # omega1 * sqrt(4) = 1e308 is finite and the outputs stay below it, but
+    # their squared differences overflow inside the norm
+    signals = np.linspace(0.0, 1.0, 30)[:, None] * np.array([1.0, 0.5, -0.25, 0.75])
+    ls = LabeledSet.from_arrays(signals, signals[:, :2] + signals[:, 2:])
+    hyp = fit(ls, omega1=5e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = hyp.lipschitz_audit(2000, seed=7)
+    assert 0.0 < ratio <= hyp.omega_global
+    # rows whose squares stay in range keep every bit of the plain norm
+    rng = seeded_rng(31)
+    d = rng.standard_normal((500, 7)) * 10.0 ** rng.uniform(-100.0, 100.0, (500, 1))
+    d[::7] *= 1e200  # rows whose squares overflow, rescaled exactly
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(d, axis=1)
+    scaled = np.linalg.norm(d * 2.0 ** -700, axis=1) * 2.0 ** 700
+    expected = np.where(np.isfinite(plain), plain, scaled)
+    assert mwet._row_norms(d).tobytes() == expected.tobytes()
 
 
 def test_audit_degenerate_observations():

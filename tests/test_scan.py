@@ -5,9 +5,12 @@ scan and its first-maximum reduction were shared (tight constant,
 verification, relaxed check, duplicate search), copied verbatim. Every
 certified constant, verdict, witness and collision pair must match it
 bit for bit, including on sets built to produce tied ratios, colliding
-observations and near-duplicate signals, for every tile budget. The
-fused verification pass, which also reports the first collision and the
-first duplicate, must match all three oracles from its one pass.
+observations, near-duplicate signals, identical observations and points
+on the faces of block boxes, for every tile budget and leaf block size,
+on the tiled scan, on the block-pruned scan and under the rule that
+picks one. The fused verification pass, which also reports the first
+collision and the first duplicate, must match all three oracles from its
+one pass.
 
 The tiles sum squared differences coordinate by coordinate in the order
 numpy's add.reduce uses, so a guard test compares them with
@@ -116,19 +119,20 @@ def _bits(value):
 
 
 @st.composite
-def labeled_arrays(draw):
+def labeled_arrays(draw, sizes=(2, 3, 9, 50, 200, 300)):
     # Dimensions from 8 up take add.reduce's eight-accumulator path; with
-    # the default budget, n = 200 spans two tiles.
-    n = draw(st.sampled_from([2, 3, 9, 50, 200]))
+    # the default budget, n = 200 spans two tiles. "faces" puts free
+    # signals over a few shared observation levels, so many points lie on
+    # the faces of their block's box and observations repeat exactly.
+    n = draw(st.sampled_from(sizes))
     sig_dim = draw(st.integers(1, 12))
     obs_dim = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["grid", "float", "near_duplicate"]))
-    if kind == "grid":
-        elements = st.integers(-2, 2).map(float)
-    else:
-        elements = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["grid", "float", "near_duplicate", "faces"]))
+    free = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    levels = st.integers(-2, 2).map(float)
+    elements = levels if kind == "grid" else free
     x = draw(arrays(np.float64, (n, sig_dim), elements=elements))
-    y = draw(arrays(np.float64, (n, obs_dim), elements=elements))
+    y = draw(arrays(np.float64, (n, obs_dim), elements=levels if kind == "faces" else elements))
     if kind == "near_duplicate":
         i = draw(st.integers(0, n - 2))
         j = draw(st.integers(i + 1, n - 1))
@@ -138,16 +142,36 @@ def labeled_arrays(draw):
     return x, y
 
 
+@st.composite
+def scan_cases(draw):
+    """A labeled set with a tile budget and a leaf block size."""
+    budget = draw(st.sampled_from([1, 7, core._PAIR_TILE_ELEMENTS]))
+    leaf_rows = draw(st.sampled_from([1, 2, 7, core._LEAF_ROWS]))
+    # One block pair per tile over hundreds of one- or two-row blocks makes
+    # tens of thousands of tiles: those runs keep to the smaller sets.
+    many_tiles = budget < core._PAIR_TILE_ELEMENTS and leaf_rows <= 2
+    sizes = (2, 3, 9, 50) if many_tiles else (2, 3, 9, 50, 200, 300)
+    return draw(labeled_arrays(sizes)), budget, leaf_rows
+
+
+def _prune_always(pairs, kept):
+    return False
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(data=labeled_arrays(),
+@given(case=scan_cases(),
        omega=st.floats(1e-3, 1e3),
        epsilon=st.sampled_from([0.0, 1e-3, 0.5]),
        tol=st.sampled_from([TOL_DUP, 1e-9, 0.5, 1.0, 1.5]),
-       budget=st.sampled_from([1, 7, core._PAIR_TILE_ELEMENTS]))
-def test_scan_matches_original_loops(data, omega, epsilon, tol, budget):
+       path=st.sampled_from(["rule", "pruned"]))
+def test_scan_matches_original_loops(case, omega, epsilon, tol, path):
+    data, budget, leaf_rows = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+        patch.setattr(core, "_LEAF_ROWS", leaf_rows)
+        if path == "pruned":  # even where the fixed rule would scan every pair
+            patch.setattr(core, "_scan_tiled", _prune_always)
         # LabeledSet._find_duplicate reads the package constant; patching it
         # drives the labeling scan at the drawn radius too.
         patch.setattr(core, "TOL_DUP", tol)
@@ -157,6 +181,7 @@ def test_scan_matches_original_loops(data, omega, epsilon, tol, budget):
 def _check_against_oracles(data, omega, epsilon, tol):
     x, y = data
     labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    pairs = len(x) * (len(x) - 1) // 2
 
     omegas = [omega]
     collision = None
@@ -173,6 +198,7 @@ def _check_against_oracles(data, omega, epsilon, tol):
         assert _bits(cert.omega) == _bits(expected[0])
         assert _bits(cert.max_ratio) == _bits(expected[0])
         assert cert.witness == expected[1]
+        assert 0 < cert._pairs_examined <= pairs
         if expected[0] > 0.0:
             omegas.append(expected[0])  # the boundary case for verification
 
@@ -187,6 +213,9 @@ def _check_against_oracles(data, omega, epsilon, tol):
         assert scan.certificate(w) == cert
         assert scan.collision == collision
         assert scan.duplicate == _oracle_duplicate(x, tol)
+        assert 0 < scan.pairs_examined <= pairs
+        if pairs <= core._PAIR_TILE_ELEMENTS and core._scan_tiled is not _prune_always:
+            assert scan.pairs_examined == pairs
         if collision is None:  # then its maximum ratio is the tight constant
             assert _bits(scan.max_ratio) == _bits(expected[0])
             assert scan.witness == expected[1]
@@ -224,6 +253,71 @@ def test_tiles_match_numpy_row_norms(monkeypatch, dim, budget):
         assert rows == list(range(n - 1))
 
 
+def _lattice_sheet(n, seed):
+    """n distinct points of an integer lattice on a 2-D sheet in R^6, in
+    shuffled order, and an integer 3x6 operator. Every distance is the
+    root of an exact integer, so many pairs tie exactly; the observations
+    span a plane, which the block bounds prune well."""
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(-3, 4, size=(2, 6)).astype(float)
+    side = int(np.ceil(np.sqrt(1.25 * n)))
+    grid = np.array([(u, v) for u in range(side) for v in range(side)], dtype=float)[:n]
+    x = grid[rng.permutation(n)] @ basis + rng.integers(-5, 5, size=6)
+    return x, rng.integers(-3, 4, size=(3, 6)).astype(float)
+
+
+@pytest.mark.parametrize("plant", ["none", "collision", "duplicate"])
+def test_pruned_scan_matches_the_loops_on_a_tied_sheet(plant):
+    x, a = _lattice_sheet(2000, seed=0)
+    y = x @ a.T
+    if plant != "none":  # row 1500 takes row 700's observation, or its whole pair
+        y[1500] = y[700]
+        if plant == "duplicate":
+            x[1500] = x[700]
+    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    _, _, max_ratio = _oracle_verify(x, y, 1.0, 1e-9)
+    omega = max_ratio if np.isfinite(max_ratio) else 1.0
+    verdict, witness, max_ratio = _oracle_verify(x, y, omega, 1e-9)
+    scan = lipschitz._scan_sample(labeled, omega, 1e-9, tol_dup=TOL_DUP,
+                                  tol_inj=injectivity_tolerance(y))
+    assert (scan.certificate(omega).verdict, scan.witness) == (verdict, witness)
+    assert _bits(scan.max_ratio) == _bits(max_ratio)
+    assert scan.collision == (None if plant == "none" else (700, 1500))
+    assert scan.duplicate == _oracle_duplicate(x, TOL_DUP)
+    assert scan.pairs_examined < 2000 * 1999 // 2  # the fixed rule chose the pruned scan
+    if plant == "none":
+        best, tight_witness = _oracle_tight(x, y)
+        cert = tight_omega(labeled)
+        assert (_bits(cert.omega), cert.witness) == (_bits(best), tight_witness)
+        passed, min_slack, worst_pair = _oracle_relaxed(x, y, 0.5 * omega, 0.25, 1e-9)
+        relaxed = check_relaxed_lipschitz(labeled, 0.5 * omega, 0.25)
+        assert (relaxed.passed, relaxed.worst_pair) == (passed, worst_pair)
+        assert _bits(relaxed.min_slack) == _bits(min_slack)
+
+
+@pytest.mark.parametrize("leaf_rows,budget", [(1, 1), (2, None), (7, None), (16, None)])
+def test_block_bounds_hold_exactly_on_ties(monkeypatch, leaf_rows, budget):
+    # One-row blocks, one per tile, make a block pair's bounds the computed
+    # dx and dy of its one pair, met in decreasing order of ratio: a bound
+    # even one ulp too tight would skip a tied pair that comes first in
+    # row-major order.
+    monkeypatch.setattr(core, "_LEAF_ROWS", leaf_rows)
+    if budget is not None:
+        monkeypatch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+    monkeypatch.setattr(core, "_scan_tiled", _prune_always)
+    x, a = _lattice_sheet(600, seed=1)
+    y = x @ a.T
+    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    best, witness = _oracle_tight(x, y)
+    cert = tight_omega(labeled)
+    assert (_bits(cert.omega), cert.witness) == (_bits(best), witness)
+    assert cert._pairs_examined < 600 * 599 // 2
+    passed, min_slack, worst_pair = _oracle_relaxed(x, y, 0.5 * best, 0.0, 1e-9)
+    relaxed = check_relaxed_lipschitz(labeled, 0.5 * best, 0.0)
+    assert (relaxed.passed, relaxed.worst_pair) == (passed, worst_pair)
+    assert _bits(relaxed.min_slack) == _bits(min_slack)
+
+
 # --------------------------------------------------------------------------
 # One pass over the sample per certify / theorem1 / theorem3 run.
 
@@ -234,8 +328,9 @@ ASSERTION = {
     "theorem3_projection.json": "sample_certified",
 }
 FAILED_KEYS = {
-    "theorem1_ramp.json": {"sample_size", "scale", "omega_normalized", "max_ratio", "witness"},
-    "theorem3_projection.json": {"sample_size", "max_ratio", "witness"},
+    "theorem1_ramp.json": {"sample_size", "scale", "omega_normalized", "max_ratio",
+                           "pairs_examined", "witness"},
+    "theorem3_projection.json": {"sample_size", "max_ratio", "pairs_examined", "witness"},
 }
 
 
@@ -244,15 +339,22 @@ def _load(problem_file):
 
 
 def _count_scans(monkeypatch):
-    """Record the row count of every pass of the pair scan."""
+    """Record the row count of every pass over a sample's pairs: each call
+    of the reduction behind every Lipschitz check, tiled or pruned, and of
+    the labeling duplicate search."""
     scans = []
-    original = core._pair_tiles
+    reduce, find = lipschitz._first_max_pair, core.LabeledSet._find_duplicate
 
-    def counting(**arrays):
-        scans.append(len(arrays["signals"]))
-        return original(**arrays)
+    def reducing(labeled_set, *args):
+        scans.append(len(labeled_set))
+        return reduce(labeled_set, *args)
 
-    monkeypatch.setattr(core, "_pair_tiles", counting)
+    def finding(labeled_set):
+        scans.append(len(labeled_set))
+        return find(labeled_set)
+
+    monkeypatch.setattr(lipschitz, "_first_max_pair", reducing)
+    monkeypatch.setattr(core.LabeledSet, "_find_duplicate", finding)
     return scans
 
 
@@ -277,6 +379,21 @@ def test_cli_certifies_the_sample_once(monkeypatch, problem_file, omega_factor):
     # Labeling, duplicate check, certification and (for certify) the tight
     # constant all come from this one pass.
     assert scans.count(n) == 1
+    assert 0 < report["results"]["pairs_examined"] <= n * (n - 1) // 2
+
+
+def test_cli_certifies_a_large_sample_once_with_pruning(monkeypatch):
+    x, a = _lattice_sheet(2000, seed=0)
+    problem = {"task": "certify", "operator": {"type": "matrix", "data": a.tolist()},
+               "signals": {"type": "list", "data": x.tolist()}, "params": {}}
+    problem["params"]["omega"] = cli.execute(problem)[0]["results"]["tight_omega"]
+    scans = _count_scans(monkeypatch)
+    report, _ = cli.execute(problem)
+    results = report["results"]
+    assert report["assertions"][0]["passed"]
+    assert scans == [2000]
+    assert results["verdict"] == "certified"
+    assert 0 < results["pairs_examined"] < 2000 * 1999 // 4
 
 
 def test_mwet_keeps_its_two_scans(monkeypatch):
