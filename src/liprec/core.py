@@ -1,6 +1,7 @@
 """Shared numeric vocabulary: vectors, labeled signal/observation sets,
-Lipschitz certificates, the error taxonomy, deterministic RNG seeding, and
-the worker-thread budget read from LIPREC_THREADS.
+Lipschitz certificates, the error taxonomy, deterministic RNG seeding, the
+worker-thread budget read from LIPREC_THREADS, and the one thread helper
+that spreads a kernel's blocks over it.
 
 Everything is float64. Containers are frozen dataclasses whose arrays are
 marked read-only after construction, so objects may be shared freely across
@@ -57,6 +58,7 @@ second scan.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, NamedTuple, Optional, Tuple
 
@@ -225,6 +227,57 @@ def thread_budget() -> int:
     if value < 1:
         raise ParameterError(f"LIPREC_THREADS must be positive, got {value}")
     return value
+
+
+def _map_blocks(worker, starts: range, workers: int) -> list:
+    """[block(start) for start in starts] on up to `workers` threads, in order.
+
+    The package's one thread helper. worker() runs once on each thread
+    and returns that thread's block function, so a thread sets up its
+    buffers once. The threads claim the starts one at a time, in order,
+    so a thread slowed by other work on its core takes fewer blocks
+    instead of holding up the call. The calling thread is one of them
+    and starts workers - 1 more (numpy releases the GIL inside its
+    kernels). Every thread is joined before the call returns, and the
+    first error raised on any of them is raised again here. With
+    workers <= 1 no thread starts. Plain threads need no module beyond
+    ``threading``, which numpy has loaded already: a pool module would
+    cost every threaded run its import time.
+    """
+    if workers <= 1:
+        block = worker()
+        return [block(start) for start in starts]
+    results = [None] * len(starts)
+    claims = iter(range(len(starts)))
+    lock = threading.Lock()
+    errors = []
+
+    def run() -> None:
+        try:
+            block = worker()
+            while True:
+                with lock:
+                    index = next(claims, None)
+                if index is None:
+                    return
+                results[index] = block(starts[index])
+        except BaseException as exc:  # raised again on the calling thread
+            with lock:
+                errors.append(exc)
+                for _ in claims:  # the other threads stop at their next claim
+                    pass
+
+    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 # Element budget of one pair-scan tile: rows * width distances per array,

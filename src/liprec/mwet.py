@@ -25,6 +25,15 @@ over the chunk axis is folded into a running min across chunks. Every
 buffer is bounded by an element count, so evaluation memory is O(tile)
 whatever the number of queries, and the result is the same exact min over
 every training point for any tile or chunk size.
+
+A call with more than one tile runs its tiles on up to
+``core.thread_budget()`` threads (LIPREC_THREADS), the calling thread
+included, which claim them in order through ``core._map_blocks``. Each
+thread keeps its own buffer set, and each tile writes only its own rows of
+the output. A query's arithmetic does not depend on its tile or thread,
+so the output is bit-identical for any thread count. A one-tile call runs
+on the calling thread alone. A recovered value that does not fit float64
+raises DomainError once every tile has finished.
 """
 
 from __future__ import annotations
@@ -35,14 +44,17 @@ from typing import Optional
 
 import numpy as np
 
+from . import core
 from .core import (
     TOL_CERT,
     ConstantTooSmallError,
     DegenerateSetError,
+    DomainError,
     LabeledSet,
     ParameterError,
     as_batch,
     seeded_rng,
+    thread_budget,
 )
 from .lipschitz import tight_omega
 
@@ -58,7 +70,8 @@ from .lipschitz import tight_omega
 # when n is large; the chunks then keep the block inside the budget. The
 # lanes sum over m alone, in an order that depends on m only, and the min
 # is exact, so the output is bit-identical for every budget and floor;
-# only speed and memory change.
+# only speed and memory change. Each evaluation thread (at most
+# LIPREC_THREADS, and one per tile) holds one tile, lane and square set.
 _TILE_ELEMENTS = 1 << 15
 _MIN_ROWS = 256
 
@@ -117,7 +130,12 @@ class MwetHypothesis:
         return self.training.signal_dim
 
     def evaluate(self, y) -> np.ndarray:
-        """Recover signals for one observation (m,) or a stack (k, m)."""
+        """Recover signals for one observation (m,) or a stack (k, m).
+
+        Raises DomainError when a recovered value does not fit float64:
+        omega1 times a query's distance to the training observations, or
+        one of the squares that distance sums, overflows.
+        """
         q, single = as_batch(y, self.input_dim, "observations")
         columns = np.ascontiguousarray(self.training.observations.T)
         sig = self.training.signals
@@ -126,36 +144,53 @@ class MwetHypothesis:
         chunk = min(n, max(1, _TILE_ELEMENTS // rows))
         lanes = _einsum_lanes(m)
         out = np.empty((count, self.output_dim))
-        tile = np.empty((m, rows))
-        acc = np.empty((2, chunk, rows))
-        scratch = np.empty((chunk, rows))
-        low = np.empty(rows)
-        for start in range(0, count, rows):
-            k = min(rows, count - start)
-            tile[:, :k] = q[start:start + k].T
-            for j0 in range(0, n, chunk):
-                c = min(chunk, n - j0)
-                square = scratch[:c, :k]
-                for lane, coords in zip(acc[:, :c, :k], lanes):
-                    for pos, t in enumerate(coords):
-                        d = square if pos else lane
-                        np.subtract(tile[t, :k], columns[t, j0:j0 + c, None], out=d)
-                        np.multiply(d, d, out=d)
-                        if pos:
-                            lane += square
-                base = acc[0, :c, :k]
-                if lanes[1]:
-                    base += acc[1, :c, :k]
-                np.sqrt(base, out=base)
-                np.multiply(self.omega1, base, out=base)
-                for i in range(self.output_dim):
-                    col = out[start:start + k, i]
-                    np.add(base, sig[j0:j0 + c, i, None], out=square)
-                    if j0 == 0:
-                        square.min(axis=0, out=col)
-                    else:
-                        square.min(axis=0, out=low[:k])
-                        np.minimum(col, low[:k], out=col)
+
+        def worker():
+            # One buffer set per thread; each tile writes only its own rows
+            # of out. errstate is per thread, so each tile sets it.
+            tile = np.empty((m, rows))
+            acc = np.empty((2, chunk, rows))
+            scratch = np.empty((chunk, rows))
+            low = np.empty(rows)
+
+            @np.errstate(over="ignore", invalid="ignore")
+            def block(start: int) -> None:
+                k = min(rows, count - start)
+                tile[:, :k] = q[start:start + k].T
+                for j0 in range(0, n, chunk):
+                    c = min(chunk, n - j0)
+                    square = scratch[:c, :k]
+                    for lane, coords in zip(acc[:, :c, :k], lanes):
+                        for pos, t in enumerate(coords):
+                            d = square if pos else lane
+                            np.subtract(tile[t, :k], columns[t, j0:j0 + c, None], out=d)
+                            np.multiply(d, d, out=d)
+                            if pos:
+                                lane += square
+                    base = acc[0, :c, :k]
+                    if lanes[1]:
+                        base += acc[1, :c, :k]
+                    np.sqrt(base, out=base)
+                    np.multiply(self.omega1, base, out=base)
+                    for i in range(self.output_dim):
+                        col = out[start:start + k, i]
+                        np.add(base, sig[j0:j0 + c, i, None], out=square)
+                        if j0 == 0:
+                            square.min(axis=0, out=col)
+                        else:
+                            square.min(axis=0, out=low[:k])
+                            np.minimum(col, low[:k], out=col)
+
+            return block
+
+        starts = range(0, count, rows)
+        core._map_blocks(worker, starts, min(thread_budget(), len(starts)))
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise DomainError(
+                f"the recovered value of query {bad[0]} overflows float64: omega1 = "
+                f"{self.omega1:.6g} times its distance to the training observations, "
+                "or a square in that distance, exceeds the float64 range")
         return out[0] if single else out
 
     __call__ = evaluate
@@ -185,15 +220,19 @@ class MwetHypothesis:
             return 0.0
         floor = _AUDIT_FLOOR * diameter
         rng = seeded_rng(seed)
-        y1 = rng.uniform(lo, hi, size=(num_pairs, self.input_dim))
-        y2 = rng.uniform(lo, hi, size=(num_pairs, self.input_dim))
+        # One draw of both endpoints takes the same stream as two draws of
+        # one each, and one evaluate call covers both halves.
+        ends = rng.uniform(lo, hi, size=(2, num_pairs, self.input_dim))
+        y1, y2 = ends
         for _ in range(64):
             gaps = np.linalg.norm(y1 - y2, axis=1)
             close = np.flatnonzero(gaps < floor)
             if close.size == 0:
                 break
             y2[close] = rng.uniform(lo, hi, size=(close.size, self.input_dim))
-        num = _row_norms(self.evaluate(y1) - self.evaluate(y2))
+        g1, g2 = self.evaluate(ends.reshape(2 * num_pairs, self.input_dim)).reshape(
+            2, num_pairs, self.output_dim)
+        num = _row_norms(g1 - g2)
         den = _row_norms(y1 - y2)
         valid = den >= floor
         if not np.any(valid):

@@ -10,8 +10,9 @@ delta_2S + delta_3S < 1.
 Every constant comes from one kernel, ``_subset_spectra``. It lists each
 size's subsets in colex order as a numpy array built level by level,
 gathers their Gram matrices and runs ``np.linalg.eigvalsh`` in fixed
-blocks, spread over up to ``core.thread_budget()`` worker threads (numpy
-releases the GIL inside the eigensolver). Block results are reduced in
+blocks, which up to ``core.thread_budget()`` threads claim in order
+through ``core._map_blocks`` (numpy releases the GIL inside the
+eigensolver). Block results are reduced in
 block order with a strict comparison, so the constants and the extremal
 subset (the first in size-then-colex order) are bit-identical for every
 block size and thread count. ``rip_delta`` and ``spectral_balance`` fold
@@ -32,6 +33,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     TOL_CERT,
     NotApplicableError,
@@ -107,16 +109,6 @@ def _extremes(low: np.ndarray, high: np.ndarray) -> Tuple[float, float, float, i
     return float(low.min()), float(high.max()), float(dev[j]), j
 
 
-def _map_blocks(fn, starts: range, workers: int) -> List[tuple]:
-    """fn over starts, results in order; on worker threads when workers > 1."""
-    if workers <= 1:
-        return [fn(start) for start in starts]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, starts))
-
-
 def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     """One record per subset size 1..S: the one enumeration pass of this module.
 
@@ -139,7 +131,7 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
                 return _extremes(lam[:, 0], lam[:, -1])
 
             starts = range(0, level.shape[0], _EIG_BLOCK)
-            parts = _map_blocks(block, starts, min(threads, len(starts)))
+            parts = core._map_blocks(lambda: block, starts, min(threads, len(starts)))
         lo, hi, best, where = math.inf, -math.inf, -math.inf, None
         for start, (b_lo, b_hi, b_dev, j) in zip(starts, parts):
             lo, hi = min(lo, b_lo), max(hi, b_hi)

@@ -686,6 +686,24 @@ def test_main_run_mwet_audits_a_huge_finite_constant(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err.lower()
 
 
+def test_main_run_mwet_rejects_recovered_values_that_overflow(tmp_path, capsys):
+    # omega_global = 1e308 is finite, but on a segment ten times as long the
+    # audit box reaches queries where omega1 times the distance to the
+    # training data overflows: evaluate used to warn and return inf, and the
+    # audit to warn again and report NaN with exit 2
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / "mwet_segment.json"), "--out", str(out),
+                          "--set", "params.omega=5e307",
+                          "--set", "signals.end=[10, 5, -2.5, 7.5]"])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: the recovered value of query ")
+    assert "overflows float64" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ("signals.start=[Infinity, 0]", "signals.start"),
     ("signals.start=[0, NaN]", "signals.start"),

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from liprec import (
     LabelingError,
     LipschitzCertificate,
     MatrixOperator,
+    MwetHypothesis,
     ParameterError,
+    core,
+    rip,
+    rip_delta,
     validate_labeled_set,
 )
 from liprec.core import as_matrix, as_vector, readonly, seeded_rng
@@ -196,3 +201,70 @@ def test_import_applies_the_thread_budget_rule_to_blas(raw, blas, budget):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == repr((blas, budget))
+
+
+def test_map_blocks_returns_results_in_order():
+    # every start once, results in start order, one worker() per thread,
+    # the calling thread among them
+    made, seen = [], {}
+
+    def worker():
+        made.append(threading.current_thread())
+
+        def block(start):
+            seen[start] = threading.current_thread()
+            return start * start
+
+        return block
+
+    starts = range(0, 40, 2)
+    assert core._map_blocks(worker, starts, 3) == [s * s for s in starts]
+    assert sorted(seen) == list(starts)
+    assert len(made) == 3 and len({id(thread) for thread in made}) == 3
+    assert threading.current_thread() in made
+    assert set(map(id, seen.values())) <= set(map(id, made))
+    made.clear()
+    assert core._map_blocks(worker, range(5), 1) == [0, 1, 4, 9, 16]
+    assert core._map_blocks(worker, range(0), 0) == []
+    assert made == [threading.current_thread()] * 2
+
+    def failing():
+        def block(start):
+            if start == 3:
+                raise ValueError("block 3 failed")
+            return start
+
+        return block
+
+    # an error on any thread reaches the caller, and no thread outlives the call
+    before = threading.active_count()
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match="^block 3 failed$"):
+            core._map_blocks(failing, range(8), workers)
+    assert threading.active_count() == before
+
+
+def test_threaded_kernels_join_their_threads(monkeypatch):
+    # rip_delta's blocks and evaluate's tiles, each over three threads: no
+    # started thread outlives the call
+    workers = []
+    map_blocks = core._map_blocks
+
+    def spy(fn, starts, count):
+        workers.append(count)
+        return map_blocks(fn, starts, count)
+
+    monkeypatch.setattr(core, "_map_blocks", spy)
+    monkeypatch.setenv("LIPREC_THREADS", "3")
+    monkeypatch.setattr(rip, "_EIG_BLOCK", 7)
+    rng = seeded_rng(41)
+    before = threading.active_count()
+    rip_delta(rng.standard_normal((6, 10)), 3)
+    assert max(workers) == 3
+    assert threading.active_count() == before
+    workers.clear()
+    training = LabeledSet(rng.standard_normal((20, 3)), rng.standard_normal((20, 2)))
+    # 20 training points: tiles of 1638 rows, so 4000 queries are three tiles
+    MwetHypothesis(training=training, omega1=2.0).evaluate(rng.standard_normal((4000, 2)))
+    assert workers == [3]
+    assert threading.active_count() == before

@@ -6,7 +6,10 @@ two Lipschitz properties (per-coordinate omega1, stacked omega1 * sqrt(d))
 are exercised on random query pairs well outside the training data.
 """
 
+import json
 import math
+import os
+import pathlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -25,6 +28,8 @@ from liprec import (
     MwetHypothesis,
     NotInjectiveError,
     ParameterError,
+    cli,
+    core,
     fit,
     mwet,
     tight_omega,
@@ -118,20 +123,24 @@ def _blocked_4096_eval(self, y):
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.sampled_from([1, 2, 50, 300]), obs_dim=st.integers(1, 20),
        sig_dim=st.integers(1, 8),
-       count=st.sampled_from(["single", "0", "tile-1", "tile", "tile+1", "3*tile+2"]),
+       count=st.sampled_from(["single", "0", "tile-1", "tile", "tile+1", "2*tile-1",
+                              "2*tile", "3*tile", "3*tile+2", "4*tile+1"]),
        tile_rows=st.sampled_from([None, 1, 7]),
        chunk=st.sampled_from([None, 1, 7, "n"]),
        omega1=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+       threads=st.sampled_from(["1", "2", "3"]),
        grid=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count, tile_rows,
-                                                     chunk, omega1, grid, seed):
+                                                     chunk, omega1, threads, grid, seed):
     # Integer-grid data makes distances and minima tie and lets training
     # observations coincide; its sums are exact, so Gaussian data is drawn
     # too, to catch any change of summation order; obs_dim reaches one and
     # two full blocks of eight coordinates, with and without a tail. The
     # row tile is the default one, or 1 or 7 rows; the training chunk is
     # the default one for that tile, 1 or 7 points, or all n. Both module
-    # constants are patched so that evaluate tiles exactly so.
+    # constants are patched so that evaluate tiles exactly so. The tiles
+    # run on 1, 2 or 3 threads; 2, 3 and 5 tiles hand threads whole and
+    # partial last tiles, and more tiles than threads.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -145,12 +154,14 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
     points = {None: mwet._TILE_ELEMENTS // tile, "n": n}.get(chunk, chunk)
     points = min(n, max(1, points))
     k = {"0": 0, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
-         "3*tile+2": 3 * tile + 2}.get(count, 1)
+         "2*tile-1": 2 * tile - 1, "2*tile": 2 * tile, "3*tile": 3 * tile,
+         "3*tile+2": 3 * tile + 2, "4*tile+1": 4 * tile + 1}.get(count, 1)
     queries = draw((k, obs_dim))
     if count == "single":
         queries = queries[0]
     with mock.patch.object(mwet, "_TILE_ELEMENTS", points * tile), \
-            mock.patch.object(mwet, "_MIN_ROWS", tile):
+            mock.patch.object(mwet, "_MIN_ROWS", tile), \
+            mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
         got = hyp.evaluate(queries)
     expected = _blocked_4096_eval(hyp, queries)
     assert got.shape == expected.shape
@@ -240,6 +251,62 @@ def test_evaluate_rejects_non_finite_queries():
             hyp.evaluate([bad, 0.0])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evaluate_rejects_outputs_that_overflow(monkeypatch, threads):
+    # omega_global = 5e307 * sqrt(4) = 1e308 is finite, but omega1 times the
+    # distance of a query a few units off the training segment is not;
+    # evaluate used to warn and return inf. At omega1 = 1 the value of a
+    # query at 1e200 fits float64, but the squares its distance sums do not.
+    # Tiles of 7 rows over two threads: the first bad query, row 450, is
+    # named whichever thread computed it, after every tile has finished.
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
+    monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
+    signals = np.linspace(0.0, 1.0, 30)[:, None] * np.array([10.0, 5.0, -2.5, 7.5])
+    ls = LabeledSet.from_arrays(signals, signals[:, :2] + signals[:, 2:])
+    queries = ls.observations[np.arange(600) % 30]
+    for omega1, far in [(5e307, [100.0, 100.0]), (1.0, [1e200, 0.0])]:
+        hyp = fit(ls, omega1=omega1)
+        assert np.isfinite(hyp.evaluate(queries)).all()
+        bad = queries.copy()
+        bad[[450, 599]] = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the recovered value of query 450 "
+                                                  "overflows float64"):
+                hyp.evaluate(bad)
+            with pytest.raises(DomainError, match="query 0 "):
+                hyp.evaluate(far)
+
+
+def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
+    # mwet_segment.json audits 2000 pairs in one evaluate call: 4000 queries
+    # against 30 training points are four tiles of 1092 rows
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    workers = []
+    map_blocks = core._map_blocks
+
+    def spy(fn, starts, count):
+        workers.append((len(starts), count))
+        return map_blocks(fn, starts, count)
+
+    monkeypatch.setattr(core, "_map_blocks", spy)
+    reports = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LIPREC_THREADS", threads)
+        workers.clear()
+        out = tmp_path / f"report-{threads}.json"
+        assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["metadata"].pop("threads") == int(threads)
+        for clock in ("runtime_ms", "timestamp"):
+            report["metadata"].pop(clock)
+        reports[threads] = json.dumps(report, sort_keys=True)
+        # the training residuals (one tile), then the audit (four tiles)
+        assert workers == [(1, 1), (4, int(threads))]
+    assert reports["1"] == reports["2"]
+
+
 def test_coordinate_lipschitz_bound():
     rng = seeded_rng(26)
     ls = _random_instance(rng)
@@ -276,6 +343,43 @@ def test_lipschitz_audit_within_global_bound_and_deterministic():
     assert 0.0 < r1 <= hyp.omega_global + 1e-9
     with pytest.raises(ParameterError):
         hyp.lipschitz_audit(0, seed=1)
+
+
+def _two_draw_audit(hyp, num_pairs, seed):
+    """lipschitz_audit as it was with one draw and one evaluate call per endpoint."""
+    obs = hyp.training.observations
+    lo, hi = obs.min(axis=0), obs.max(axis=0)
+    center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    lo, hi = center - 1.5 * half, center + 1.5 * half
+    floor = mwet._AUDIT_FLOOR * float(np.linalg.norm(hi - lo))
+    rng = seeded_rng(seed)
+    y1 = rng.uniform(lo, hi, size=(num_pairs, hyp.input_dim))
+    y2 = rng.uniform(lo, hi, size=(num_pairs, hyp.input_dim))
+    redrawn = 0
+    for _ in range(64):
+        close = np.flatnonzero(np.linalg.norm(y1 - y2, axis=1) < floor)
+        if close.size == 0:
+            break
+        redrawn += close.size
+        y2[close] = rng.uniform(lo, hi, size=(close.size, hyp.input_dim))
+    num = mwet._row_norms(hyp.evaluate(y1) - hyp.evaluate(y2))
+    den = mwet._row_norms(y1 - y2)
+    valid = den >= floor
+    return float((num[valid] / den[valid]).max()), redrawn
+
+
+@pytest.mark.parametrize("obs_dim,num_pairs,threads", [(2, 3000, "2"), (1, 20000, "1"),
+                                                       (1, 20000, "2")])
+def test_lipschitz_audit_bit_identical_to_two_draws(monkeypatch, obs_dim, num_pairs, threads):
+    # One (2, k, M) draw takes the stream of two (k, M) draws, redraws go
+    # into the second endpoints, and one evaluate call gives each query the
+    # bits of its own call. In one dimension 20000 pairs redraw some close
+    # pairs, so the redraw stream is pinned too.
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    hyp = fit(_random_instance(seeded_rng(29), n=40, obs_dim=obs_dim))
+    expected, redrawn = _two_draw_audit(hyp, num_pairs, seed=11)
+    assert redrawn > 0 or obs_dim > 1
+    assert hyp.lipschitz_audit(num_pairs, seed=11) == expected
 
 
 def test_lipschitz_audit_measures_a_huge_finite_constant():

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liprec import cli, rip
+from liprec import cli, core, rip
 from liprec import (
     DimensionError,
     DomainError,
@@ -434,13 +434,13 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
 def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
     problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
     workers = []
-    map_blocks = rip._map_blocks
+    map_blocks = core._map_blocks
 
     def spy(fn, starts, count):
         workers.append(count)
         return map_blocks(fn, starts, count)
 
-    monkeypatch.setattr(rip, "_map_blocks", spy)
+    monkeypatch.setattr(core, "_map_blocks", spy)
     sizes = _counting_kernel(monkeypatch)
     reports = {}
     for block in (7, DEFAULT_BLOCK):
@@ -463,15 +463,27 @@ def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch
 
 
 def test_import_and_single_block_runs_load_no_thread_pool():
-    # set-up time is measured end to end: the pool module loads only when a
-    # size needs more than one block
-    code = ("import sys, numpy as np, liprec\n"
+    # set-up time is measured end to end: a single-block rip pass and a
+    # one-tile evaluate call (500 queries against 3 training points) start
+    # no thread, and threaded runs start plain threads, so no run pays for
+    # importing a pool module
+    code = ("import sys, threading, numpy as np, liprec\n"
+            "from liprec import core, rip\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(1), start(self))[1]\n"
             "liprec.rip_delta(np.eye(6), 3)\n"
-            "print('concurrent.futures' in sys.modules)")
+            "hyp = liprec.fit(liprec.LabeledSet.from_arrays(np.eye(3), np.eye(3)))\n"
+            "hyp.evaluate(np.zeros((500, 3)))\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n"
+            "rip._EIG_BLOCK = 7\n"
+            "liprec.rip_delta(np.eye(6), 3)\n"
+            "hyp.evaluate(np.zeros((5000, 3)))\n"
+            "print(len(started) > 0, 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, LIPREC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["0 False", "True False"]
 
 
 def test_kernel_rejects_invalid_thread_budget(monkeypatch):
