@@ -26,14 +26,17 @@ buffer is bounded by an element count, so evaluation memory is O(tile)
 whatever the number of queries, and the result is the same exact min over
 every training point for any tile or chunk size.
 
-A call with more than one tile runs its tiles on up to
-``core.thread_budget()`` threads (LIPREC_THREADS), the calling thread
-included, which claim them in order through ``core._map_blocks``. Each
-thread keeps its own buffer set, and each tile writes only its own rows of
-the output. A query's arithmetic does not depend on its tile or thread,
-so the output is bit-identical for any thread count. A one-tile call runs
-on the calling thread alone. A recovered value that does not fit float64
-raises DomainError once every tile has finished.
+A call of at least ``_THREAD_PAIRS`` query-training distances runs its
+tiles on up to ``core.thread_budget()`` threads (LIPREC_THREADS), at most
+``_MAX_THREADS`` and at most one per tile, the calling thread included;
+they claim the tiles in order through ``core._map_blocks``. Each thread
+keeps its own buffer set, and with at most ``_MAX_THREADS`` sets
+evaluation memory stays O(tile) on any host. Each tile writes only its
+own rows of the output. A query's arithmetic does not depend on its tile
+or thread, so the output is bit-identical for any thread count. Smaller
+calls run on the calling thread alone. Once every tile has finished, an
+entry that overflowed on the way is recomputed at a power-of-two scale;
+only a recovered value that itself exceeds float64 raises DomainError.
 """
 
 from __future__ import annotations
@@ -70,10 +73,24 @@ from .lipschitz import tight_omega
 # when n is large; the chunks then keep the block inside the budget. The
 # lanes sum over m alone, in an order that depends on m only, and the min
 # is exact, so the output is bit-identical for every budget and floor;
-# only speed and memory change. Each evaluation thread (at most
-# LIPREC_THREADS, and one per tile) holds one tile, lane and square set.
+# only speed and memory change. Each evaluation thread holds one tile,
+# lane and square set, about 0.8 MiB.
 _TILE_ELEMENTS = 1 << 15
 _MIN_ROWS = 256
+
+# A call runs its tiles on more than one thread only when it computes at
+# least this many query-training distances. Smaller calls do not repay
+# starting a thread: on a 2-core host, calls of 2^19 distances and more
+# ran 8-28% faster on two threads, at M and output dimension 2 to 8,
+# while smaller calls ran from 14% faster to 33% slower.
+# At most _MAX_THREADS threads take part, whatever LIPREC_THREADS allows,
+# so the (chunk, rows) blocks of a call stay within 12 blocks, 3 MiB.
+# Smaller blocks would bound memory too, but each numpy call then does
+# less work per GIL hand-off: halving the blocks on two threads took away
+# most of the gain (mwet_dense's evaluate went from 0.67 to 0.88 of the
+# serial time).
+_THREAD_PAIRS = 1 << 19
+_MAX_THREADS = 4
 
 # Drawn audit pairs closer than this fraction of the sampling box are
 # redrawn: their ratio measures rounding noise, not the map's expansion.
@@ -132,18 +149,30 @@ class MwetHypothesis:
     def evaluate(self, y) -> np.ndarray:
         """Recover signals for one observation (m,) or a stack (k, m).
 
-        Raises DomainError when a recovered value does not fit float64:
-        omega1 times a query's distance to the training observations, or
-        one of the squares that distance sums, overflows.
+        A value whose terms overflow on the way (a far query's squares,
+        or omega1 times its distance) is recomputed at a power-of-two
+        scale, so DomainError is raised only for a recovered value that
+        itself exceeds float64. With omega1 = 0 every query recovers the
+        signals' column minima.
         """
         q, single = as_batch(y, self.input_dim, "observations")
-        columns = np.ascontiguousarray(self.training.observations.T)
         sig = self.training.signals
-        (count, m), n = q.shape, columns.shape[1]
+        (count, m), n = q.shape, len(self.training)
+        out = np.empty((count, self.output_dim))
+        if self.omega1 == 0.0:
+            # Every term is 0 * distance + signal, so each query recovers
+            # the same column minima, without the distance pass whose
+            # squares could overflow.
+            out[:] = np.add(0.0, sig).min(axis=0)
+            return out[0] if single else out
+        columns = np.ascontiguousarray(self.training.observations.T)
         rows = max(1, min(count, max(_MIN_ROWS, _TILE_ELEMENTS // n)))
         chunk = min(n, max(1, _TILE_ELEMENTS // rows))
         lanes = _einsum_lanes(m)
-        out = np.empty((count, self.output_dim))
+        starts = range(0, count, rows)
+        workers = 1
+        if count * n >= _THREAD_PAIRS:
+            workers = min(thread_budget(), len(starts), _MAX_THREADS)
 
         def worker():
             # One buffer set per thread; each tile writes only its own rows
@@ -153,7 +182,7 @@ class MwetHypothesis:
             scratch = np.empty((chunk, rows))
             low = np.empty(rows)
 
-            @np.errstate(over="ignore", invalid="ignore")
+            @np.errstate(over="ignore")
             def block(start: int) -> None:
                 k = min(rows, count - start)
                 tile[:, :k] = q[start:start + k].T
@@ -183,17 +212,43 @@ class MwetHypothesis:
 
             return block
 
-        starts = range(0, count, rows)
-        core._map_blocks(worker, starts, min(thread_budget(), len(starts)))
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if bad.size:
-            raise DomainError(
-                f"the recovered value of query {bad[0]} overflows float64: omega1 = "
-                f"{self.omega1:.6g} times its distance to the training observations, "
-                "or a square in that distance, exceeds the float64 range")
+        core._map_blocks(worker, starts, workers)
+        self._rescale_overflows(q, out)
         return out[0] if single else out
 
     __call__ = evaluate
+
+    def _rescale_overflows(self, q: np.ndarray, out: np.ndarray) -> None:
+        """Recompute the entries of out that overflowed; raise if one must.
+
+        With omega1 > 0 an entry is inf, never NaN, and only when every
+        training pair's term overflowed on the way: a coordinate gap, the
+        sum of squares, omega1 times the distance, or the signal added.
+        Here the query, the observations and the signals are divided by
+        a power of two of at least 2 * sqrt(m), so no gap or distance
+        overflows (``_row_norms`` rescales squares that do), and the
+        value is multiplied back. Scaling by a power of two is exact short
+        of underflow, so an entry is inf afterwards only when the min-form
+        value itself exceeds float64, and then the first such query is
+        named. Entries that came out finite keep their bits.
+        """
+        wide = np.flatnonzero(np.isinf(out).any(axis=1))
+        if not wide.size:
+            return
+        scale = float(2 ** (self.input_dim.bit_length() + 1))
+        obs = self.training.observations / scale
+        sig = self.training.signals / scale
+        with np.errstate(over="ignore"):
+            for r in wide:
+                dist = _row_norms(q[r] / scale - obs)
+                value = np.add(self.omega1 * dist[:, None], sig).min(axis=0) * scale
+                inf = np.isinf(out[r])
+                out[r, inf] = value[inf]
+                if np.isinf(value[inf]).any():
+                    raise DomainError(
+                        f"the recovered value of query {r} overflows float64: for "
+                        f"every training pair, a signal plus omega1 = {self.omega1:.6g} "
+                        "times the pair's distance to the query exceeds the float64 range")
 
     def training_residuals(self) -> np.ndarray:
         """Per-pair norm of evaluate(observation) - signal; ~0 by construction."""

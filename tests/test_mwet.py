@@ -139,8 +139,9 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
     # row tile is the default one, or 1 or 7 rows; the training chunk is
     # the default one for that tile, 1 or 7 points, or all n. Both module
     # constants are patched so that evaluate tiles exactly so. The tiles
-    # run on 1, 2 or 3 threads; 2, 3 and 5 tiles hand threads whole and
-    # partial last tiles, and more tiles than threads.
+    # run on 1, 2 or 3 threads, with the size cutoff for threading patched
+    # away; 2, 3 and 5 tiles hand threads whole and partial last tiles,
+    # and more tiles than threads.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -161,6 +162,7 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
         queries = queries[0]
     with mock.patch.object(mwet, "_TILE_ELEMENTS", points * tile), \
             mock.patch.object(mwet, "_MIN_ROWS", tile), \
+            mock.patch.object(mwet, "_THREAD_PAIRS", 0), \
             mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
         got = hyp.evaluate(queries)
     expected = _blocked_4096_eval(hyp, queries)
@@ -251,59 +253,183 @@ def test_evaluate_rejects_non_finite_queries():
             hyp.evaluate([bad, 0.0])
 
 
+def _segment_instance():
+    signals = np.linspace(0.0, 1.0, 30)[:, None] * np.array([10.0, 5.0, -2.5, 7.5])
+    return LabeledSet.from_arrays(signals, signals[:, :2] + signals[:, 2:])
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_evaluate_rejects_outputs_that_overflow(monkeypatch, threads):
     # omega_global = 5e307 * sqrt(4) = 1e308 is finite, but omega1 times the
-    # distance of a query a few units off the training segment is not;
-    # evaluate used to warn and return inf. At omega1 = 1 the value of a
-    # query at 1e200 fits float64, but the squares its distance sums do not.
-    # Tiles of 7 rows over two threads: the first bad query, row 450, is
-    # named whichever thread computed it, after every tile has finished.
+    # distance of a query a few units off the training segment is not, so
+    # the recovered value is not either; evaluate used to warn and return
+    # inf. Tiles of 7 rows over two threads: the first bad query, row 450,
+    # is named whichever thread computed it, after every tile has finished
+    # (the size cutoff for threading is patched away).
     monkeypatch.setenv("LIPREC_THREADS", threads)
     monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
     monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
-    signals = np.linspace(0.0, 1.0, 30)[:, None] * np.array([10.0, 5.0, -2.5, 7.5])
-    ls = LabeledSet.from_arrays(signals, signals[:, :2] + signals[:, 2:])
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    ls = _segment_instance()
     queries = ls.observations[np.arange(600) % 30]
-    for omega1, far in [(5e307, [100.0, 100.0]), (1.0, [1e200, 0.0])]:
-        hyp = fit(ls, omega1=omega1)
-        assert np.isfinite(hyp.evaluate(queries)).all()
-        bad = queries.copy()
-        bad[[450, 599]] = far
+    hyp = fit(ls, omega1=5e307)
+    assert np.isfinite(hyp.evaluate(queries)).all()
+    bad = queries.copy()
+    bad[[450, 599]] = [100.0, 100.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^the recovered value of query 450 "
+                                              "overflows float64"):
+            hyp.evaluate(bad)
+        with pytest.raises(DomainError, match="query 0 "):
+            hyp.evaluate([100.0, 100.0])
+
+
+def _min_form_by_hypot(hyp, y, scale):
+    """The min-form value of one query in Python floats, math.hypot's distance."""
+    best = []
+    for i in range(hyp.output_dim):
+        terms = [x[i] + hyp.omega1 * scale * math.hypot(*((y - obs) / scale))
+                 for x, obs in zip(hyp.training.signals, hyp.training.observations)]
+        best.append(min(terms))
+    return np.array(best)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_evaluate_recovers_values_whose_terms_overflow(monkeypatch, threads):
+    # Values that fit float64 although a step of their terms overflows:
+    # squares of a query 1e155 away at omega1 = 1e-151, where the value is
+    # about 1e4 and the signals decide the min; squares at 1e200, omega1 = 1;
+    # the gap and the distance of a query near +-1.5e308 at omega1 = 0.25.
+    # The far rows of a multi-tile call (threaded, with the size cutoff
+    # patched away) match a math.hypot oracle, the other rows keep their
+    # bits, and no numpy warning is printed.
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
+    monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    ls = _segment_instance()
+    queries = ls.observations[np.arange(600) % 30]
+    for omega1, far, scale in [(1e-151, [1e155, -3e154], 1.0), (1.0, [1e200, 0.0], 1.0),
+                               (0.25, [1.5e308, -1.5e308], 4.0)]:
+        hyp = MwetHypothesis(training=ls, omega1=omega1)
+        near = hyp.evaluate(queries)
+        mixed = queries.copy()
+        mixed[[450, 599]] = far
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="^the recovered value of query 450 "
-                                                  "overflows float64"):
-                hyp.evaluate(bad)
-            with pytest.raises(DomainError, match="query 0 "):
-                hyp.evaluate(far)
+            got = hyp.evaluate(mixed)
+            single = hyp.evaluate(far)
+        keep = np.ones(600, bool)
+        keep[[450, 599]] = False
+        assert np.array_equal(got[keep], near[keep])
+        want = _min_form_by_hypot(hyp, np.array(far), scale)
+        for row in (got[450], got[599], single):
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0)
+        if omega1 == 1e-151:
+            assert 1e4 < want.min() < want.max() < 2e4
 
 
-def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
-    # mwet_segment.json audits 2000 pairs in one evaluate call: 4000 queries
-    # against 30 training points are four tiles of 1092 rows
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
-    workers = []
+def test_evaluate_recovers_an_overflowed_entry_next_to_a_finite_one():
+    # omega1 = 1e150. The near training point is 1e143 away: its term is
+    # 1e293 in column 0, and overflows in column 1 on top of the largest
+    # float64. The far one is 2e154 away, so its squares overflow, but its
+    # column-1 term, -1e308 + 2e304, fits float64 and is the min. Column 0
+    # keeps its bits; column 1 is recomputed instead of rejected.
+    training = LabeledSet(np.array([[0.0, np.finfo(float).max], [0.0, -1e308]]),
+                          np.array([[1e143, 0.0], [2e154, 0.0]]))
+    hyp = MwetHypothesis(training=training, omega1=1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hyp.evaluate([0.0, 0.0])
+    assert got[0] == 1e150 * 1e143
+    assert got[1] == pytest.approx(-1e308 + 1e150 * 2e154, rel=1e-15)
+
+
+def test_evaluate_at_omega_zero_recovers_the_signal_minima():
+    # Every term is 0 * distance + signal: even a query whose squares
+    # overflow recovers the column minima, where 0 * inf used to give NaN
+    ls = _segment_instance()
+    hyp = MwetHypothesis(training=ls, omega1=0.0)
+    queries = np.array([[1e200, 0.0], [0.0, 0.0], [-1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hyp.evaluate(queries)
+    assert np.array_equal(got, np.broadcast_to(ls.signals.min(axis=0), got.shape))
+    assert np.array_equal(hyp.evaluate(queries[0]), ls.signals.min(axis=0))
+
+
+def _spy_map_blocks(monkeypatch):
+    """Record (blocks, workers) of each core._map_blocks call."""
+    calls = []
     map_blocks = core._map_blocks
 
     def spy(fn, starts, count):
-        workers.append((len(starts), count))
+        calls.append((len(starts), count))
         return map_blocks(fn, starts, count)
 
     monkeypatch.setattr(core, "_map_blocks", spy)
+    return calls
+
+
+def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
+    # 64 training points: tiles of 512 rows, and 2^13 queries are 2^19
+    # distances, the cutoff. One query fewer runs on the calling thread; at
+    # the cutoff the 16 tiles run on LIPREC_THREADS threads, at most four.
+    rng = seeded_rng(43)
+    hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((64, 3)),
+                                             rng.standard_normal((64, 2))), omega1=2.0)
+    queries = rng.standard_normal((2 ** 13, 2))
+    assert 2 ** 13 * 64 == mwet._THREAD_PAIRS
+    calls = _spy_map_blocks(monkeypatch)
+    for threads, workers in [("1", 1), ("2", 2), ("3", 3), ("16", 4)]:
+        monkeypatch.setenv("LIPREC_THREADS", threads)
+        calls.clear()
+        below = hyp.evaluate(queries[:-1])
+        assert np.array_equal(hyp.evaluate(queries)[:-1], below)
+        assert calls == [(16, 1), (16, workers)]
+
+
+def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
+    # The tile-bound test's call with LIPREC_THREADS = 16: four threads run,
+    # each with one buffer set, so the traced peak stays under the same
+    # bound; sixteen sets of about 0.8 MiB would pass it.
+    rng = seeded_rng(26)
+    training = LabeledSet(rng.standard_normal((1500, 8)), rng.standard_normal((1500, 8)))
+    hyp = MwetHypothesis(training=training, omega1=2.0)
+    queries = rng.standard_normal((10 ** 4, 8))
+    monkeypatch.setenv("LIPREC_THREADS", "16")
+    calls = _spy_map_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        hyp.evaluate(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [(40, mwet._MAX_THREADS)]
+    assert peak < 8 * 2 ** 20
+
+
+def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
+    # mwet_segment.json on 200 signals audits 2000 pairs in one evaluate
+    # call: 4000 queries against 200 training points are 800000 distances,
+    # above the cutoff, in 16 tiles of 256 rows
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
+    workers = _spy_map_blocks(monkeypatch)
     reports = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("LIPREC_THREADS", threads)
         workers.clear()
         out = tmp_path / f"report-{threads}.json"
-        assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["run", str(problem), "--out", str(out),
+                         "--set", "signals.count=200"]) == cli.EXIT_OK
         report = json.loads(out.read_text())
         assert report["metadata"].pop("threads") == int(threads)
         for clock in ("runtime_ms", "timestamp"):
             report["metadata"].pop(clock)
         reports[threads] = json.dumps(report, sort_keys=True)
-        # the training residuals (one tile), then the audit (four tiles)
-        assert workers == [(1, 1), (4, int(threads))]
+        # the training residuals (one tile), then the audit
+        assert workers == [(1, 1), (16, int(threads))]
     assert reports["1"] == reports["2"]
 
 

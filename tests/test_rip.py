@@ -466,7 +466,8 @@ def test_import_and_single_block_runs_load_no_thread_pool():
     # set-up time is measured end to end: a single-block rip pass and a
     # one-tile evaluate call (500 queries against 3 training points) start
     # no thread, and threaded runs start plain threads, so no run pays for
-    # importing a pool module
+    # importing a pool module. 2 * 10^5 queries against 3 training points
+    # are above the cutoff for threading, and start one thread.
     code = ("import sys, threading, numpy as np, liprec\n"
             "from liprec import core, rip\n"
             "started = []\n"
@@ -478,12 +479,14 @@ def test_import_and_single_block_runs_load_no_thread_pool():
             "print(len(started), 'concurrent.futures' in sys.modules)\n"
             "rip._EIG_BLOCK = 7\n"
             "liprec.rip_delta(np.eye(6), 3)\n"
-            "hyp.evaluate(np.zeros((5000, 3)))\n"
-            "print(len(started) > 0, 'concurrent.futures' in sys.modules)")
+            "print(len(started) > 0, 'concurrent.futures' in sys.modules)\n"
+            "threaded = len(started)\n"
+            "hyp.evaluate(np.zeros((200000, 3)))\n"
+            "print(len(started) - threaded, 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, LIPREC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[:2] == ["0 False", "True False"]
+    assert out.stdout.split("\n")[:3] == ["0 False", "True False", "1 False"]
 
 
 def test_kernel_rejects_invalid_thread_budget(monkeypatch):
