@@ -101,7 +101,8 @@ def thread_budget() -> int:
     ``core.thread_budget`` is the one reader: the same value caps the BLAS
     pool (set as an environment default at import time, see the package
     __init__), the threads of the rip subset-spectra kernel and those of
-    MWET evaluation, and it is recorded in report metadata. An invalid value is a ProblemError.
+    MWET evaluation (at most four), and it is recorded in report
+    metadata. An invalid value is a ProblemError.
     """
     try:
         return core_thread_budget()

@@ -262,7 +262,8 @@ class MwetHypothesis:
         observations inflated by 50% around its center. The returned
         maximum of ||G(y1) - G(y2)|| / ||y1 - y2|| never exceeds
         omega_global beyond rounding. Degenerate boxes (every training
-        observation identical) give 0.
+        observation identical) give 0. A box that holds a point whose
+        recovered value overflows float64 raises DomainError.
         """
         if num_pairs < 1:
             raise ParameterError("num_pairs must be >= 1")
@@ -285,8 +286,14 @@ class MwetHypothesis:
             if close.size == 0:
                 break
             y2[close] = rng.uniform(lo, hi, size=(close.size, self.input_dim))
-        g1, g2 = self.evaluate(ends.reshape(2 * num_pairs, self.input_dim)).reshape(
-            2, num_pairs, self.output_dim)
+        try:
+            recovered = self.evaluate(ends.reshape(2 * num_pairs, self.input_dim))
+        except DomainError as exc:
+            raise DomainError(
+                "the audit's sampling box (the training observations' bounding box, "
+                "inflated by 50%) holds a point whose recovered value overflows float64 "
+                f"at omega1 = {self.omega1:.6g}") from exc
+        g1, g2 = recovered.reshape(2, num_pairs, self.output_dim)
         num = _row_norms(g1 - g2)
         den = _row_norms(y1 - y2)
         valid = den >= floor

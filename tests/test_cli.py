@@ -690,7 +690,8 @@ def test_main_run_mwet_rejects_recovered_values_that_overflow(tmp_path, capsys):
     # omega_global = 1e308 is finite, but on a segment ten times as long the
     # audit box reaches queries where omega1 times the distance to the
     # training data overflows: evaluate used to warn and return inf, and the
-    # audit to warn again and report NaN with exit 2
+    # audit to warn again and report NaN with exit 2. The error names the
+    # audit's sampling box, not a query of the audit's internal batch.
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -699,8 +700,9 @@ def test_main_run_mwet_rejects_recovered_values_that_overflow(tmp_path, capsys):
                           "--set", "signals.end=[10, 5, -2.5, 7.5]"])
     assert code == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: DomainError: the recovered value of query ")
-    assert "overflows float64" in err and err.count("\n") == 1
+    assert err == ("error: DomainError: the audit's sampling box (the training observations' "
+                   "bounding box, inflated by 50%) holds a point whose recovered value "
+                   "overflows float64 at omega1 = 5e+307\n")
     assert not out.exists()
 
 

@@ -289,7 +289,7 @@ def _min_form_by_hypot(hyp, y, scale):
     """The min-form value of one query in Python floats, math.hypot's distance."""
     best = []
     for i in range(hyp.output_dim):
-        terms = [x[i] + hyp.omega1 * scale * math.hypot(*((y - obs) / scale))
+        terms = [x[i] + hyp.omega1 * scale * math.hypot(*(y / scale - obs / scale))
                  for x, obs in zip(hyp.training.signals, hyp.training.observations)]
         best.append(min(terms))
     return np.array(best)
@@ -328,6 +328,22 @@ def test_evaluate_recovers_values_whose_terms_overflow(monkeypatch, threads):
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=0)
         if omega1 == 1e-151:
             assert 1e4 < want.min() < want.max() < 2e4
+
+
+def test_evaluate_recovers_a_value_whose_distance_overflows():
+    # Four coordinates about 2e308 apart: the distance, about 4e308, does
+    # not fit float64 even halved, but a quarter of it plus a signal does:
+    # the second point wins, at about 6.4e307.
+    obs = np.full((2, 4), -1e308)
+    obs[1, 3] = -5e307
+    hyp = MwetHypothesis(training=LabeledSet(np.array([[1.0], [-3e307]]), obs), omega1=0.25)
+    query = np.full(4, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hyp.evaluate(query)
+    want = _min_form_by_hypot(hyp, query, 16.0)
+    assert 6e307 < want[0] < 7e307
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_evaluate_recovers_an_overflowed_entry_next_to_a_finite_one():
@@ -506,6 +522,21 @@ def test_lipschitz_audit_bit_identical_to_two_draws(monkeypatch, obs_dim, num_pa
     expected, redrawn = _two_draw_audit(hyp, num_pairs, seed=11)
     assert redrawn > 0 or obs_dim > 1
     assert hyp.lipschitz_audit(num_pairs, seed=11) == expected
+
+
+def test_lipschitz_audit_names_its_box_when_a_value_overflows():
+    # The audit box of the 10-unit segment reaches points where omega1 =
+    # 5e307 times the distance overflows. The error names the box and
+    # omega1; evaluate's error, which numbers a query of the audit's own
+    # batch, is kept as the cause.
+    hyp = fit(_segment_instance(), omega1=5e307)
+    with pytest.raises(DomainError, match=r"^the audit's sampling box \(the training "
+                                          r"observations' bounding box, inflated by 50%\) "
+                                          r"holds a point whose recovered value overflows "
+                                          r"float64 at omega1 = 5e\+307$") as caught:
+        hyp.lipschitz_audit(100, seed=3)
+    assert isinstance(caught.value.__cause__, DomainError)
+    assert str(caught.value.__cause__).startswith("the recovered value of query ")
 
 
 def test_lipschitz_audit_measures_a_huge_finite_constant():
