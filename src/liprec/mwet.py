@@ -79,17 +79,20 @@ _TILE_ELEMENTS = 1 << 15
 _MIN_ROWS = 256
 
 # A call runs its tiles on more than one thread only when it computes at
-# least this many query-training distances. Smaller calls do not repay
-# starting a thread: on a 2-core host, calls of 2^19 distances and more
-# ran 8-28% faster on two threads, at M and output dimension 2 to 8,
-# while smaller calls ran from 14% faster to 33% slower.
+# least this many query-training distances. Below it a second thread
+# does not pay reliably: on a 2-core host, calls of 0.8M-2M distances
+# (selftest's audits, theorem3_sheet's) ran 0.72-1.27x their serial time
+# on two threads, median 0.91-1.03x, and up to 1.32x with the other core
+# busy, so selftest's run_s spread several times wider than serially.
+# mwet_dense's call of 3e7 distances ran 0.83x (median of 3; 0.79-1.10x)
+# and 0.88-0.93x with the other core busy.
 # At most _MAX_THREADS threads take part, whatever LIPREC_THREADS allows,
 # so the (chunk, rows) blocks of a call stay within 12 blocks, 3 MiB.
 # Smaller blocks would bound memory too, but each numpy call then does
 # less work per GIL hand-off: halving the blocks on two threads took away
 # most of the gain (mwet_dense's evaluate went from 0.67 to 0.88 of the
 # serial time).
-_THREAD_PAIRS = 1 << 19
+_THREAD_PAIRS = 1 << 22
 _MAX_THREADS = 4
 
 # Drawn audit pairs closer than this fraction of the sampling box are
@@ -232,9 +235,11 @@ class MwetHypothesis:
         value itself exceeds float64, and then the first such query is
         named. Entries that came out finite keep their bits.
         """
-        wide = np.flatnonzero(np.isinf(out).any(axis=1))
-        if not wide.size:
+        # A whole-array test first: the per-row one costs about ten times
+        # as much, and almost every call has nothing to recompute.
+        if not np.isinf(out).any():
             return
+        wide = np.flatnonzero(np.isinf(out).any(axis=1))
         scale = float(2 ** (self.input_dim.bit_length() + 1))
         obs = self.training.observations / scale
         sig = self.training.signals / scale

@@ -264,8 +264,8 @@ def test_threaded_kernels_join_their_threads(monkeypatch):
     assert threading.active_count() == before
     workers.clear()
     training = LabeledSet(rng.standard_normal((200, 3)), rng.standard_normal((200, 2)))
-    # 4000 queries against 200 training points: 800000 distances, above the
-    # cutoff for threading, in 16 tiles of 256 rows
-    MwetHypothesis(training=training, omega1=2.0).evaluate(rng.standard_normal((4000, 2)))
+    # 21000 queries against 200 training points: 4.2M distances, above the
+    # cutoff for threading, in 83 tiles of 256 rows
+    MwetHypothesis(training=training, omega1=2.0).evaluate(rng.standard_normal((21000, 2)))
     assert workers == [3]
     assert threading.active_count() == before

@@ -389,21 +389,21 @@ def _spy_map_blocks(monkeypatch):
 
 
 def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
-    # 64 training points: tiles of 512 rows, and 2^13 queries are 2^19
+    # 64 training points: tiles of 512 rows, and 2^16 queries are 2^22
     # distances, the cutoff. One query fewer runs on the calling thread; at
-    # the cutoff the 16 tiles run on LIPREC_THREADS threads, at most four.
+    # the cutoff the 128 tiles run on LIPREC_THREADS threads, at most four.
     rng = seeded_rng(43)
     hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((64, 3)),
                                              rng.standard_normal((64, 2))), omega1=2.0)
-    queries = rng.standard_normal((2 ** 13, 2))
-    assert 2 ** 13 * 64 == mwet._THREAD_PAIRS
+    queries = rng.standard_normal((2 ** 16, 2))
+    assert 2 ** 16 * 64 == mwet._THREAD_PAIRS
     calls = _spy_map_blocks(monkeypatch)
     for threads, workers in [("1", 1), ("2", 2), ("3", 3), ("16", 4)]:
         monkeypatch.setenv("LIPREC_THREADS", threads)
         calls.clear()
         below = hyp.evaluate(queries[:-1])
         assert np.array_equal(hyp.evaluate(queries)[:-1], below)
-        assert calls == [(16, 1), (16, workers)]
+        assert calls == [(128, 1), (128, workers)]
 
 
 def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
@@ -427,9 +427,9 @@ def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
 
 
 def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
-    # mwet_segment.json on 200 signals audits 2000 pairs in one evaluate
-    # call: 4000 queries against 200 training points are 800000 distances,
-    # above the cutoff, in 16 tiles of 256 rows
+    # mwet_segment.json on 200 signals audits 11000 pairs in one evaluate
+    # call: 22000 queries against 200 training points are 4.4M distances,
+    # above the cutoff, in 86 tiles of 256 rows
     problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
     workers = _spy_map_blocks(monkeypatch)
     reports = {}
@@ -438,14 +438,15 @@ def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatc
         workers.clear()
         out = tmp_path / f"report-{threads}.json"
         assert cli.main(["run", str(problem), "--out", str(out),
-                         "--set", "signals.count=200"]) == cli.EXIT_OK
+                         "--set", "signals.count=200",
+                         "--set", "params.num_pairs=11000"]) == cli.EXIT_OK
         report = json.loads(out.read_text())
         assert report["metadata"].pop("threads") == int(threads)
         for clock in ("runtime_ms", "timestamp"):
             report["metadata"].pop(clock)
         reports[threads] = json.dumps(report, sort_keys=True)
         # the training residuals (one tile), then the audit
-        assert workers == [(1, 1), (16, int(threads))]
+        assert workers == [(1, 1), (86, int(threads))]
     assert reports["1"] == reports["2"]
 
 

@@ -466,7 +466,7 @@ def test_import_and_single_block_runs_load_no_thread_pool():
     # set-up time is measured end to end: a single-block rip pass and a
     # one-tile evaluate call (500 queries against 3 training points) start
     # no thread, and threaded runs start plain threads, so no run pays for
-    # importing a pool module. 2 * 10^5 queries against 3 training points
+    # importing a pool module. 2 * 10^5 queries against 30 training points
     # are above the cutoff for threading, and start one thread.
     code = ("import sys, threading, numpy as np, liprec\n"
             "from liprec import core, rip\n"
@@ -481,7 +481,8 @@ def test_import_and_single_block_runs_load_no_thread_pool():
             "liprec.rip_delta(np.eye(6), 3)\n"
             "print(len(started) > 0, 'concurrent.futures' in sys.modules)\n"
             "threaded = len(started)\n"
-            "hyp.evaluate(np.zeros((200000, 3)))\n"
+            "obs = np.arange(90.0).reshape(30, 3)\n"
+            "liprec.fit(liprec.LabeledSet.from_arrays(obs, obs)).evaluate(np.zeros((200000, 3)))\n"
             "print(len(started) - threaded, 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, LIPREC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
