@@ -110,9 +110,11 @@ def _mwet_instances() -> List[MwetHypothesis]:
                 count = int(rng.integers(2, 101))        # |sample| <= 100
                 op = MatrixOperator(rng.standard_normal((m, n)))
                 sample = LabeledSet.from_operator(op, rng.standard_normal((count, n)))
-                if tight_omega(sample).omega <= _OMEGA_CAP:
+                # fit's omega1 defaults to the sample's tight constant
+                h = fit(sample)
+                if h.omega1 <= _OMEGA_CAP:
                     break
-            instances.append(fit(sample))
+            instances.append(h)
         _cache["mwet"] = instances
     return _cache["mwet"]
 

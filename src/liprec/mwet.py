@@ -21,7 +21,10 @@ added into one of two lane accumulators, in the order numpy's einsum dot
 loop sums a contiguous axis (see ``_einsum_lanes``). The squared distances
 are therefore bit-identical to ``np.einsum("kjm,kjm->kj", d, d)`` on the
 (queries, training, m) difference block. Per output coordinate one min
-over the chunk axis is folded into a running min across chunks. Every
+over the chunk axis goes into a contiguous row and is folded from there
+into the output column, a running min across chunks. Tiles are long
+(thousands of queries) and chunks short (a few training points), so that
+every broadcast numpy call runs on long rows; see ``_MIN_ROWS``. Every
 buffer is bounded by an element count, so evaluation memory is O(tile)
 whatever the number of queries, and the result is the same exact min over
 every training point for any tile or chunk size.
@@ -67,16 +70,32 @@ from .lipschitz import tight_omega
 # walked one at a time, so no block has an m axis and the budget does not
 # scale with m. A query tile holds rows = max(_MIN_ROWS, budget // n)
 # queries, capped at the query count, and a training chunk holds
-# max(1, budget // rows) points, capped at n. The min over a chunk runs
-# along axis 0, one elementwise minimum per training point across a row of
-# `rows` values, so the floor keeps that row long enough to vectorize even
-# when n is large; the chunks then keep the block inside the budget. The
-# lanes sum over m alone, in an order that depends on m only, and the min
-# is exact, so the output is bit-identical for every budget and floor;
-# only speed and memory change. Each evaluation thread holds one tile,
-# lane and square set, about 0.8 MiB.
+# max(1, budget // rows) points, capped at n: 4 points at the floor.
+#
+# The floor is set by the cost of numpy's broadcast calls, which falls
+# steeply once a block's rows pass a few thousand elements. In ns per
+# element on a 2**15-element block (2-vCPU Xeon, numpy 2.4.6):
+#
+#   rows                          256-2730   3000   4096   8192
+#   subtract, row - column        1.10-1.33  0.26   0.45   0.32
+#   add, block + column           0.91-1.04  1.21   1.43   0.43
+#   min over axis 0, strided out  0.79-1.71  1.79   1.76   1.90
+#   min over axis 0, contiguous   0.25-0.36  0.36   0.41   0.36
+#
+# So a tile holds at least 8192 rows (a call's last may hold fewer), and
+# each per-output min goes into a contiguous row before it meets the
+# strided output column.
+# Longer tiles ran slower: 2 points per chunk, and on two threads a
+# 20000-query call splits into one long tile and one short one. A 2**16
+# budget (8 points per chunk) ran criterion 2's audits 5-10% faster but
+# raised mwet_dense's peak memory by 4.5%. The lanes sum over m alone,
+# in an order that depends on m only, and the min is exact, so the output
+# is bit-identical for every budget and floor; only speed and memory
+# change. Each evaluation thread holds one tile, lane, square and min-row
+# set, about 1.3 MiB at m = 8; the (m, rows) tile takes 64 KiB of it per
+# observation coordinate.
 _TILE_ELEMENTS = 1 << 15
-_MIN_ROWS = 256
+_MIN_ROWS = 8192
 
 # A call runs its tiles on more than one thread only when it computes at
 # least this many query-training distances. Below it a second thread
@@ -207,10 +226,10 @@ class MwetHypothesis:
                     for i in range(self.output_dim):
                         col = out[start:start + k, i]
                         np.add(base, sig[j0:j0 + c, i, None], out=square)
+                        square.min(axis=0, out=low[:k])
                         if j0 == 0:
-                            square.min(axis=0, out=col)
+                            col[:] = low[:k]
                         else:
-                            square.min(axis=0, out=low[:k])
                             np.minimum(col, low[:k], out=col)
 
             return block

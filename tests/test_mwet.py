@@ -90,13 +90,15 @@ def test_evaluate_batch_agrees_with_single():
 
 
 def test_evaluate_blocking_boundary():
-    # 200 x 2 training points: the tile takes its 256-row floor and the
-    # training set splits into two chunks, so both seams are crossed
+    # 200 x 2 training points: the tile takes its _MIN_ROWS floor and the
+    # training set splits into chunks of _TILE_ELEMENTS // tile points (50
+    # chunks of 4 at 8192 rows), so the seam between the first two tiles
+    # is checked across every chunk seam
     rng = seeded_rng(24)
     ls = _random_instance(rng, n=200)
     hyp = fit(ls)
     tile = max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // len(ls))
-    assert mwet._TILE_ELEMENTS // tile < len(ls)
+    assert 1 < mwet._TILE_ELEMENTS // tile < len(ls)
     queries = rng.standard_normal((tile + 10, 2))
     batch = hyp.evaluate(queries)
     seam = slice(tile - 5, tile + 5)
@@ -125,23 +127,24 @@ def _blocked_4096_eval(self, y):
        sig_dim=st.integers(1, 8),
        count=st.sampled_from(["single", "0", "tile-1", "tile", "tile+1", "2*tile-1",
                               "2*tile", "3*tile", "3*tile+2", "4*tile+1"]),
-       tile_rows=st.sampled_from([None, 1, 7]),
+       tile=st.sampled_from([1, 7, 300]),
        chunk=st.sampled_from([None, 1, 7, "n"]),
        omega1=st.sampled_from([0.0, 1.0, 1.5, 3.0]),
        threads=st.sampled_from(["1", "2", "3"]),
        grid=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count, tile_rows,
+def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count, tile,
                                                      chunk, omega1, threads, grid, seed):
     # Integer-grid data makes distances and minima tie and lets training
     # observations coincide; its sums are exact, so Gaussian data is drawn
     # too, to catch any change of summation order; obs_dim reaches one and
     # two full blocks of eight coordinates, with and without a tail. The
-    # row tile is the default one, or 1 or 7 rows; the training chunk is
-    # the default one for that tile, 1 or 7 points, or all n. Both module
-    # constants are patched so that evaluate tiles exactly so. The tiles
-    # run on 1, 2 or 3 threads, with the size cutoff for threading patched
-    # away; 2, 3 and 5 tiles hand threads whole and partial last tiles,
-    # and more tiles than threads.
+    # row tile is 1, 7 or 300 rows; the training chunk is the default one
+    # for that tile, 1 or 7 points, or all n. Both module constants are
+    # patched so that evaluate tiles exactly so. (The default 8192-row
+    # tile is checked on its own below: here its oracle blocks would reach
+    # 200 MB.) The tiles run on 1, 2 or 3 threads, with the size cutoff
+    # for threading patched away; 2, 3 and 5 tiles hand threads whole and
+    # partial last tiles, and more tiles than threads.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -151,7 +154,6 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
 
     training = LabeledSet(draw((n, sig_dim)), draw((n, obs_dim)))
     hyp = MwetHypothesis(training=training, omega1=omega1)
-    tile = tile_rows or max(mwet._MIN_ROWS, mwet._TILE_ELEMENTS // n)
     points = {None: mwet._TILE_ELEMENTS // tile, "n": n}.get(chunk, chunk)
     points = min(n, max(1, points))
     k = {"0": 0, "tile-1": tile - 1, "tile": tile, "tile+1": tile + 1,
@@ -168,6 +170,29 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
     expected = _blocked_4096_eval(hyp, queries)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n, obs_dim, sig_dim", [(52, 4, 8), (1500, 3, 2)])
+def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, n, obs_dim, sig_dim):
+    # The default tile and chunk, nothing patched, on the benchmark's call
+    # shapes: 20000 queries against 52 training points, as in criterion
+    # 2's audits (three tiles on the calling thread, under the threading
+    # cutoff), and against 1500, as in mwet_dense's audit (the same tiles,
+    # threaded). The dimensions stay small at n = 1500 for the oracle's
+    # sake: its (4096, n, M) block is 147 MB at M = 3, and its einsum and
+    # per-output mins take seconds.
+    rng = np.random.default_rng(n)
+    training = LabeledSet(rng.standard_normal((n, sig_dim)),
+                          rng.standard_normal((n, obs_dim)))
+    hyp = MwetHypothesis(training=training, omega1=1.5)
+    queries = rng.standard_normal((20000, obs_dim)) * 3.0
+    expected = _blocked_4096_eval(hyp, queries)
+    calls = _spy_map_blocks(monkeypatch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LIPREC_THREADS", threads)
+        calls.clear()
+        assert np.array_equal(hyp.evaluate(queries), expected)
+        assert calls == [(3, 1 if n == 52 else int(threads))]
 
 
 LANE_DIMS = list(range(1, 41)) + [127, 128, 129, 200, 256, 300]
@@ -389,31 +414,33 @@ def _spy_map_blocks(monkeypatch):
 
 
 def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
-    # 64 training points: tiles of 512 rows, and 2^16 queries are 2^22
-    # distances, the cutoff. One query fewer runs on the calling thread; at
-    # the cutoff the 128 tiles run on LIPREC_THREADS threads, at most four.
+    # 8 training points: tiles of 8192 rows in two chunks of 4, and 2^19
+    # queries are 2^22 distances, the cutoff. One query fewer runs on the
+    # calling thread; at the cutoff the 64 tiles run on LIPREC_THREADS
+    # threads, at most four.
     rng = seeded_rng(43)
-    hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((64, 3)),
-                                             rng.standard_normal((64, 2))), omega1=2.0)
-    queries = rng.standard_normal((2 ** 16, 2))
-    assert 2 ** 16 * 64 == mwet._THREAD_PAIRS
+    hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((8, 3)),
+                                             rng.standard_normal((8, 2))), omega1=2.0)
+    queries = rng.standard_normal((2 ** 19, 2))
+    assert 2 ** 19 * 8 == mwet._THREAD_PAIRS
     calls = _spy_map_blocks(monkeypatch)
     for threads, workers in [("1", 1), ("2", 2), ("3", 3), ("16", 4)]:
         monkeypatch.setenv("LIPREC_THREADS", threads)
         calls.clear()
         below = hyp.evaluate(queries[:-1])
         assert np.array_equal(hyp.evaluate(queries)[:-1], below)
-        assert calls == [(128, 1), (128, workers)]
+        assert calls == [(64, 1), (64, workers)]
 
 
 def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
-    # The tile-bound test's call with LIPREC_THREADS = 16: four threads run,
-    # each with one buffer set, so the traced peak stays under the same
-    # bound; sixteen sets of about 0.8 MiB would pass it.
+    # 16 tiles of 8192 queries against 100 x 8 training points, with
+    # LIPREC_THREADS = 16: four threads run, each with one buffer set of
+    # about 1.3 MiB, so the traced peak (with the 1 MiB output) stays under
+    # the tile-bound test's bound; sixteen sets would pass it.
     rng = seeded_rng(26)
-    training = LabeledSet(rng.standard_normal((1500, 8)), rng.standard_normal((1500, 8)))
+    training = LabeledSet(rng.standard_normal((100, 1)), rng.standard_normal((100, 8)))
     hyp = MwetHypothesis(training=training, omega1=2.0)
-    queries = rng.standard_normal((10 ** 4, 8))
+    queries = rng.standard_normal((16 * 8192, 8))
     monkeypatch.setenv("LIPREC_THREADS", "16")
     calls = _spy_map_blocks(monkeypatch)
     tracemalloc.start()
@@ -422,14 +449,14 @@ def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == [(40, mwet._MAX_THREADS)]
+    assert calls == [(16, mwet._MAX_THREADS)]
     assert peak < 8 * 2 ** 20
 
 
 def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
-    # mwet_segment.json on 200 signals audits 11000 pairs in one evaluate
-    # call: 22000 queries against 200 training points are 4.4M distances,
-    # above the cutoff, in 86 tiles of 256 rows
+    # mwet_segment.json on 200 signals audits 41000 pairs in one evaluate
+    # call: 82000 queries against 200 training points are 16.4M distances,
+    # above the cutoff, in 10 tiles of 8192 rows and one of 80
     problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
     workers = _spy_map_blocks(monkeypatch)
     reports = {}
@@ -439,14 +466,14 @@ def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatc
         out = tmp_path / f"report-{threads}.json"
         assert cli.main(["run", str(problem), "--out", str(out),
                          "--set", "signals.count=200",
-                         "--set", "params.num_pairs=11000"]) == cli.EXIT_OK
+                         "--set", "params.num_pairs=41000"]) == cli.EXIT_OK
         report = json.loads(out.read_text())
         assert report["metadata"].pop("threads") == int(threads)
         for clock in ("runtime_ms", "timestamp"):
             report["metadata"].pop(clock)
         reports[threads] = json.dumps(report, sort_keys=True)
         # the training residuals (one tile), then the audit
-        assert workers == [(1, 1), (86, int(threads))]
+        assert workers == [(1, 1), (11, int(threads))]
     assert reports["1"] == reports["2"]
 
 
