@@ -8,16 +8,25 @@ against the exact constant. The classical sparse-recovery condition is
 delta_2S + delta_3S < 1.
 
 Every constant comes from one kernel, ``_subset_spectra``. It lists each
-size's subsets in colex order as a numpy array built level by level,
-gathers their Gram matrices and runs ``np.linalg.eigvalsh`` in fixed
-blocks, which up to ``core.thread_budget()`` threads claim in order
-through ``core._map_blocks`` (numpy releases the GIL inside the
-eigensolver). Block results are reduced in
-block order with a strict comparison, so the constants and the extremal
-subset (the first in size-then-colex order) are bit-identical for every
-block size and thread count. ``rip_delta`` and ``spectral_balance`` fold
-the kernel's per-size records, and ``check_recoverability_condition``
-reads delta_2S and delta_3S from one pass at 3S.
+size's subsets in colex order as a numpy array built level by level and
+takes the extreme Gram eigenvalues of each subset from
+``np.linalg.eigvalsh``, in fixed blocks. A size of one block runs it
+through ``core._map_blocks``. A larger size sends its first block to
+eigvalsh, which seeds the running extremes lo and hi. Each later block
+then gathers its Grams' lower triangles, and a float Cholesky test on
+the calling thread proves most spectra inside (lo, hi) by a margin; only
+the rest go to eigvalsh. lo and hi are tightened by the previous size's
+extremes, which bound this size's by Cauchy interlacing, so a subset the
+test rules out has a deviation strictly below its size's best and cannot
+change a record. Where the tests keep more than a fixed share of the
+subsets, as on tied data, the rest of the size runs in full blocks that
+up to ``core.thread_budget()`` threads claim in order (numpy releases
+the GIL inside the eigensolver). Block results are reduced in block
+order with a strict comparison, so the constants and the extremal subset
+(the first in size-then-colex order) are bit-identical for every block
+size and thread count. ``rip_delta`` and ``spectral_balance`` fold the
+kernel's per-size records, and ``check_recoverability_condition`` reads
+delta_2S and delta_3S from one pass at 3S.
 
 Differences of S-sparse signals are 2S-sparse, so delta_2S < 1 makes any
 set of S-sparse signals Lipschitz-recoverable with constant
@@ -47,10 +56,25 @@ from .operators import MatrixOperator
 
 ENUMERATION_CAP = 10 ** 7
 
-# Subsets per eigvalsh call. Each worker thread holds one block's Gram stack
-# and spectra at a time, so a small block keeps peak memory level; the
-# results do not depend on the block size.
+# Subsets per eigvalsh call, and per pruning test. Each worker thread holds
+# one block's Gram stack and spectra at a time, so a small block keeps peak
+# memory level; the results do not depend on the block size.
 _EIG_BLOCK = 1 << 12
+
+# Margin of the pruning test, in units of 2^e >= max(1, max |G|) for the
+# Gram matrix G. It is far above the backward errors of the test and of
+# eigvalsh, O(k^2 eps) in these units, and above the rounding of 1 - lambda
+# and lambda - 1, so a subset that the test rules out cannot tie the best
+# deviation. Relative to max |G| alone it would fall below that rounding
+# where lambda << 1, and 1 - lambda rounds alike for distinct lambda.
+_MARGIN = 2.0 ** -30
+
+# A level stops testing once its blocks so far keep more than this share of
+# their subsets, as on tied data: a test that rules out few subsets costs
+# more than it saves, most of all against threaded eigvalsh blocks.
+# Gaussian, Bernoulli and unequal-norm 12 x 28 matrices keep at most 2%; the
+# identity, copied columns and a partial DFT keep 16% or more.
+_KEEP_SHARE = 1 / 16
 
 
 def _as_matrix_array(operator) -> np.ndarray:
@@ -109,6 +133,116 @@ def _extremes(low: np.ndarray, high: np.ndarray) -> Tuple[float, float, float, i
     return float(low.min()), float(high.max()), float(dev[j]), j
 
 
+def _spectra(gram: np.ndarray, sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest Gram eigenvalue of each subset in the rows of sub."""
+    lam = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
+    return lam[:, 0], lam[:, -1]
+
+
+def _fold(acc: tuple, part: tuple) -> tuple:
+    """Folds one block's extremes into a level's; a later block must beat the deviation."""
+    lo, hi, best, where = acc
+    b_lo, b_hi, b_dev, j = part
+    if b_dev > best:
+        best, where = b_dev, j
+    return min(lo, b_lo), max(hi, b_hi), best, where
+
+
+def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
+    """Which symmetric matrices provably have every eigvalsh eigenvalue above sigma.
+
+    lower is (k(k + 1) / 2, R): column r holds matrix r's lower triangle,
+    packed column by column; sigma is a scalar or one value per matrix.
+    Both are scaled by 2^-e, with 2^e >= max(1, max |G|) over the Gram
+    matrix G that the matrices come from. lower is overwritten.
+
+    Matrix r is certified when the float Cholesky factorisation of
+    lower[:, r] - (sigma[r] + _MARGIN) I has every pivot above _MARGIN. In
+    these units the backward errors of that factorisation and of eigvalsh
+    are O(k^2 eps), far below _MARGIN, so a certified matrix's computed
+    lambda_min exceeds sigma by more than _MARGIN / 2. A matrix whose pivot
+    fails is replaced by the identity, so no later column of it is divided
+    by a pivot near 0.
+    """
+    diag = np.array([j * k - j * (j - 1) // 2 for j in range(k)])  # rows of the diagonal
+    identity = np.zeros(lower.shape[0])
+    identity[diag] = 1.0
+    lower[diag] -= sigma + _MARGIN
+    certified = np.ones(lower.shape[1], dtype=bool)
+    for j, d in enumerate(diag):
+        failed = ~(lower[d] > _MARGIN)
+        if failed.any():
+            certified &= ~failed
+            lower[:, failed] = identity[:, None]
+        col = lower[d + 1:d + k - j]
+        col /= np.sqrt(lower[d])
+        for i, t in enumerate(diag[j + 1:]):
+            lower[t:t + col.shape[0] - i] -= col[i:] * col[i]
+    return certified
+
+
+def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
+                    smaller: Tuple[float, float]) -> tuple:
+    """(lambda_min, lambda_max, deviation, first extremal row of level) over one level.
+
+    Blocks of _EIG_BLOCK subsets are folded in order. A level of one block,
+    or a Gram matrix that is not finite (exp None), sends every block to
+    eigvalsh, on up to ``threads`` threads. Otherwise the first block runs
+    in full, and each later block, on the calling thread, sends to
+    eigvalsh only the subsets whose spectrum _certified_above cannot prove
+    to lie within (lo, hi): the extremes of the blocks so far, tightened by
+    ``smaller``, the previous size's (lambda_min, lambda_max). By Cauchy
+    interlacing this level's extremes lie beyond those too, up to rounding
+    far below _MARGIN. So a subset proved to lie within is at least
+    _MARGIN / 2 inside the level's extremes: it moves neither, and its
+    deviation stays strictly below the level's best, however 1 - lambda
+    and lambda - 1 round. It changes no field of the record. Once the
+    blocks so far keep more than _KEEP_SHARE of their subsets, the rest of
+    the level runs in full blocks.
+    """
+    n, k = gram.shape[0], level.shape[1]
+
+    def block(start: int) -> tuple:
+        lo, hi, dev, j = _extremes(*_spectra(gram, level[start:start + _EIG_BLOCK]))
+        return lo, hi, dev, start + j
+
+    starts = range(0, level.shape[0], _EIG_BLOCK)
+    acc = (math.inf, -math.inf, -math.inf, None)
+    if len(starts) > 1 and exp is not None:
+        low, high = _spectra(gram, level[:_EIG_BLOCK])
+        acc = _fold(acc, _extremes(low, high))
+        # In place of a test, the first block counts its subsets within the
+        # margin of its extremes, less the first one at each.
+        slack = math.ldexp(_MARGIN, exp)
+        tested = low.size
+        kept = (np.count_nonzero(low <= acc[0] + slack)
+                + np.count_nonzero(high >= acc[1] - slack) - 2)
+        pairs = [(i, j) for j in range(k) for i in range(j, k)]
+        rows, cols = (np.array(side) for side in zip(*pairs))
+        pos = 1
+        while pos < len(starts) and kept <= _KEEP_SHARE * tested:
+            start = starts[pos]
+            sub = level[start:start + _EIG_BLOCK]
+            count = sub.shape[0]
+            lower = np.empty((len(pairs), 2 * count))
+            np.take(gram.ravel(), (sub[:, rows] * n + sub[:, cols]).T, out=lower[:, :count])
+            np.ldexp(lower[:, :count], -exp, out=lower[:, :count])
+            np.negative(lower[:, :count], out=lower[:, count:])
+            sigma = np.repeat([math.ldexp(min(acc[0], smaller[0]), -exp),
+                               -math.ldexp(max(acc[1], smaller[1]), -exp)], count)
+            inside = _certified_above(lower, k, sigma).reshape(2, count).all(axis=0)
+            left = start + np.flatnonzero(~inside)
+            tested, kept = tested + count, kept + left.size
+            if left.size:
+                lo, hi, dev, j = _extremes(*_spectra(gram, level[left]))
+                acc = _fold(acc, (lo, hi, dev, int(left[j])))
+            pos += 1
+        starts = starts[pos:]
+    for part in core._map_blocks(lambda: block, starts, min(threads, len(starts))):
+        acc = _fold(acc, part)
+    return acc
+
+
 def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     """One record per subset size 1..S: the one enumeration pass of this module.
 
@@ -118,25 +252,17 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     _check_enumeration(a, S)
     gram = a.T @ a
     threads = thread_budget()
+    top = max(float(gram.max()), -float(gram.min()))  # nan when an entry is nan
+    exp = math.frexp(max(top, 1.0))[1] if math.isfinite(top) else None
     records = []
     for k, level in enumerate(_colex_levels(a.shape[1], S), start=1):
         if k == 1:
             # 1x1 Grams are the squared column norms; no eigensolver needed.
             diag = np.diag(gram)
-            starts, parts = range(1), [_extremes(diag, diag)]
+            lo, hi, best, where = _extremes(diag, diag)
         else:
-            def block(start: int, level: np.ndarray = level) -> tuple:
-                sub = level[start:start + _EIG_BLOCK]
-                lam = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
-                return _extremes(lam[:, 0], lam[:, -1])
-
-            starts = range(0, level.shape[0], _EIG_BLOCK)
-            parts = core._map_blocks(lambda: block, starts, min(threads, len(starts)))
-        lo, hi, best, where = math.inf, -math.inf, -math.inf, None
-        for start, (b_lo, b_hi, b_dev, j) in zip(starts, parts):
-            lo, hi = min(lo, b_lo), max(hi, b_hi)
-            if b_dev > best:
-                best, where = b_dev, start + j
+            # lo and hi still hold the previous size's extremes
+            lo, hi, best, where = _level_extremes(gram, level, exp, threads, (lo, hi))
         subset = () if where is None else tuple(int(i) for i in level[where])
         records.append(_SizeSpectra(lo, hi, best, subset))
     return records

@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -335,6 +336,25 @@ def _oracle_spectral_balance(a, S):
     )
 
 
+def _oracle_records(a, S):
+    """_subset_spectra's records from one eigvalsh call over each whole size."""
+    rip._check_enumeration(a, S)
+    gram = a.T @ a
+    records = []
+    for k in range(1, S + 1):
+        subs = np.array(list(_oracle_colex_subsets(a.shape[1], k)))
+        if k == 1:
+            low = high = np.diag(gram)
+        else:
+            lam = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])
+            low, high = lam[:, 0], lam[:, -1]
+        dev = np.maximum(1.0 - low, high - 1.0)
+        j = int(np.argmax(dev))
+        records.append(rip._SizeSpectra(float(low.min()), float(high.max()), float(dev[j]),
+                                        tuple(int(i) for i in subs[j])))
+    return records
+
+
 def _outcome(fn, *args):
     """repr of the result (exact for floats, -0.0 included) or of the error."""
     try:
@@ -349,36 +369,160 @@ def rip_cases(draw):
 
     Entries in {-1, 0, 1} give tied deviations across subsets and sizes,
     zero columns and singular subsets; Gaussian entries give distinct ones.
+    Gaussian columns copied, or copied and moved by one ulp, give subsets
+    whose spectra tie, or differ in the last bits, against the pruning
+    test's margin; a power-of-two scale from 2^-40 to 2^40 makes lambda
+    << 1, where 1 - lambda rounds alike for distinct lambda, or >> 1.
     """
     m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     S = draw(st.integers(1, min(m, n, 4)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["ternary", "gaussian", "duplicated", "ulp"]))
+    if kind == "ternary":
         a = draw(arrays(np.float64, (m, n), elements=st.sampled_from([-1.0, 0.0, 1.0])))
     else:
         a = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((m, n))
+    if kind in ("duplicated", "ulp") and n > 1:
+        for _ in range(draw(st.integers(1, n - 1))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            a[:, j] = a[:, i] if kind == "duplicated" else np.nextafter(a[:, i], np.inf)
+    if draw(st.booleans()):
+        a = np.ldexp(a, draw(st.integers(-40, 40)))
     return a, S
 
 
 DEFAULT_BLOCK = rip._EIG_BLOCK
 # Every block size and thread budget the kernel is run under; block 1 puts
 # each subset in a block of its own, so every tie falls across a block seam.
-KERNEL_SETTINGS = [(block, threads) for block in (1, 7, DEFAULT_BLOCK)
+# No level here fills the default block; at blocks of 1 and 7 most levels
+# stop testing after a block or two, and blocks of 32 let levels of
+# C(n, k) >= 64 subsets take the pruning test over several blocks.
+KERNEL_SETTINGS = [(block, threads) for block in (1, 7, 32, DEFAULT_BLOCK)
                    for threads in ("1", "2")]
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=rip_cases())
-def test_kernel_bit_identical_to_seed_loops(case):
+def _kernel_matches_seed_loops(case):
     a, S = case
     expected_colex = [list(_oracle_colex_subsets(a.shape[1], k)) for k in range(1, S + 1)]
     expected_delta = _outcome(_oracle_rip_delta, a, S)
     expected_balance = _outcome(_oracle_spectral_balance, a, S)
+    # the records hold lambda_min unclamped, which spectral_balance clamps at 0
+    expected_records = _outcome(_oracle_records, a, S)
     for block, threads in KERNEL_SETTINGS:
         with mock.patch.object(rip, "_EIG_BLOCK", block), \
                 mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
             assert _outcome(rip_delta, a, S) == expected_delta, (block, threads)
             assert _outcome(spectral_balance, a, S) == expected_balance, (block, threads)
+            assert _outcome(rip._subset_spectra, a, S) == expected_records, (block, threads)
     assert _colex(a.shape[1], S) == expected_colex
+
+
+def test_kernel_bit_identical_to_seed_loops(monkeypatch):
+    # Spies count the tested blocks that rule subsets out and the levels
+    # that stop testing and run their remaining blocks in full: the
+    # examples must reach both paths.
+    ruled_out, full_rest = [], []
+    certify, map_blocks = rip._certified_above, core._map_blocks
+
+    def certify_spy(lower, k, sigma):
+        certified = certify(lower, k, sigma)
+        ruled_out.append(int(certified.reshape(2, -1).all(axis=0).sum()))
+        return certified
+
+    def map_spy(fn, starts, count):
+        if len(starts) and starts[0] > 0:
+            full_rest.append(len(starts))
+        return map_blocks(fn, starts, count)
+
+    monkeypatch.setattr(rip, "_certified_above", certify_spy)
+    monkeypatch.setattr(core, "_map_blocks", map_spy)
+    _kernel_matches_seed_loops()
+    assert sum(ruled_out) > 0 and len(full_rest) > 0, (sum(ruled_out), len(full_rest))
+
+
+def _near_ties():
+    """6 x 10 Gaussian matrices whose subsets' spectra tie or nearly tie.
+
+    Half the columns copied, or copied and moved by one ulp, make many
+    subsets singular, with lambda_min rounding noise of either sign: a test
+    without its margin rules out some whose computed lambda_min is below
+    the running minimum. At scales 2^-30 to 2^-22 every lambda << 1 and
+    1 - lambda rounds alike for distinct lambda, so deviations tie: a
+    subset ruled out against the previous size's extremes must still fall
+    strictly below the best after rounding, which takes a margin relative
+    to max(1, max |G|), not to max |G| alone. A shortened last column puts
+    each size's smallest lambda_min late in colex order.
+    """
+    for seed in range(20):
+        a = seeded_rng(seed).standard_normal((6, 10))
+        copied, moved, shortened = a.copy(), a.copy(), a.copy()
+        copied[:, 5:] = a[:, :5]
+        moved[:, 5:] = np.nextafter(a[:, :5], np.inf)
+        shortened[:, -1] /= 16
+        for b, scales in ((copied, (-30, 0, 30)), (moved, (-30, 0, 30)),
+                          (a, (-30, -26, -22)), (shortened, (-30, -26, -22))):
+            for scale in scales:
+                yield np.ldexp(b, scale)
+
+
+def test_pruned_records_equal_oracle_on_near_ties():
+    for a in _near_ties():
+        expected = repr(_oracle_records(a, 4))
+        for block in (7, 32):
+            with mock.patch.object(rip, "_EIG_BLOCK", block):
+                assert repr(rip._subset_spectra(a, 4)) == expected, block
+
+
+def _pack(mats):
+    """(R, k, k) symmetric stack -> (k(k + 1) / 2, R) lower triangles, column by column."""
+    k = mats.shape[-1]
+    return np.stack([mats[:, i, j] for j in range(k) for i in range(j, k)])
+
+
+@st.composite
+def psd_stacks(draw):
+    """(R, k, k) stacks X X^T of rank r <= k, some moved off singular by one
+    part in 10^12, with entries from subnormal to about 1e150."""
+    k, count = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((count, k, draw(st.integers(1, k))))
+    mats = x @ x.transpose(0, 2, 1)
+    if draw(st.booleans()):
+        mats += 1e-12 * rng.standard_normal(mats.shape)
+        mats = (mats + mats.transpose(0, 2, 1)) / 2
+    return np.ldexp(mats, draw(st.integers(-1060, 496)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mats=psd_stacks(), pick=st.floats(-0.5, 1.5), side=st.sampled_from(["min", "max"]))
+def test_cholesky_certificate_agrees_with_eigvalsh(mats, pick, side):
+    # Whatever sigma is, a certified lambda_min > sigma (or lambda_max <
+    # sigma, through the negated stack) holds for eigvalsh's eigenvalues,
+    # and no step warns: no overflow, and no division by a pivot near 0.
+    lam = np.linalg.eigvalsh(mats)
+    low, high = lam[:, 0].min(), lam[:, -1].max()
+    sigma = low + pick * (high - low)  # from below every spectrum to above
+    exp = math.frexp(max(1.0, float(np.abs(mats).max())))[1]
+    sign = 1.0 if side == "min" else -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        certified = rip._certified_above(_pack(np.ldexp(sign * mats, -exp)), mats.shape[-1],
+                                         math.ldexp(sign * sigma, -exp))
+    if side == "min":
+        assert np.all(lam[certified, 0] > sigma)
+    else:
+        assert np.all(lam[certified, -1] < sigma)
+
+
+def test_cholesky_certificate_is_not_vacuous():
+    eye = np.repeat(np.eye(5)[None], 3, axis=0)
+    assert rip._certified_above(_pack(eye), 5, 0.99).all()
+    assert not rip._certified_above(_pack(eye), 5, 1.0).any()
+    assert not rip._certified_above(_pack(-eye), 5, -1.0).any()
+    singular = np.ones((1, 4, 4))  # eigenvalues 0, 0, 0, 4
+    assert not rip._certified_above(_pack(singular), 4, -1e-12).any()
+    assert rip._certified_above(_pack(singular), 4, -1e-6).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,7 +576,14 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
 
 
 def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
+    balanced = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
+    # Every subset of the identity's columns ties, so a level of several
+    # blocks stops testing after its first block and runs the rest on the
+    # worker threads; the balanced matrix's levels may rule subsets out on
+    # the calling thread instead.
+    tied = tmp_path / "rip_identity.json"
+    tied.write_text(json.dumps(dict(json.loads(balanced.read_text()),
+                                    operator={"type": "matrix", "data": np.eye(10).tolist()})))
     workers = []
     map_blocks = core._map_blocks
 
@@ -442,31 +593,35 @@ def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch
 
     monkeypatch.setattr(core, "_map_blocks", spy)
     sizes = _counting_kernel(monkeypatch)
-    reports = {}
-    for block in (7, DEFAULT_BLOCK):
-        monkeypatch.setattr(rip, "_EIG_BLOCK", block)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("LIPREC_THREADS", threads)
-            workers.clear()
-            out = tmp_path / f"report-{block}-{threads}.json"
-            assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
-            report = json.loads(out.read_text())
-            assert report["metadata"].pop("threads") == int(threads)
-            for clock in ("runtime_ms", "timestamp"):
-                report["metadata"].pop(clock)
-            reports[block, threads] = json.dumps(report, sort_keys=True)
-            # block 7 splits every size >= 2 into several blocks (C(8, 2) = 28)
-            assert max(workers) == (int(threads) if block == 7 else 1)
-    assert len(set(reports.values())) == 1
+    for problem in (balanced, tied):
+        reports = {}
+        for block in (7, DEFAULT_BLOCK):
+            monkeypatch.setattr(rip, "_EIG_BLOCK", block)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("LIPREC_THREADS", threads)
+                workers.clear()
+                out = tmp_path / f"report-{problem.stem}-{block}-{threads}.json"
+                assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
+                report = json.loads(out.read_text())
+                assert report["metadata"].pop("threads") == int(threads)
+                for clock in ("runtime_ms", "timestamp"):
+                    report["metadata"].pop(clock)
+                reports[block, threads] = json.dumps(report, sort_keys=True)
+                if problem == tied:
+                    # block 7 splits every size >= 2 into several blocks (C(10, 2) = 45)
+                    assert max(workers) == (int(threads) if block == 7 else 1)
+        assert len(set(reports.values())) == 1
     # rip_delta(S) then delta_2S inside verify_sparse_lipschitz: two passes per run
-    assert sizes == [2, 4] * 4
+    assert sizes == [2, 4] * 8
 
 
 def test_import_and_single_block_runs_load_no_thread_pool():
     # set-up time is measured end to end: a single-block rip pass and a
     # one-tile evaluate call (500 queries against 3 training points) start
     # no thread, and threaded runs start plain threads, so no run pays for
-    # importing a pool module. 2 * 10^5 queries against 30 training points
+    # importing a pool module. The threaded rip pass is on the identity,
+    # whose tied subsets send every block after a level's first to the
+    # worker threads. 2 * 10^5 queries against 30 training points
     # are above the cutoff for threading, and start one thread.
     code = ("import sys, threading, numpy as np, liprec\n"
             "from liprec import core, rip\n"
@@ -478,7 +633,7 @@ def test_import_and_single_block_runs_load_no_thread_pool():
             "hyp.evaluate(np.zeros((500, 3)))\n"
             "print(len(started), 'concurrent.futures' in sys.modules)\n"
             "rip._EIG_BLOCK = 7\n"
-            "liprec.rip_delta(np.eye(6), 3)\n"
+            "liprec.rip_delta(np.eye(10), 3)\n"
             "print(len(started) > 0, 'concurrent.futures' in sys.modules)\n"
             "threaded = len(started)\n"
             "obs = np.arange(90.0).reshape(30, 3)\n"
