@@ -20,9 +20,13 @@ minus a training column, into a (chunk, rows) block, squared in place and
 added into one of two lane accumulators, in the order numpy's einsum dot
 loop sums a contiguous axis (see ``_einsum_lanes``). The squared distances
 are therefore bit-identical to ``np.einsum("kjm,kjm->kj", d, d)`` on the
-(queries, training, m) difference block. Per output coordinate one min
-over the chunk axis goes into a contiguous row and is folded from there
-into the output column, a running min across chunks. Tiles are long
+(queries, training, m) difference block. The result is held
+output-major, as a (d, queries) array, so each output coordinate's
+running min across chunks is a contiguous row: the first chunk's min
+over the chunk axis goes straight into it, and each later chunk's goes
+into a spare row and is folded in from there. ``evaluate`` returns one
+transposed, C-contiguous copy; ``lipschitz_audit`` reads the rows as
+they are and sums their squares row by row (``_col_norms``). Tiles are long
 (thousands of queries) and chunks short (a few training points), so that
 every broadcast numpy call runs on long rows; see ``_MIN_ROWS``. Every
 buffer is bounded by an element count, so evaluation memory is O(tile)
@@ -35,7 +39,7 @@ tiles on up to ``core.thread_budget()`` threads (LIPREC_THREADS), at most
 they claim the tiles in order through ``core._map_blocks``. Each thread
 keeps its own buffer set, and with at most ``_MAX_THREADS`` sets
 evaluation memory stays O(tile) on any host. Each tile writes only its
-own rows of the output. A query's arithmetic does not depend on its tile
+own columns of the result. A query's arithmetic does not depend on its tile
 or thread, so the output is bit-identical for any thread count. Smaller
 calls run on the calling thread alone. Once every tile has finished, an
 entry that overflowed on the way is recomputed at a power-of-two scale;
@@ -83,8 +87,8 @@ from .lipschitz import tight_omega
 #   min over axis 0, contiguous   0.25-0.36  0.36   0.41   0.36
 #
 # So a tile holds at least 8192 rows (a call's last may hold fewer), and
-# each per-output min goes into a contiguous row before it meets the
-# strided output column.
+# the result is output-major, so that every per-output min and fold
+# writes a contiguous row.
 # Longer tiles ran slower: 2 points per chunk, and on two threads a
 # 20000-query call splits into one long tile and one short one. A 2**16
 # budget (8 points per chunk) ran criterion 2's audits 5-10% faster but
@@ -175,19 +179,28 @@ class MwetHypothesis:
         or omega1 times its distance) is recomputed at a power-of-two
         scale, so DomainError is raised only for a recovered value that
         itself exceeds float64. With omega1 = 0 every query recovers the
-        signals' column minima.
+        signals' column minima. The result is C-contiguous.
         """
         q, single = as_batch(y, self.input_dim, "observations")
+        # A copy, not the .T view: np.linalg.norm(axis=1) sums the rows of
+        # an F-order array in sequence and of a C-order one pairwise, so
+        # callers' norms would change bits from d = 8 up.
+        out = self._evaluate_rows(q).T.copy()
+        return out[0] if single else out
+
+    def _evaluate_rows(self, q: np.ndarray) -> np.ndarray:
+        """evaluate(q).T for a (count, m) batch, as a C-contiguous (d, count) array."""
         sig = self.training.signals
         (count, m), n = q.shape, len(self.training)
-        out = np.empty((count, self.output_dim))
+        out = np.empty((self.output_dim, count))
         if self.omega1 == 0.0:
             # Every term is 0 * distance + signal, so each query recovers
             # the same column minima, without the distance pass whose
             # squares could overflow.
-            out[:] = np.add(0.0, sig).min(axis=0)
-            return out[0] if single else out
+            out[:] = np.add(0.0, sig).min(axis=0)[:, None]
+            return out
         columns = np.ascontiguousarray(self.training.observations.T)
+        signals = np.ascontiguousarray(sig.T)
         rows = max(1, min(count, max(_MIN_ROWS, _TILE_ELEMENTS // n)))
         chunk = min(n, max(1, _TILE_ELEMENTS // rows))
         lanes = _einsum_lanes(m)
@@ -197,8 +210,8 @@ class MwetHypothesis:
             workers = min(thread_budget(), len(starts), _MAX_THREADS)
 
         def worker():
-            # One buffer set per thread; each tile writes only its own rows
-            # of out. errstate is per thread, so each tile sets it.
+            # One buffer set per thread; each tile writes only its own
+            # columns of out. errstate is per thread, so each tile sets it.
             tile = np.empty((m, rows))
             acc = np.empty((2, chunk, rows))
             scratch = np.empty((chunk, rows))
@@ -224,19 +237,19 @@ class MwetHypothesis:
                     np.sqrt(base, out=base)
                     np.multiply(self.omega1, base, out=base)
                     for i in range(self.output_dim):
-                        col = out[start:start + k, i]
-                        np.add(base, sig[j0:j0 + c, i, None], out=square)
-                        square.min(axis=0, out=low[:k])
+                        row = out[i, start:start + k]
+                        np.add(base, signals[i, j0:j0 + c, None], out=square)
                         if j0 == 0:
-                            col[:] = low[:k]
+                            square.min(axis=0, out=row)
                         else:
-                            np.minimum(col, low[:k], out=col)
+                            square.min(axis=0, out=low[:k])
+                            np.minimum(row, low[:k], out=row)
 
             return block
 
         core._map_blocks(worker, starts, workers)
-        self._rescale_overflows(q, out)
-        return out[0] if single else out
+        self._rescale_overflows(q, out.T)
+        return out
 
     __call__ = evaluate
 
@@ -304,26 +317,25 @@ class MwetHypothesis:
         # one each, and one evaluate call covers both halves.
         ends = rng.uniform(lo, hi, size=(2, num_pairs, self.input_dim))
         y1, y2 = ends
+        gaps = _col_norms((y1 - y2).T)
         for _ in range(64):
-            gaps = np.linalg.norm(y1 - y2, axis=1)
             close = np.flatnonzero(gaps < floor)
             if close.size == 0:
                 break
             y2[close] = rng.uniform(lo, hi, size=(close.size, self.input_dim))
+            gaps[close] = _col_norms((y1[close] - y2[close]).T)
         try:
-            recovered = self.evaluate(ends.reshape(2 * num_pairs, self.input_dim))
+            recovered = self._evaluate_rows(ends.reshape(2 * num_pairs, self.input_dim))
         except DomainError as exc:
             raise DomainError(
                 "the audit's sampling box (the training observations' bounding box, "
                 "inflated by 50%) holds a point whose recovered value overflows float64 "
                 f"at omega1 = {self.omega1:.6g}") from exc
-        g1, g2 = recovered.reshape(2, num_pairs, self.output_dim)
-        num = _row_norms(g1 - g2)
-        den = _row_norms(y1 - y2)
-        valid = den >= floor
+        num = _col_norms(recovered[:, :num_pairs] - recovered[:, num_pairs:])
+        valid = gaps >= floor
         if not np.any(valid):
             return 0.0
-        return float((num[valid] / den[valid]).max())
+        return float((num[valid] / gaps[valid]).max())
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -343,6 +355,24 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
             largest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
             scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
             out[big] = np.linalg.norm(rows / scale[:, None], axis=1) * scale
+    return out
+
+
+def _col_norms(rows: np.ndarray) -> np.ndarray:
+    """_row_norms(rows.T) for a (width, count) array, read row by row.
+
+    The squares of the rows are summed in ``np.add.reduce``'s order over a
+    contiguous axis (``core._norms``), so every norm is bit-identical to
+    ``np.linalg.norm`` of a C-contiguous (count, width) copy, whatever the
+    layout of rows. ``_pairwise_sum`` adds into its terms, so each square
+    is a fresh array. A norm that is not finite is recomputed by
+    ``_row_norms``, on a C-contiguous gather of its column.
+    """
+    with np.errstate(over="ignore"):
+        out = core._norms(lambda t: np.multiply(rows[t], rows[t]), rows.shape[0])
+        big = np.flatnonzero(~np.isfinite(out))
+        if big.size:
+            out[big] = _row_norms(rows.T[big])
     return out
 
 

@@ -11,17 +11,16 @@ Every constant comes from one kernel, ``_subset_spectra``. It lists each
 size's subsets in colex order as a numpy array built level by level and
 takes the extreme Gram eigenvalues of each subset from
 ``np.linalg.eigvalsh``, in fixed blocks. A size of one block runs it
-through ``core._map_blocks``. A larger size sends its first block to
-eigvalsh, which seeds the running extremes lo and hi. Each later block
-then gathers its Grams' lower triangles, and a float Cholesky test on
-the calling thread proves most spectra inside (lo, hi) by a margin; only
-the rest go to eigvalsh. lo and hi are tightened by the previous size's
-extremes, which bound this size's by Cauchy interlacing, so a subset the
-test rules out has a deviation strictly below its size's best and cannot
-change a record. Where the tests keep more than a fixed share of the
-subsets, as on tied data, the rest of the size runs in full blocks that
-up to ``core.thread_budget()`` threads claim in order (numpy releases
-the GIL inside the eigensolver). Block results are reduced in block
+through ``core._map_blocks``. In a larger size each block gathers its
+Grams' lower triangles, and a float Cholesky test on the calling thread
+proves most spectra inside (lo, hi) by a margin; only the rest go to
+eigvalsh. lo and hi are the previous size's extremes, which bound this
+size's by Cauchy interlacing, tightened by the running extremes of the
+blocks so far, so a subset the test rules out has a deviation strictly
+below its size's best and cannot change a record. Where the tests keep
+more than a fixed share of the subsets, as on tied data, the rest of the
+size runs in full blocks that up to ``core.thread_budget()`` threads
+claim in order (numpy releases the GIL inside the eigensolver). Block results are reduced in block
 order with a strict comparison, so the constants and the extremal subset
 (the first in size-then-colex order) are bit-identical for every block
 size and thread count. ``rip_delta`` and ``spectral_balance`` fold the
@@ -187,18 +186,19 @@ def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
 
     Blocks of _EIG_BLOCK subsets are folded in order. A level of one block,
     or a Gram matrix that is not finite (exp None), sends every block to
-    eigvalsh, on up to ``threads`` threads. Otherwise the first block runs
-    in full, and each later block, on the calling thread, sends to
-    eigvalsh only the subsets whose spectrum _certified_above cannot prove
-    to lie within (lo, hi): the extremes of the blocks so far, tightened by
-    ``smaller``, the previous size's (lambda_min, lambda_max). By Cauchy
-    interlacing this level's extremes lie beyond those too, up to rounding
-    far below _MARGIN. So a subset proved to lie within is at least
-    _MARGIN / 2 inside the level's extremes: it moves neither, and its
-    deviation stays strictly below the level's best, however 1 - lambda
-    and lambda - 1 round. It changes no field of the record. Once the
-    blocks so far keep more than _KEEP_SHARE of their subsets, the rest of
-    the level runs in full blocks.
+    eigvalsh, on up to ``threads`` threads. Otherwise each block, on the
+    calling thread, sends to eigvalsh only the subsets whose spectrum
+    _certified_above cannot prove to lie within (lo, hi): ``smaller``, the
+    previous size's (lambda_min, lambda_max), tightened by the extremes of
+    the blocks so far; the first block is tested against ``smaller``
+    alone. By Cauchy interlacing this level's extremes lie beyond those,
+    up to rounding far below _MARGIN. So a subset proved to lie within is
+    at least _MARGIN / 2 inside the level's extremes: it moves neither, and
+    its deviation stays strictly below the level's best, however
+    1 - lambda and lambda - 1 round. It changes no field of the record.
+    Once the blocks so far keep more than _KEEP_SHARE of their subsets
+    (on tied data, the first block's), the rest of the level runs in full
+    blocks.
     """
     n, k = gram.shape[0], level.shape[1]
 
@@ -209,17 +209,9 @@ def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
     starts = range(0, level.shape[0], _EIG_BLOCK)
     acc = (math.inf, -math.inf, -math.inf, None)
     if len(starts) > 1 and exp is not None:
-        low, high = _spectra(gram, level[:_EIG_BLOCK])
-        acc = _fold(acc, _extremes(low, high))
-        # In place of a test, the first block counts its subsets within the
-        # margin of its extremes, less the first one at each.
-        slack = math.ldexp(_MARGIN, exp)
-        tested = low.size
-        kept = (np.count_nonzero(low <= acc[0] + slack)
-                + np.count_nonzero(high >= acc[1] - slack) - 2)
         pairs = [(i, j) for j in range(k) for i in range(j, k)]
         rows, cols = (np.array(side) for side in zip(*pairs))
-        pos = 1
+        pos = tested = kept = 0
         while pos < len(starts) and kept <= _KEEP_SHARE * tested:
             start = starts[pos]
             sub = level[start:start + _EIG_BLOCK]

@@ -515,13 +515,18 @@ def test_lipschitz_audit_within_global_bound_and_deterministic():
         hyp.lipschitz_audit(0, seed=1)
 
 
-def _two_draw_audit(hyp, num_pairs, seed):
-    """lipschitz_audit as it was with one draw and one evaluate call per endpoint."""
+def _audit_box(hyp):
+    """lipschitz_audit's sampling box (lo, hi) and its redraw floor."""
     obs = hyp.training.observations
     lo, hi = obs.min(axis=0), obs.max(axis=0)
     center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     lo, hi = center - 1.5 * half, center + 1.5 * half
-    floor = mwet._AUDIT_FLOOR * float(np.linalg.norm(hi - lo))
+    return lo, hi, mwet._AUDIT_FLOOR * float(np.linalg.norm(hi - lo))
+
+
+def _two_draw_audit(hyp, num_pairs, seed):
+    """lipschitz_audit as it was with one draw and one evaluate call per endpoint."""
+    lo, hi, floor = _audit_box(hyp)
     rng = seeded_rng(seed)
     y1 = rng.uniform(lo, hi, size=(num_pairs, hyp.input_dim))
     y2 = rng.uniform(lo, hi, size=(num_pairs, hyp.input_dim))
@@ -550,6 +555,98 @@ def test_lipschitz_audit_bit_identical_to_two_draws(monkeypatch, obs_dim, num_pa
     expected, redrawn = _two_draw_audit(hyp, num_pairs, seed=11)
     assert redrawn > 0 or obs_dim > 1
     assert hyp.lipschitz_audit(num_pairs, seed=11) == expected
+
+
+def _evaluate_audit(hyp, num_pairs, seed):
+    """lipschitz_audit as it was before its output-major rows: one draw, the
+    public evaluate on both endpoints, and _row_norms of (pairs, d) rows."""
+    lo, hi, floor = _audit_box(hyp)
+    rng = seeded_rng(seed)
+    ends = rng.uniform(lo, hi, size=(2, num_pairs, hyp.input_dim))
+    y1, y2 = ends
+    for _ in range(64):
+        close = np.flatnonzero(np.linalg.norm(y1 - y2, axis=1) < floor)
+        if close.size == 0:
+            break
+        y2[close] = rng.uniform(lo, hi, size=(close.size, hyp.input_dim))
+    recovered = hyp.evaluate(ends.reshape(2 * num_pairs, hyp.input_dim))
+    g1, g2 = recovered.reshape(2, num_pairs, hyp.output_dim)
+    num = mwet._row_norms(g1 - g2)
+    den = mwet._row_norms(y1 - y2)
+    valid = den >= floor
+    return float((num[valid] / den[valid]).max()) if valid.any() else 0.0
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sig_dim=st.sampled_from([1, 7, 8, 9, 16]), obs_dim=st.integers(1, 3),
+       n=st.sampled_from([2, 5, 30]), num_pairs=st.sampled_from([1, 6, 700]),
+       tile=st.sampled_from([None, 7, 64]), threads=st.sampled_from(["1", "2"]),
+       omega1=st.sampled_from([0.5, 3.0, 1e160]), seed=st.integers(0, 2 ** 16))
+def test_lipschitz_audit_equals_the_evaluate_and_row_norms_audit(
+        sig_dim, obs_dim, n, num_pairs, tile, threads, omega1, seed):
+    # The audit reads G(y1) - G(y2) and the gaps from (d, pairs) rows and
+    # keeps the gaps of its last redraw round as the denominators; the
+    # ratio must keep the bits of the public evaluate's (pairs, d) outputs
+    # under np.linalg.norm's pairwise sums, which differ from a sequential
+    # sum from d = 8 up. One-dimensional observations can redraw pairs;
+    # omega1 = 1e160 makes the differences' squares overflow, so both
+    # sides rescale. Tiles of 7 or 64 rows split the audit's one call into
+    # up to 200 tiles, on one thread or two (the size cutoff patched away).
+    rng = np.random.default_rng(seed)
+    training = LabeledSet(rng.standard_normal((n, sig_dim)),
+                          rng.standard_normal((n, obs_dim)))
+    hyp = MwetHypothesis(training=training, omega1=omega1)
+    rows = tile or mwet._MIN_ROWS
+    with mock.patch.object(mwet, "_TILE_ELEMENTS", rows * 3 if tile else mwet._TILE_ELEMENTS), \
+            mock.patch.object(mwet, "_MIN_ROWS", rows), \
+            mock.patch.object(mwet, "_THREAD_PAIRS", 0), \
+            mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
+        got = hyp.lipschitz_audit(num_pairs, seed=seed)
+        expected = _evaluate_audit(hyp, num_pairs, seed)
+    assert got.hex() == expected.hex()
+
+
+def test_lipschitz_audit_measures_a_redrawn_pair_by_its_new_gap():
+    # Seed 3073 draws the one pair's endpoints closer than the floor, so
+    # the audit redraws the second one; the ratio is that of the new pair,
+    # whose gap must replace the old one among the kept denominators.
+    hyp = fit(_random_instance(seeded_rng(29), n=40, obs_dim=1))
+    lo, hi, floor = _audit_box(hyp)
+    y1, y2 = seeded_rng(3073).uniform(lo, hi, size=(2, 1))
+    assert abs(y1 - y2)[0] < floor
+    ratio = hyp.lipschitz_audit(1, seed=3073)
+    assert ratio > 0.0
+    assert ratio == _evaluate_audit(hyp, 1, seed=3073)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.sampled_from(list(range(1, 21)) + [127, 128, 129, 130]),
+       count=st.integers(1, 30), overflow=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_col_norms_equal_the_norms_of_c_order_rows(width, count, overflow, seed):
+    # _col_norms(a.T) sums each column's squares in add.reduce's order over
+    # a contiguous axis, as np.linalg.norm(a, axis=1) does on C-order rows:
+    # in sequence below 8, in eight accumulators up to 128, by halving
+    # above. Magnitudes spread over 1e-3..1e3 within a row and 1e-100..1e100
+    # across rows, so any other order shows in the bits. Rows scaled to a
+    # largest magnitude of 1e160..1e300 overflow in their squares and are
+    # rescaled, exactly.
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((count, width)) * 10.0 ** rng.uniform(-3, 3, (count, width))
+         * 10.0 ** rng.uniform(-100, 100, (count, 1)))
+    if overflow:
+        big = a[::2]
+        big /= np.abs(big).max(axis=1, keepdims=True)
+        big *= 10.0 ** rng.uniform(160, 300, (len(big), 1))
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(a, axis=1)
+    scaled = np.linalg.norm(a * 2.0 ** -700, axis=1) * 2.0 ** 700
+    expected = np.where(np.isfinite(plain), plain, scaled)
+    assert np.isinf(plain).any() == overflow
+    for rows in (np.ascontiguousarray(a.T), a.T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mwet._col_norms(rows).tobytes() == expected.tobytes()
 
 
 def test_lipschitz_audit_names_its_box_when_a_value_overflows():

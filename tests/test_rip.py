@@ -474,6 +474,30 @@ def test_pruned_records_equal_oracle_on_near_ties():
                 assert repr(rip._subset_spectra(a, 4)) == expected, block
 
 
+def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
+    # A unit-spectral-norm Gaussian 12 x 28, as in the rip benchmark: sizes
+    # 4-6 have 5 to 92 blocks each, and the first block is tested against
+    # the previous size's extremes like every later one, so eigvalsh sees a
+    # few dozen subsets per size, where sending the first block in full
+    # sent 4096 or more. The records equal those of an untested run
+    # (_KEEP_SHARE < 0 sends every block in full).
+    a = seeded_rng(7).standard_normal((12, 28))
+    a /= np.linalg.norm(a, 2)
+    sent = {}
+    spectra = rip._spectra
+
+    def counted(gram, sub):
+        sent[sub.shape[1]] = sent.get(sub.shape[1], 0) + sub.shape[0]
+        return spectra(gram, sub)
+
+    monkeypatch.setattr(rip, "_spectra", counted)
+    pruned = repr(rip._subset_spectra(a, 6))
+    assert sent[2] == math.comb(28, 2) and sent[3] == math.comb(28, 3)
+    assert all(sent[k] < 1000 for k in (4, 5, 6)), sent
+    monkeypatch.setattr(rip, "_KEEP_SHARE", -1.0)
+    assert repr(rip._subset_spectra(a, 6)) == pruned
+
+
 def _pack(mats):
     """(R, k, k) symmetric stack -> (k(k + 1) / 2, R) lower triangles, column by column."""
     k = mats.shape[-1]
