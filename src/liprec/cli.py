@@ -25,7 +25,8 @@ Tasks:
   theorem3   SVD-reduced recovery for a matrix operator, including the
              observation-consistency check on random signals
   rip        exact restricted isometry constants plus the sparse-pair
-             Lipschitz probe at the derived constant
+             Lipschitz probe at the derived constant, delta_S and
+             delta_2S both read from one subset-spectra pass at 2S
   example3   built-in one-dimensional ramp fixture: a certified interval,
              a colliding pair, and a union set certified at 2 but not 1.99
 
@@ -53,7 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import __version__, acceptance
+from . import __version__, acceptance, rip
 from .core import (
     TOL_CERT,
     TOL_DUP,
@@ -78,7 +79,6 @@ from .operators import (
     PiecewiseExampleOperator,
     normalize,
 )
-from .rip import rip_delta, sparse_signals, verify_sparse_lipschitz
 from .svdrec import fit_reduced
 
 EXIT_OK = 0
@@ -255,7 +255,7 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
         n = operator.signal_dim
         if not 1 <= sparsity <= n:
             raise ProblemError(f"signals.S must be in [1, {n}], got {sparsity}")
-        return sparse_signals(n, sparsity, count, seeded_rng(seed))
+        return rip.sparse_signals(n, sparsity, count, seeded_rng(seed))
     raise ProblemError(f"unknown signals.type {kind!r} (expected 'list', "
                        "'affine_segment', or 'sparse_random')")
 
@@ -459,35 +459,26 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
 
 
 def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput:
+    """delta_S and the sparse probe at delta_2S, both from one pass at 2S."""
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'rip' needs a matrix operator")
     sparsity = _integer(_require(params, "S", "params"), "params.S")
     num_pairs = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
-    report = rip_delta(operator, sparsity)
+    a = operator.matrix
+    rip._check_enumeration(a, sparsity)  # a bad or over-cap S is reported first
+    records = rip._probe_spectra(a, sparsity, num_pairs)
+    report = rip._rip_report(records, a.shape[1], sparsity)
+    results = dict(S=sparsity, delta=report.delta, subsets_examined=report.subsets_examined,
+                   extremal_subset=report.extremal_subset)
     try:
-        check = verify_sparse_lipschitz(operator, sparsity, num_pairs, seed)
+        check = rip._sparse_probe(a, records, sparsity, num_pairs, seed)
     except NotApplicableError:
         # delta_2S >= 1: a data property discovered by computation, reported
         # as a failed assertion rather than rejected as bad input.
-        results = {
-            "S": sparsity,
-            "delta": report.delta,
-            "subsets_examined": report.subsets_examined,
-            "extremal_subset": report.extremal_subset,
-            "derived_omega": None,
-        }
-        return ([assertion("derived_constant_applicable", False)],
-                results, {})
-    results = {
-        "S": sparsity,
-        "delta": report.delta,
-        "subsets_examined": report.subsets_examined,
-        "extremal_subset": report.extremal_subset,
-        "delta_2s": check.delta_2s,
-        "derived_omega": check.derived_omega,
-        "max_ratio": check.max_ratio,
-        "num_pairs": num_pairs,
-    }
+        results["derived_omega"] = None
+        return [assertion("derived_constant_applicable", False)], results, {}
+    results.update(delta_2s=check.delta_2s, derived_omega=check.derived_omega,
+                   max_ratio=check.max_ratio, num_pairs=num_pairs)
     assertions = [
         assertion("derived_constant_applicable", True, check.delta_2s, 1.0),
         assertion("sparse_pairs_within_derived_constant", check.passed,

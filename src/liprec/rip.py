@@ -20,17 +20,27 @@ blocks so far, so a subset the test rules out has a deviation strictly
 below its size's best and cannot change a record. Where the tests keep
 more than a fixed share of the subsets, as on tied data, the rest of the
 size runs in full blocks that up to ``core.thread_budget()`` threads
-claim in order (numpy releases the GIL inside the eigensolver). Block results are reduced in block
-order with a strict comparison, so the constants and the extremal subset
-(the first in size-then-colex order) are bit-identical for every block
-size and thread count. ``rip_delta`` and ``spectral_balance`` fold the
-kernel's per-size records, and ``check_recoverability_condition`` reads
-delta_2S and delta_3S from one pass at 3S.
+claim in order (numpy releases the GIL inside the eigensolver). Block
+results are reduced in block order with a strict comparison, so the
+constants and the extremal subset (the first in size-then-colex order)
+are bit-identical for every block size and thread count. A Gram matrix
+that overflows float64 is rejected with DomainError before any size.
+
+The kernel returns one record per size, and a size's record depends on
+the smaller sizes alone, so a pass at S serves every size up to S. Each
+caller makes one pass per matrix and folds its records: ``_rip_report``
+gives delta_S, ``_balance`` the optimal uniform rescaling and
+``_sparse_probe`` the sparse-pair check. ``rip_delta``,
+``spectral_balance`` and ``verify_sparse_lipschitz`` are a pass plus one
+fold; ``check_recoverability_condition`` reads delta_2S and delta_3S
+from a pass at 3S, the cli's ``rip`` task delta_S and delta_2S from a
+pass at 2S, and acceptance criterion 6 every constant from one pass on
+its raw matrix and one on the rescaled matrix.
 
 Differences of S-sparse signals are 2S-sparse, so delta_2S < 1 makes any
 set of S-sparse signals Lipschitz-recoverable with constant
 1/sqrt(1 - delta_2S); verify_sparse_lipschitz probes that bound with
-random sparse pairs.
+random sparse pairs, at least one.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ import numpy as np
 from . import core
 from .core import (
     TOL_CERT,
+    DomainError,
     NotApplicableError,
     ParameterError,
     TooLargeError,
@@ -180,14 +191,13 @@ def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
     return certified
 
 
-def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
+def _level_extremes(gram: np.ndarray, level: np.ndarray, exp: int, threads: int,
                     smaller: Tuple[float, float]) -> tuple:
     """(lambda_min, lambda_max, deviation, first extremal row of level) over one level.
 
-    Blocks of _EIG_BLOCK subsets are folded in order. A level of one block,
-    or a Gram matrix that is not finite (exp None), sends every block to
-    eigvalsh, on up to ``threads`` threads. Otherwise each block, on the
-    calling thread, sends to eigvalsh only the subsets whose spectrum
+    Blocks of _EIG_BLOCK subsets are folded in order. A level of one block
+    goes to eigvalsh whole. Otherwise each block, on the calling thread,
+    sends to eigvalsh only the subsets whose spectrum
     _certified_above cannot prove to lie within (lo, hi): ``smaller``, the
     previous size's (lambda_min, lambda_max), tightened by the extremes of
     the blocks so far; the first block is tested against ``smaller``
@@ -198,7 +208,8 @@ def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
     1 - lambda and lambda - 1 round. It changes no field of the record.
     Once the blocks so far keep more than _KEEP_SHARE of their subsets
     (on tied data, the first block's), the rest of the level runs in full
-    blocks.
+    blocks on up to ``threads`` threads. 2^exp >= max(1, max |G|) is the
+    unit of the test (see _certified_above).
     """
     n, k = gram.shape[0], level.shape[1]
 
@@ -208,7 +219,7 @@ def _level_extremes(gram: np.ndarray, level: np.ndarray, exp, threads: int,
 
     starts = range(0, level.shape[0], _EIG_BLOCK)
     acc = (math.inf, -math.inf, -math.inf, None)
-    if len(starts) > 1 and exp is not None:
+    if len(starts) > 1:
         pairs = [(i, j) for j in range(k) for i in range(j, k)]
         rows, cols = (np.array(side) for side in zip(*pairs))
         pos = tested = kept = 0
@@ -239,13 +250,17 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     """One record per subset size 1..S: the one enumeration pass of this module.
 
     Above ``ENUMERATION_CAP`` subsets the call refuses with TooLargeError
-    rather than falling back to an estimate.
+    rather than falling back to an estimate. A Gram matrix that overflows
+    float64 raises DomainError before any level: its spectra would be inf
+    or nan, and no constant read from them means anything.
     """
     _check_enumeration(a, S)
-    gram = a.T @ a
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    if not np.isfinite(gram).all():
+        raise DomainError("matrix: Gram entries overflow float64 (A^T A is not finite)")
     threads = thread_budget()
-    top = max(float(gram.max()), -float(gram.min()))  # nan when an entry is nan
-    exp = math.frexp(max(top, 1.0))[1] if math.isfinite(top) else None
+    exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
     records = []
     for k, level in enumerate(_colex_levels(a.shape[1], S), start=1):
         if k == 1:
@@ -255,8 +270,7 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
         else:
             # lo and hi still hold the previous size's extremes
             lo, hi, best, where = _level_extremes(gram, level, exp, threads, (lo, hi))
-        subset = () if where is None else tuple(int(i) for i in level[where])
-        records.append(_SizeSpectra(lo, hi, best, subset))
+        records.append(_SizeSpectra(lo, hi, best, tuple(int(i) for i in level[where])))
     return records
 
 
@@ -270,6 +284,29 @@ class RipReport:
     extremal_subset: Tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class BalanceResult:
+    """Uniform rescaling that centers the subset spectra around 1."""
+
+    scale: float
+    lambda_min: float
+    lambda_max: float
+    delta: float
+
+
+@dataclass(frozen=True)
+class SparseLipschitzCheck:
+    """Empirical check that sparse pairs obey the derived constant."""
+
+    S: int
+    passed: bool
+    max_ratio: float
+    derived_omega: float
+    delta_2s: float
+    num_pairs: int
+    seed: int
+
+
 def _rip_report(records: List[_SizeSpectra], n: int, S: int) -> RipReport:
     """delta_S from the kernel's records of sizes 1..S; ties go to the smaller size."""
     best, subset = -math.inf, ()
@@ -279,6 +316,47 @@ def _rip_report(records: List[_SizeSpectra], n: int, S: int) -> RipReport:
     return RipReport(S=S, delta=max(best, 0.0),
                      subsets_examined=sum(math.comb(n, k) for k in range(1, S + 1)),
                      extremal_subset=subset)
+
+
+def _balance(records: List[_SizeSpectra]) -> BalanceResult:
+    """The optimal uniform rescaling (see ``spectral_balance``) from the records of sizes 1..S."""
+    lo = max(min(record.lambda_min for record in records), 0.0)
+    hi = max(0.0, *(record.lambda_max for record in records))
+    if hi <= 0.0:
+        raise ParameterError("cannot balance a zero matrix")
+    return BalanceResult(
+        scale=math.sqrt(2.0 / (lo + hi)),
+        lambda_min=lo,
+        lambda_max=hi,
+        delta=(hi - lo) / (hi + lo),
+    )
+
+
+def _probe_spectra(a: np.ndarray, S: int, num_pairs: int) -> List[_SizeSpectra]:
+    """The records of sizes 1..2S that the sparse probe reads, after its own checks."""
+    if 2 * S > min(a.shape):
+        raise ParameterError(f"need 2S <= min(M, N) = {min(a.shape)}, got S = {S}")
+    _check_enumeration(a, 2 * S)  # a bad or over-cap 2S is reported first
+    if num_pairs < 1:
+        raise ParameterError("num_pairs must be >= 1")
+    return _subset_spectra(a, 2 * S)
+
+
+def _sparse_probe(a: np.ndarray, records: List[_SizeSpectra], S: int, num_pairs: int,
+                  seed: int) -> SparseLipschitzCheck:
+    """The probe of ``verify_sparse_lipschitz`` at delta_2S from the records of sizes 1..2S."""
+    delta = _rip_report(records, a.shape[1], 2 * S).delta
+    omega = rip_to_omega(delta)
+    rng = seeded_rng(seed)
+    diff = (sparse_signals(a.shape[1], S, num_pairs, rng)
+            - sparse_signals(a.shape[1], S, num_pairs, rng))
+    dx = np.linalg.norm(diff, axis=1)
+    dy = np.linalg.norm(diff @ a.T, axis=1)
+    pos = dy > 0.0
+    max_ratio = float((dx[pos] / dy[pos]).max()) if np.any(pos) else 0.0
+    return SparseLipschitzCheck(S=S, passed=bool(np.all(dx <= omega * dy + TOL_CERT)),
+                                max_ratio=max_ratio, derived_omega=omega, delta_2s=delta,
+                                num_pairs=num_pairs, seed=seed)
 
 
 def rip_delta(operator, S: int) -> RipReport:
@@ -293,16 +371,6 @@ def rip_delta(operator, S: int) -> RipReport:
     return _rip_report(_subset_spectra(a, S), a.shape[1], S)
 
 
-@dataclass(frozen=True)
-class BalanceResult:
-    """Uniform rescaling that centers the subset spectra around 1."""
-
-    scale: float
-    lambda_min: float
-    lambda_max: float
-    delta: float
-
-
 def spectral_balance(operator, S: int) -> BalanceResult:
     """Optimal uniform column rescaling for the isometry constant.
 
@@ -314,18 +382,7 @@ def spectral_balance(operator, S: int) -> BalanceResult:
     is singular, however badly the unscaled constant overshoots. The
     returned delta is the predicted constant of scale * A.
     """
-    lo, hi = math.inf, 0.0
-    for record in _subset_spectra(_as_matrix_array(operator), S):
-        lo, hi = min(lo, record.lambda_min), max(hi, record.lambda_max)
-    lo = max(lo, 0.0)
-    if hi <= 0.0:
-        raise ParameterError("cannot balance a zero matrix")
-    return BalanceResult(
-        scale=math.sqrt(2.0 / (lo + hi)),
-        lambda_min=lo,
-        lambda_max=hi,
-        delta=(hi - lo) / (hi + lo),
-    )
+    return _balance(_subset_spectra(_as_matrix_array(operator), S))
 
 
 @dataclass(frozen=True)
@@ -375,41 +432,13 @@ def sparse_signals(n: int, S: int, count: int, rng) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class SparseLipschitzCheck:
-    """Empirical check that sparse pairs obey the derived constant."""
-
-    S: int
-    passed: bool
-    max_ratio: float
-    derived_omega: float
-    delta_2s: float
-    num_pairs: int
-    seed: int
-
-
 def verify_sparse_lipschitz(operator, S: int, num_pairs: int, seed: int) -> SparseLipschitzCheck:
     """Probe |x1 - x2| <= omega |A x1 - A x2| + TOL_CERT on random S-sparse pairs.
 
     omega is the exact 1/sqrt(1 - delta_2S); a difference of S-sparse
     signals is 2S-sparse, so no probe can exceed it (the check exists to
-    catch implementation faults, not mathematical ones).
+    catch implementation faults, not mathematical ones). A probe of no
+    pairs examines nothing, so num_pairs < 1 raises ParameterError.
     """
     a = _as_matrix_array(operator)
-    m, n = a.shape
-    if 2 * S > min(m, n):
-        raise ParameterError(f"need 2S <= min(M, N) = {min(m, n)}, got S = {S}")
-    delta = rip_delta(a, 2 * S).delta
-    omega = rip_to_omega(delta)
-    rng = seeded_rng(seed)
-    x1 = sparse_signals(n, S, num_pairs, rng)
-    x2 = sparse_signals(n, S, num_pairs, rng)
-    diff = x1 - x2
-    dx = np.linalg.norm(diff, axis=1)
-    dy = np.linalg.norm(diff @ a.T, axis=1)
-    passed = bool(np.all(dx <= omega * dy + TOL_CERT))
-    pos = dy > 0.0
-    max_ratio = float((dx[pos] / dy[pos]).max()) if np.any(pos) else 0.0
-    return SparseLipschitzCheck(S=S, passed=passed, max_ratio=max_ratio,
-                                derived_omega=omega, delta_2s=delta,
-                                num_pairs=num_pairs, seed=seed)
+    return _sparse_probe(a, _probe_spectra(a, S, num_pairs), S, num_pairs, seed)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liprec import cli, core, rip
+from liprec import acceptance, cli, core, rip
 from liprec import (
     DimensionError,
     DomainError,
@@ -139,6 +139,45 @@ def test_raw_matrix_must_be_finite(bad):
     for call in calls:
         with pytest.raises(DomainError, match="^matrix: entries must be finite$"):
             call()
+
+
+def test_overflowing_gram_raises_before_any_level(monkeypatch):
+    # A finite matrix whose Gram overflows used to give rip_delta a delta of
+    # inf, after a numpy overflow warning, and spectral_balance a scale of
+    # 0.0 with delta nan. Entries of both signs make inf - inf = nan too.
+    grown = np.eye(6)
+    grown[0, 0] = 1e200
+    mixed = np.eye(6)
+    mixed[:2, :2] = [[1e200, -1e200], [1e200, 1e200]]
+
+    def no_level(*args):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(rip, "_colex_levels", no_level)
+    for a in (grown, mixed):
+        calls = [lambda: rip_delta(a, 1), lambda: spectral_balance(a, 2),
+                 lambda: check_recoverability_condition(a, 1),
+                 lambda: verify_sparse_lipschitz(a, 1, 10, 0)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=r"^matrix: Gram entries overflow float64"):
+                    call()
+
+
+def test_cli_rip_with_overflowing_gram_exits_1(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"task": "rip", "params": {"S": 1},
+                                   "operator": {"type": "matrix",
+                                                "data": [[1e200, 1, 0], [0, 1, 1]]}}))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: DomainError: matrix: Gram entries overflow float64 (A^T A is not finite)"]
+    assert not out.exists()
 
 
 def test_raw_matrix_must_be_non_empty_2d():
@@ -255,6 +294,19 @@ def test_verify_sparse_lipschitz_guards():
     degenerate[0, 0] = 0.0
     with pytest.raises(NotApplicableError):
         verify_sparse_lipschitz(degenerate, 2, 100, seed=0)
+
+
+@pytest.mark.parametrize("num_pairs", [0, -3])
+def test_verify_sparse_lipschitz_needs_a_pair(monkeypatch, num_pairs):
+    # A probe of no pairs used to pass, and a negative count raised numpy's
+    # ValueError; both are rejected before the pass.
+    sizes = _counting_kernel(monkeypatch)
+    with pytest.raises(ParameterError, match="^num_pairs must be >= 1$"):
+        verify_sparse_lipschitz(np.eye(6), 1, num_pairs, 0)
+    assert sizes == []
+    # a bad S is still reported first
+    with pytest.raises(ParameterError, match="^need 2S <= min"):
+        verify_sparse_lipschitz(np.eye(6), 4, num_pairs, 0)
 
 
 # --------------------------------------------------------------------------
@@ -635,8 +687,32 @@ def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch
                     # block 7 splits every size >= 2 into several blocks (C(10, 2) = 45)
                     assert max(workers) == (int(threads) if block == 7 else 1)
         assert len(set(reports.values())) == 1
-    # rip_delta(S) then delta_2S inside verify_sparse_lipschitz: two passes per run
-    assert sizes == [2, 4] * 8
+    # delta_S and delta_2S both come from one pass at 2S
+    assert sizes == [4] * 8
+
+
+def test_cli_rip_checks_2s_before_any_pass(tmp_path, capsys, monkeypatch):
+    # S = 3 fits a 5 x 7 matrix but 2S does not: the task used to make the
+    # pass at S before it failed.
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"task": "rip", "params": {"S": 3},
+                                   "operator": {"type": "matrix",
+                                                "data": np.eye(5, 7).tolist()}}))
+    sizes = _counting_kernel(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ParameterError: need 2S <= min(M, N) = 5, got S = 3"]
+    assert sizes == []
+    assert not out.exists()
+
+
+def test_criterion_6_makes_one_pass_per_matrix(monkeypatch):
+    # seed 0 qualifies: one pass on the unit-column draw, one on its rescaling
+    sizes = _counting_kernel(monkeypatch)
+    result = acceptance.criterion_6()
+    assert result.details["seed"] == 0
+    assert sizes == [4, 4]
 
 
 def test_import_and_single_block_runs_load_no_thread_pool():
