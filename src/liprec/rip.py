@@ -8,20 +8,24 @@ against the exact constant. The classical sparse-recovery condition is
 delta_2S + delta_3S < 1.
 
 Every constant comes from one kernel, ``_subset_spectra``. It lists each
-size's subsets in colex order as a numpy array built level by level and
-takes the extreme Gram eigenvalues of each subset from
-``np.linalg.eigvalsh``, in fixed blocks. A size of one block runs it
-through ``core._map_blocks``. In a larger size each block gathers its
-Grams' lower triangles, and a float Cholesky test on the calling thread
-proves most spectra inside (lo, hi) by a margin; only the rest go to
-eigvalsh. lo and hi are the previous size's extremes, which bound this
-size's by Cauchy interlacing, tightened by the running extremes of the
-blocks so far, so a subset the test rules out has a deviation strictly
-below its size's best and cannot change a record. Where the tests keep
-more than a fixed share of the subsets, as on tied data, the rest of the
-size runs in full blocks that up to ``core.thread_budget()`` threads
-claim in order (numpy releases the GIL inside the eigensolver). Block
-results are reduced in block order with a strict comparison, so the
+size's subsets in colex order, where row C(t, k) + r of size k is row r of
+size k - 1 with column t appended, so size k is read from the array of
+size k - 1 and the top size S is never built: memory is O(C(N, S - 1) S)
+plus a few blocks. A size of one block of subsets goes to
+``np.linalg.eigvalsh`` whole. In a larger size a float Cholesky test on
+the calling thread proves most spectra inside (lo, hi) by a margin; lo
+and hi are the previous size's extremes, which bound this size's by
+Cauchy interlacing, so a subset the test rules out has a deviation
+strictly below its size's best and cannot change a record. The test
+factors each block of (k - 1)-subset Grams once, then extends each factor
+by one column per later top t: a forward substitution and a last pivot,
+the float operations that factoring the k x k Gram applies to its last
+row, so it certifies exactly the subsets a full factorisation would.
+Where the tests keep more than a fixed share of the subsets, as on tied
+data, the rest of the size is kept untested. The kept subsets, in colex
+order, go to eigvalsh in fixed blocks that up to ``core.thread_budget()``
+threads claim in order (numpy releases the GIL inside the eigensolver).
+Block results are reduced in block order with a strict comparison, so the
 constants and the extremal subset (the first in size-then-colex order)
 are bit-identical for every block size and thread count. A Gram matrix
 that overflows float64 is rejected with DomainError before any size.
@@ -66,9 +70,10 @@ from .operators import MatrixOperator
 
 ENUMERATION_CAP = 10 ** 7
 
-# Subsets per eigvalsh call, and per pruning test. Each worker thread holds
-# one block's Gram stack and spectra at a time, so a small block keeps peak
-# memory level; the results do not depend on the block size.
+# Subsets per eigvalsh call, and prefixes per block of the pruning test.
+# Each worker thread holds one block's Gram stack and spectra at a time, so a
+# small block keeps peak memory level; the results do not depend on the
+# block size.
 _EIG_BLOCK = 1 << 12
 
 # Margin of the pruning test, in units of 2^e >= max(1, max |G|) for the
@@ -94,24 +99,35 @@ def _as_matrix_array(operator) -> np.ndarray:
 
 
 def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
-    """The k-subsets of range(n) in colex order, as a (C(n, k), k) array per k = 1..S.
-
-    Colex lists every subset of range(t) before any subset whose top
-    element is t, so level k is, for each top t, the first C(t, k - 1)
-    rows of level k - 1 with t appended.
-    """
+    """The k-subsets of range(n) in colex order, as a (C(n, k), k) array per k = 1..S."""
     level = np.arange(n, dtype=np.intp)[:, None]
     yield level
     for k in range(2, S + 1):
-        grown = np.empty((math.comb(n, k), k), dtype=np.intp)
-        row = 0
-        for top in range(k - 1, n):
-            count = math.comb(top, k - 1)
-            grown[row:row + count, :-1] = level[:count]
-            grown[row:row + count, -1] = top
-            row += count
-        level = grown
+        level = _extended(level, n, range(math.comb(n, k)))
         yield level
+
+
+def _extended(prefix: np.ndarray, n: int, rows) -> np.ndarray:
+    """Rows of colex level k of range(n), from level k - 1 as prefix.
+
+    Colex lists every subset of range(t) before any subset whose top
+    element is t, so row C(t, k) + r of level k is prefix row r with t
+    appended, for r < C(t, k - 1). rows is a range, copied top by top, or
+    an array of rows.
+    """
+    k = prefix.shape[1] + 1
+    if isinstance(rows, range):
+        grown = np.empty((len(rows), k), dtype=np.intp)
+        for top in range(k - 1, n):
+            first = math.comb(top, k)
+            lo, hi = max(rows.start, first), min(rows.stop, first + math.comb(top, k - 1))
+            if lo < hi:
+                grown[lo - rows.start:hi - rows.start, :-1] = prefix[lo - first:hi - first]
+                grown[lo - rows.start:hi - rows.start, -1] = top
+        return grown
+    firsts = np.array([math.comb(t, k) for t in range(k - 1, n)])  # each top's first row
+    top = np.searchsorted(firsts, rows, side="right") - 1
+    return np.column_stack((prefix[rows - firsts[top]], top + (k - 1)))
 
 
 def _check_enumeration(a: np.ndarray, S: int) -> None:
@@ -164,7 +180,9 @@ def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
     lower is (k(k + 1) / 2, R): column r holds matrix r's lower triangle,
     packed column by column; sigma is a scalar or one value per matrix.
     Both are scaled by 2^-e, with 2^e >= max(1, max |G|) over the Gram
-    matrix G that the matrices come from. lower is overwritten.
+    matrix G that the matrices come from. lower is overwritten with the
+    factors of the shifted matrices: each pivot on the diagonal, the
+    columns of the Cholesky factor below it.
 
     Matrix r is certified when the float Cholesky factorisation of
     lower[:, r] - (sigma[r] + _MARGIN) I has every pivot above _MARGIN. In
@@ -191,57 +209,135 @@ def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
     return certified
 
 
-def _level_extremes(gram: np.ndarray, level: np.ndarray, exp: int, threads: int,
-                    smaller: Tuple[float, float]) -> tuple:
-    """(lambda_min, lambda_max, deviation, first extremal row of level) over one level.
+def _extension_certificates(scaled: np.ndarray, block: np.ndarray, start: int,
+                            sigma: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """(first row, certified) for every extension of one block of prefixes by one column.
 
-    Blocks of _EIG_BLOCK subsets are folded in order. A level of one block
-    goes to eigvalsh whole. Otherwise each block, on the calling thread,
-    sends to eigvalsh only the subsets whose spectrum
-    _certified_above cannot prove to lie within (lo, hi): ``smaller``, the
-    previous size's (lambda_min, lambda_max), tightened by the extremes of
-    the blocks so far; the first block is tested against ``smaller``
-    alone. By Cauchy interlacing this level's extremes lie beyond those,
-    up to rounding far below _MARGIN. So a subset proved to lie within is
-    at least _MARGIN / 2 inside the level's extremes: it moves neither, and
-    its deviation stays strictly below the level's best, however
-    1 - lambda and lambda - 1 round. It changes no field of the record.
-    Once the blocks so far keep more than _KEEP_SHARE of their subsets
-    (on tied data, the first block's), the rest of the level runs in full
-    blocks on up to ``threads`` threads. 2^exp >= max(1, max |G|) is the
-    unit of the test (see _certified_above).
+    block is rows start.. of colex level k - 1 (k - 1 >= 1), and row
+    C(t, k) + r of level k extends prefix r by t (see _extended). scaled
+    is the Gram matrix times 2^-exp (see _certified_above). Each entry
+    holds, for one top t, the level row of the block's first extension by
+    t and a (2, m) array over its m extensions: side 0 says the k-subset's
+    scaled Gram passes _certified_above at sigma[0], side 1 that its
+    negation passes at sigma[1].
+
+    The block's (k - 1)-subset Grams are factored once by _certified_above;
+    each extension then takes one forward substitution of its new column
+    through that factor and one last pivot. Those are the operations, in
+    the same order, that the right-looking factorisation of the k x k
+    matrix applies to its last row, and the leading k - 1 pivots do not
+    depend on that row, so the certificate is bit-identical to
+    _certified_above on the k x k matrices. A prefix whose pivot failed is
+    the identity in its factor: its extensions are not certified, and no
+    step divides by a pivot near 0.
     """
-    n, k = gram.shape[0], level.shape[1]
+    n, k = scaled.shape[0], block.shape[1] + 1
+    count = block.shape[0]
+    pairs = [(i, j) for j in range(k - 1) for i in range(j, k - 1)]
+    rows, cols = (np.array(side) for side in zip(*pairs))
+    factor = np.empty((len(pairs), 2, count))
+    np.take(scaled, (block[:, rows] * n + block[:, cols]).T, out=factor[:, 0])
+    np.negative(factor[:, 0], out=factor[:, 1])
+    alive = _certified_above(factor.reshape(len(pairs), 2 * count), k - 1,
+                             np.repeat(sigma, count)).reshape(2, count)
+    diag = [j * (k - 1) - j * (j - 1) // 2 for j in range(k - 1)]
+    roots = np.sqrt(factor[diag])
+    columns = block.T
+    out = []
+    for t in range(k - 1, n):
+        m = min(count, math.comb(t, k - 1) - start)
+        if m <= 0:
+            continue
+        x = np.empty((k, 2, m))  # the new column's entries, then its diagonal, on both sides
+        x[:-1, 0] = scaled[t][columns[:, :m]]
+        np.negative(x[:-1, 0], out=x[:-1, 1])
+        x[-1] = (np.array([scaled[t, t], -scaled[t, t]]) - (sigma + _MARGIN))[:, None]
+        for j, d in enumerate(diag):
+            x[j] /= roots[j, :, :m]
+            for i in range(j + 1, k - 1):
+                x[i] -= x[j] * factor[d + i - j, :, :m]
+            x[-1] -= x[j] * x[j]
+        out.append((math.comb(t, k) + start, alive[:, :m] & (x[-1] > _MARGIN)))
+    return out
 
-    def block(start: int) -> tuple:
-        lo, hi, dev, j = _extremes(*_spectra(gram, level[start:start + _EIG_BLOCK]))
-        return lo, hi, dev, start + j
 
-    starts = range(0, level.shape[0], _EIG_BLOCK)
+def _tested_rows(scaled: np.ndarray, prefix: np.ndarray, sigma: np.ndarray) -> list:
+    """The rows of level k that the pruning test leaves for eigvalsh, as pieces in colex order.
+
+    prefix is level k - 1. Blocks of _EIG_BLOCK prefixes are tested in
+    order (see _extension_certificates) until the blocks so far keep more
+    than _KEEP_SHARE of their rows; every row not tested counts as kept.
+    A piece is an array of kept rows or a range of rows not tested.
+    """
+    n, k = scaled.shape[0], prefix.shape[1] + 1
+    used = math.comb(n - 1, k - 1)  # prefixes with an extension: those below top n - 1
+    parts, tested, kept, done = [], 0, 0, 0
+    while done < used and kept <= _KEEP_SHARE * tested:
+        for first, certified in _extension_certificates(
+                scaled, prefix[done:min(done + _EIG_BLOCK, used)], done, sigma):
+            parts.append(first + np.flatnonzero(~certified.all(axis=0)))
+            tested, kept = tested + certified.shape[1], kept + parts[-1].size
+        done += _EIG_BLOCK
+    rows = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+    pieces, pos = [], 0
+    for t in range(k - 1, n):
+        if math.comb(t, k - 1) > done:  # prefixes done.. of top t are untested
+            gap = range(math.comb(t, k) + done, math.comb(t + 1, k))
+            end = int(np.searchsorted(rows, gap.start))
+            pieces += [rows[pos:end], gap]
+            pos = end
+    return pieces + [rows[pos:]]
+
+
+def _blocks(pieces: list, size: int) -> List[list]:
+    """The pieces, in order, cut into blocks of at most size rows; a block is a list of pieces."""
+    blocks, block, room = [], [], size
+    for piece in pieces:
+        while len(piece):
+            block.append(piece[:room])
+            piece, room = piece[room:], room - len(block[-1])
+            if not room:
+                blocks.append(block)
+                block, room = [], size
+    return blocks + [block] if block else blocks
+
+
+def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int,
+                    smaller: Tuple[float, float]) -> tuple:
+    """(lambda_min, lambda_max, deviation, first extremal subset) over level k.
+
+    prefix is level k - 1; level k itself is never built whole. A level of
+    at most _EIG_BLOCK subsets goes to eigvalsh whole. Otherwise
+    _tested_rows rules out the subsets whose spectrum the shifted-Cholesky
+    test proves to lie within (lo, hi) = ``smaller``, the previous size's
+    (lambda_min, lambda_max). By Cauchy interlacing this level's extremes
+    lie beyond those, up to rounding far below _MARGIN. So a subset proved
+    to lie within is at least _MARGIN / 2 inside the level's extremes: it
+    moves neither, and its deviation stays strictly below the level's
+    best, however 1 - lambda and lambda - 1 round. It changes no field of
+    the record. The rows left, in colex order, are cut into blocks of
+    _EIG_BLOCK subsets, built from (prefix row, top), that up to
+    ``threads`` threads send to eigvalsh; the blocks are folded in order
+    with a strict comparison. 2^exp >= max(1, max |G|) is the unit of the
+    test (see _certified_above). Beyond the prefix level, memory is one
+    block of prefixes and its certificates, O(_EIG_BLOCK (k^2 + N)), one
+    eigvalsh block per thread, and one index per kept row tested.
+    """
+    n, k = gram.shape[0], prefix.shape[1] + 1
+
+    def block(pieces: list) -> tuple:
+        sub = np.concatenate([_extended(prefix, n, piece) for piece in pieces])
+        lo, hi, dev, j = _extremes(*_spectra(gram, sub))
+        return lo, hi, dev, tuple(int(i) for i in sub[j])
+
+    if math.comb(n, k) <= _EIG_BLOCK:
+        pieces = [range(math.comb(n, k))]
+    else:
+        sigma = np.array([math.ldexp(smaller[0], -exp), -math.ldexp(smaller[1], -exp)])
+        pieces = _tested_rows(np.ldexp(gram, -exp), prefix, sigma)
+    blocks = _blocks(pieces, _EIG_BLOCK)
     acc = (math.inf, -math.inf, -math.inf, None)
-    if len(starts) > 1:
-        pairs = [(i, j) for j in range(k) for i in range(j, k)]
-        rows, cols = (np.array(side) for side in zip(*pairs))
-        pos = tested = kept = 0
-        while pos < len(starts) and kept <= _KEEP_SHARE * tested:
-            start = starts[pos]
-            sub = level[start:start + _EIG_BLOCK]
-            count = sub.shape[0]
-            lower = np.empty((len(pairs), 2 * count))
-            np.take(gram.ravel(), (sub[:, rows] * n + sub[:, cols]).T, out=lower[:, :count])
-            np.ldexp(lower[:, :count], -exp, out=lower[:, :count])
-            np.negative(lower[:, :count], out=lower[:, count:])
-            sigma = np.repeat([math.ldexp(min(acc[0], smaller[0]), -exp),
-                               -math.ldexp(max(acc[1], smaller[1]), -exp)], count)
-            inside = _certified_above(lower, k, sigma).reshape(2, count).all(axis=0)
-            left = start + np.flatnonzero(~inside)
-            tested, kept = tested + count, kept + left.size
-            if left.size:
-                lo, hi, dev, j = _extremes(*_spectra(gram, level[left]))
-                acc = _fold(acc, (lo, hi, dev, int(left[j])))
-            pos += 1
-        starts = starts[pos:]
-    for part in core._map_blocks(lambda: block, starts, min(threads, len(starts))):
+    for part in core._map_blocks(lambda: block, blocks, min(threads, len(blocks))):
         acc = _fold(acc, part)
     return acc
 
@@ -252,7 +348,8 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     Above ``ENUMERATION_CAP`` subsets the call refuses with TooLargeError
     rather than falling back to an estimate. A Gram matrix that overflows
     float64 raises DomainError before any level: its spectra would be inf
-    or nan, and no constant read from them means anything.
+    or nan, and no constant read from them means anything. Levels 1..S - 1
+    are built as arrays; size k is read from level k - 1.
     """
     _check_enumeration(a, S)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,16 +358,15 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
         raise DomainError("matrix: Gram entries overflow float64 (A^T A is not finite)")
     threads = thread_budget()
     exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
-    records = []
-    for k, level in enumerate(_colex_levels(a.shape[1], S), start=1):
-        if k == 1:
-            # 1x1 Grams are the squared column norms; no eigensolver needed.
-            diag = np.diag(gram)
-            lo, hi, best, where = _extremes(diag, diag)
-        else:
-            # lo and hi still hold the previous size's extremes
-            lo, hi, best, where = _level_extremes(gram, level, exp, threads, (lo, hi))
-        records.append(_SizeSpectra(lo, hi, best, tuple(int(i) for i in level[where])))
+    # 1x1 Grams are the squared column norms; no eigensolver needed.
+    diag = np.diag(gram)
+    lo, hi, best, where = _extremes(diag, diag)
+    records = [_SizeSpectra(lo, hi, best, (where,))]
+    # zip stops at size S before the generator builds level S
+    for _, prefix in zip(range(2, S + 1), _colex_levels(a.shape[1], S)):
+        # lo and hi still hold the previous size's extremes
+        lo, hi, best, subset = _level_extremes(gram, prefix, exp, threads, (lo, hi))
+        records.append(_SizeSpectra(lo, hi, best, subset))
     return records
 
 

@@ -259,8 +259,8 @@ def test_threaded_kernels_join_their_threads(monkeypatch):
     monkeypatch.setattr(rip, "_EIG_BLOCK", 7)
     rng = seeded_rng(41)
     before = threading.active_count()
-    # the identity's subsets all tie, so each level of several blocks runs
-    # the blocks after its first on the worker threads
+    # the identity's subsets all tie, so the pruning test keeps them all
+    # and each level of several blocks sends them to the worker threads
     rip_delta(np.eye(10), 3)
     assert max(workers) == 3
     assert threading.active_count() == before

@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -471,26 +472,26 @@ def _kernel_matches_seed_loops(case):
 
 
 def test_kernel_bit_identical_to_seed_loops(monkeypatch):
-    # Spies count the tested blocks that rule subsets out and the levels
-    # that stop testing and run their remaining blocks in full: the
-    # examples must reach both paths.
+    # Spies count the extensions that the prefix-factored test rules out and
+    # the levels that stop testing and leave their untested rows to the
+    # eigvalsh blocks: the examples must reach both paths.
     ruled_out, full_rest = [], []
-    certify, map_blocks = rip._certified_above, core._map_blocks
+    certify, tested_rows = rip._extension_certificates, rip._tested_rows
 
-    def certify_spy(lower, k, sigma):
-        certified = certify(lower, k, sigma)
-        ruled_out.append(int(certified.reshape(2, -1).all(axis=0).sum()))
-        return certified
+    def certify_spy(scaled, block, start, sigma):
+        certificates = certify(scaled, block, start, sigma)
+        ruled_out.append(sum(int(c.all(axis=0).sum()) for _, c in certificates))
+        return certificates
 
-    def map_spy(fn, starts, count):
-        if len(starts) and starts[0] > 0:
-            full_rest.append(len(starts))
-        return map_blocks(fn, starts, count)
+    def rows_spy(scaled, prefix, sigma):
+        pieces = tested_rows(scaled, prefix, sigma)
+        full_rest.append(any(isinstance(piece, range) for piece in pieces))
+        return pieces
 
-    monkeypatch.setattr(rip, "_certified_above", certify_spy)
-    monkeypatch.setattr(core, "_map_blocks", map_spy)
+    monkeypatch.setattr(rip, "_extension_certificates", certify_spy)
+    monkeypatch.setattr(rip, "_tested_rows", rows_spy)
     _kernel_matches_seed_loops()
-    assert sum(ruled_out) > 0 and len(full_rest) > 0, (sum(ruled_out), len(full_rest))
+    assert sum(ruled_out) > 0 and any(full_rest), (sum(ruled_out), sum(full_rest))
 
 
 def _near_ties():
@@ -521,33 +522,61 @@ def _near_ties():
 def test_pruned_records_equal_oracle_on_near_ties():
     for a in _near_ties():
         expected = repr(_oracle_records(a, 4))
-        for block in (7, 32):
-            with mock.patch.object(rip, "_EIG_BLOCK", block):
-                assert repr(rip._subset_spectra(a, 4)) == expected, block
+        for block, threads in KERNEL_SETTINGS:
+            with mock.patch.object(rip, "_EIG_BLOCK", block), \
+                    mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
+                assert repr(rip._subset_spectra(a, 4)) == expected, (block, threads)
+
+
+def _rip_benchmark_matrix():
+    """A unit-spectral-norm Gaussian 12 x 28, as in the rip benchmark."""
+    a = seeded_rng(7).standard_normal((12, 28))
+    return a / np.linalg.norm(a, 2)
 
 
 def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
-    # A unit-spectral-norm Gaussian 12 x 28, as in the rip benchmark: sizes
-    # 4-6 have 5 to 92 blocks each, and the first block is tested against
-    # the previous size's extremes like every later one, so eigvalsh sees a
-    # few dozen subsets per size, where sending the first block in full
-    # sent 4096 or more. The records equal those of an untested run
-    # (_KEEP_SHARE < 0 sends every block in full).
-    a = seeded_rng(7).standard_normal((12, 28))
-    a /= np.linalg.norm(a, 2)
-    sent = {}
+    # Sizes 4-6 have 5 to 92 blocks each at the default block, and every
+    # prefix block is tested against the previous size's extremes, so
+    # eigvalsh sees 106 to 157 subsets per size, where sending the first
+    # block in full sent 4096 or more. The records equal those of an
+    # untested run (_KEEP_SHARE < 0 stops testing after the first prefix
+    # block). Prefix blocks of 1 and 7 take about 57 s and 8 s a pass on
+    # this matrix (2-core x86 host); the oracle tests above cover their
+    # seams.
+    a = _rip_benchmark_matrix()
+    with monkeypatch.context() as untested:
+        untested.setattr(rip, "_KEEP_SHARE", -1.0)
+        expected = repr(rip._subset_spectra(a, 6))
     spectra = rip._spectra
+    for block, threads in KERNEL_SETTINGS:
+        if block < 32:
+            continue
+        sent = {}
 
-    def counted(gram, sub):
-        sent[sub.shape[1]] = sent.get(sub.shape[1], 0) + sub.shape[0]
-        return spectra(gram, sub)
+        def counted(gram, sub):
+            sent[sub.shape[1]] = sent.get(sub.shape[1], 0) + sub.shape[0]
+            return spectra(gram, sub)
 
-    monkeypatch.setattr(rip, "_spectra", counted)
-    pruned = repr(rip._subset_spectra(a, 6))
-    assert sent[2] == math.comb(28, 2) and sent[3] == math.comb(28, 3)
-    assert all(sent[k] < 1000 for k in (4, 5, 6)), sent
-    monkeypatch.setattr(rip, "_KEEP_SHARE", -1.0)
-    assert repr(rip._subset_spectra(a, 6)) == pruned
+        monkeypatch.setattr(rip, "_spectra", counted)
+        monkeypatch.setattr(rip, "_EIG_BLOCK", block)
+        monkeypatch.setenv("LIPREC_THREADS", threads)
+        assert repr(rip._subset_spectra(a, 6)) == expected, (block, threads)
+        for k in (2, 3):  # single-block sizes go to eigvalsh whole
+            assert sent[k] == math.comb(28, k) or math.comb(28, k) > block, (block, sent)
+        assert all(sent[k] < 1000 for k in (4, 5, 6)), (block, threads, sent)
+
+
+def test_top_size_is_not_materialised():
+    # Size S is read from level S - 1 and never built: the index array of
+    # C(28, 6) subsets alone would take C(28, 6) * 6 * 8 bytes, about 18 MB.
+    a = _rip_benchmark_matrix()
+    tracemalloc.start()
+    try:
+        rip._subset_spectra(a, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.comb(28, 6) * 6 * 8, peak
 
 
 def _pack(mats):
@@ -599,6 +628,75 @@ def test_cholesky_certificate_is_not_vacuous():
     singular = np.ones((1, 4, 4))  # eigenvalues 0, 0, 0, 4
     assert not rip._certified_above(_pack(singular), 4, -1e-12).any()
     assert rip._certified_above(_pack(singular), 4, -1e-6).all()
+
+
+def _flip(certified, below, above):
+    """Adjacent floats s < t between below and above with certified(s) != certified(t)."""
+    while True:
+        mid = below + (above - below) / 2
+        if mid in (below, above):
+            return below, above
+        if certified(mid) == certified(below):
+            below = mid
+        else:
+            above = mid
+
+
+def test_prefix_extension_certificate_equals_full_factorisation():
+    # The prefix-factored certificate of every k-subset equals
+    # _certified_above on the full k x k stacks, bit for bit, on both sides,
+    # for every prefix block size, and no step warns. sigma ranges from
+    # below every spectrum to above it, and also sits on either side of the
+    # float where one subset's certificate flips, so a last pivot off by
+    # an ulp shows. The examples must reach prefixes whose pivot failed
+    # (replaced by the identity) and extensions on both sides of the
+    # certificate.
+    seen = np.zeros(3, dtype=int)  # failed prefixes, certified and uncertified extensions
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=rip_cases(), k=st.integers(2, 5), block=st.sampled_from([1, 7, 32, DEFAULT_BLOCK]),
+           picks=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), pick_row=st.integers(0))
+    def check(case, k, block, picks, pick_row):
+        a = case[0]
+        n = a.shape[1]
+        if k > n:
+            return
+        gram = a.T @ a
+        exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
+        scaled = np.ldexp(gram, -exp)
+        *_, prefix, level = rip._colex_levels(n, k)
+        mats = scaled[level[:, :, None], level[:, None, :]]
+        packed = _pack(mats)
+        lam = np.linalg.eigvalsh(mats)
+        low, high = lam[:, 0].min(), lam[:, -1].max()
+        drawn = [low + pick * (high - low) for pick in picks]
+        r = pick_row % level.shape[0]
+        flips = [_flip(lambda s: bool(rip._certified_above(sign * packed[:, r:r + 1], k, s)[0]),
+                       sign * lam[r, side] - 1.0, sign * lam[r, side] + 2.0 ** -20)
+                 for side, sign in ((0, 1.0), (-1, -1.0))]
+        count = level.shape[0]
+        for sigma in ([drawn[0], -drawn[1]], *zip(*flips)):
+            sigma = np.array(sigma)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                expected = rip._certified_above(np.hstack([packed, -packed]), k,
+                                                np.repeat(sigma, count)).reshape(2, count)
+                got = np.zeros((2, count), dtype=bool)
+                covered = np.zeros(count, dtype=int)
+                for start in range(0, math.comb(n - 1, k - 1), block):
+                    for first, certified in rip._extension_certificates(
+                            scaled, prefix[start:start + block], start, sigma):
+                        got[:, first:first + certified.shape[1]] = certified
+                        covered[first:first + certified.shape[1]] += 1
+                small = _pack(scaled[prefix[:, :, None], prefix[:, None, :]])
+                alive = rip._certified_above(np.hstack([small, -small]), k - 1,
+                                             np.repeat(sigma, prefix.shape[0]))
+            assert np.all(covered == 1)
+            assert np.array_equal(got, expected), sigma
+            seen[:] += [(~alive).sum(), expected.sum(), (~expected).sum()]
+
+    check()
+    assert np.all(seen > 0), seen
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,9 +752,9 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
 def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
     balanced = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
     # Every subset of the identity's columns ties, so a level of several
-    # blocks stops testing after its first block and runs the rest on the
-    # worker threads; the balanced matrix's levels may rule subsets out on
-    # the calling thread instead.
+    # blocks stops testing after its first block of prefixes and sends
+    # every subset to the worker threads; the balanced matrix's levels may
+    # rule subsets out on the calling thread instead.
     tied = tmp_path / "rip_identity.json"
     tied.write_text(json.dumps(dict(json.loads(balanced.read_text()),
                                     operator={"type": "matrix", "data": np.eye(10).tolist()})))
@@ -720,8 +818,8 @@ def test_import_and_single_block_runs_load_no_thread_pool():
     # one-tile evaluate call (500 queries against 3 training points) start
     # no thread, and threaded runs start plain threads, so no run pays for
     # importing a pool module. The threaded rip pass is on the identity,
-    # whose tied subsets send every block after a level's first to the
-    # worker threads. 2 * 10^5 queries against 30 training points
+    # whose tied subsets the pruning test keeps, so a level's blocks go to
+    # the worker threads. 2 * 10^5 queries against 30 training points
     # are above the cutoff for threading, and start one thread.
     code = ("import sys, threading, numpy as np, liprec\n"
             "from liprec import core, rip\n"
