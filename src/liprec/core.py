@@ -26,25 +26,28 @@ duplicate, violation). It takes one of two paths with the same bits.
 * The tiled scan, ``_pair_tiles``, yields tiles of consecutive rows
   against every later row, each bounded by the ``_PAIR_TILE_ELEMENTS``
   budget, so memory stays O(n + budget).
-* The pruned scan sorts the rows along a Morton (Z-order) curve of their
-  observations and cuts leaf blocks of ``_LEAF_ROWS`` rows, keeping each
-  block's signal box and observation box. The boxes' gaps and far-corner
+* The pruned scan cuts the rows into leaf blocks of ``_LEAF_ROWS`` rows
+  by a k-d tree over their observations: each node is split along its
+  widest observation coordinate, at a multiple of ``_LEAF_ROWS`` rows near
+  its middle. Every node keeps its signal box and observation box, a
+  parent's the union of its children's. The boxes' gaps and far-corner
   distances are formed with the pair scan's own operations in its order,
-  and rounding is monotone, so they bound every computed pair distance
-  exactly: no slack is needed. A block pair is examined only when its
-  score bound can reach the running maximum or some test may hold in it.
-  Diagonal blocks go first and seed the maximum. The other block pairs
-  are bounded in chunks of block rows within the tile budget, twice:
-  once to count the pairs the bounds keep, once to examine them. In each
-  chunk the block pairs where a test may hold come first, then the rest
-  in decreasing order of bound (touching blocks, with an infinite ratio
-  bound, first) until a bound falls below the maximum. A skipped pair
-  scores strictly less than the maximum, so it can neither be nor tie
-  the witness. No list of block pairs outlives its chunk, so memory
-  stays O(n + budget) here too.
-* A fixed rule, ``_scan_tiled``, picks the tiled scan when all pairs fit
-  one tile, or when the bounds would leave more than half of the pairs
-  to examine, as on full-dimensional observations.
+  and rounding is monotone, so a node pair's bounds hold exactly for every
+  computed pair distance below it: no slack is needed. The diagonal leaf
+  pairs go first and seed the maximum. Node pairs are then bounded from
+  the top of the tree down, depth first in batches within the tile
+  budget, and only those where a test may hold or whose score bound can
+  reach the running maximum are refined. In each batch the leaf pairs
+  where a test may hold are examined first, then the rest in decreasing
+  order of bound (touching blocks, with an infinite ratio bound, first)
+  until a bound falls below the maximum. A skipped pair scores strictly
+  less than the maximum, so it can neither be nor tie the witness.
+  Memory stays O(n + budget) here too.
+* A fixed rule, ``_scan_tiled``, picks the tiled scan before any pair of
+  leaves is bounded: when all pairs fit eight tiles, when the leaves are
+  too few to halve every observation coordinate once (full-dimensional
+  observations), or when the bounds on the node pairs above the leaves
+  keep more than half of the pairs.
 
 Distances are computed coordinate by coordinate, with the squares summed
 in the order ``np.add.reduce`` uses; every distance is therefore
@@ -442,23 +445,25 @@ def _first_max_pair(labeled_set: LabeledSet, score, tests=()) -> _PairScan:
     Pruning rests on one contract: the score and every test are evaluated
     elementwise with rounded (so monotone) float operations, the score is
     nondecreasing in dx and nonincreasing in dy, and every test is monotone
-    in dx and holds more readily as dy shrinks. A block pair's bounds on dx
+    in dx and holds more readily as dy shrinks. A node pair's bounds on dx
     and dy (see ``_LeafBlocks``) therefore bound the computed value of every
-    pair in it, and a block pair is skipped only when its score bound is
+    pair below it, and a node pair is skipped only when its score bound is
     below the running maximum and no test can hold in it. A skipped pair
     scores strictly less than the maximum, so it cannot be or tie the
     witness, and the pairs examined give the same maximum, witness and
-    first passing pairs as the exhaustive row-major scan, bit for bit.
+    first passing pairs as the exhaustive row-major scan, bit for bit. The
+    order of the rows in the tree decides only which rows share a block.
 
     The tiled scan (``_pair_tiles``) runs instead whenever ``_scan_tiled``
-    says so: when all pairs fit one tile, or when, after the diagonal
-    blocks have seeded the maximum, the bounds would leave more than half
-    of the pairs to examine.
+    says so, which it does before any pair of leaves is bounded.
     """
     x, y = labeled_set.signals, labeled_set.observations
     n = x.shape[0]
     pairs = n * (n - 1) // 2
-    if not _scan_tiled(pairs, 0):
+    # Before any bound, a sample whose leaves are too few to halve every
+    # observation coordinate once counts as keeping every pair.
+    too_few = -(-n // _LEAF_ROWS) < 2 ** y.shape[1]
+    if not _scan_tiled(pairs, pairs if too_few else 0):
         pruned = _pruned_max_pair(x, y, score, tests, pairs)
         if pruned is not None:
             return pruned
@@ -466,10 +471,16 @@ def _first_max_pair(labeled_set: LabeledSet, score, tests=()) -> _PairScan:
 
 
 def _scan_tiled(pairs: int, kept: int) -> bool:
-    """The fixed fallback rule: scan every pair when all of them fit one
-    tile or when the block bounds keep more than half of them, as on
-    full-dimensional data, where bounding costs more than it saves."""
-    return pairs <= _PAIR_TILE_ELEMENTS or 2 * kept > pairs
+    """The fixed fallback rule: scan every pair when all of them fit eight
+    tiles, or when more than half of them may be kept.
+
+    Below eight tiles (n <= 512) the tree and its bounds cost about as much
+    as they save even on a plane. ``kept`` counts every pair while the
+    leaves are too few to halve every observation coordinate once, then
+    the pairs that the bounds on node pairs above the leaves cannot rule
+    out (see ``_pruned_max_pair``).
+    """
+    return pairs <= 8 * _PAIR_TILE_ELEMENTS or 2 * kept > pairs
 
 
 def _tiled_max_pair(x: np.ndarray, y: np.ndarray, score, tests, pairs: int) -> _PairScan:
@@ -499,83 +510,169 @@ def _tiled_max_pair(x: np.ndarray, y: np.ndarray, score, tests, pairs: int) -> _
     return _PairScan(best, witness, tuple(firsts), pairs)
 
 
-def _morton_order(a: np.ndarray) -> np.ndarray:
-    """Row order along a Z-order (Morton) curve through a's bounding box.
+def _kd_order(y: np.ndarray, count: int):
+    """Rows of y in the leaf order of a k-d tree with ``count`` leaves, and
+    the tree's internal nodes, level by level from the root.
 
-    Each of the first 63 coordinates is quantised to max(1, min(20, 63 //
-    width)) bits and the bits are interleaved into one code; ties keep
-    their row order. Only the grouping into blocks depends on this order,
-    never a result.
+    A node of m >= 2 leaves orders its rows along its widest observation
+    coordinate (the first of equally wide ones) and gives its first
+    ceil(m / 2) leaves of ``_LEAF_ROWS`` rows to its left child, the rest
+    to its right. Each coordinate is ranked once (equal values in row
+    order); a level then orders the rows of all its nodes by one sort of
+    the unique keys (node, rank along the node's coordinate). Only the
+    grouping into leaves depends on this order, never a result.
+
+    Returns the order and, per level, (ids, left, right): the split nodes'
+    ids, numbered from ``count`` down the levels, and their children's,
+    where a child of one leaf is that leaf's index.
     """
-    dims = min(a.shape[1], 63)
-    bits = max(1, min(20, 63 // dims))
-    lo = a[:, :dims].min(axis=0)
-    span = a[:, :dims].max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    levels = np.clip((a[:, :dims] - lo) / span * (1 << bits), 0, (1 << bits) - 1)
-    q = levels.astype(np.uint64)
-    code = np.zeros(a.shape[0], dtype=np.uint64)
-    for bit in range(bits):
-        for d in range(dims):
-            code |= ((q[:, d] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(bit * dims + d)
-    return np.argsort(code, kind="stable")
+    n, b = y.shape[0], _LEAF_ROWS
+    # The rank of row i along coordinate a is at a * n + i.
+    ranks = np.empty(y.size, dtype=np.int64)
+    for a, column in enumerate(y.T):
+        by = np.argsort(column)
+        ordered = column[by]
+        if (ordered[1:] == ordered[:-1]).any():  # ties: keep them in row order
+            by = np.argsort(column, kind="stable")
+        ranks[a * n + by] = np.arange(n)
+    order = np.arange(n)
+    first, ids = np.array([0]), np.array([count])  # this level's nodes
+    levels, made = [], count + 1
+    while True:
+        leaves = np.diff(np.append(first, count))
+        split = np.flatnonzero(leaves > 1)
+        if split.size == 0:
+            return order, levels
+        starts = first * b
+        sizes = np.diff(np.append(starts, n))
+        rows = np.take(y, order, axis=0)
+        widest = np.argmax(np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts),
+                           axis=1)
+        del rows  # the level's largest array, freed before the keys are built
+        key = np.repeat(widest * n, sizes)
+        key += order
+        key = ranks[key]
+        key += np.repeat(np.arange(first.size) * n, sizes)
+        order = order[np.argsort(key)]
+        # Each split node makes way for its two children.
+        parents = ids[split]
+        first = np.insert(first, split + 1, first[split] + (leaves[split] + 1) // 2)
+        ids = np.insert(ids, split + 1, 0)
+        left = split + np.arange(split.size)
+        kids = np.concatenate([left, left + 1])
+        ids[kids] = first[kids]
+        inner = kids[np.diff(np.append(first, count))[kids] > 1]
+        ids[inner] = made + np.arange(inner.size)
+        made += inner.size
+        levels.append((parents, ids[left], ids[left + 1]))
 
 
-def _box_gaps(lo: np.ndarray, hi: np.ndarray, p: slice, q: slice) -> np.ndarray:
-    """Computed lower bounds on the distance between boxes p and boxes q.
+def _box_gaps(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
+              hi_b: np.ndarray) -> np.ndarray:
+    """Computed lower bounds on the distance between boxes a[k] and b[k].
 
-    Entry [r, s] is the norm of the per-coordinate gaps between box
-    p.start + r and box q.start + s, formed with the pair scan's own
-    operations in its order. Rounding is monotone, so this never exceeds
-    the computed distance of any two points drawn from those boxes.
+    The arguments are (width, k) corners. Entry k is the norm of the
+    per-coordinate gaps between the two boxes, formed with the pair scan's
+    own operations in its order. Rounding is monotone, so this never
+    exceeds the computed distance of any two points drawn from those boxes.
     """
     def square(m):
-        g = np.maximum(lo[m, q] - hi[m, p, None], lo[m, p, None] - hi[m, q])
+        g = np.maximum(lo_b[m] - hi_a[m], lo_a[m] - hi_b[m])
         np.maximum(g, 0.0, out=g)
         return np.multiply(g, g, out=g)
 
-    return _norms(square, lo.shape[0])
+    return _norms(square, lo_a.shape[0])
 
 
-def _box_reaches(lo: np.ndarray, hi: np.ndarray, p: slice, q: slice) -> np.ndarray:
-    """Computed upper bounds on the distance between boxes p and boxes q,
+def _box_reaches(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
+                 hi_b: np.ndarray) -> np.ndarray:
+    """Computed upper bounds on the distance between boxes a[k] and b[k],
     from the far corners; never below a computed pair distance (see
     ``_box_gaps``)."""
     def square(m):
-        g = np.maximum(hi[m, q] - lo[m, p, None], hi[m, p, None] - lo[m, q])
+        g = np.maximum(hi_b[m] - lo_a[m], hi_a[m] - lo_b[m])
         return np.multiply(g, g, out=g)
 
-    return _norms(square, lo.shape[0])
+    return _norms(square, lo_a.shape[0])
 
 
 class _LeafBlocks:
-    """The rows of a sample in Morton order of their observations, cut into
-    blocks of ``_LEAF_ROWS``, with each block's signal and observation box.
+    """The rows of a sample cut into leaf blocks of ``_LEAF_ROWS`` rows by a
+    k-d tree over their observations (``_kd_order``), with each node's
+    signal box and observation box.
 
-    The last block is padded with copies of its last row, which leave its
-    boxes unchanged and form no pair.
+    Nodes 0 to count - 1 are the leaves, in order; the others are internal
+    and hold a run of whole leaves. An internal node's boxes are the union
+    of its children's, so its bounds hold for every pair below it. The
+    last leaf is padded with copies of its last row, which leave its boxes
+    unchanged and form no pair.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, b = x.shape[0], _LEAF_ROWS
         self.n, self.count = n, -(-n // b)
-        order = _morton_order(y)
+        order, levels = _kd_order(y, self.count)
         padded = np.concatenate([order, np.full(self.count * b - n, order[-1])])
         self.rows = padded.reshape(self.count, b)
         self.real = (np.arange(self.count * b) < n).reshape(self.count, b)
-        self.sizes = self.real.sum(axis=1)
         self.upper = np.triu(np.ones((b, b), dtype=bool), 1)
         # (width, blocks, rows) columns: one coordinate of one block is a row.
-        self.x = np.ascontiguousarray(x[self.rows].transpose(2, 0, 1))
-        self.y = np.ascontiguousarray(y[self.rows].transpose(2, 0, 1))
-        self.x_lo, self.x_hi = self.x.min(axis=2), self.x.max(axis=2)
-        self.y_lo, self.y_hi = self.y.min(axis=2), self.y.max(axis=2)
+        self.x, self.y = np.take(x.T, self.rows, axis=1), np.take(y.T, self.rows, axis=1)
+        nodes = 2 * self.count - 1
+        # Node k's two children, or (k, -1) for a leaf.
+        self.halves = np.stack([np.arange(nodes), np.full(nodes, -1)])
+        self.sizes = np.empty(nodes, dtype=np.int64)
+        self.sizes[:self.count] = self.real.sum(axis=1)
+        # Box corners of every node: signal coordinates, then observation ones.
+        self.lo = np.empty((x.shape[1] + y.shape[1], nodes))
+        self.hi = np.empty_like(self.lo)
+        for corner, extreme in ((self.lo, np.min), (self.hi, np.max)):
+            corner[:x.shape[1], :self.count] = extreme(self.x, axis=2)
+            corner[x.shape[1]:, :self.count] = extreme(self.y, axis=2)
+        for ids, left, right in reversed(levels):
+            self.halves[:, ids] = left, right
+            self.sizes[ids] = self.sizes[left] + self.sizes[right]
+            self.lo[:, ids] = np.minimum(self.lo[:, left], self.lo[:, right])
+            self.hi[:, ids] = np.maximum(self.hi[:, left], self.hi[:, right])
+        # Every pair of distinct leaves lies below exactly one of these
+        # children pairs; the root's comes last, so a descent starts there.
+        self.cross = self.halves[:, :self.count - 1:-1]
 
-    def bounds(self, p: slice, q: slice):
-        """Bounds for block pairs (p, q): dx between the signal boxes' gap
-        and reach, dy at least the observation boxes' gap."""
-        return (_box_gaps(self.x_lo, self.x_hi, p, q), _box_reaches(self.x_lo, self.x_hi, p, q),
-                _box_gaps(self.y_lo, self.y_hi, p, q))
+    def bounds(self, a: np.ndarray, b: np.ndarray):
+        """Bounds for node pairs (a[k], b[k]): dx between the signal boxes'
+        gap and reach, dy at least the observation boxes' gap."""
+        w = self.x.shape[0]
+        lo_a, hi_a, lo_b, hi_b = self.lo[:, a], self.hi[:, a], self.lo[:, b], self.hi[:, b]
+        x = lo_a[:w], hi_a[:w], lo_b[:w], hi_b[:w]
+        return _box_gaps(*x), _box_reaches(*x), _box_gaps(lo_a[w:], hi_a[w:], lo_b[w:], hi_b[w:])
+
+    def children(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The node pairs one level below pairs (a[k], b[k]), as a (2, m)
+        array: each internal side is replaced by its two children."""
+        (a0, a1), (b0, b1) = self.halves[:, a], self.halves[:, b]
+        split_a, split_b = a1 >= 0, b1 >= 0
+        both = split_a & split_b
+        return np.stack([np.concatenate([a0, a0[split_b], a1[split_a], a1[both]]),
+                         np.concatenate([b0, b1[split_b], b0[split_a], b1[both]])])
+
+    def descend(self, visit, per_batch: int) -> None:
+        """Visit the node pairs below ``cross`` depth first, in batches of
+        at most ``per_batch`` pairs, so at most one pending batch of
+        children per level is held. visit(a, b) returns the mask of the
+        batch's pairs to refine, or None to stop."""
+        stack = [self.cross]
+        while stack:
+            top = stack.pop()
+            if top.shape[1] == 0:
+                continue
+            if top.shape[1] > per_batch:
+                stack.append(top[:, :-per_batch])
+                top = top[:, -per_batch:]
+            refine = visit(*top)
+            if refine is None:
+                return
+            if refine.any():
+                stack.append(self.children(top[0, refine], top[1, refine]))
 
     def tile(self, p: np.ndarray, q: np.ndarray):
         """dx and dy of rows of blocks p[k] against rows of blocks q[k], as
@@ -608,22 +705,28 @@ class _LeafBlocks:
 
 def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
                      pairs: int) -> Optional[_PairScan]:
-    """``_first_max_pair`` over the block pairs that its bounds cannot rule out.
+    """``_first_max_pair`` over the leaf pairs that its bounds cannot rule out.
 
-    Diagonal blocks go first and seed the maximum. The other block pairs
-    are bounded in chunks of block rows within the tile budget, in two
-    passes, so memory stays O(n + budget). The first pass counts the
-    pairs the bounds keep; when ``_scan_tiled`` prefers the tiled scan it
-    returns None, having examined only the diagonal blocks. The second
-    examines, chunk by chunk, every block pair where a test may hold, then
-    the rest in decreasing order of their score bound (touching blocks,
-    with an infinite ratio bound, first) until a bound falls below the
-    running maximum.
+    The diagonal leaf pairs go first and seed the maximum. A first descent
+    then bounds the node pairs with an internal side, never a pair of
+    leaves, and subtracts the pairs below every one it can skip from the
+    count of pairs kept; it stops as soon as ``_scan_tiled`` accepts that
+    count, and when it never does the function returns None, having
+    examined only the diagonal. The second descent
+    bounds node pairs from the top of the tree down and refines only
+    those where a test may hold or whose score bound reaches the running
+    maximum. In each batch the leaf pairs where a test may hold are
+    examined first, then the rest in decreasing order of their score bound
+    (touching blocks, with an infinite ratio bound, first) until a bound
+    falls below the running maximum. Memory stays O(n + budget).
     """
     _check_spans({"signals": x, "observations": y})
     blocks = _LeafBlocks(x, y)
     c, n = blocks.count, blocks.n
     per_tile = max(1, _PAIR_TILE_ELEMENTS // _LEAF_ROWS ** 2)
+    # Node pairs per descent batch: each gathers 4 box corners per coordinate.
+    # At least a quarter of the leaves keeps a large tree's batches few, in O(n).
+    per_batch = max(c // 4, _PAIR_TILE_ELEMENTS // 16, 1)
     best, best_key = -np.inf, None
     firsts = [None] * len(tests)
     examined = 0
@@ -649,45 +752,54 @@ def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
     for k0 in range(0, c, per_tile):
         examine(diagonal[k0:k0 + per_tile], diagonal[k0:k0 + per_tile], every)
 
-    step = max(1, _PAIR_TILE_ELEMENTS // c)
+    def bound(a, b):
+        """The score bound of node pairs (a, b) and a bit per test that may hold."""
+        near, far, gap = blocks.bounds(a, b)
+        with np.errstate(over="ignore"):
+            value = score(far, gap)
+            may = np.zeros(value.shape, dtype=np.int64)
+            for t in every:
+                may |= (tests[t](far, gap) | tests[t](near, gap)).astype(np.int64) << t
+        return value, may
 
-    def chunks():
-        """Block pairs (p, q > p) for rows p of one chunk: p, q, the score
-        bound, and a bit per test that may hold."""
-        for p0 in range(0, c - 1, step):
-            p, q = slice(p0, min(p0 + step, c - 1)), slice(p0 + 1, c)
-            near, far, gap = blocks.bounds(p, q)
-            with np.errstate(over="ignore"):
-                bound = score(far, gap)
-                may = np.zeros(bound.shape, dtype=np.int64)
-                for t in every:
-                    may |= (tests[t](far, gap) | tests[t](near, gap)).astype(np.int64) << t
-            # Entry [r, s] is block pair (p0 + r, p0 + 1 + s), a pair of blocks when s >= r.
-            r, s = np.nonzero(np.triu(np.ones(bound.shape, dtype=bool)))
-            yield p0 + r, p0 + 1 + s, bound[r, s], may[r, s]
+    kept = pairs
 
-    kept = examined
-    for p, q, bound, may in chunks():
-        keep = (may != 0) | (bound >= best)
-        kept += int(blocks.sizes[p[keep]] @ blocks.sizes[q[keep]])
-        if _scan_tiled(pairs, kept):
+    def count(a, b):
+        nonlocal kept
+        if not _scan_tiled(pairs, kept):
             return None
+        inner = (a >= c) | (b >= c)
+        value, may = bound(a[inner], b[inner])
+        cut = (may == 0) & (value < best)
+        kept -= int(blocks.sizes[a[inner][cut]] @ blocks.sizes[b[inner][cut]])
+        inner[inner] = ~cut
+        return inner
 
-    for p, q, bound, may in chunks():
-        order = np.lexsort((-bound, may == 0))
-        forced = int(np.count_nonzero(may))
+    blocks.descend(count, per_batch)
+    if _scan_tiled(pairs, kept):
+        return None
+
+    def visit(a, b):
+        value, may = bound(a, b)
+        leaf = (a < c) & (b < c)
+        p, q, value_pq, may_pq = a[leaf], b[leaf], value[leaf], may[leaf]
+        order = np.lexsort((-value_pq, may_pq == 0))
+        forced = int(np.count_nonzero(may_pq))
         for k0 in range(0, forced, per_tile):
             sel = order[k0:min(k0 + per_tile, forced)]
-            flags = np.bitwise_or.reduce(may[sel])
+            flags = np.bitwise_or.reduce(may_pq[sel])
             examine(p[sel], q[sel], [t for t in every if flags >> t & 1])
         k0 = forced
         while k0 < order.size:
             sel = order[k0:k0 + per_tile]
-            sel = sel[bound[sel] >= best]  # bounds descend: a prefix
+            sel = sel[value_pq[sel] >= best]  # bounds descend: a prefix
             if sel.size == 0:
                 break
             examine(p[sel], q[sel], ())
             k0 += sel.size
+        return ~leaf & ((may != 0) | (value >= best))
+
+    blocks.descend(visit, per_batch)
 
     def pair(key):
         return None if key is None else divmod(key, n)

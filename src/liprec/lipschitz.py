@@ -12,10 +12,11 @@ recovers.
 All three checks are exact over the O(n^2) unordered pairs, through the
 package's one first-maximum reduction (``core._first_max_pair``), with
 distances bit-identical to a row-by-row ``np.linalg.norm``. On large
-samples whose observations have low intrinsic dimension it examines only
-the leaf-block pairs whose exact box bounds can reach the running maximum
-or hold a violation, collision or duplicate; otherwise it scans every
-pair in tiles (see ``core``). Either way the results are those of the
+samples whose observations have low intrinsic dimension it bounds pairs
+of k-d tree nodes from the top down and examines only the leaf-block
+pairs whose exact box bounds can reach the running maximum or hold a
+violation, collision or duplicate; otherwise it scans every pair in
+tiles (see ``core``). Either way the results are those of the
 exhaustive scan, bit for bit: maxima tie-break to the first pair in
 row-major index order, and the relaxed check's minimum slack is the exact
 negation of the maximum of -slack. Samples whose pairwise distances would

@@ -11,7 +11,7 @@ Every constant comes from one kernel, ``_subset_spectra``. It lists each
 size's subsets in colex order, where row C(t, k) + r of size k is row r of
 size k - 1 with column t appended, so size k is read from the array of
 size k - 1 and the top size S is never built: memory is O(C(N, S - 1) S)
-plus a few blocks. A size of one block of subsets goes to
+plus a few blocks. A size of at most a quarter block of subsets goes to
 ``np.linalg.eigvalsh`` whole. In a larger size a float Cholesky test on
 the calling thread proves most spectra inside (lo, hi) by a margin; lo
 and hi are the previous size's extremes, which bound this size's by
@@ -307,7 +307,7 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
     """(lambda_min, lambda_max, deviation, first extremal subset) over level k.
 
     prefix is level k - 1; level k itself is never built whole. A level of
-    at most _EIG_BLOCK subsets goes to eigvalsh whole. Otherwise
+    at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole. Otherwise
     _tested_rows rules out the subsets whose spectrum the shifted-Cholesky
     test proves to lie within (lo, hi) = ``smaller``, the previous size's
     (lambda_min, lambda_max). By Cauchy interlacing this level's extremes
@@ -330,7 +330,9 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
         lo, hi, dev, j = _extremes(*_spectra(gram, sub))
         return lo, hi, dev, tuple(int(i) for i in sub[j])
 
-    if math.comb(n, k) <= _EIG_BLOCK:
+    # Timed in-process (2 cores): at 560 subsets the test took 1.0-1.1x the
+    # untested time, at 1820 and 3276 subsets 0.3x.
+    if math.comb(n, k) <= _EIG_BLOCK // 4:
         pieces = [range(math.comb(n, k))]
     else:
         sigma = np.array([math.ldexp(smaller[0], -exp), -math.ldexp(smaller[1], -exp)])
