@@ -460,27 +460,30 @@ def _first_max_pair(labeled_set: LabeledSet, score, tests=()) -> _PairScan:
     x, y = labeled_set.signals, labeled_set.observations
     n = x.shape[0]
     pairs = n * (n - 1) // 2
-    # Before any bound, a sample whose leaves are too few to halve every
-    # observation coordinate once counts as keeping every pair.
-    too_few = -(-n // _LEAF_ROWS) < 2 ** y.shape[1]
-    if not _scan_tiled(pairs, pairs if too_few else 0):
+    if not _scan_tiled(n, y.shape[1], 0):
         pruned = _pruned_max_pair(x, y, score, tests, pairs)
         if pruned is not None:
             return pruned
     return _tiled_max_pair(x, y, score, tests, pairs)
 
 
-def _scan_tiled(pairs: int, kept: int) -> bool:
-    """The fixed fallback rule: scan every pair when all of them fit eight
-    tiles, or when more than half of them may be kept.
+def _scan_tiled(n: int, obs_dim: int, kept: int) -> bool:
+    """The fixed fallback rule for n rows of obs_dim observation coordinates:
+    scan every pair when all of them fit eight tiles, when the leaves are
+    too few to halve every observation coordinate once (full-dimensional
+    observations), or when ``kept`` exceeds half of the pairs.
 
-    Below eight tiles (n <= 512) the tree and its bounds cost about as much
-    as they save even on a plane. ``kept`` counts every pair while the
-    leaves are too few to halve every observation coordinate once, then
-    the pairs that the bounds on node pairs above the leaves cannot rule
-    out (see ``_pruned_max_pair``).
+    ``kept`` counts the pairs that the bounds on node pairs above the
+    leaves cannot rule out (see ``_pruned_max_pair``); it is 0 before any
+    bound. On a plane the tree pays only from about 450 rows, and on a
+    curve of 200 to 500 rows, where no pair can be ruled out, building it
+    and bounding its upper node pairs cost more than scanning every pair,
+    so the cutoff sits at eight tiles (n <= 512) (``BENCH_18.json``,
+    ``small_sample_cutoff``).
     """
-    return pairs <= 8 * _PAIR_TILE_ELEMENTS or 2 * kept > pairs
+    pairs = n * (n - 1) // 2
+    return (pairs <= 8 * _PAIR_TILE_ELEMENTS or -(-n // _LEAF_ROWS) < 2 ** obs_dim
+            or 2 * kept > pairs)
 
 
 def _tiled_max_pair(x: np.ndarray, y: np.ndarray, score, tests, pairs: int) -> _PairScan:
@@ -766,7 +769,7 @@ def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
 
     def count(a, b):
         nonlocal kept
-        if not _scan_tiled(pairs, kept):
+        if not _scan_tiled(n, y.shape[1], kept):
             return None
         inner = (a >= c) | (b >= c)
         value, may = bound(a[inner], b[inner])
@@ -776,7 +779,7 @@ def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
         return inner
 
     blocks.descend(count, per_batch)
-    if _scan_tiled(pairs, kept):
+    if _scan_tiled(n, y.shape[1], kept):
         return None
 
     def visit(a, b):

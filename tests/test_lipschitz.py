@@ -253,7 +253,7 @@ def test_overflowing_distances_raise_before_any_pair():
 
 
 def test_pruned_scan_checks_overflow_before_its_first_block(monkeypatch):
-    monkeypatch.setattr(core, "_scan_tiled", lambda pairs, kept: False)
+    monkeypatch.setattr(core, "_scan_tiled", lambda n, obs_dim, kept: False)
     x = np.array([[0.0, 0.0], [1e200, 1.0], [2e200, -1.0]])
     ls = LabeledSet.from_arrays(x, x * [1.0, 1e-300], check_duplicates=False)
     for check in (lambda s: verify_lipschitz(s, 1.0), lambda s: check_relaxed_lipschitz(s, 1.0, 0.0)):

@@ -8,9 +8,9 @@ bit for bit, including on sets built to produce tied ratios, colliding
 observations, near-duplicate signals, identical observations and points
 on the faces of block boxes, for every tile budget, leaf block size and
 k-d tree depth up to 6, on the tiled scan, on the block-pruned scan and
-under the rule that picks one. The fused verification pass, which also reports the first
-collision and the first duplicate, must match all three oracles from its
-one pass.
+under the rule that picks one. The fused verification pass, which also
+reports the first collision and the first duplicate, must match all three
+oracles from its one pass.
 
 The tiles sum squared differences coordinate by coordinate in the order
 numpy's add.reduce uses, so a guard test compares them with
@@ -118,37 +118,21 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
-# Rows past this many come from numpy's generator at a drawn seed, with the
-# same kind of elements: drawing every element of the larger sets one by one
-# would take most of the oracle test's time.
-DRAWN_ROWS = 64
-
-
 @st.composite
-def labeled_arrays(draw, n):
+def labeled_arrays(draw, sizes=st.sampled_from((2, 3, 9, 50, 200, 300))):
     # Dimensions from 8 up take add.reduce's eight-accumulator path; with
     # the default budget, n = 200 spans two tiles. "faces" puts free
     # signals over a few shared observation levels, so many points lie on
     # the faces of their block's box and observations repeat exactly.
+    n = draw(sizes)
     sig_dim = draw(st.integers(1, 12))
     obs_dim = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["grid", "float", "near_duplicate", "faces"]))
     free = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     levels = st.integers(-2, 2).map(float)
     elements = levels if kind == "grid" else free
-    head = min(n, DRAWN_ROWS)
-    x = draw(arrays(np.float64, (head, sig_dim), elements=elements))
-    y = draw(arrays(np.float64, (head, obs_dim), elements=levels if kind == "faces" else elements))
-    if n > head:
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-
-        def rows(width, on_levels):
-            if on_levels:
-                return rng.integers(-2, 3, (n - head, width)).astype(float)
-            return rng.uniform(-10.0, 10.0, (n - head, width))
-
-        x = np.concatenate([x, rows(sig_dim, kind == "grid")])
-        y = np.concatenate([y, rows(obs_dim, kind in ("grid", "faces"))])
+    x = draw(arrays(np.float64, (n, sig_dim), elements=elements))
+    y = draw(arrays(np.float64, (n, obs_dim), elements=levels if kind == "faces" else elements))
     if kind == "near_duplicate":
         i = draw(st.integers(0, n - 2))
         j = draw(st.integers(i + 1, n - 1))
@@ -166,25 +150,32 @@ def _tree_depth(n, leaf_rows):
     return (-(-n // leaf_rows) - 1).bit_length()
 
 
+def _rows_at_depth(leaf_rows):
+    """Row counts that give the k-d tree over leaf_rows-row leaves a drawn
+    depth, from 0 (one leaf) to MAX_DEPTH (33 to 64 leaves)."""
+    def rows(depth):
+        # Depth d > 0 takes 2^(d - 1) + 1 to 2^d leaves.
+        low = 2 if depth == 0 else (1 << depth - 1) * leaf_rows + 1
+        return st.integers(low, (1 << depth) * leaf_rows)
+    return st.integers(0 if leaf_rows > 1 else 1, MAX_DEPTH).flatmap(rows)
+
+
 @st.composite
 def scan_cases(draw):
-    """A labeled set with a tile budget, a leaf block size and a row count
-    that gives the k-d tree a drawn depth, from 0 (one leaf) to MAX_DEPTH
-    (33 to 64 leaves)."""
+    """A labeled set with a tile budget and a leaf block size; its row count
+    is one of the fixed sizes or gives the k-d tree a drawn depth."""
     budget = draw(st.sampled_from([1, 7, core._PAIR_TILE_ELEMENTS]))
     leaf_rows = draw(st.sampled_from([1, 2, 7, core._LEAF_ROWS]))
-    # The small budgets make tiles of one or a few block pairs: those runs
-    # keep to trees of at most 16 leaves, 120 pairs of leaves.
-    deepest = MAX_DEPTH if budget == core._PAIR_TILE_ELEMENTS else 4
-    depth = draw(st.integers(0 if leaf_rows > 1 else 1, deepest))
-    # Depth d > 0 takes 2^(d - 1) + 1 to 2^d leaves.
-    low = 2 if depth == 0 else (1 << depth - 1) * leaf_rows + 1
-    n = draw(st.integers(low, (1 << depth) * leaf_rows))
-    assert _tree_depth(n, leaf_rows) == depth
-    return draw(labeled_arrays(n)), budget, leaf_rows
+    # One block pair per tile over hundreds of one- or two-row blocks makes
+    # tens of thousands of tiles: those runs keep to the smaller fixed sets.
+    # The deepest trees of one- or two-row leaves have at most 64 leaves.
+    many_tiles = budget < core._PAIR_TILE_ELEMENTS and leaf_rows <= 2
+    sizes = (2, 3, 9, 50) if many_tiles else (2, 3, 9, 50, 200, 300)
+    rows = st.one_of(st.sampled_from(sizes), _rows_at_depth(leaf_rows))
+    return draw(labeled_arrays(rows)), budget, leaf_rows
 
 
-def _prune_always(pairs, kept):
+def _prune_always(n, obs_dim, kept):
     return False
 
 
@@ -202,9 +193,8 @@ def test_scan_matches_original_loops(case, omega, epsilon, tol, path):
         patch.setattr(core, "_LEAF_ROWS", leaf_rows)
         if path == "pruned":  # even where the fixed rule would scan every pair
             patch.setattr(core, "_scan_tiled", _prune_always)
-            y = data[1]
-            n = len(y)
-            levels = core._kd_order(y, -(-n // leaf_rows))[1]
+            n = len(data[1])
+            levels = core._kd_order(data[1], -(-n // leaf_rows))[1]
             assert len(levels) == _tree_depth(n, leaf_rows)
         # LabeledSet._find_duplicate reads the package constant; patching it
         # drives the labeling scan at the drawn radius too.
@@ -248,7 +238,7 @@ def _check_against_oracles(data, omega, epsilon, tol):
         assert scan.collision == collision
         assert scan.duplicate == _oracle_duplicate(x, tol)
         assert 0 < scan.pairs_examined <= pairs
-        if pairs <= core._PAIR_TILE_ELEMENTS and core._scan_tiled is not _prune_always:
+        if core._scan_tiled(len(x), y.shape[1], 0):  # the rule chose the tiled scan
             assert scan.pairs_examined == pairs
         if collision is None:  # then its maximum ratio is the tight constant
             assert _bits(scan.max_ratio) == _bits(expected[0])
@@ -350,6 +340,32 @@ def test_block_bounds_hold_exactly_on_ties(monkeypatch, leaf_rows, budget):
     relaxed = check_relaxed_lipschitz(labeled, 0.5 * best, 0.0)
     assert (relaxed.passed, relaxed.worst_pair) == (passed, worst_pair)
     assert _bits(relaxed.min_slack) == _bits(min_slack)
+
+
+@pytest.mark.parametrize("leaf_rows,depth", [
+    (leaf_rows, depth) for leaf_rows in (1, 2, 7, core._LEAF_ROWS)
+    for depth in range(leaf_rows == 1, MAX_DEPTH + 1)])
+def test_pruned_scan_matches_the_loops_at_every_tree_depth(monkeypatch, leaf_rows, depth):
+    # The fewest rows that give the tree this depth: the last leaf holds one
+    # row, and every split is as uneven as the rule allows.
+    n = 2 if depth == 0 else (1 << depth - 1) * leaf_rows + 1
+    x, a = _lattice_sheet(n, seed=depth)
+    y = x @ a.T
+    monkeypatch.setattr(core, "_LEAF_ROWS", leaf_rows)
+    monkeypatch.setattr(core, "_scan_tiled", _prune_always)
+    monkeypatch.setattr(core, "TOL_DUP", 1.5)  # lattice neighbours count as duplicates
+    assert len(core._kd_order(y, -(-n // leaf_rows))[1]) == depth
+    _check_against_oracles((x, y), 1.0, 0.5, 1.5)
+
+
+def test_fallback_rule_cutoffs():
+    # All pairs of 512 rows fit eight tiles; those of 513 rows do not.
+    assert core._scan_tiled(512, 1, 0) and not core._scan_tiled(513, 1, 0)
+    # 1008 rows make 63 leaves, too few to halve 6 coordinates; 1009 make 64.
+    assert core._scan_tiled(1008, 6, 0) and not core._scan_tiled(1009, 6, 0)
+    pairs = 1000 * 999 // 2
+    assert core._scan_tiled(1000, 2, pairs // 2 + 1)  # more than half kept
+    assert not core._scan_tiled(1000, 2, pairs // 2)
 
 
 def _gaussian(n, dim, seed):
