@@ -296,7 +296,7 @@ def run_certify(operator: Operator, signals: np.ndarray,
     # collision and the verdict at omega. Without a collision its maximum
     # ratio is the tight constant. A duplicate is a labeling error, so it is
     # reported ahead of a bad omega.
-    scan = _scan_sample(sample, omega, TOL_CERT, tol_dup=TOL_DUP,
+    scan = _scan_sample(sample, omega, tol_dup=TOL_DUP,
                         tol_inj=injectivity_tolerance(sample.observations))
     if scan.duplicate is not None:
         raise _labeling_failed(_duplicate_error(scan.duplicate))

@@ -109,12 +109,19 @@ def _cell_indices(spec: GridSpec, observations: np.ndarray, tol: float) -> np.nd
     """Cell digits of each observation row in [0,1]^M (within tol per coordinate).
 
     Digit k is floor(y_k * t) clamped into [0, t-1], which assigns the
-    closed top face to the last cell.
+    closed top face to the last cell. y is clamped into [0, 1] first, so
+    floor(y_k * t) <= t fits int64 for every t < 2^63; a larger t is
+    rejected, since the cast would put every point in cell 0.
     """
+    if spec.t >= 2 ** 63:
+        raise ParameterError(
+            f"epsilon = {spec.epsilon!r} is too small: "
+            f"the grid side t = {spec.t:.3g} overflows the int64 cell digits")
     if np.any(observations < -tol) or np.any(observations > 1.0 + tol):
         row = int(np.argmax(np.any((observations < -tol) | (observations > 1.0 + tol), axis=1)))
         raise OutOfBoxError(f"observation {row} lies outside [0, 1]^M + {tol:.1e}")
-    return np.clip(np.floor(observations * spec.t).astype(np.int64), 0, spec.t - 1)
+    unit = np.clip(observations, 0.0, 1.0)
+    return np.clip(np.floor(unit * spec.t).astype(np.int64), 0, spec.t - 1)
 
 
 @dataclass(frozen=True)

@@ -152,14 +152,14 @@ class _SampleScan(NamedTuple):
         )
 
 
-def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: float, *,
+def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], *,
                  tol_inj: Optional[float] = None,
                  tol_dup: Optional[float] = None) -> _SampleScan:
     """The verification pass of ``verify_lipschitz``, with what else it sees.
 
     Reports the maximum ratio and its first pair (an observation collision
     between distinct signals counts as an infinite ratio), whether some
-    pair breaks ||x1 - x2|| <= omega * ||y1 - y2|| + tol_cert (never, for
+    pair breaks ||x1 - x2|| <= omega * ||y1 - y2|| + TOL_CERT (never, for
     omega None), the first pair whose observations are within ``tol_inj``,
     the first pair of signals closer than ``tol_dup`` and the number of
     pairs examined. A check whose tolerance is None is skipped and reports
@@ -171,7 +171,7 @@ def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], tol_cert: floa
         return _SampleScan(0.0, None, False, None, None, 0)
     tests = {}
     if omega is not None:
-        tests["violation"] = lambda dx, dy: dx > omega * dy + tol_cert
+        tests["violation"] = lambda dx, dy: dx > omega * dy + TOL_CERT
     if tol_inj is not None:
         tests["collision"] = lambda dx, dy: dy <= tol_inj
     if tol_dup is not None:
@@ -190,7 +190,7 @@ def verify_lipschitz(labeled_set: LabeledSet, omega: float) -> LipschitzCertific
     between distinct signals simply show up as violations (infinite ratio).
     """
     _check_omega(omega)
-    return _scan_sample(labeled_set, omega, TOL_CERT).certificate(omega)
+    return _scan_sample(labeled_set, omega).certificate(omega)
 
 
 def _certify_sample(sample: LabeledSet, omega: float) -> LipschitzCertificate:
@@ -202,7 +202,7 @@ def _certify_sample(sample: LabeledSet, omega: float) -> LipschitzCertificate:
     not omega-certified. Returns the certificate otherwise.
     """
     valid = bool(np.isfinite(omega) and omega > 0.0)
-    scan = _scan_sample(sample, omega if valid else None, TOL_CERT, tol_dup=TOL_DUP)
+    scan = _scan_sample(sample, omega if valid else None, tol_dup=TOL_DUP)
     if scan.duplicate is not None:
         raise _duplicate_error(scan.duplicate)
     cert = scan.certificate(_check_omega(omega))

@@ -34,8 +34,12 @@ class Operator:
     obs_dim: int
 
     def apply(self, x) -> np.ndarray:
+        """The observations of x; finite inputs whose outputs overflow raise DomainError."""
         batch, single = as_batch(x, self.signal_dim, "input")
-        out = self._apply(batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._apply(batch)
+        if not np.isfinite(out).all():
+            raise DomainError("observations overflow float64")
         return out[0] if single else out
 
     __call__ = apply

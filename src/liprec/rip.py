@@ -11,19 +11,21 @@ Every constant comes from one kernel, ``_subset_spectra``. It lists each
 size's subsets in colex order, where row C(t, k) + r of size k is row r of
 size k - 1 with column t appended, so size k is read from the array of
 size k - 1 and the top size S is never built: memory is O(C(N, S - 1) S)
-plus a few blocks. A size of at most a quarter block of subsets goes to
-``np.linalg.eigvalsh`` whole. In a larger size a float Cholesky test on
-the calling thread proves most spectra inside (lo, hi) by a margin; lo
-and hi are the previous size's extremes, which bound this size's by
-Cauchy interlacing, so a subset the test rules out has a deviation
-strictly below its size's best and cannot change a record. The test
-factors each block of (k - 1)-subset Grams once, then extends each factor
-by one column per later top t: a forward substitution and a last pivot,
-the float operations that factoring the k x k Gram applies to its last
-row, so it certifies exactly the subsets a full factorisation would.
-Where the tests keep more than a fixed share of the subsets, as on tied
-data, the rest of the size is kept untested. The kept subsets, in colex
-order, go to eigvalsh in fixed blocks that up to ``core.thread_budget()``
+plus a few blocks. Each size is decided once. It goes to
+``np.linalg.eigvalsh`` whole when it has at most a quarter block of
+subsets, or when the previous size's extremes lo and hi leave no room to
+prove a spectrum inside them (hi - lo within the test's margin, as for
+the identity). Every other size is tested in full: a float Cholesky test
+on the calling thread proves most spectra inside (lo, hi) by a margin.
+lo and hi bound this size's extremes by Cauchy interlacing, so a subset
+the test rules out has a deviation strictly below its size's best and
+cannot change a record. The test factors each block of (k - 1)-subset
+Grams once, then extends each factor by one column per later top t: a
+forward substitution and a last pivot, the float operations that
+factoring the k x k Gram applies to its last row, so it certifies exactly
+the subsets a full factorisation would. The size's rows, one range or
+one sorted array of the subsets the test kept, go to eigvalsh in colex
+order in fixed blocks that up to ``core.thread_budget()``
 threads claim in order (numpy releases the GIL inside the eigensolver).
 Block results are reduced in block order with a strict comparison, so the
 constants and the extremal subset (the first in size-then-colex order)
@@ -83,13 +85,6 @@ _EIG_BLOCK = 1 << 12
 # deviation. Relative to max |G| alone it would fall below that rounding
 # where lambda << 1, and 1 - lambda rounds alike for distinct lambda.
 _MARGIN = 2.0 ** -30
-
-# A level stops testing once its blocks so far keep more than this share of
-# their subsets, as on tied data: a test that rules out few subsets costs
-# more than it saves, most of all against threaded eigvalsh blocks.
-# Gaussian, Bernoulli and unequal-norm 12 x 28 matrices keep at most 2%; the
-# identity, copied columns and a partial DFT keep 16% or more.
-_KEEP_SHARE = 1 / 16
 
 
 def _as_matrix_array(operator) -> np.ndarray:
@@ -261,45 +256,20 @@ def _extension_certificates(scaled: np.ndarray, block: np.ndarray, start: int,
     return out
 
 
-def _tested_rows(scaled: np.ndarray, prefix: np.ndarray, sigma: np.ndarray) -> list:
-    """The rows of level k that the pruning test leaves for eigvalsh, as pieces in colex order.
+def _tested_rows(scaled: np.ndarray, prefix: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The rows of level k that the pruning test leaves for eigvalsh, sorted.
 
-    prefix is level k - 1. Blocks of _EIG_BLOCK prefixes are tested in
-    order (see _extension_certificates) until the blocks so far keep more
-    than _KEEP_SHARE of their rows; every row not tested counts as kept.
-    A piece is an array of kept rows or a range of rows not tested.
+    prefix is level k - 1. Every block of _EIG_BLOCK prefixes with an
+    extension is tested (see _extension_certificates), and a row is left
+    unless both sides of its certificate hold.
     """
     n, k = scaled.shape[0], prefix.shape[1] + 1
     used = math.comb(n - 1, k - 1)  # prefixes with an extension: those below top n - 1
-    parts, tested, kept, done = [], 0, 0, 0
-    while done < used and kept <= _KEEP_SHARE * tested:
+    return np.sort(np.concatenate([
+        first + np.flatnonzero(~certified.all(axis=0))
+        for done in range(0, used, _EIG_BLOCK)
         for first, certified in _extension_certificates(
-                scaled, prefix[done:min(done + _EIG_BLOCK, used)], done, sigma):
-            parts.append(first + np.flatnonzero(~certified.all(axis=0)))
-            tested, kept = tested + certified.shape[1], kept + parts[-1].size
-        done += _EIG_BLOCK
-    rows = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
-    pieces, pos = [], 0
-    for t in range(k - 1, n):
-        if math.comb(t, k - 1) > done:  # prefixes done.. of top t are untested
-            gap = range(math.comb(t, k) + done, math.comb(t + 1, k))
-            end = int(np.searchsorted(rows, gap.start))
-            pieces += [rows[pos:end], gap]
-            pos = end
-    return pieces + [rows[pos:]]
-
-
-def _blocks(pieces: list, size: int) -> List[list]:
-    """The pieces, in order, cut into blocks of at most size rows; a block is a list of pieces."""
-    blocks, block, room = [], [], size
-    for piece in pieces:
-        while len(piece):
-            block.append(piece[:room])
-            piece, room = piece[room:], room - len(block[-1])
-            if not room:
-                blocks.append(block)
-                block, room = [], size
-    return blocks + [block] if block else blocks
+            scaled, prefix[done:min(done + _EIG_BLOCK, used)], done, sigma)]))
 
 
 def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int,
@@ -307,39 +277,45 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
     """(lambda_min, lambda_max, deviation, first extremal subset) over level k.
 
     prefix is level k - 1; level k itself is never built whole. A level of
-    at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole. Otherwise
-    _tested_rows rules out the subsets whose spectrum the shifted-Cholesky
-    test proves to lie within (lo, hi) = ``smaller``, the previous size's
-    (lambda_min, lambda_max). By Cauchy interlacing this level's extremes
-    lie beyond those, up to rounding far below _MARGIN. So a subset proved
-    to lie within is at least _MARGIN / 2 inside the level's extremes: it
-    moves neither, and its deviation stays strictly below the level's
-    best, however 1 - lambda and lambda - 1 round. It changes no field of
-    the record. The rows left, in colex order, are cut into blocks of
-    _EIG_BLOCK subsets, built from (prefix row, top), that up to
-    ``threads`` threads send to eigvalsh; the blocks are folded in order
-    with a strict comparison. 2^exp >= max(1, max |G|) is the unit of the
-    test (see _certified_above). Beyond the prefix level, memory is one
-    block of prefixes and its certificates, O(_EIG_BLOCK (k^2 + N)), one
-    eigvalsh block per thread, and one index per kept row tested.
+    at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole, and so does one
+    whose ``smaller`` extremes are at most _MARGIN apart in the test's
+    units, where the test can rule out nothing. Otherwise _tested_rows, in
+    every block of prefixes, rules out the subsets whose spectrum the
+    shifted-Cholesky test proves to lie within (lo, hi) = ``smaller``, the
+    previous size's (lambda_min, lambda_max). By Cauchy interlacing this
+    level's extremes lie beyond those, up to rounding far below _MARGIN.
+    So a subset proved to lie within is at least _MARGIN / 2 inside the
+    level's extremes: it moves neither, and its deviation stays strictly
+    below the level's best, however 1 - lambda and lambda - 1 round. It
+    changes no field of the record. The rows left, one range or one sorted
+    array in colex order, are cut into blocks of _EIG_BLOCK subsets, built
+    from (prefix row, top), that up to ``threads`` threads send to
+    eigvalsh; the blocks are folded in order with a strict comparison.
+    2^exp >= max(1, max |G|) is the unit of the test (see
+    _certified_above). Beyond the prefix level, memory is one block of
+    prefixes and its certificates, O(_EIG_BLOCK (k^2 + N)), one eigvalsh
+    block per thread, and one index per kept row of a tested level.
     """
     n, k = gram.shape[0], prefix.shape[1] + 1
-
-    def block(pieces: list) -> tuple:
-        sub = np.concatenate([_extended(prefix, n, piece) for piece in pieces])
-        lo, hi, dev, j = _extremes(*_spectra(gram, sub))
-        return lo, hi, dev, tuple(int(i) for i in sub[j])
-
+    lo, hi = (math.ldexp(bound, -exp) for bound in smaller)
     # Timed in-process (2 cores): at 560 subsets the test took 1.0-1.1x the
-    # untested time, at 1820 and 3276 subsets 0.3x.
-    if math.comb(n, k) <= _EIG_BLOCK // 4:
-        pieces = [range(math.comb(n, k))]
+    # untested time, at 1820 and 3276 subsets 0.3x. A spectrum the test
+    # proves inside (lo, hi) lies more than _MARGIN / 2 inside each end (see
+    # _certified_above), so where hi - lo <= _MARGIN, as for the identity or
+    # orthonormal columns, it can rule out nothing.
+    if math.comb(n, k) <= _EIG_BLOCK // 4 or hi - lo <= _MARGIN:
+        rows = range(math.comb(n, k))
     else:
-        sigma = np.array([math.ldexp(smaller[0], -exp), -math.ldexp(smaller[1], -exp)])
-        pieces = _tested_rows(np.ldexp(gram, -exp), prefix, sigma)
-    blocks = _blocks(pieces, _EIG_BLOCK)
+        rows = _tested_rows(np.ldexp(gram, -exp), prefix, np.array([lo, -hi]))
+
+    def block(start: int) -> tuple:
+        sub = _extended(prefix, n, rows[start:start + _EIG_BLOCK])
+        b_lo, b_hi, dev, j = _extremes(*_spectra(gram, sub))
+        return b_lo, b_hi, dev, tuple(int(i) for i in sub[j])
+
+    starts = range(0, len(rows), _EIG_BLOCK)
     acc = (math.inf, -math.inf, -math.inf, None)
-    for part in core._map_blocks(lambda: block, blocks, min(threads, len(blocks))):
+    for part in core._map_blocks(lambda: block, starts, min(threads, len(starts))):
         acc = _fold(acc, part)
     return acc
 

@@ -656,6 +656,37 @@ def test_main_run_rejects_epsilon_that_overflows_the_grid(tmp_path, capsys, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,side", [("theorem1_ramp.json", "2e+200"),
+                                       ("theorem3_projection.json", "3.68e+200")])
+def test_main_run_rejects_a_grid_side_past_int64(tmp_path, capsys, name, side):
+    # A finite side of 2^63 or more used to be cast to int64 with a numpy
+    # warning, put every point in cell 0 and report one occupied cell.
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / name), "--out", str(out),
+                          "--set", "params.epsilon=1e-200"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: ParameterError: epsilon = 1e-200 is too small: the grid side "
+        f"t = {side} overflows the int64 cell digits\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,points", [("theorem1_ramp.json", 201),
+                                         ("theorem3_projection.json", 120)])
+def test_main_run_covers_at_a_grid_side_near_int64(tmp_path, name, points):
+    # t is about 2e18 (5e18 for the full grid theorem3 reports): every point
+    # keeps a cell of its own
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / name), "--out", str(out),
+                          "--set", "params.epsilon=1e-18"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["results"]["cells_occupied"] == points
+
+
 def test_main_run_mwet_rejects_omega_whose_global_bound_overflows(tmp_path, capsys):
     # omega1 * sqrt(4) overflows float64; the task used to print two numpy
     # overflow warnings and pass its audit as inf <= inf
@@ -703,6 +734,21 @@ def test_main_run_mwet_rejects_recovered_values_that_overflow(tmp_path, capsys):
     assert err == ("error: DomainError: the audit's sampling box (the training observations' "
                    "bounding box, inflated by 50%) holds a point whose recovered value "
                    "overflows float64 at omega1 = 5e+307\n")
+    assert not out.exists()
+
+
+def test_main_run_rejects_an_operator_whose_observations_overflow(tmp_path, capsys):
+    # a finite matrix and finite signals whose product overflows: numpy used
+    # to print an overflow warning ahead of the error line
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_main(["run", str(PROBLEMS / "certify_segment.json"), "--out", str(out),
+                          "--set", "operator.data=[[1e308,1e308]]",
+                          "--set", "signals.start=[1,1]", "--set", "signals.end=[2,3]"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: labeling the sample failed: observations overflow float64\n")
     assert not out.exists()
 
 

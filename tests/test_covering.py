@@ -1,6 +1,8 @@
 """Hypercube grids, representative selection, and the covering pipeline."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,21 @@ def test_grid_spec_rejects_a_side_that_overflows(omega, epsilon, mode):
 def _digits(spec, *rows, tol=TOL_CERT):
     """Cell digits of each observation row, as tuples."""
     return list(map(tuple, covering._cell_indices(spec, np.array(rows), tol).tolist()))
+
+
+def test_cell_digits_fit_int64_up_to_the_largest_grid_side():
+    # y is clamped into [0, 1] before the floor, so at the largest side
+    # below 2^63 a point TOL_CERT above the top face joins the last cell
+    # without an invalid cast; from 2^63 on the digits cannot hold the grid.
+    spec = dataclasses.replace(grid_spec(3, 1, 1.0, 0.5, "full"), t=2 ** 63 - 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digits = _digits(spec, [-TOL_CERT], [0.0], [0.5], [1.0], [1.0 + TOL_CERT])
+    last = 2 ** 63 - 1025
+    assert digits == [(0,), (0,), (2 ** 62 - 512,), (last,), (last,)]
+    with pytest.raises(ParameterError, match="^epsilon = 0.5 is too small: the grid side "
+                                             r"t = 9.22e\+18 overflows the int64 cell digits$"):
+        _digits(dataclasses.replace(spec, t=2 ** 63), [0.5])
 
 
 def test_cell_index_hand_values():

@@ -1,5 +1,7 @@
 """Operator implementations: matrix, piecewise ramp, normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ def test_operator_rejects_wrong_length_and_nonfinite():
         op.apply([1.0, 2.0])
     with pytest.raises(DomainError):
         op.apply([1.0, np.nan, 0.0])
+
+
+@pytest.mark.parametrize("op,x", [
+    (MatrixOperator([[1e308, 1e308]]), [1.0, 1.0]),
+    (MatrixOperator([[1e308, -1e308]]), [2.0, 2.0]),  # inf - inf
+    (NormalizedOperator(MatrixOperator([[1.0]]), [-1e308], 1.0), [1e308]),
+])
+def test_operator_rejects_observations_that_overflow(op, x):
+    # finite inputs and a finite matrix whose product overflows: numpy used
+    # to warn and return inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^observations overflow float64$"):
+            op.apply(x)
 
 
 def test_piecewise_ramp_values():

@@ -446,9 +446,9 @@ def rip_cases(draw):
 DEFAULT_BLOCK = rip._EIG_BLOCK
 # Every block size and thread budget the kernel is run under; block 1 puts
 # each subset in a block of its own, so every tie falls across a block seam.
-# No level here fills the default block; at blocks of 1 and 7 most levels
-# stop testing after a block or two, and blocks of 32 let levels of
-# C(n, k) >= 64 subsets take the pruning test over several blocks.
+# No level here fills the default block; at blocks of 1, 7 and 32 a level
+# of more than a quarter block whose previous size leaves room is tested
+# over every prefix block, several where it has more prefixes than a block.
 KERNEL_SETTINGS = [(block, threads) for block in (1, 7, 32, DEFAULT_BLOCK)
                    for threads in ("1", "2")]
 
@@ -473,10 +473,12 @@ def _kernel_matches_seed_loops(case):
 
 def test_kernel_bit_identical_to_seed_loops(monkeypatch):
     # Spies count the extensions that the prefix-factored test rules out and
-    # the levels that stop testing and leave their untested rows to the
-    # eigvalsh blocks: the examples must reach both paths.
-    ruled_out, full_rest = [], []
-    certify, tested_rows = rip._extension_certificates, rip._tested_rows
+    # the levels above a quarter block that go to eigvalsh whole because the
+    # previous size's extremes leave the test no room (a zero matrix, or
+    # columns of one norm): the examples must reach both paths.
+    ruled_out, no_room, tested = [], [], []
+    certify, tested_rows, level_extremes = (
+        rip._extension_certificates, rip._tested_rows, rip._level_extremes)
 
     def certify_spy(scaled, block, start, sigma):
         certificates = certify(scaled, block, start, sigma)
@@ -484,14 +486,22 @@ def test_kernel_bit_identical_to_seed_loops(monkeypatch):
         return certificates
 
     def rows_spy(scaled, prefix, sigma):
-        pieces = tested_rows(scaled, prefix, sigma)
-        full_rest.append(any(isinstance(piece, range) for piece in pieces))
-        return pieces
+        tested.append(prefix.shape[1] + 1)
+        return tested_rows(scaled, prefix, sigma)
+
+    def level_spy(gram, prefix, exp, threads, smaller):
+        calls = len(tested)
+        record = level_extremes(gram, prefix, exp, threads, smaller)
+        if (len(tested) == calls
+                and math.comb(gram.shape[0], prefix.shape[1] + 1) > rip._EIG_BLOCK // 4):
+            no_room.append(smaller)
+        return record
 
     monkeypatch.setattr(rip, "_extension_certificates", certify_spy)
     monkeypatch.setattr(rip, "_tested_rows", rows_spy)
+    monkeypatch.setattr(rip, "_level_extremes", level_spy)
     _kernel_matches_seed_loops()
-    assert sum(ruled_out) > 0 and any(full_rest), (sum(ruled_out), sum(full_rest))
+    assert sum(ruled_out) > 0 and no_room, (sum(ruled_out), len(no_room))
 
 
 def _near_ties():
@@ -539,13 +549,19 @@ def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
     # prefix block is tested against the previous size's extremes, so
     # eigvalsh sees 106 to 157 subsets per size, where sending the first
     # block in full sent 4096 or more. The records equal those of an
-    # untested run (_KEEP_SHARE < 0 stops testing after the first prefix
-    # block). Prefix blocks of 1 and 7 take about 57 s and 8 s a pass on
-    # this matrix (2-core x86 host); the oracle tests above cover their
+    # untested run (every certificate stubbed to fail, so eigvalsh sees
+    # every subset). Prefix blocks of 1 and 7 take about 57 s and 8 s a pass
+    # on this matrix (2-core x86 host); the oracle tests above cover their
     # seams.
     a = _rip_benchmark_matrix()
+    certify = rip._extension_certificates
+
+    def certify_nothing(scaled, block, start, sigma):
+        return [(first, np.zeros_like(certified))
+                for first, certified in certify(scaled, block, start, sigma)]
+
     with monkeypatch.context() as untested:
-        untested.setattr(rip, "_KEEP_SHARE", -1.0)
+        untested.setattr(rip, "_extension_certificates", certify_nothing)
         expected = repr(rip._subset_spectra(a, 6))
     spectra = rip._spectra
     for block, threads in KERNEL_SETTINGS:
@@ -564,6 +580,43 @@ def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
         for k in (2, 3):  # sizes of at most a quarter block go to eigvalsh whole
             assert sent[k] == math.comb(28, k) or math.comb(28, k) > block // 4, (block, sent)
         assert all(sent[k] < 1000 for k in (3, 4, 5, 6)), (block, threads, sent)
+
+
+def test_every_prefix_block_of_a_tested_size_is_tested_on_copied_columns(monkeypatch):
+    # The last 14 columns copy the first 14, so a tested size keeps many of
+    # its subsets; it is still tested in every prefix block (size 5 has five
+    # at the default block) rather than sending the rest of the size whole.
+    g = seeded_rng(7).standard_normal((12, 14))
+    a = np.hstack([g, g]) / np.linalg.norm(g, 2) / math.sqrt(2)
+    certify, starts = rip._extension_certificates, {}
+
+    def spy(scaled, block, start, sigma):
+        starts.setdefault(block.shape[1] + 1, []).append(start)
+        return certify(scaled, block, start, sigma)
+
+    monkeypatch.setattr(rip, "_extension_certificates", spy)
+    assert repr(rip._subset_spectra(a, 5)) == repr(_oracle_records(a, 5))
+    # size 2, 378 subsets, is at most a quarter block and goes whole
+    assert starts == {k: list(range(0, math.comb(27, k - 1), rip._EIG_BLOCK))
+                      for k in (3, 4, 5)}, starts
+
+
+@pytest.mark.parametrize("a", [np.eye(28),
+                               np.linalg.qr(seeded_rng(3).standard_normal((28, 28)))[0]],
+                         ids=["identity", "orthonormal"])
+def test_sizes_without_room_never_call_the_test(monkeypatch, a):
+    # Every spectrum is 1 up to rounding, so each size's extremes leave the
+    # next size no room to prove a spectrum inside them: sizes 3 and 4, above
+    # a quarter block, go to eigvalsh whole like size 2.
+    tested_rows, tested = rip._tested_rows, []
+
+    def spy(scaled, prefix, sigma):
+        tested.append(prefix.shape[1] + 1)
+        return tested_rows(scaled, prefix, sigma)
+
+    monkeypatch.setattr(rip, "_tested_rows", spy)
+    assert repr(rip._subset_spectra(a, 4)) == repr(_oracle_records(a, 4))
+    assert tested == []
 
 
 def test_top_size_is_not_materialised():

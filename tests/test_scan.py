@@ -232,7 +232,7 @@ def _check_against_oracles(data, omega, epsilon, tol):
         assert (cert.verdict, cert.witness) == (verdict, witness)
         assert _bits(cert.max_ratio) == _bits(max_ratio)
         # The fused pass: verification, first collision, first duplicate.
-        scan = lipschitz._scan_sample(labeled, w, 1e-9, tol_dup=tol,
+        scan = lipschitz._scan_sample(labeled, w, tol_dup=tol,
                                       tol_inj=injectivity_tolerance(y))
         assert scan.certificate(w) == cert
         assert scan.collision == collision
@@ -302,7 +302,7 @@ def test_pruned_scan_matches_the_loops_on_a_tied_sheet(plant):
     _, _, max_ratio = _oracle_verify(x, y, 1.0, 1e-9)
     omega = max_ratio if np.isfinite(max_ratio) else 1.0
     verdict, witness, max_ratio = _oracle_verify(x, y, omega, 1e-9)
-    scan = lipschitz._scan_sample(labeled, omega, 1e-9, tol_dup=TOL_DUP,
+    scan = lipschitz._scan_sample(labeled, omega, tol_dup=TOL_DUP,
                                   tol_inj=injectivity_tolerance(y))
     assert (scan.certificate(omega).verdict, scan.witness) == (verdict, witness)
     assert _bits(scan.max_ratio) == _bits(max_ratio)
