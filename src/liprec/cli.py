@@ -191,6 +191,20 @@ def _at_least(value: Any, where: str, low: int) -> int:
     return number
 
 
+def _draw_count(value: Any, where: str, width: int) -> int:
+    """A count of at least 1 whose draws, count x width float64, numpy can allocate.
+
+    numpy refuses an array of more than its largest index in bytes with a
+    ValueError; a count that fits but outruns memory raises MemoryError,
+    which ``main`` reports.
+    """
+    count = _at_least(value, where, 1)
+    if count * width * 8 > np.iinfo(np.intp).max:
+        raise ProblemError(f"{where} = {count} is too large: {count} x {width} float64 draws "
+                           "exceed the largest array numpy can allocate")
+    return count
+
+
 def _float_array(value: Any, where: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
@@ -239,7 +253,8 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
     if kind == "affine_segment":
         start = _float_array(_require(spec, "start", "signals"), "signals.start").ravel()
         end = _float_array(_require(spec, "end", "signals"), "signals.end").ravel()
-        count = _at_least(_require(spec, "count", "signals"), "signals.count", 1)
+        count = _draw_count(_require(spec, "count", "signals"), "signals.count",
+                            operator.signal_dim)
         if start.shape != (operator.signal_dim,) or end.shape != (operator.signal_dim,):
             raise ProblemError(
                 f"signals.start/end must have length {operator.signal_dim}")
@@ -249,7 +264,8 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
         steps = np.linspace(0.0, 1.0, count)[:, None]
         return start[None, :] + steps * (end - start)[None, :]
     if kind == "sparse_random":
-        count = _at_least(_require(spec, "count", "signals"), "signals.count", 1)
+        count = _draw_count(_require(spec, "count", "signals"), "signals.count",
+                            operator.signal_dim)
         sparsity = _integer(_require(spec, "S", "signals"), "signals.S")
         seed = _at_least(spec.get("seed", default_seed), "signals.seed", 0)
         n = operator.signal_dim
@@ -328,7 +344,9 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     omega1 = params.get("omega")
     if omega1 is not None:
         omega1 = _number(omega1, "params.omega")
-    num_pairs = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
+    # the audit draws both ends of each pair at once
+    num_pairs = _draw_count(params.get("num_pairs", 1000), "params.num_pairs",
+                            2 * operator.obs_dim)
     try:
         hypothesis = fit(sample, omega1)
     except LiprecError as exc:
@@ -415,7 +433,8 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'theorem3' needs a matrix operator")
-    num_draws = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
+    num_draws = _draw_count(params.get("num_pairs", 1000), "params.num_pairs",
+                            max(operator.signal_dim, operator.obs_dim))
     sample = _labeled(operator, signals, check_duplicates=False)
     results: Dict[str, Any] = {"sample_size": len(sample)}
     try:
@@ -463,7 +482,8 @@ def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'rip' needs a matrix operator")
     sparsity = _integer(_require(params, "S", "params"), "params.S")
-    num_pairs = _at_least(params.get("num_pairs", 1000), "params.num_pairs", 1)
+    num_pairs = _draw_count(params.get("num_pairs", 1000), "params.num_pairs",
+                            operator.signal_dim)
     a = operator.matrix
     rip._check_enumeration(a, sparsity)  # a bad or over-cap S is reported first
     records = rip._probe_spectra(a, sparsity, num_pairs)
@@ -721,6 +741,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT_ERROR
     except LiprecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -19,14 +19,18 @@ the identity). Every other size is tested in full: a float Cholesky test
 on the calling thread proves most spectra inside (lo, hi) by a margin.
 lo and hi bound this size's extremes by Cauchy interlacing, so a subset
 the test rules out has a deviation strictly below its size's best and
-cannot change a record. The test factors each block of (k - 1)-subset
-Grams once, then extends each factor by one column per later top t: a
-forward substitution and a last pivot, the float operations that
-factoring the k x k Gram applies to its last row, so it certifies exactly
-the subsets a full factorisation would. The size's rows, one range or
-one sorted array of the subsets the test kept, go to eigvalsh in colex
-order in fixed blocks that up to ``core.thread_budget()``
-threads claim in order (numpy releases the GIL inside the eigensolver).
+cannot change a record. The test reads only the last row of each
+subset's shifted Cholesky factor, and builds those rows one size at a
+time at the tested size's shifts: a subset whose two largest columns are
+p < t takes the row of the subset without p, one new entry from the rows
+of the subsets without p and without t, and a last pivot. Those are the
+float operations, in the same order, that factoring the subset's Gram
+applies to its last row, so the test certifies exactly the subsets a
+full factorisation would, at one dot product of length k - 2 per subset
+of the tested size k. The size's rows, one range or one sorted array of
+the subsets the test kept, go to eigvalsh in colex order in fixed blocks
+that up to ``core.thread_budget()`` threads claim in order (numpy
+releases the GIL inside the eigensolver).
 Block results are reduced in block order with a strict comparison, so the
 constants and the extremal subset (the first in size-then-colex order)
 are bit-identical for every block size and thread count. A Gram matrix
@@ -72,8 +76,9 @@ from .operators import MatrixOperator
 
 ENUMERATION_CAP = 10 ** 7
 
-# Subsets per eigvalsh call, and prefixes per block of the pruning test.
-# Each worker thread holds one block's Gram stack and spectra at a time, so a
+# Subsets per eigvalsh call, and rows per chunk of the pruning test (a chunk
+# holds whole p-blocks, see _chunks). Each worker thread holds one block's
+# Gram stack and spectra at a time, and the test one chunk's operands, so a
 # small block keeps peak memory level; the results do not depend on the
 # block size.
 _EIG_BLOCK = 1 << 12
@@ -169,107 +174,126 @@ def _fold(acc: tuple, part: tuple) -> tuple:
     return min(lo, b_lo), max(hi, b_hi), best, where
 
 
-def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
-    """Which symmetric matrices provably have every eigvalsh eigenvalue above sigma.
+def _chunks(n: int, k: int) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
+    """(first row, chunk) for each chunk of colex level k >= 2, in row order.
 
-    lower is (k(k + 1) / 2, R): column r holds matrix r's lower triangle,
-    packed column by column; sigma is a scalar or one value per matrix.
-    Both are scaled by 2^-e, with 2^e >= max(1, max |G|) over the Gram
-    matrix G that the matrices come from. lower is overwritten with the
-    factors of the shifted matrices: each pivot on the diagonal, the
-    columns of the Cholesky factor below it.
-
-    Matrix r is certified when the float Cholesky factorisation of
-    lower[:, r] - (sigma[r] + _MARGIN) I has every pivot above _MARGIN. In
-    these units the backward errors of that factorisation and of eigvalsh
-    are O(k^2 eps), far below _MARGIN, so a certified matrix's computed
-    lambda_min exceeds sigma by more than _MARGIN / 2. A matrix whose pivot
-    fails is replaced by the identity, so no later column of it is divided
-    by a pivot near 0.
+    The subsets whose two largest columns are p < t fill rows C(t, k) +
+    C(p, k - 1) up to C(t, k) + C(p + 1, k - 1), a p-block of C(p, k - 2)
+    rows. A chunk is a run of whole p-blocks, at most _EIG_BLOCK rows, or
+    one p-block alone where it is longer, listed as (t, p0, p1) for the
+    p-blocks of top t from p0 to p1 - 1.
     """
-    diag = np.array([j * k - j * (j - 1) // 2 for j in range(k)])  # rows of the diagonal
-    identity = np.zeros(lower.shape[0])
-    identity[diag] = 1.0
-    lower[diag] -= sigma + _MARGIN
-    certified = np.ones(lower.shape[1], dtype=bool)
-    for j, d in enumerate(diag):
-        failed = ~(lower[d] > _MARGIN)
-        if failed.any():
-            certified &= ~failed
-            lower[:, failed] = identity[:, None]
-        col = lower[d + 1:d + k - j]
-        col /= np.sqrt(lower[d])
-        for i, t in enumerate(diag[j + 1:]):
-            lower[t:t + col.shape[0] - i] -= col[i:] * col[i]
-    return certified
-
-
-def _extension_certificates(scaled: np.ndarray, block: np.ndarray, start: int,
-                            sigma: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-    """(first row, certified) for every extension of one block of prefixes by one column.
-
-    block is rows start.. of colex level k - 1 (k - 1 >= 1), and row
-    C(t, k) + r of level k extends prefix r by t (see _extended). scaled
-    is the Gram matrix times 2^-exp (see _certified_above). Each entry
-    holds, for one top t, the level row of the block's first extension by
-    t and a (2, m) array over its m extensions: side 0 says the k-subset's
-    scaled Gram passes _certified_above at sigma[0], side 1 that its
-    negation passes at sigma[1].
-
-    The block's (k - 1)-subset Grams are factored once by _certified_above;
-    each extension then takes one forward substitution of its new column
-    through that factor and one last pivot. Those are the operations, in
-    the same order, that the right-looking factorisation of the k x k
-    matrix applies to its last row, and the leading k - 1 pivots do not
-    depend on that row, so the certificate is bit-identical to
-    _certified_above on the k x k matrices. A prefix whose pivot failed is
-    the identity in its factor: its extensions are not certified, and no
-    step divides by a pivot near 0.
-    """
-    n, k = scaled.shape[0], block.shape[1] + 1
-    count = block.shape[0]
-    pairs = [(i, j) for j in range(k - 1) for i in range(j, k - 1)]
-    rows, cols = (np.array(side) for side in zip(*pairs))
-    factor = np.empty((len(pairs), 2, count))
-    np.take(scaled, (block[:, rows] * n + block[:, cols]).T, out=factor[:, 0])
-    np.negative(factor[:, 0], out=factor[:, 1])
-    alive = _certified_above(factor.reshape(len(pairs), 2 * count), k - 1,
-                             np.repeat(sigma, count)).reshape(2, count)
-    diag = [j * (k - 1) - j * (j - 1) // 2 for j in range(k - 1)]
-    roots = np.sqrt(factor[diag])
-    columns = block.T
-    out = []
+    first, chunk, rows = 0, [], 0
     for t in range(k - 1, n):
-        m = min(count, math.comb(t, k - 1) - start)
-        if m <= 0:
-            continue
-        x = np.empty((k, 2, m))  # the new column's entries, then its diagonal, on both sides
-        x[:-1, 0] = scaled[t][columns[:, :m]]
-        np.negative(x[:-1, 0], out=x[:-1, 1])
-        x[-1] = (np.array([scaled[t, t], -scaled[t, t]]) - (sigma + _MARGIN))[:, None]
-        for j, d in enumerate(diag):
-            x[j] /= roots[j, :, :m]
-            for i in range(j + 1, k - 1):
-                x[i] -= x[j] * factor[d + i - j, :, :m]
-            x[-1] -= x[j] * x[j]
-        out.append((math.comb(t, k) + start, alive[:, :m] & (x[-1] > _MARGIN)))
-    return out
+        p0 = k - 2
+        for p in range(k - 2, t):
+            size = math.comb(p, k - 2)
+            if rows and rows + size > _EIG_BLOCK:
+                if p > p0:
+                    chunk.append((t, p0, p))
+                yield first, chunk
+                first, chunk, rows, p0 = first + rows, [], 0, p
+            rows += size
+        chunk.append((t, p0, t))
+    yield first, chunk
 
 
-def _tested_rows(scaled: np.ndarray, prefix: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The rows of level k that the pruning test leaves for eigvalsh, sorted.
+def _extension(signed: np.ndarray, below: np.ndarray, chunk: List[Tuple[int, int, int]]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of level k's factor rows (see _chunks), from level k - 1 = below.
 
-    prefix is level k - 1. Every block of _EIG_BLOCK prefixes with an
-    extension is tested (see _extension_certificates), and a row is left
-    unless both sides of its certificate hold.
+    Returns (rows of Q + {t}, x, pivot, certified) over the chunk's subsets
+    T = Q + {p, t}, p < t its two largest columns. For Q row r of level
+    k - 2, Q + {p} is row C(p, k - 1) + r of level k - 1 and Q + {t} row
+    C(t, k - 1) + r: the former rows are one slice per top, the latter a
+    prefix of the t-block per p-block. T's last factor row is Q + {t}'s row
+    and x = (G[t, p] - sum_i row_i(Q + {t}) row_i(Q + {p})) /
+    sqrt(pivot(Q + {p})), the products subtracted in i order, and T's pivot
+    is pivot(Q + {t}) - x x (see _factor_level for the layout and for the
+    subsets that fail).
     """
-    n, k = scaled.shape[0], prefix.shape[1] + 1
-    used = math.comb(n - 1, k - 1)  # prefixes with an extension: those below top n - 1
-    return np.sort(np.concatenate([
-        first + np.flatnonzero(~certified.all(axis=0))
-        for done in range(0, used, _EIG_BLOCK)
-        for first, certified in _extension_certificates(
-            scaled, prefix[done:min(done + _EIG_BLOCK, used)], done, sigma)]))
+    k = below.shape[0] + 1
+    blocks = [(t, p) for t, p0, p1 in chunk for p in range(p0, p1)]
+    counts = [math.comb(p, k - 2) for _, p in blocks]
+    with_t = np.concatenate([below[:, :, math.comb(t, k - 1):math.comb(t, k - 1) + count]
+                             for (t, _), count in zip(blocks, counts)], axis=2)
+    with_p = [below[:, :, math.comb(p0, k - 1):math.comb(p1, k - 1)] for _, p0, p1 in chunk]
+    with_p = with_p[0] if len(with_p) == 1 else np.concatenate(with_p, axis=2)
+    x = np.repeat(np.concatenate([signed[t, :, p0:p1] for t, p0, p1 in chunk], axis=1),
+                  counts, axis=1)
+    for i in range(k - 2):
+        x -= with_t[i] * with_p[i]
+    x /= np.sqrt(with_p[-1])
+    pivot = with_t[-1] - x * x
+    return with_t, x, pivot, (with_p[-1] > _MARGIN) & (pivot > _MARGIN)
+
+
+def _diagonal_level(scaled: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Level 1 of the factor rows (see _factor_level): each column's pivot alone.
+
+    scaled is the Gram matrix G times 2^-exp, with 2^exp >= max(1, max |G|);
+    sigma holds the two sides' shifts in the same units.
+    """
+    diag = np.diag(scaled)
+    pivot = np.stack([diag, -diag]) - (sigma + _MARGIN)[:, None]
+    return np.maximum(pivot, _MARGIN)[None]
+
+
+def _factor_level(signed: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """The last row of every k-subset's shifted Cholesky factor, from level k - 1.
+
+    Level j is a (j, 2, C(N, j)) array over colex level j: [:j - 1, s, r]
+    is the last row, below the diagonal, of the float Cholesky factor of
+    subset r's scaled Gram on side s, and [j - 1, s, r] its last pivot.
+    Side 0 factors G - (sigma[0] + _MARGIN) I and side 1 -G - (sigma[1] +
+    _MARGIN) I, for G and sigma as in _diagonal_level; signed[:, s] is G on
+    side s. Each step (_extension) applies the float operations, in the
+    same order, that the right-looking factorisation of the j x j matrix
+    applies to its last row, and its other rows are the factor of the
+    subset without its top column. So a subset is certified on a side, its
+    pivots all above _MARGIN, exactly where the full factorisation of its
+    shifted Gram has every pivot above _MARGIN.
+
+    A certificate is sound: in these units the backward errors of the
+    factorisation and of eigvalsh are O(k^2 eps), far below _MARGIN, so
+    a subset certified on side 0 has a computed lambda_min above sigma[0]
+    by more than _MARGIN / 2, and one certified on side 1 a computed
+    lambda_max below -sigma[1] by as much.
+
+    A subset that fails on a side stores pivot _MARGIN and last entry 0,
+    where the full factorisation replaces the matrix by the identity. Its
+    extensions then fail too (a pivot only falls as squares are subtracted
+    from it), no square root sees a pivot below _MARGIN, and every stored
+    entry stays bounded.
+    """
+    n, k = signed.shape[0], below.shape[0] + 1
+    level = np.empty((k, 2, math.comb(n, k)))
+    for first, chunk in _chunks(n, k):
+        with_t, x, pivot, certified = _extension(signed, below, chunk)
+        rows = level[:, :, first:first + x.shape[1]]
+        rows[:-2] = with_t[:-1]
+        rows[-2] = x * certified
+        rows[-1] = np.where(certified, pivot, _MARGIN)
+    return level
+
+
+def _tested_rows(scaled: np.ndarray, k: int, sigma: np.ndarray) -> np.ndarray:
+    """The rows of level k that the pruning test leaves for eigvalsh, in colex order.
+
+    scaled is the Gram matrix times 2^-exp, sigma the shifts of the two
+    sides (see _factor_level). Levels 1..k - 1 are built at sigma, level k
+    one chunk at a time, and a row is left unless both sides certify it.
+    """
+    n = scaled.shape[0]
+    signed = np.stack([scaled, -scaled], axis=1)
+    below = _diagonal_level(scaled, sigma)
+    for _ in range(2, k):
+        below = _factor_level(signed, below)
+    kept = []
+    for first, chunk in _chunks(n, k):
+        *_, certified = _extension(signed, below, chunk)
+        kept.append(first + np.flatnonzero(~(certified[0] & certified[1])))
+    return np.concatenate(kept)
 
 
 def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int,
@@ -279,10 +303,10 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
     prefix is level k - 1; level k itself is never built whole. A level of
     at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole, and so does one
     whose ``smaller`` extremes are at most _MARGIN apart in the test's
-    units, where the test can rule out nothing. Otherwise _tested_rows, in
-    every block of prefixes, rules out the subsets whose spectrum the
-    shifted-Cholesky test proves to lie within (lo, hi) = ``smaller``, the
-    previous size's (lambda_min, lambda_max). By Cauchy interlacing this
+    units, where the test can rule out nothing. Otherwise _tested_rows
+    rules out the subsets whose spectrum the shifted-Cholesky test proves
+    to lie within (lo, hi) = ``smaller``, the previous size's
+    (lambda_min, lambda_max). By Cauchy interlacing this
     level's extremes lie beyond those, up to rounding far below _MARGIN.
     So a subset proved to lie within is at least _MARGIN / 2 inside the
     level's extremes: it moves neither, and its deviation stays strictly
@@ -292,21 +316,23 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
     from (prefix row, top), that up to ``threads`` threads send to
     eigvalsh; the blocks are folded in order with a strict comparison.
     2^exp >= max(1, max |G|) is the unit of the test (see
-    _certified_above). Beyond the prefix level, memory is one block of
-    prefixes and its certificates, O(_EIG_BLOCK (k^2 + N)), one eigvalsh
-    block per thread, and one index per kept row of a tested level.
+    _factor_level). Beyond the prefix level, memory is the test's factor
+    rows of level k - 1 on both sides, 2 (k - 1) C(N, k - 1) floats, one
+    chunk of its operands, one eigvalsh block per thread, and one index
+    per kept row of a tested level.
     """
     n, k = gram.shape[0], prefix.shape[1] + 1
     lo, hi = (math.ldexp(bound, -exp) for bound in smaller)
-    # Timed in-process (2 cores): at 560 subsets the test took 1.0-1.1x the
-    # untested time, at 1820 and 3276 subsets 0.3x. A spectrum the test
-    # proves inside (lo, hi) lies more than _MARGIN / 2 inside each end (see
-    # _certified_above), so where hi - lo <= _MARGIN, as for the identity or
-    # orthonormal columns, it can rule out nothing.
+    # Timed in-process (2 cores, unit-norm Gaussian 12 x 16 and 12 x 28,
+    # seeds 0-2): at 560 subsets the tested level took 0.97-0.99x the
+    # untested time, at 1820 subsets 0.28-0.29x, at 3276 0.37-0.43x. A
+    # spectrum the test proves inside (lo, hi) lies more than _MARGIN / 2
+    # inside each end (see _factor_level), so where hi - lo <= _MARGIN, as
+    # for the identity or orthonormal columns, it can rule out nothing.
     if math.comb(n, k) <= _EIG_BLOCK // 4 or hi - lo <= _MARGIN:
         rows = range(math.comb(n, k))
     else:
-        rows = _tested_rows(np.ldexp(gram, -exp), prefix, np.array([lo, -hi]))
+        rows = _tested_rows(np.ldexp(gram, -exp), k, np.array([lo, -hi]))
 
     def block(start: int) -> tuple:
         sub = _extended(prefix, n, rows[start:start + _EIG_BLOCK])

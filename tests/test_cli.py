@@ -687,6 +687,40 @@ def test_main_run_covers_at_a_grid_side_near_int64(tmp_path, name, points):
     assert json.loads(out.read_text())["results"]["cells_occupied"] == points
 
 
+@pytest.mark.parametrize("name,key,width", [
+    ("mwet_segment.json", "params.num_pairs", 4),  # both ends of each audit pair, in R^2
+    ("theorem3_square.json", "params.num_pairs", 2),
+    ("rip_balanced.json", "params.num_pairs", 8),
+    ("rip_balanced.json", "signals.count", 8),  # sparse_random
+    ("certify_segment.json", "signals.count", 2),  # affine_segment
+])
+def test_main_run_rejects_a_draw_count_too_large_to_allocate(tmp_path, capsys, name, key, width):
+    # numpy used to refuse the draw array with a 20-line traceback
+    # (ValueError: array is too big); the count is checked where it is read
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(PROBLEMS / name), "--out", str(out),
+                      "--set", f"{key}={10 ** 18}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {key} = {10 ** 18} is too large: {10 ** 18} x {width} float64 draws "
+        "exceed the largest array numpy can allocate\n")
+    assert not out.exists()
+
+
+def test_main_run_reports_a_draw_that_outruns_memory(tmp_path, capsys):
+    # 10^18 signals in R^1 are within numpy's array limit, but 8 * 10^18
+    # bytes are past any address space: the allocation fails at once, and
+    # its MemoryError used to end in a traceback
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(PROBLEMS / "theorem1_ramp.json"), "--out", str(out),
+                      "--set", f"signals.count={10 ** 18}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: Unable to allocate"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_run_mwet_rejects_omega_whose_global_bound_overflows(tmp_path, capsys):
     # omega1 * sqrt(4) overflows float64; the task used to print two numpy
     # overflow warnings and pass its audit as inf <= inf

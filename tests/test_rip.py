@@ -472,22 +472,23 @@ def _kernel_matches_seed_loops(case):
 
 
 def test_kernel_bit_identical_to_seed_loops(monkeypatch):
-    # Spies count the extensions that the prefix-factored test rules out and
-    # the levels above a quarter block that go to eigvalsh whole because the
-    # previous size's extremes leave the test no room (a zero matrix, or
-    # columns of one norm): the examples must reach both paths.
+    # Spies count the subsets of a tested size that the pruning test rules
+    # out and the levels above a quarter block that go to eigvalsh whole
+    # because the previous size's extremes leave the test no room (a zero
+    # matrix, or columns of one norm): the examples must reach both paths.
     ruled_out, no_room, tested = [], [], []
-    certify, tested_rows, level_extremes = (
-        rip._extension_certificates, rip._tested_rows, rip._level_extremes)
+    extension, tested_rows, level_extremes = (
+        rip._extension, rip._tested_rows, rip._level_extremes)
 
-    def certify_spy(scaled, block, start, sigma):
-        certificates = certify(scaled, block, start, sigma)
-        ruled_out.append(sum(int(c.all(axis=0).sum()) for _, c in certificates))
-        return certificates
+    def extension_spy(signed, below, chunk):
+        step = extension(signed, below, chunk)
+        if below.shape[0] + 1 == tested[-1]:  # the tested size, not a level below it
+            ruled_out.append(int(step[-1].all(axis=0).sum()))
+        return step
 
-    def rows_spy(scaled, prefix, sigma):
-        tested.append(prefix.shape[1] + 1)
-        return tested_rows(scaled, prefix, sigma)
+    def rows_spy(scaled, k, sigma):
+        tested.append(k)
+        return tested_rows(scaled, k, sigma)
 
     def level_spy(gram, prefix, exp, threads, smaller):
         calls = len(tested)
@@ -497,7 +498,7 @@ def test_kernel_bit_identical_to_seed_loops(monkeypatch):
             no_room.append(smaller)
         return record
 
-    monkeypatch.setattr(rip, "_extension_certificates", certify_spy)
+    monkeypatch.setattr(rip, "_extension", extension_spy)
     monkeypatch.setattr(rip, "_tested_rows", rows_spy)
     monkeypatch.setattr(rip, "_level_extremes", level_spy)
     _kernel_matches_seed_loops()
@@ -546,27 +547,23 @@ def _rip_benchmark_matrix():
 
 def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
     # Sizes 4-6 have 5 to 92 blocks each at the default block, and every
-    # prefix block is tested against the previous size's extremes, so
+    # chunk of each is tested against the previous size's extremes, so
     # eigvalsh sees 106 to 157 subsets per size, where sending the first
     # block in full sent 4096 or more. The records equal those of an
     # untested run (every certificate stubbed to fail, so eigvalsh sees
-    # every subset). Prefix blocks of 1 and 7 take about 57 s and 8 s a pass
-    # on this matrix (2-core x86 host); the oracle tests above cover their
-    # seams.
+    # every subset).
     a = _rip_benchmark_matrix()
-    certify = rip._extension_certificates
+    extension = rip._extension
 
-    def certify_nothing(scaled, block, start, sigma):
-        return [(first, np.zeros_like(certified))
-                for first, certified in certify(scaled, block, start, sigma)]
+    def certify_nothing(signed, below, chunk):
+        *step, certified = extension(signed, below, chunk)
+        return (*step, np.zeros_like(certified))
 
     with monkeypatch.context() as untested:
-        untested.setattr(rip, "_extension_certificates", certify_nothing)
+        untested.setattr(rip, "_extension", certify_nothing)
         expected = repr(rip._subset_spectra(a, 6))
     spectra = rip._spectra
     for block, threads in KERNEL_SETTINGS:
-        if block < 32:
-            continue
         sent = {}
 
         def counted(gram, sub):
@@ -584,21 +581,36 @@ def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
 
 def test_every_prefix_block_of_a_tested_size_is_tested_on_copied_columns(monkeypatch):
     # The last 14 columns copy the first 14, so a tested size keeps many of
-    # its subsets; it is still tested in every prefix block (size 5 has five
-    # at the default block) rather than sending the rest of the size whole.
+    # its subsets; it is still tested in every chunk, in row order, rather
+    # than sending the rest of the size whole. The spy records the rows
+    # each chunk of a tested size covers.
     g = seeded_rng(7).standard_normal((12, 14))
     a = np.hstack([g, g]) / np.linalg.norm(g, 2) / math.sqrt(2)
-    certify, starts = rip._extension_certificates, {}
+    extension, tested_rows, spans, tested = rip._extension, rip._tested_rows, {}, []
 
-    def spy(scaled, block, start, sigma):
-        starts.setdefault(block.shape[1] + 1, []).append(start)
-        return certify(scaled, block, start, sigma)
+    def rows_spy(scaled, k, sigma):
+        tested.append(k)
+        return tested_rows(scaled, k, sigma)
 
-    monkeypatch.setattr(rip, "_extension_certificates", spy)
+    def spy(signed, below, chunk):
+        step = extension(signed, below, chunk)
+        k = below.shape[0] + 1
+        if k == tested[-1]:
+            t, p0, _ = chunk[0]
+            first = math.comb(t, k) + math.comb(p0, k - 1)
+            spans.setdefault(k, []).append((first, first + step[1].shape[1]))
+        return step
+
+    monkeypatch.setattr(rip, "_extension", spy)
+    monkeypatch.setattr(rip, "_tested_rows", rows_spy)
     assert repr(rip._subset_spectra(a, 5)) == repr(_oracle_records(a, 5))
     # size 2, 378 subsets, is at most a quarter block and goes whole
-    assert starts == {k: list(range(0, math.comb(27, k - 1), rip._EIG_BLOCK))
-                      for k in (3, 4, 5)}, starts
+    assert tested == [3, 4, 5] and sorted(spans) == tested, (tested, sorted(spans))
+    for k, covered in spans.items():
+        ends = [0] + [end for _, end in covered]
+        assert [first for first, _ in covered] == ends[:-1], (k, covered)
+        assert ends[-1] == math.comb(28, k), (k, covered)
+    assert len(spans[5]) > 1, spans[5]
 
 
 @pytest.mark.parametrize("a", [np.eye(28),
@@ -610,9 +622,9 @@ def test_sizes_without_room_never_call_the_test(monkeypatch, a):
     # a quarter block, go to eigvalsh whole like size 2.
     tested_rows, tested = rip._tested_rows, []
 
-    def spy(scaled, prefix, sigma):
-        tested.append(prefix.shape[1] + 1)
-        return tested_rows(scaled, prefix, sigma)
+    def spy(scaled, k, sigma):
+        tested.append(k)
+        return tested_rows(scaled, k, sigma)
 
     monkeypatch.setattr(rip, "_tested_rows", spy)
     assert repr(rip._subset_spectra(a, 4)) == repr(_oracle_records(a, 4))
@@ -630,6 +642,44 @@ def test_top_size_is_not_materialised():
     finally:
         tracemalloc.stop()
     assert peak < math.comb(28, 6) * 6 * 8, peak
+
+
+def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
+    """Which symmetric matrices provably have every eigvalsh eigenvalue above sigma.
+
+    The full-factorisation oracle of the pruning test: rip._factor_level
+    must certify exactly the subsets whose full Grams this certifies.
+
+    lower is (k(k + 1) / 2, R): column r holds matrix r's lower triangle,
+    packed column by column; sigma is a scalar or one value per matrix.
+    Both are scaled by 2^-e, with 2^e >= max(1, max |G|) over the Gram
+    matrix G that the matrices come from. lower is overwritten with the
+    factors of the shifted matrices: each pivot on the diagonal, the
+    columns of the Cholesky factor below it.
+
+    Matrix r is certified when the float Cholesky factorisation of
+    lower[:, r] - (sigma[r] + _MARGIN) I has every pivot above _MARGIN. In
+    these units the backward errors of that factorisation and of eigvalsh
+    are O(k^2 eps), far below _MARGIN, so a certified matrix's computed
+    lambda_min exceeds sigma by more than _MARGIN / 2. A matrix whose pivot
+    fails is replaced by the identity, so no later column of it is divided
+    by a pivot near 0.
+    """
+    diag = np.array([j * k - j * (j - 1) // 2 for j in range(k)])  # rows of the diagonal
+    identity = np.zeros(lower.shape[0])
+    identity[diag] = 1.0
+    lower[diag] -= sigma + rip._MARGIN
+    certified = np.ones(lower.shape[1], dtype=bool)
+    for j, d in enumerate(diag):
+        failed = ~(lower[d] > rip._MARGIN)
+        if failed.any():
+            certified &= ~failed
+            lower[:, failed] = identity[:, None]
+        col = lower[d + 1:d + k - j]
+        col /= np.sqrt(lower[d])
+        for i, t in enumerate(diag[j + 1:]):
+            lower[t:t + col.shape[0] - i] -= col[i:] * col[i]
+    return certified
 
 
 def _pack(mats):
@@ -665,7 +715,7 @@ def test_cholesky_certificate_agrees_with_eigvalsh(mats, pick, side):
     sign = 1.0 if side == "min" else -1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        certified = rip._certified_above(_pack(np.ldexp(sign * mats, -exp)), mats.shape[-1],
+        certified = _certified_above(_pack(np.ldexp(sign * mats, -exp)), mats.shape[-1],
                                          math.ldexp(sign * sigma, -exp))
     if side == "min":
         assert np.all(lam[certified, 0] > sigma)
@@ -675,12 +725,12 @@ def test_cholesky_certificate_agrees_with_eigvalsh(mats, pick, side):
 
 def test_cholesky_certificate_is_not_vacuous():
     eye = np.repeat(np.eye(5)[None], 3, axis=0)
-    assert rip._certified_above(_pack(eye), 5, 0.99).all()
-    assert not rip._certified_above(_pack(eye), 5, 1.0).any()
-    assert not rip._certified_above(_pack(-eye), 5, -1.0).any()
+    assert _certified_above(_pack(eye), 5, 0.99).all()
+    assert not _certified_above(_pack(eye), 5, 1.0).any()
+    assert not _certified_above(_pack(-eye), 5, -1.0).any()
     singular = np.ones((1, 4, 4))  # eigenvalues 0, 0, 0, 4
-    assert not rip._certified_above(_pack(singular), 4, -1e-12).any()
-    assert rip._certified_above(_pack(singular), 4, -1e-6).all()
+    assert not _certified_above(_pack(singular), 4, -1e-12).any()
+    assert _certified_above(_pack(singular), 4, -1e-6).all()
 
 
 def _flip(certified, below, above):
@@ -696,20 +746,22 @@ def _flip(certified, below, above):
 
 
 def test_prefix_extension_certificate_equals_full_factorisation():
-    # The prefix-factored certificate of every k-subset equals
-    # _certified_above on the full k x k stacks, bit for bit, on both sides,
-    # for every prefix block size, and no step warns. sigma ranges from
-    # below every spectrum to above it, and also sits on either side of the
-    # float where one subset's certificate flips, so a last pivot off by
-    # an ulp shows. The examples must reach prefixes whose pivot failed
-    # (replaced by the identity) and extensions on both sides of the
-    # certificate.
+    # The recurrence's certificate of every j-subset, at every level j <= k
+    # that it builds, equals _certified_above on the full j x j stacks, bit
+    # for bit, on both sides, for every chunk size, and no step warns; the
+    # rows _tested_rows leaves at size k are those not certified on both
+    # sides. sigma ranges from below every spectrum to above it, and also
+    # sits on either side of the float where one k-subset's certificate
+    # flips, so a last pivot off by an ulp shows. The examples must reach
+    # (k - 1)-prefixes whose pivot failed (stored as _MARGIN) and
+    # extensions on both sides of the certificate.
     seen = np.zeros(3, dtype=int)  # failed prefixes, certified and uncertified extensions
 
     @settings(max_examples=150, deadline=None)
     @given(case=rip_cases(), k=st.integers(2, 5), block=st.sampled_from([1, 7, 32, DEFAULT_BLOCK]),
            picks=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), pick_row=st.integers(0))
     def check(case, k, block, picks, pick_row):
+        rip._EIG_BLOCK = block  # restored after the examples
         a = case[0]
         n = a.shape[1]
         if k > n:
@@ -717,38 +769,44 @@ def test_prefix_extension_certificate_equals_full_factorisation():
         gram = a.T @ a
         exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
         scaled = np.ldexp(gram, -exp)
-        *_, prefix, level = rip._colex_levels(n, k)
-        mats = scaled[level[:, :, None], level[:, None, :]]
-        packed = _pack(mats)
-        lam = np.linalg.eigvalsh(mats)
+        levels = list(rip._colex_levels(n, k))
+        packed = [_pack(scaled[level[:, :, None], level[:, None, :]]) for level in levels]
+        lam = np.linalg.eigvalsh(scaled[levels[-1][:, :, None], levels[-1][:, None, :]])
         low, high = lam[:, 0].min(), lam[:, -1].max()
         drawn = [low + pick * (high - low) for pick in picks]
-        r = pick_row % level.shape[0]
-        flips = [_flip(lambda s: bool(rip._certified_above(sign * packed[:, r:r + 1], k, s)[0]),
+        r = pick_row % lam.shape[0]
+        flips = [_flip(lambda s: bool(_certified_above(sign * packed[-1][:, r:r + 1], k, s)[0]),
                        sign * lam[r, side] - 1.0, sign * lam[r, side] + 2.0 ** -20)
                  for side, sign in ((0, 1.0), (-1, -1.0))]
-        count = level.shape[0]
+        signed = np.stack([scaled, -scaled], axis=1)
         for sigma in ([drawn[0], -drawn[1]], *zip(*flips)):
             sigma = np.array(sigma)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                expected = rip._certified_above(np.hstack([packed, -packed]), k,
-                                                np.repeat(sigma, count)).reshape(2, count)
-                got = np.zeros((2, count), dtype=bool)
-                covered = np.zeros(count, dtype=int)
-                for start in range(0, math.comb(n - 1, k - 1), block):
-                    for first, certified in rip._extension_certificates(
-                            scaled, prefix[start:start + block], start, sigma):
-                        got[:, first:first + certified.shape[1]] = certified
-                        covered[first:first + certified.shape[1]] += 1
-                small = _pack(scaled[prefix[:, :, None], prefix[:, None, :]])
-                alive = rip._certified_above(np.hstack([small, -small]), k - 1,
-                                             np.repeat(sigma, prefix.shape[0]))
-            assert np.all(covered == 1)
-            assert np.array_equal(got, expected), sigma
-            seen[:] += [(~alive).sum(), expected.sum(), (~expected).sum()]
+                expected = [_certified_above(np.hstack([small, -small]), j,
+                                             np.repeat(sigma, small.shape[1])).reshape(2, -1)
+                            for j, small in enumerate(packed, start=1)]
+                got = [rip._diagonal_level(scaled, sigma)]
+                for _ in range(2, k + 1):
+                    got.append(rip._factor_level(signed, got[-1]))
+                kept = rip._tested_rows(scaled, k, sigma)
+            for j, (level, certified) in enumerate(zip(got, expected), start=1):
+                assert level.shape == (j, 2, math.comb(n, j)), (j, level.shape)
+                assert np.array_equal(level[-1] > rip._MARGIN, certified), (j, sigma)
+            assert np.array_equal(kept, np.flatnonzero(~expected[-1].all(axis=0))), sigma
+            seen[:] += [(~expected[-2]).sum(), expected[-1].sum(), (~expected[-1]).sum()]
+        # the chunks of size k cover each of its rows once, in order, and each
+        # starts at the row of its first p-block
+        spans = [(first, math.comb(t, k) + math.comb(p0, k - 1),
+                  math.comb(t1, k) + math.comb(p1, k - 1))
+                 for first, chunk in rip._chunks(n, k)
+                 for (t, p0, _), (t1, _, p1) in [(chunk[0], chunk[-1])]]
+        assert [start for _, start, _ in spans] == [0] + [end for *_, end in spans[:-1]], spans
+        assert all(first == start for first, start, _ in spans), spans
+        assert spans[-1][2] == math.comb(n, k), spans
 
-    check()
+    with mock.patch.object(rip, "_EIG_BLOCK", DEFAULT_BLOCK):
+        check()
     assert np.all(seen > 0), seen
 
 
