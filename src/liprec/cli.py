@@ -59,11 +59,13 @@ from .core import (
     TOL_CERT,
     TOL_DUP,
     TOL_EVAL,
+    DomainError,
     LabeledSet,
     LabelingError,
     LipschitzCertificate,
     LiprecError,
     NotApplicableError,
+    NotInjectiveError,
     NotLipschitzError,
     ParameterError,
     _duplicate_error,
@@ -71,8 +73,8 @@ from .core import (
 )
 from .core import thread_budget as core_thread_budget
 from .covering import cover_pipeline
-from .lipschitz import _check_omega, _scan_sample, injectivity_tolerance
-from .mwet import fit
+from .lipschitz import _check_omega, _scan_sample, _tight, injectivity_tolerance
+from .mwet import _fit
 from .operators import (
     MatrixOperator,
     Operator,
@@ -340,7 +342,20 @@ def run_certify(operator: Operator, signals: np.ndarray,
 
 def run_mwet(operator: Operator, signals: np.ndarray,
              params: Dict[str, Any], seed: int) -> TaskOutput:
-    sample = _labeled(operator, signals)
+    sample = _labeled(operator, signals, check_duplicates=False)
+    # One pass: a duplicate fails the labeling, ahead of a bad parameter, and
+    # the rest the fit, after one. Distances that overflow stop the pass
+    # before any pair; labeling's own search, on the signals, still runs.
+    unfit = None
+    try:
+        tight = _tight(sample, TOL_DUP).omega
+    except LabelingError as exc:
+        raise _labeling_failed(exc)
+    except DomainError as exc:
+        _labeled(operator, signals)
+        unfit = exc
+    except NotInjectiveError as exc:
+        unfit = exc
     omega1 = params.get("omega")
     if omega1 is not None:
         omega1 = _number(omega1, "params.omega")
@@ -348,7 +363,9 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     num_pairs = _draw_count(params.get("num_pairs", 1000), "params.num_pairs",
                             2 * operator.obs_dim)
     try:
-        hypothesis = fit(sample, omega1)
+        if unfit is not None:
+            raise unfit
+        hypothesis = _fit(sample, omega1, tight)
     except LiprecError as exc:
         raise ProblemError(f"fit failed: {exc}")
     residuals = hypothesis.training_residuals()

@@ -18,44 +18,39 @@ tolerances are fixed package constants:
 All are far above double rounding and far below any experiment's target
 precision. Every operation reads them directly; none takes an override.
 
-Every Lipschitz check is one reduction, ``_first_max_pair``: the maximum
-of a score over all pairs, the first pair in row-major index order that
-attains it, and the first pair passing each of a few tests (collision,
-duplicate, violation). It takes one of two paths with the same bits.
+Every pair question is one reduction, ``_first_max_pair``: the maximum
+of an optional score over all pairs, the first pair in row-major index
+order that attains it, and the first pair passing each of a few tests
+(collision, duplicate, violation). The Lipschitz checks ask it, and so
+does the labeling duplicate search, a question with one test and no
+score that reads only the signals. One fold, ``_Fold``, takes the tiles
+of either of two tile sources, which give the same bits.
 
 * The tiled scan, ``_pair_tiles``, yields tiles of consecutive rows
   against every later row, each bounded by the ``_PAIR_TILE_ELEMENTS``
   budget, so memory stays O(n + budget).
-* The pruned scan cuts the rows into leaf blocks of ``_LEAF_ROWS`` rows
-  by a k-d tree over their observations: each node is split along its
-  widest observation coordinate, at a multiple of ``_LEAF_ROWS`` rows near
-  its middle. Every node keeps its signal box and observation box, a
-  parent's the union of its children's. The boxes' gaps and far-corner
-  distances are formed with the pair scan's own operations in its order,
-  and rounding is monotone, so a node pair's bounds hold exactly for every
-  computed pair distance below it: no slack is needed. The diagonal leaf
-  pairs go first and seed the maximum. Node pairs are then bounded from
-  the top of the tree down, depth first in batches within the tile
-  budget, and only those where a test may hold or whose score bound can
-  reach the running maximum are refined. In each batch the leaf pairs
-  where a test may hold are examined first, then the rest in decreasing
-  order of bound (touching blocks, with an infinite ratio bound, first)
-  until a bound falls below the maximum. A skipped pair scores strictly
-  less than the maximum, so it can neither be nor tie the witness.
-  Memory stays O(n + budget) here too.
+* The pruned scan (``_pruned_max_pair``) cuts the rows into leaf blocks
+  of ``_LEAF_ROWS`` rows by a k-d tree over their observations (over
+  their signals for a question that reads no observations). Every node
+  keeps its signal box and observation box, whose gaps and far-corner
+  distances bound every computed pair distance below it exactly, since
+  they are formed with the scan's own operations and rounding is
+  monotone. Node pairs are bounded from the top of the tree down, and
+  only those where a test may hold or whose score bound can reach the
+  running maximum are refined, so a skipped pair can neither be nor tie
+  the witness. Memory stays O(n + budget) here too.
 * A fixed rule, ``_scan_tiled``, picks the tiled scan before any pair of
   leaves is bounded: when all pairs fit eight tiles, when the leaves are
-  too few to halve every observation coordinate once (full-dimensional
-  observations), or when the bounds on the node pairs above the leaves
-  keep more than half of the pairs.
+  too few to halve every coordinate of the split array once
+  (full-dimensional data), or when the bounds on the node pairs above the
+  leaves keep more than half of the pairs.
 
 Distances are computed coordinate by coordinate, with the squares summed
 in the order ``np.add.reduce`` uses; every distance is therefore
 bit-identical to ``np.linalg.norm(a[i + 1:] - a[i], axis=1)``, for any
-budget, block size and path. ``score`` sees signal distances too, so the
-certification pass also finds the first duplicate signal pair, and a
-pipeline that certifies a sample checks it for duplicates without a
-second scan.
+budget, block size and path. A question's tests see signal distances
+too, so a pipeline that certifies a sample finds its first duplicate
+signal pair in the same pass.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, NamedTuple, Optional, Tuple
+from typing import Iterator, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -359,23 +354,28 @@ def _norms(square, width: int) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _distances(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """||later - earlier|| over the coordinates on axis 0, broadcast over
+    the other axes: one subtraction per coordinate, with the squares summed
+    in ``_norms``' order."""
+    def square(m):
+        d = later[m] - earlier[m]
+        return np.multiply(d, d, out=d)
+
+    return _norms(square, later.shape[0])
+
+
 def _tile_distances(columns: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """out[r, c] = ||a[i0 + 1 + c] - a[i0 + r]|| for rows i0 <= i0 + r < i1.
 
     ``columns`` is a.T, C-contiguous, so each coordinate's differences are
-    one broadcast subtraction. The squares are summed over coordinates in
-    ``np.add.reduce``'s order, which makes every entry bit-identical to
+    one broadcast subtraction. Every entry is bit-identical to
     ``np.linalg.norm(a[i + 1:] - a[i], axis=1)``. Entries with c < r are
     not pairs (j <= i) and are set to NaN, so every comparison with one
     is False.
     """
     rows = i1 - i0
-
-    def square(m):
-        d = columns[m, i0 + 1:] - columns[m, i0:i1, None]
-        return np.multiply(d, d, out=d)
-
-    out = _norms(square, columns.shape[0])
+    out = _distances(columns[:, i0 + 1:], columns[:, i0:i1, None])
     out[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.nan
     return out
 
@@ -393,54 +393,34 @@ def _check_spans(arrays) -> None:
                               "diagonal of their bounding box is not finite)")
 
 
-def _pair_tiles(**arrays: np.ndarray) -> Iterator[tuple]:
-    """The exhaustive pair scan: yield (i0, d_1, ...) tile by tile.
+def _pair_tiles(x: np.ndarray, y: Optional[np.ndarray]) -> Iterator[tuple]:
+    """The row-tile source: yield (i0, dx, dy) tile by tile.
 
-    Each keyword names an (n, width_a) array. Tiles cover rows [i0, i1) in
-    order, i1 - i0 = max(1, _PAIR_TILE_ELEMENTS // (n - 1 - i0)) capped at
-    the rows left, and d_a[r, c] = ||a[i0 + 1 + c] - a[i0 + r]|| for every
-    later row; entries with c < r are NaN (see ``_tile_distances``).
-    Raises DomainError, before any tile, when some array's distances
-    overflow (see ``_check_spans``).
+    Tiles cover rows [i0, i1) in order, i1 - i0 = max(1,
+    _PAIR_TILE_ELEMENTS // (n - 1 - i0)) capped at the rows left, against
+    every later row (``_tile_distances``); dy is None when y is.
     """
-    _check_spans(arrays)
-    columns = [np.ascontiguousarray(a.T) for a in arrays.values()]
-    n = columns[0].shape[1]
+    columns = [None if a is None else np.ascontiguousarray(a.T) for a in (x, y)]
+    n = x.shape[0]
     i0 = 0
     while i0 < n - 1:
         width = n - 1 - i0
         i1 = i0 + min(width, max(1, _PAIR_TILE_ELEMENTS // width))
-        yield (i0, *[_tile_distances(c, i0, i1) for c in columns])
+        yield (i0, *[None if c is None else _tile_distances(c, i0, i1) for c in columns])
         i0 = i1
 
 
-def _first_pair(i0: int, hits: np.ndarray) -> Optional[Tuple[int, int]]:
-    """The first pair, in row-major order, whose entry of a tile's mask is set."""
-    k = int(np.argmax(hits))
-    if not hits.flat[k]:
-        return None
-    r, c = divmod(k, hits.shape[1])
-    return (i0 + r, i0 + 1 + c)
+def _first_max_pair(x: np.ndarray, y: Optional[np.ndarray], score=None, tests=()) -> _Fold:
+    """One pair question over the rows of x (signals) and y (observations).
 
-
-class _PairScan(NamedTuple):
-    """What one pass of ``_first_max_pair`` found."""
-
-    best: float
-    witness: Tuple[int, int]
-    firsts: Tuple[Optional[Tuple[int, int]], ...]  # per test, its first passing pair
-    pairs_examined: int
-
-
-def _first_max_pair(labeled_set: LabeledSet, score, tests=()) -> _PairScan:
-    """Maximum over pairs i < j of score(dx, dy), and the first pair attaining it.
-
-    ``score`` maps arrays of signal and observation distances to a new
-    array of values, never NaN; each test maps them to a boolean mask.
-    The reduction reports the maximum, the first pair in row-major order
-    that attains it, the first pair passing each test, and how many pairs
-    it examined. Needs at least two rows; raises DomainError, before any
-    pair, when distances would overflow.
+    A question reads the signals, and the observations unless y is None.
+    Its optional ``score`` maps arrays of signal and observation distances
+    (dx, dy; dy is None without observations) to a new array of values,
+    never NaN; each of its ``tests`` maps them to a boolean mask. The
+    returned ``_Fold`` holds the maximum score over pairs i < j, the first
+    pair in row-major order that attains it, the first pair passing each
+    test and how many pairs were examined. DomainError is raised, before
+    any pair, when distances would overflow.
 
     Pruning rests on one contract: the score and every test are evaluated
     elementwise with rounded (so monotone) float operations, the score is
@@ -452,26 +432,68 @@ def _first_max_pair(labeled_set: LabeledSet, score, tests=()) -> _PairScan:
     scores strictly less than the maximum, so it cannot be or tie the
     witness, and the pairs examined give the same maximum, witness and
     first passing pairs as the exhaustive row-major scan, bit for bit. The
-    order of the rows in the tree decides only which rows share a block.
-
-    The tiled scan (``_pair_tiles``) runs instead whenever ``_scan_tiled``
-    says so, which it does before any pair of leaves is bounded.
+    k-d tree splits the observations, or the signals for a question
+    without observations; the order of the rows in the tree decides only
+    which rows share a block. The tiled scan runs instead whenever
+    ``_scan_tiled`` says so, before any pair of leaves is bounded.
     """
-    x, y = labeled_set.signals, labeled_set.observations
     n = x.shape[0]
-    pairs = n * (n - 1) // 2
-    if not _scan_tiled(n, y.shape[1], 0):
-        pruned = _pruned_max_pair(x, y, score, tests, pairs)
-        if pruned is not None:
-            return pruned
-    return _tiled_max_pair(x, y, score, tests, pairs)
+    fold = _Fold(score, tests)
+    if n > 1:
+        _check_spans({"signals": x} if y is None else {"signals": x, "observations": y})
+        dim = (x if y is None else y).shape[1]
+        if _scan_tiled(n, dim, 0) or not _pruned_max_pair(x, y, fold, dim):
+            fold = _Fold(score, tests)  # a pruned attempt fed it the diagonal
+            _tiled_max_pair(x, y, fold)
+    return fold
 
 
-def _scan_tiled(n: int, obs_dim: int, kept: int) -> bool:
-    """The fixed fallback rule for n rows of obs_dim observation coordinates:
-    scan every pair when all of them fit eight tiles, when the leaves are
-    too few to halve every observation coordinate once (full-dimensional
-    observations), or when ``kept`` exceeds half of the pairs.
+class _Fold:
+    """One pair question's answer so far, fed tile by tile by either tile
+    source; pairs (i, j) compare as tuples, in row-major order. Without a
+    score ``best`` is inf, which no bound reaches, so only tests refine."""
+
+    def __init__(self, score, tests):
+        self.score, self.tests = score, tests
+        self.best, self.witness = np.inf if score is None else -np.inf, (0, 1)
+        self.firsts = [None] * len(tests)  # per test, its first passing pair
+        self.pairs_examined = 0
+
+    def tile(self, dx, dy, valid: np.ndarray, first, which) -> None:
+        """Fold in a tile: ``valid`` marks its entries that are pairs, and
+        first(hits) gives the first pair set in a mask and its tile index,
+        or None. Only the tests numbered in ``which`` are evaluated."""
+        self.pairs_examined += int(np.count_nonzero(valid))
+        for t in which:
+            found = first(self.tests[t](dx, dy) & valid)
+            if found is not None and (self.firsts[t] is None or found[0] < self.firsts[t]):
+                self.firsts[t] = found[0]
+        if self.score is None:
+            return
+        values = self.score(dx, dy)
+        values[~valid] = -np.inf
+        top = values.max()
+        if top > self.best or (top == self.best and top > -np.inf):
+            pair, at = first(values == top)
+            if top > self.best or pair < self.witness:  # the witness's own value: 0.0 or -0.0
+                self.best, self.witness = float(values[at]), pair
+
+    def bound(self, near, far, gap):
+        """The score bound of node pairs whose dx lie in [near, far] and
+        whose dy are at least gap, and a bit per test that may hold."""
+        with np.errstate(over="ignore"):
+            value = np.full(far.shape, -np.inf) if self.score is None else self.score(far, gap)
+            may = np.zeros(far.shape, dtype=np.int64)
+            for t, test in enumerate(self.tests):
+                may |= (test(far, gap) | test(near, gap)).astype(np.int64) << t
+        return value, may
+
+
+def _scan_tiled(n: int, dim: int, kept: int) -> bool:
+    """The fixed fallback rule for n rows whose k-d tree splits dim
+    coordinates: scan every pair when all of them fit eight tiles, when the
+    leaves are too few to halve every coordinate once (full-dimensional
+    data), or when ``kept`` exceeds half of the pairs.
 
     ``kept`` counts the pairs that the bounds on node pairs above the
     leaves cannot rule out (see ``_pruned_max_pair``); it is 0 before any
@@ -482,43 +504,36 @@ def _scan_tiled(n: int, obs_dim: int, kept: int) -> bool:
     ``small_sample_cutoff``).
     """
     pairs = n * (n - 1) // 2
-    return (pairs <= 8 * _PAIR_TILE_ELEMENTS or -(-n // _LEAF_ROWS) < 2 ** obs_dim
+    return (pairs <= 8 * _PAIR_TILE_ELEMENTS or -(-n // _LEAF_ROWS) < 2 ** dim
             or 2 * kept > pairs)
 
 
-def _tiled_max_pair(x: np.ndarray, y: np.ndarray, score, tests, pairs: int) -> _PairScan:
-    """``_first_max_pair`` over every pair, tile by tile in row-major order.
+def _tiled_max_pair(x: np.ndarray, y: Optional[np.ndarray], fold: _Fold) -> None:
+    """Feed ``fold`` every pair, tile by tile in row-major order. A test's
+    first passing pair is the first one met, so a test is evaluated only
+    until it passes, and a question without a score stops there."""
+    for i0, dx, dy in _pair_tiles(x, y):
+        rows, width = dx.shape
 
-    Each tile row's first maximum is folded in row order with a strict
-    comparison, so ties go to the first pair in row-major order, exactly
-    as in a row-by-row scan; a test's first passing pair is the first one
-    met.
-    """
-    best = -np.inf
-    witness = (0, 1)
-    firsts = [None] * len(tests)
-    for i0, dx, dy in _pair_tiles(signals=x, observations=y):
-        for t, test in enumerate(tests):
-            if firsts[t] is None:
-                firsts[t] = _first_pair(i0, test(dx, dy))
-        values = score(dx, dy)
-        rows = values.shape[0]
-        values[:, :rows][np.tri(rows, k=-1, dtype=bool)] = -np.inf
-        cols = np.argmax(values, axis=1)
-        maxima = values[np.arange(rows), cols]
-        r = int(np.argmax(maxima))
-        if maxima[r] > best:
-            best = float(maxima[r])
-            witness = (i0 + r, i0 + 1 + int(cols[r]))
-    return _PairScan(best, witness, tuple(firsts), pairs)
+        def first(hits):
+            k = int(np.argmax(hits))
+            if not hits.flat[k]:
+                return None
+            r, c = divmod(k, width)
+            return (i0 + r, i0 + 1 + c), (r, c)
+
+        which = [t for t, found in enumerate(fold.firsts) if found is None]
+        fold.tile(dx, dy, np.arange(width) >= np.arange(rows)[:, None], first, which)
+        if fold.score is None and None not in fold.firsts:
+            return
 
 
 def _kd_order(y: np.ndarray, count: int):
     """Rows of y in the leaf order of a k-d tree with ``count`` leaves, and
     the tree's internal nodes, level by level from the root.
 
-    A node of m >= 2 leaves orders its rows along its widest observation
-    coordinate (the first of equally wide ones) and gives its first
+    A node of m >= 2 leaves orders its rows along its widest coordinate
+    of y (the first of equally wide ones) and gives its first
     ceil(m / 2) leaves of ``_LEAF_ROWS`` rows to its left child, the rest
     to its right. Each coordinate is ranked once (equal values in row
     order); a level then orders the rows of all its nodes by one sort of
@@ -601,8 +616,8 @@ def _box_reaches(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
 
 class _LeafBlocks:
     """The rows of a sample cut into leaf blocks of ``_LEAF_ROWS`` rows by a
-    k-d tree over their observations (``_kd_order``), with each node's
-    signal box and observation box.
+    k-d tree (``_kd_order``) over their observations, or over their signals
+    when y is None, with each node's signal box and observation box.
 
     Nodes 0 to count - 1 are the leaves, in order; the others are internal
     and hold a run of whole leaves. An internal node's boxes are the union
@@ -611,27 +626,26 @@ class _LeafBlocks:
     unchanged and form no pair.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: Optional[np.ndarray]):
         n, b = x.shape[0], _LEAF_ROWS
         self.n, self.count = n, -(-n // b)
-        order, levels = _kd_order(y, self.count)
+        order, levels = _kd_order(x if y is None else y, self.count)
         padded = np.concatenate([order, np.full(self.count * b - n, order[-1])])
         self.rows = padded.reshape(self.count, b)
         self.real = (np.arange(self.count * b) < n).reshape(self.count, b)
         self.upper = np.triu(np.ones((b, b), dtype=bool), 1)
         # (width, blocks, rows) columns: one coordinate of one block is a row.
-        self.x, self.y = np.take(x.T, self.rows, axis=1), np.take(y.T, self.rows, axis=1)
+        self.x, self.y = [None if a is None else np.take(a.T, self.rows, axis=1) for a in (x, y)]
         nodes = 2 * self.count - 1
         # Node k's two children, or (k, -1) for a leaf.
         self.halves = np.stack([np.arange(nodes), np.full(nodes, -1)])
         self.sizes = np.empty(nodes, dtype=np.int64)
         self.sizes[:self.count] = self.real.sum(axis=1)
         # Box corners of every node: signal coordinates, then observation ones.
-        self.lo = np.empty((x.shape[1] + y.shape[1], nodes))
+        leaves = np.concatenate([a for a in (self.x, self.y) if a is not None])
+        self.lo = np.empty((leaves.shape[0], nodes))
         self.hi = np.empty_like(self.lo)
-        for corner, extreme in ((self.lo, np.min), (self.hi, np.max)):
-            corner[:x.shape[1], :self.count] = extreme(self.x, axis=2)
-            corner[x.shape[1]:, :self.count] = extreme(self.y, axis=2)
+        self.lo[:, :self.count], self.hi[:, :self.count] = leaves.min(axis=2), leaves.max(axis=2)
         for ids, left, right in reversed(levels):
             self.halves[:, ids] = left, right
             self.sizes[ids] = self.sizes[left] + self.sizes[right]
@@ -643,11 +657,12 @@ class _LeafBlocks:
 
     def bounds(self, a: np.ndarray, b: np.ndarray):
         """Bounds for node pairs (a[k], b[k]): dx between the signal boxes'
-        gap and reach, dy at least the observation boxes' gap."""
+        gap and reach, dy at least the observation boxes' gap (or None)."""
         w = self.x.shape[0]
         lo_a, hi_a, lo_b, hi_b = self.lo[:, a], self.hi[:, a], self.lo[:, b], self.hi[:, b]
         x = lo_a[:w], hi_a[:w], lo_b[:w], hi_b[:w]
-        return _box_gaps(*x), _box_reaches(*x), _box_gaps(lo_a[w:], hi_a[w:], lo_b[w:], hi_b[w:])
+        gap = None if self.y is None else _box_gaps(lo_a[w:], hi_a[w:], lo_b[w:], hi_b[w:])
+        return _box_gaps(*x), _box_reaches(*x), gap
 
     def children(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The node pairs one level below pairs (a[k], b[k]), as a (2, m)
@@ -678,112 +693,79 @@ class _LeafBlocks:
                 stack.append(self.children(top[0, refine], top[1, refine]))
 
     def tile(self, p: np.ndarray, q: np.ndarray):
-        """dx and dy of rows of blocks p[k] against rows of blocks q[k], as
-        (k, b, b) arrays, and the mask of entries that are pairs."""
+        """dx and dy (or None) of rows of blocks p[k] against rows of blocks
+        q[k], as (k, b, b) arrays, and the mask of entries that are pairs."""
         def distances(columns):
-            later, earlier = columns[:, q, None, :], columns[:, p, :, None]
-
-            def square(m):
-                d = later[m] - earlier[m]
-                return np.multiply(d, d, out=d)
-            return _norms(square, columns.shape[0])
+            return _distances(columns[:, q, None, :], columns[:, p, :, None])
 
         valid = self.real[p][:, :, None] & self.real[q][:, None, :]
         same = p == q
         if same.any():
             valid[same] &= self.upper
-        return distances(self.x), distances(self.y), valid
+        return distances(self.x), None if self.y is None else distances(self.y), valid
 
     def first(self, p: np.ndarray, q: np.ndarray, hits: np.ndarray):
-        """i * n + j of the first pair (i < j) set in a tile's mask, and its
-        index in the tile; None when no entry is set."""
+        """The first pair (i, j), i < j, set in a tile's mask, and its index
+        in the tile; None when no entry is set."""
         if not hits.any():
             return None
         k, r, s = np.nonzero(hits)
-        i, j = self.rows[p[k], r], self.rows[q[k], s]
-        keys = np.minimum(i, j) * self.n + np.maximum(i, j)
-        m = int(np.argmin(keys))
-        return int(keys[m]), (k[m], r[m], s[m])
+        a, b = self.rows[p[k], r], self.rows[q[k], s]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        m = int(np.argmin(i * self.n + j))
+        return (int(i[m]), int(j[m])), (k[m], r[m], s[m])
 
 
-def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
-                     pairs: int) -> Optional[_PairScan]:
-    """``_first_max_pair`` over the leaf pairs that its bounds cannot rule out.
+def _pruned_max_pair(x: np.ndarray, y: Optional[np.ndarray], fold: _Fold, dim: int) -> bool:
+    """Feed ``fold`` the leaf pairs that its bounds cannot rule out.
 
     The diagonal leaf pairs go first and seed the maximum. A first descent
     then bounds the node pairs with an internal side, never a pair of
     leaves, and subtracts the pairs below every one it can skip from the
     count of pairs kept; it stops as soon as ``_scan_tiled`` accepts that
-    count, and when it never does the function returns None, having
-    examined only the diagonal. The second descent
-    bounds node pairs from the top of the tree down and refines only
-    those where a test may hold or whose score bound reaches the running
-    maximum. In each batch the leaf pairs where a test may hold are
-    examined first, then the rest in decreasing order of their score bound
-    (touching blocks, with an infinite ratio bound, first) until a bound
-    falls below the running maximum. Memory stays O(n + budget).
+    count, and when it never does the function returns False, having fed
+    only the diagonal. The second descent bounds node pairs from the top of
+    the tree down and refines only those where a test may hold or whose
+    score bound reaches the running maximum. In each batch the leaf pairs
+    where a test may hold are examined first, then the rest in decreasing
+    order of their score bound (touching blocks, with an infinite ratio
+    bound, first) until a bound falls below the running maximum. Memory
+    stays O(n + budget).
     """
-    _check_spans({"signals": x, "observations": y})
     blocks = _LeafBlocks(x, y)
     c, n = blocks.count, blocks.n
     per_tile = max(1, _PAIR_TILE_ELEMENTS // _LEAF_ROWS ** 2)
     # Node pairs per descent batch: each gathers 4 box corners per coordinate.
     # At least a quarter of the leaves keeps a large tree's batches few, in O(n).
     per_batch = max(c // 4, _PAIR_TILE_ELEMENTS // 16, 1)
-    best, best_key = -np.inf, None
-    firsts = [None] * len(tests)
-    examined = 0
 
     def examine(p, q, which):
-        nonlocal best, best_key, examined
-        dx, dy, valid = blocks.tile(p, q)
-        examined += int(np.count_nonzero(valid))
-        for t in which:
-            found = blocks.first(p, q, tests[t](dx, dy) & valid)
-            if found is not None and (firsts[t] is None or found[0] < firsts[t]):
-                firsts[t] = found[0]
-        values = score(dx, dy)
-        values[~valid] = -np.inf
-        top = values.max()
-        if top > best or (top == best and top > -np.inf):
-            key, at = blocks.first(p, q, values == top)
-            if top > best or key < best_key:  # the witness's own value: 0.0 or -0.0
-                best, best_key = float(values[at]), key
+        fold.tile(*blocks.tile(p, q), lambda hits: blocks.first(p, q, hits), which)
 
-    every = range(len(tests))
+    every = range(len(fold.tests))
     diagonal = np.arange(c)
     for k0 in range(0, c, per_tile):
         examine(diagonal[k0:k0 + per_tile], diagonal[k0:k0 + per_tile], every)
 
-    def bound(a, b):
-        """The score bound of node pairs (a, b) and a bit per test that may hold."""
-        near, far, gap = blocks.bounds(a, b)
-        with np.errstate(over="ignore"):
-            value = score(far, gap)
-            may = np.zeros(value.shape, dtype=np.int64)
-            for t in every:
-                may |= (tests[t](far, gap) | tests[t](near, gap)).astype(np.int64) << t
-        return value, may
-
-    kept = pairs
+    kept = n * (n - 1) // 2
 
     def count(a, b):
         nonlocal kept
-        if not _scan_tiled(n, y.shape[1], kept):
+        if not _scan_tiled(n, dim, kept):
             return None
         inner = (a >= c) | (b >= c)
-        value, may = bound(a[inner], b[inner])
-        cut = (may == 0) & (value < best)
+        value, may = fold.bound(*blocks.bounds(a[inner], b[inner]))
+        cut = (may == 0) & (value < fold.best)
         kept -= int(blocks.sizes[a[inner][cut]] @ blocks.sizes[b[inner][cut]])
         inner[inner] = ~cut
         return inner
 
     blocks.descend(count, per_batch)
-    if _scan_tiled(n, y.shape[1], kept):
-        return None
+    if _scan_tiled(n, dim, kept):
+        return False
 
     def visit(a, b):
-        value, may = bound(a, b)
+        value, may = fold.bound(*blocks.bounds(a, b))
         leaf = (a < c) & (b < c)
         p, q, value_pq, may_pq = a[leaf], b[leaf], value[leaf], may[leaf]
         order = np.lexsort((-value_pq, may_pq == 0))
@@ -795,19 +777,15 @@ def _pruned_max_pair(x: np.ndarray, y: np.ndarray, score, tests,
         k0 = forced
         while k0 < order.size:
             sel = order[k0:k0 + per_tile]
-            sel = sel[value_pq[sel] >= best]  # bounds descend: a prefix
+            sel = sel[value_pq[sel] >= fold.best]  # bounds descend: a prefix
             if sel.size == 0:
                 break
             examine(p[sel], q[sel], ())
             k0 += sel.size
-        return ~leaf & ((may != 0) | (value >= best))
+        return ~leaf & ((may != 0) | (value >= fold.best))
 
     blocks.descend(visit, per_batch)
-
-    def pair(key):
-        return None if key is None else divmod(key, n)
-
-    return _PairScan(best, pair(best_key) or (0, 1), tuple(pair(k) for k in firsts), examined)
+    return True
 
 
 def _duplicate_error(pair: Tuple[int, int]) -> LabelingError:
@@ -827,7 +805,10 @@ class LabeledSet:
     Duplicate signals (closer than ``TOL_DUP``) are rejected at
     construction unless explicitly waived, e.g. for derived training data
     whose targets may legitimately coincide, or for a sample whose
-    certification pass checks for duplicates itself.
+    certification pass checks for duplicates itself. The search is a
+    question to the package's one pair reduction that reads only the
+    signals, so on low-dimensional signals it examines little beyond the
+    pairs inside its leaf blocks.
     """
 
     signals: np.ndarray
@@ -860,11 +841,8 @@ class LabeledSet:
         return cls.from_arrays(sig, obs, check_duplicates=check_duplicates)
 
     def _find_duplicate(self) -> Optional[Tuple[int, int]]:
-        for i0, d in _pair_tiles(signals=self.signals):
-            dup = _first_pair(i0, d < TOL_DUP)
-            if dup is not None:
-                return dup
-        return None
+        """The first pair of signals closer than ``TOL_DUP``, or None."""
+        return _first_max_pair(self.signals, None, tests=(lambda dx, dy: dx < TOL_DUP,)).firsts[0]
 
     @property
     def signal_dim(self) -> int:

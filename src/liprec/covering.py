@@ -157,9 +157,9 @@ def build_cover(sample: LabeledSet, spec: GridSpec) -> GridCover:
         raise DimensionError(
             f"sample obs dim {sample.obs_dim} != grid dim {spec.obs_dim}")
     digits = _cell_indices(spec, sample.observations, TOL_CERT)
-    # np.unique sorts stably, so each cell's index is its first row.
-    _, first = np.unique(digits, axis=0, return_index=True)
-    first.sort()
+    # One stable sort groups each cell's rows in input order.
+    order = np.lexsort(digits.T)
+    first = np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
     reps = {tuple(digits[row].tolist()): int(row) for row in first}
     return GridCover(spec=spec, representatives=reps, source=sample)
 

@@ -9,25 +9,20 @@ and checks the relaxed inequality ||x1 - x2|| <= 2*eps + omega*||y1 - y2||
 that an omega-Lipschitz recovery map with error eps forces on any set it
 recovers.
 
-All three checks are exact over the O(n^2) unordered pairs, through the
-package's one first-maximum reduction (``core._first_max_pair``), with
-distances bit-identical to a row-by-row ``np.linalg.norm``. On large
-samples whose observations have low intrinsic dimension it bounds pairs
-of k-d tree nodes from the top down and examines only the leaf-block
-pairs whose exact box bounds can reach the running maximum or hold a
-violation, collision or duplicate; otherwise it scans every pair in
-tiles (see ``core``). Either way the results are those of the
-exhaustive scan, bit for bit: maxima tie-break to the first pair in
-row-major index order, and the relaxed check's minimum slack is the exact
-negation of the maximum of -slack. Samples whose pairwise distances would
+All three checks are questions to the package's one pair reduction
+(``core._first_max_pair``, which prunes where it can), exact over the
+O(n^2) unordered pairs and bit-identical to the row-by-row
+``np.linalg.norm`` scan: maxima tie-break to the first pair in row-major
+index order, and the relaxed check's minimum slack is the exact negation
+of the maximum of -slack. Samples whose pairwise distances would
 overflow float64 raise DomainError before any pair is examined: an
 inf/inf ratio certifies nothing.
 
 The verification pass (``_scan_sample``) can also report the first
 observation collision and the first duplicate signal pair, and it counts
-the pairs it examined. That lets the pipelines reject duplicates
-(``_certify_sample``) and the ``certify`` task read the tight constant,
-the first collision and its verdict from one pass over the sample.
+the pairs it examined. ``tight_omega`` asks through it, the pipelines
+reject duplicates with it (``_certify_sample``), and the ``certify`` and
+``mwet`` tasks read everything they need from its one pass.
 """
 
 from __future__ import annotations
@@ -113,17 +108,23 @@ def tight_omega(labeled_set: LabeledSet) -> LipschitzCertificate:
     """
     if len(labeled_set) < 2:
         raise DegenerateSetError("the tight constant needs at least two pairs")
+    return _tight(labeled_set)
+
+
+def _tight(labeled_set: LabeledSet, tol_dup: Optional[float] = None) -> LipschitzCertificate:
+    """``tight_omega``'s pass, also asking for signals closer than
+    ``tol_dup``: LabelingError for those goes ahead of NotInjectiveError."""
     tol_inj = injectivity_tolerance(labeled_set.observations)
-    scan = _first_max_pair(labeled_set, _ratios, (lambda dx, dy: dy <= tol_inj,))
-    collision = scan.firsts[0]
-    if collision is not None:
-        i, j = collision
+    scan = _scan_sample(labeled_set, None, tol_inj=tol_inj, tol_dup=tol_dup)
+    if scan.duplicate is not None:
+        raise _duplicate_error(scan.duplicate)
+    if scan.collision is not None:
+        i, j = scan.collision
         y = labeled_set.observations
         distance = np.linalg.norm((y[j] - y[i])[None], axis=1)[0]
         raise NotInjectiveError(f"signals {i} and {j} share an observation "
-                                f"(distance {distance:.3e} <= {tol_inj:.3e})", pair=collision)
-    return LipschitzCertificate(omega=scan.best, verdict="certified", witness=scan.witness,
-                                max_ratio=scan.best, _pairs_examined=scan.pairs_examined)
+                                f"(distance {distance:.3e} <= {tol_inj:.3e})", pair=scan.collision)
+    return scan.certificate(scan.max_ratio)
 
 
 def _check_omega(omega: float) -> float:
@@ -176,7 +177,8 @@ def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], *,
         tests["collision"] = lambda dx, dy: dy <= tol_inj
     if tol_dup is not None:
         tests["duplicate"] = lambda dx, dy: dx < tol_dup
-    scan = _first_max_pair(labeled_set, _ratios, tuple(tests.values()))
+    scan = _first_max_pair(labeled_set.signals, labeled_set.observations, _ratios,
+                           tuple(tests.values()))
     found = dict(zip(tests, scan.firsts))
     return _SampleScan(scan.best, scan.witness, found.get("violation") is not None,
                        found.get("collision"), found.get("duplicate"), scan.pairs_examined)
@@ -248,7 +250,8 @@ def check_relaxed_lipschitz(labeled_set: LabeledSet, omega: float,
         raise ParameterError(f"epsilon must be a nonnegative finite number, got {epsilon}")
     if len(labeled_set) < 2:
         raise DegenerateSetError("the relaxed check needs at least two pairs")
-    scan = _first_max_pair(labeled_set, lambda dx, dy: -(2.0 * epsilon + omega * dy - dx))
+    scan = _first_max_pair(labeled_set.signals, labeled_set.observations,
+                           lambda dx, dy: -(2.0 * epsilon + omega * dy - dx))
     worst = -scan.best
     return RelaxedLipschitzResult(passed=bool(worst >= -TOL_CERT),
                                   min_slack=worst, worst_pair=scan.witness)

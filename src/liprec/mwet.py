@@ -390,10 +390,11 @@ def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
     """
     if len(training) == 0:
         raise DegenerateSetError("cannot fit on an empty labeled set")
-    if len(training) == 1:
-        tight = 0.0
-    else:
-        tight = tight_omega(training).omega
+    return _fit(training, omega1, 0.0 if len(training) == 1 else tight_omega(training).omega)
+
+
+def _fit(training: LabeledSet, omega1: Optional[float], tight: float) -> MwetHypothesis:
+    """``fit`` on a non-empty set whose tight constant is already known."""
     if omega1 is None:
         omega1 = tight
     else:

@@ -264,7 +264,7 @@ def test_execute_mwet_rejects_too_small_omega():
 def test_execute_mwet_audit_fails_on_non_finite_ratio(monkeypatch):
     # fit now refuses this constant; built directly, its bound omega1 * 2 is
     # inf, and an infinite audit ratio must not pass as inf <= inf
-    monkeypatch.setattr(cli, "fit", lambda sample, omega1: MwetHypothesis(
+    monkeypatch.setattr(cli, "_fit", lambda sample, omega1, tight: MwetHypothesis(
         training=sample, omega1=1e308))
     problem = json.loads((PROBLEMS / "mwet_segment.json").read_text())
     with np.errstate(over="ignore"):

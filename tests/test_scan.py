@@ -30,6 +30,7 @@ from hypothesis.extra.numpy import arrays
 from liprec import (
     TOL_DUP,
     LabeledSet,
+    LabelingError,
     NotInjectiveError,
     check_relaxed_lipschitz,
     cli,
@@ -267,7 +268,7 @@ def test_tiles_match_numpy_row_norms(monkeypatch, dim, budget):
     for n in (10, 40):
         a = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, dim))
         rows = []
-        for i0, tile in core._pair_tiles(signals=a):
+        for i0, tile, _ in core._pair_tiles(a, None):
             for r in range(tile.shape[0]):
                 i = i0 + r
                 assert np.isnan(tile[r, :r]).all()
@@ -358,6 +359,50 @@ def test_pruned_scan_matches_the_loops_at_every_tree_depth(monkeypatch, leaf_row
     _check_against_oracles((x, y), 1.0, 0.5, 1.5)
 
 
+def _uniform_sheet(n, seed):
+    """n points drawn uniformly from a square on a random plane in R^6."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    return rng.uniform(-1.0, 1.0, (n, 2)) @ basis.T + rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("plant", [None, (1200, 3000)], ids=["none", "planted"])
+def test_duplicate_search_prunes_on_low_dimensional_signals(monkeypatch, plant):
+    # The search reads only the signals, so its k-d tree splits them and
+    # every leaf pair whose signal boxes lie TOL_DUP apart is skipped.
+    x = _uniform_sheet(4000, seed=7)
+    if plant is not None:
+        x[plant[1]] = x[plant[0]]
+    y = x @ np.random.default_rng(8).standard_normal((3, 6)).T
+    scans = []
+    reduce = core._first_max_pair
+
+    def reducing(*args, **kwargs):
+        scans.append(reduce(*args, **kwargs))
+        return scans[-1]
+
+    monkeypatch.setattr(core, "_first_max_pair", reducing)
+    expected = _oracle_duplicate(x, TOL_DUP)
+    assert expected == plant
+    if plant is None:
+        LabeledSet.from_arrays(x, y)
+    else:
+        with pytest.raises(LabelingError) as exc:
+            LabeledSet.from_arrays(x, y)
+        assert str(exc.value) == f"duplicate signals at indices {plant[0]} and {plant[1]}"
+        assert exc.value.index == plant[1]
+    assert len(scans) == 1 and scans[0].firsts == [expected]
+    assert 0 < scans[0].pairs_examined <= 4000 * 3999 // 2 // 100
+
+
+def test_duplicate_search_on_fewer_than_two_rows():
+    assert LabeledSet.from_arrays([[1.0, 2.0]], [[3.0]])._find_duplicate() is None
+    for rows in (0, 1):
+        scan = core._first_max_pair(np.zeros((rows, 2)), None,
+                                    tests=(lambda dx, dy: dx < TOL_DUP,))
+        assert scan.firsts == [None] and scan.pairs_examined == 0
+
+
 def test_fallback_rule_cutoffs():
     # All pairs of 512 rows fit eight tiles; those of 513 rows do not.
     assert core._scan_tiled(512, 1, 0) and not core._scan_tiled(513, 1, 0)
@@ -439,21 +484,17 @@ def _load(problem_file):
 
 def _count_scans(monkeypatch):
     """Record the row count of every pass over a sample's pairs: each call
-    of the reduction behind every Lipschitz check, tiled or pruned, and of
-    the labeling duplicate search."""
+    of the one reduction, tiled or pruned, behind every Lipschitz check
+    and the labeling duplicate search."""
     scans = []
-    reduce, find = lipschitz._first_max_pair, core.LabeledSet._find_duplicate
+    reduce = core._first_max_pair
 
-    def reducing(labeled_set, *args):
-        scans.append(len(labeled_set))
-        return reduce(labeled_set, *args)
-
-    def finding(labeled_set):
-        scans.append(len(labeled_set))
-        return find(labeled_set)
+    def reducing(x, *args, **kwargs):
+        scans.append(len(x))
+        return reduce(x, *args, **kwargs)
 
     monkeypatch.setattr(lipschitz, "_first_max_pair", reducing)
-    monkeypatch.setattr(core.LabeledSet, "_find_duplicate", finding)
+    monkeypatch.setattr(core, "_first_max_pair", reducing)
     return scans
 
 
@@ -495,14 +536,52 @@ def test_cli_certifies_a_large_sample_once_with_pruning(monkeypatch):
     assert 0 < results["pairs_examined"] < 2000 * 1999 // 4
 
 
-def test_mwet_keeps_its_two_scans(monkeypatch):
-    # The labeling duplicate scan still runs ahead of tight_omega's pass.
-    # tight_omega raises a collision only after its scan, which also finds
-    # the first duplicate, so one pass could raise the duplicate first, as
-    # _certify_sample does; folding the two is an open ROADMAP item.
+def test_mwet_scans_its_sample_once(monkeypatch):
+    # The duplicate search, the collision search and the tight constant
+    # come from one pass over the sample.
     scans = _count_scans(monkeypatch)
     report, _ = cli.execute(_load("mwet_segment.json"))
-    assert scans.count(report["results"]["sample_size"]) == 2
+    assert scans.count(report["results"]["sample_size"]) == 1
+
+
+MWET_FAILURES = {
+    # A duplicate (rows 2 and 3, which also collide) after a collision.
+    "duplicate_and_collision": ([[1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0], [2.0, 0.0]],
+                                "labeling the sample failed: duplicate signals at indices 2 and 3"),
+    "collision": ([[1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]],
+                  "fit failed: signals 0 and 1 share an observation "
+                  "(distance 0.000e+00 <= 3.000e-12)"),
+    # Observation distances that overflow stop the pass before any pair.
+    "overflow_and_duplicate": ([[1e54]], [[1e100], [-1e100], [1e100]],
+                               "labeling the sample failed: duplicate signals at indices 0 and 2"),
+    "overflow": ([[1e54]], [[1e100], [-1e100]],
+                 "fit failed: observations: pairwise distances overflow float64 (the squared "
+                 "diagonal of their bounding box is not finite)"),
+    # One signal: the audit used to end in an OverflowError traceback.
+    "one_huge_signal": ([[1.0]], [[1e308]],
+                        "fit failed: observations: their norms overflow float64, so the "
+                        "injectivity tolerance is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MWET_FAILURES))
+@pytest.mark.parametrize("omega", [None, "x"])
+def test_mwet_reports_a_duplicate_first_and_a_collision_as_a_fit_failure(tmp_path, capsys,
+                                                                          case, omega):
+    # One pass finds both; a duplicate fails the labeling ahead of a bad
+    # parameter, and the rest fails the fit after one.
+    matrix, signals, message = MWET_FAILURES[case]
+    problem = {"task": "mwet", "operator": {"type": "matrix", "data": matrix},
+               "signals": {"type": "list", "data": signals}, "params": {}}
+    if omega is not None:
+        problem["params"]["omega"] = omega
+        if message.startswith("fit failed"):
+            message = "field 'params.omega' must be a number, got 'x'"
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("problem_file", sorted(ASSERTION))

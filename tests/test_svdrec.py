@@ -247,7 +247,7 @@ def test_fit_reduced_checks_labels_and_duplicates_in_one_scan(monkeypatch):
     scans = []
     original = core._pair_tiles
     monkeypatch.setattr(core, "_pair_tiles",
-                        lambda **arrays: scans.append(len(arrays["signals"])) or original(**arrays))
+                        lambda x, y: scans.append(len(x)) or original(x, y))
     # The duplicate wins over an uncertified sample and over a bad omega.
     for w in (omega, 1e-6 * omega, 0.0):
         scans.clear()
