@@ -7,34 +7,36 @@ matrices. No sampling: estimates would defeat the point of comparing
 against the exact constant. The classical sparse-recovery condition is
 delta_2S + delta_3S < 1.
 
-Every constant comes from one kernel, ``_subset_spectra``. It lists each
-size's subsets in colex order, where row C(t, k) + r of size k is row r of
-size k - 1 with column t appended, so size k is read from the array of
-size k - 1 and the top size S is never built: memory is O(C(N, S - 1) S)
-plus a few blocks. Each size is decided once. It goes to
-``np.linalg.eigvalsh`` whole when it has at most a quarter block of
-subsets, or when the previous size's extremes lo and hi leave no room to
-prove a spectrum inside them (hi - lo within the test's margin, as for
-the identity). Every other size is tested in full: a float Cholesky test
-on the calling thread proves most spectra inside (lo, hi) by a margin.
-lo and hi bound this size's extremes by Cauchy interlacing, so a subset
-the test rules out has a deviation strictly below its size's best and
-cannot change a record. The test reads only the last row of each
-subset's shifted Cholesky factor, and builds those rows one size at a
-time at the tested size's shifts: a subset whose two largest columns are
-p < t takes the row of the subset without p, one new entry from the rows
-of the subsets without p and without t, and a last pivot. Those are the
-float operations, in the same order, that factoring the subset's Gram
-applies to its last row, so the test certifies exactly the subsets a
-full factorisation would, at one dot product of length k - 2 per subset
-of the tested size k. The size's rows, one range or one sorted array of
-the subsets the test kept, go to eigvalsh in colex order in fixed blocks
+Every constant comes from one kernel, ``_subset_spectra``. It names each
+subset by its colex rank in the combinatorial number system: the
+k-subset c_1 < ... < c_k has rank sum_j C(c_j, j), so every subset of
+range(t) comes before any whose top column is t. No size is held as an
+index array; each eigvalsh block unranks its own rows (``_unranked``).
+Each size is decided once. It goes to ``np.linalg.eigvalsh`` whole when
+it has at most a quarter block of subsets, or when the previous size's
+extremes lo and hi leave no room to prove a spectrum inside them (hi -
+lo within the test's margin, as for the identity). Every other size is
+tested in full: a float Cholesky test on the calling thread proves most
+spectra inside (lo, hi) by a margin. lo and hi bound this size's
+extremes by Cauchy interlacing, so a subset the test rules out has a
+deviation strictly below its size's best and cannot change a record. The
+test reads only the last row of each subset's shifted Cholesky factor,
+and builds those rows one size at a time at the tested size's shifts: a
+subset whose two largest columns are p < t takes the row of the subset
+without p, one new entry from the rows of the subsets without p and
+without t, and a last pivot. Those are the float operations, in the same
+order, that factoring the subset's Gram applies to its last row, so the
+test certifies exactly the subsets a full factorisation would, at one
+dot product of length k - 2 per subset of the tested size k. Memory is
+those rows of size S - 1 on both sides, O(C(N, S - 1) S) floats, plus a
+few blocks. The size's ranks, one range or one sorted array of the
+subsets the test kept, go to eigvalsh in colex order in fixed blocks
 that up to ``core.thread_budget()`` threads claim in order (numpy
-releases the GIL inside the eigensolver).
-Block results are reduced in block order with a strict comparison, so the
-constants and the extremal subset (the first in size-then-colex order)
-are bit-identical for every block size and thread count. A Gram matrix
-that overflows float64 is rejected with DomainError before any size.
+releases the GIL inside the eigensolver). Block results are reduced in
+block order with a strict comparison, so the constants and the extremal
+subset (the first in size-then-colex order) are bit-identical for every
+block size and thread count. A Gram matrix that overflows float64 is
+rejected with DomainError before any size.
 
 The kernel returns one record per size, and a size's record depends on
 the smaller sizes alone, so a pass at S serves every size up to S. Each
@@ -98,36 +100,22 @@ def _as_matrix_array(operator) -> np.ndarray:
     return as_matrix(operator, "matrix")
 
 
-def _colex_levels(n: int, S: int) -> Iterator[np.ndarray]:
-    """The k-subsets of range(n) in colex order, as a (C(n, k), k) array per k = 1..S."""
-    level = np.arange(n, dtype=np.intp)[:, None]
-    yield level
-    for k in range(2, S + 1):
-        level = _extended(level, n, range(math.comb(n, k)))
-        yield level
+def _unranked(ranks: np.ndarray, pascal: np.ndarray) -> np.ndarray:
+    """The k-subsets of colex ranks ``ranks``, one ascending row each.
 
-
-def _extended(prefix: np.ndarray, n: int, rows) -> np.ndarray:
-    """Rows of colex level k of range(n), from level k - 1 as prefix.
-
-    Colex lists every subset of range(t) before any subset whose top
-    element is t, so row C(t, k) + r of level k is prefix row r with t
-    appended, for r < C(t, k - 1). rows is a range, copied top by top, or
-    an array of rows.
+    pascal[j - 1, t] = C(t, j) for j = 1..k over t in range(N). The subset
+    c_1 < ... < c_k of range(N) has colex rank sum_j C(c_j, j) (the
+    combinatorial number system), so c_k is the last t with C(t, k) <= rank,
+    c_1..c_{k-1} is the (k - 1)-subset of rank rank - C(c_k, k), and c_1 is
+    what remains.
     """
-    k = prefix.shape[1] + 1
-    if isinstance(rows, range):
-        grown = np.empty((len(rows), k), dtype=np.intp)
-        for top in range(k - 1, n):
-            first = math.comb(top, k)
-            lo, hi = max(rows.start, first), min(rows.stop, first + math.comb(top, k - 1))
-            if lo < hi:
-                grown[lo - rows.start:hi - rows.start, :-1] = prefix[lo - first:hi - first]
-                grown[lo - rows.start:hi - rows.start, -1] = top
-        return grown
-    firsts = np.array([math.comb(t, k) for t in range(k - 1, n)])  # each top's first row
-    top = np.searchsorted(firsts, rows, side="right") - 1
-    return np.column_stack((prefix[rows - firsts[top]], top + (k - 1)))
+    sub = np.empty((pascal.shape[0], len(ranks)), dtype=np.intp)
+    rest = sub[0]
+    rest[:] = ranks
+    for j in range(pascal.shape[0] - 1, 0, -1):
+        np.subtract(pascal[j].searchsorted(rest, side="right"), 1, out=sub[j])
+        rest -= pascal[j].take(sub[j])
+    return sub.T
 
 
 def _check_enumeration(a: np.ndarray, S: int) -> None:
@@ -296,32 +284,30 @@ def _tested_rows(scaled: np.ndarray, k: int, sigma: np.ndarray) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int,
+def _level_extremes(gram: np.ndarray, k: int, exp: int, threads: int,
                     smaller: Tuple[float, float]) -> tuple:
-    """(lambda_min, lambda_max, deviation, first extremal subset) over level k.
+    """(lambda_min, lambda_max, deviation, first extremal subset) over size k >= 2.
 
-    prefix is level k - 1; level k itself is never built whole. A level of
-    at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole, and so does one
-    whose ``smaller`` extremes are at most _MARGIN apart in the test's
-    units, where the test can rule out nothing. Otherwise _tested_rows
-    rules out the subsets whose spectrum the shifted-Cholesky test proves
-    to lie within (lo, hi) = ``smaller``, the previous size's
-    (lambda_min, lambda_max). By Cauchy interlacing this
-    level's extremes lie beyond those, up to rounding far below _MARGIN.
-    So a subset proved to lie within is at least _MARGIN / 2 inside the
-    level's extremes: it moves neither, and its deviation stays strictly
-    below the level's best, however 1 - lambda and lambda - 1 round. It
-    changes no field of the record. The rows left, one range or one sorted
-    array in colex order, are cut into blocks of _EIG_BLOCK subsets, built
-    from (prefix row, top), that up to ``threads`` threads send to
-    eigvalsh; the blocks are folded in order with a strict comparison.
-    2^exp >= max(1, max |G|) is the unit of the test (see
-    _factor_level). Beyond the prefix level, memory is the test's factor
-    rows of level k - 1 on both sides, 2 (k - 1) C(N, k - 1) floats, one
-    chunk of its operands, one eigvalsh block per thread, and one index
-    per kept row of a tested level.
+    A size of at most _EIG_BLOCK / 4 subsets goes to eigvalsh whole, and so
+    does one whose ``smaller`` extremes are at most _MARGIN apart in the
+    test's units, where the test can rule out nothing. Otherwise
+    _tested_rows rules out the subsets whose spectrum the shifted-Cholesky
+    test proves to lie within (lo, hi) = ``smaller``, the previous size's
+    (lambda_min, lambda_max). By Cauchy interlacing this size's extremes
+    lie beyond those, up to rounding far below _MARGIN. So a subset proved
+    to lie within is at least _MARGIN / 2 inside the size's extremes: it
+    moves neither, and its deviation stays strictly below the size's best,
+    however 1 - lambda and lambda - 1 round. It changes no field of the
+    record. The ranks left, one range or one sorted array in colex order,
+    are cut into blocks of _EIG_BLOCK subsets that up to ``threads``
+    threads unrank (_unranked) and send to eigvalsh; the blocks are folded
+    in order with a strict comparison. 2^exp >= max(1, max |G|) is the unit
+    of the test (see _factor_level). Memory is the test's factor rows of
+    size k - 1 on both sides, 2 (k - 1) C(N, k - 1) floats, one chunk of
+    its operands, one eigvalsh block per thread, and one rank per kept
+    subset of a tested size; no size's subsets are ever held as indices.
     """
-    n, k = gram.shape[0], prefix.shape[1] + 1
+    n = gram.shape[0]
     lo, hi = (math.ldexp(bound, -exp) for bound in smaller)
     # Timed in-process (2 cores, unit-norm Gaussian 12 x 16 and 12 x 28,
     # seeds 0-2): at 560 subsets the tested level took 0.97-0.99x the
@@ -333,9 +319,13 @@ def _level_extremes(gram: np.ndarray, prefix: np.ndarray, exp: int, threads: int
         rows = range(math.comb(n, k))
     else:
         rows = _tested_rows(np.ldexp(gram, -exp), k, np.array([lo, -hi]))
+    pascal = np.array([[math.comb(t, j) for t in range(n)] for j in range(1, k + 1)])
 
     def block(start: int) -> tuple:
-        sub = _extended(prefix, n, rows[start:start + _EIG_BLOCK])
+        ranks = rows[start:start + _EIG_BLOCK]
+        if isinstance(ranks, range):
+            ranks = np.arange(ranks.start, ranks.stop)
+        sub = _unranked(ranks, pascal)
         b_lo, b_hi, dev, j = _extremes(*_spectra(gram, sub))
         return b_lo, b_hi, dev, tuple(int(i) for i in sub[j])
 
@@ -351,9 +341,10 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
 
     Above ``ENUMERATION_CAP`` subsets the call refuses with TooLargeError
     rather than falling back to an estimate. A Gram matrix that overflows
-    float64 raises DomainError before any level: its spectra would be inf
-    or nan, and no constant read from them means anything. Levels 1..S - 1
-    are built as arrays; size k is read from level k - 1.
+    float64 raises DomainError before any size: its spectra would be inf
+    or nan, and no constant read from them means anything. Size 1 is read
+    from the Gram diagonal and each size k >= 2 from _level_extremes,
+    given the extremes of size k - 1.
     """
     _check_enumeration(a, S)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,10 +357,9 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     diag = np.diag(gram)
     lo, hi, best, where = _extremes(diag, diag)
     records = [_SizeSpectra(lo, hi, best, (where,))]
-    # zip stops at size S before the generator builds level S
-    for _, prefix in zip(range(2, S + 1), _colex_levels(a.shape[1], S)):
+    for k in range(2, S + 1):
         # lo and hi still hold the previous size's extremes
-        lo, hi, best, subset = _level_extremes(gram, prefix, exp, threads, (lo, hi))
+        lo, hi, best, subset = _level_extremes(gram, k, exp, threads, (lo, hi))
         records.append(_SizeSpectra(lo, hi, best, subset))
     return records
 
@@ -503,8 +493,8 @@ def check_recoverability_condition(operator, S: int) -> RecoverabilityCheck:
     """Evaluate delta_2S + delta_3S < 1 with exact constants from one pass at 3S."""
     a = _as_matrix_array(operator)
     n = a.shape[1]
-    if 3 * S > n:
-        raise ParameterError(f"need 3S <= N, got S = {S}, N = {n}")
+    if 3 * S > min(a.shape):
+        raise ParameterError(f"need 3S <= min(M, N) = {min(a.shape)}, got S = {S}")
     _check_enumeration(a, 2 * S)  # a bad or over-cap 2S is reported first
     records = _subset_spectra(a, 3 * S)
     r2 = _rip_report(records, n, 2 * S)

@@ -54,9 +54,15 @@ def _naive_delta(a, S):
     return best
 
 
+def _subsets_at(ranks, n, k):
+    """rip._unranked(ranks, pascal) as a list of ascending tuples, for k-subsets of range(n)."""
+    pascal = np.array([[math.comb(t, j) for t in range(n)] for j in range(1, k + 1)])
+    return list(map(tuple, rip._unranked(np.asarray(ranks), pascal).tolist()))
+
+
 def _colex(n, S):
-    """_colex_levels(n, S) as one list of ascending tuples per size 1..S."""
-    return [list(map(tuple, level.tolist())) for level in rip._colex_levels(n, S)]
+    """Every rank of each size 1..S of range(n), unranked: one list of tuples per size."""
+    return [_subsets_at(np.arange(math.comb(n, k)), n, k) for k in range(1, S + 1)]
 
 
 def test_colex_order_small_cases():
@@ -71,6 +77,26 @@ def test_colex_counts():
         assert len(subs) == math.comb(n, k)
         assert len(set(subs)) == len(subs)
         assert all(len(s) == k and list(s) == sorted(s) for s in subs)
+
+
+def test_every_rank_unranks_to_the_oracle_colex_order():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert _colex(n, k)[-1] == list(_oracle_colex_subsets(n, k)), (n, k)
+
+
+def test_ranks_above_two_to_the_31_round_trip():
+    # C(60, 10) is about 7.5e10: ranks past int32 must unrank exactly, and
+    # the ranking sum sum_j C(c_j, j + 1), in Python integers, gives them back.
+    n, k = 60, 10
+    total = math.comb(n, k)
+    ranks = [2 ** 31 - 1, 2 ** 31, 2 ** 32 + 1, total - 1,
+             *np.random.default_rng(22).integers(2 ** 31, total, 500).tolist()]
+    subs = _subsets_at(ranks, n, k)
+    assert subs[3] == tuple(range(n - k, n))  # the last rank
+    for rank, sub in zip(ranks, subs):
+        assert all(0 <= a < b < n for a, b in zip(sub, sub[1:])), sub
+        assert sum(math.comb(c, j + 1) for j, c in enumerate(sub)) == rank, (rank, sub)
 
 
 def test_rip_delta_matches_svd_oracle():
@@ -152,9 +178,11 @@ def test_overflowing_gram_raises_before_any_level(monkeypatch):
     mixed[:2, :2] = [[1e200, -1e200], [1e200, 1e200]]
 
     def no_level(*args):
-        raise AssertionError("a level was enumerated")
+        raise AssertionError("a size was enumerated")
 
-    monkeypatch.setattr(rip, "_colex_levels", no_level)
+    # size 1 is folded by _extremes, every larger size by _level_extremes
+    monkeypatch.setattr(rip, "_level_extremes", no_level)
+    monkeypatch.setattr(rip, "_extremes", no_level)
     for a in (grown, mixed):
         calls = [lambda: rip_delta(a, 1), lambda: spectral_balance(a, 2),
                  lambda: check_recoverability_condition(a, 1),
@@ -195,7 +223,8 @@ def test_rip_delta_enumeration_cap(monkeypatch):
     def no_gram(*args):
         raise AssertionError("a Gram matrix was formed")
 
-    monkeypatch.setattr(rip, "_colex_levels", no_gram)
+    monkeypatch.setattr(rip, "_level_extremes", no_gram)
+    monkeypatch.setattr(rip, "_extremes", no_gram)
     monkeypatch.setattr(rip.np.linalg, "eigvalsh", no_gram)
     with pytest.raises(TooLargeError, match=f"^{total} subsets exceed the enumeration "
                                             f"cap {rip.ENUMERATION_CAP};"):
@@ -243,6 +272,18 @@ def test_check_recoverability_condition():
     assert bad.total == pytest.approx(1.5)
     with pytest.raises(ParameterError):
         check_recoverability_condition(np.eye(4), 2)
+
+
+def test_recoverability_condition_names_the_s_it_was_given(monkeypatch):
+    # 3S = 3 fits N = 6 but not M = 2. The check used to compare 3S with N
+    # only and then fail inside the pass at 3S, naming S = 3.
+    sizes = _counting_kernel(monkeypatch)
+    with pytest.raises(ParameterError, match=r"^need 3S <= min\(M, N\) = 2, got S = 1$"):
+        check_recoverability_condition(np.eye(2, 6), 1)
+    # a shape that cannot hold 3S is reported before the cap at 2S
+    with pytest.raises(ParameterError, match=r"^need 3S <= min\(M, N\) = 4, got S = 2$"):
+        check_recoverability_condition(np.ones((4, 200)), 2)
+    assert sizes == []
 
 
 def test_rip_to_omega_values():
@@ -490,11 +531,10 @@ def test_kernel_bit_identical_to_seed_loops(monkeypatch):
         tested.append(k)
         return tested_rows(scaled, k, sigma)
 
-    def level_spy(gram, prefix, exp, threads, smaller):
+    def level_spy(gram, k, exp, threads, smaller):
         calls = len(tested)
-        record = level_extremes(gram, prefix, exp, threads, smaller)
-        if (len(tested) == calls
-                and math.comb(gram.shape[0], prefix.shape[1] + 1) > rip._EIG_BLOCK // 4):
+        record = level_extremes(gram, k, exp, threads, smaller)
+        if len(tested) == calls and math.comb(gram.shape[0], k) > rip._EIG_BLOCK // 4:
             no_room.append(smaller)
         return record
 
@@ -632,8 +672,9 @@ def test_sizes_without_room_never_call_the_test(monkeypatch, a):
 
 
 def test_top_size_is_not_materialised():
-    # Size S is read from level S - 1 and never built: the index array of
-    # C(28, 6) subsets alone would take C(28, 6) * 6 * 8 bytes, about 18 MB.
+    # No size is held as an index array; each eigvalsh block unranks its
+    # own rows. The index array of the C(28, 6) subsets of the top size
+    # alone would take C(28, 6) * 6 * 8 bytes, about 18 MB.
     a = _rip_benchmark_matrix()
     tracemalloc.start()
     try:
@@ -642,6 +683,21 @@ def test_top_size_is_not_materialised():
     finally:
         tracemalloc.stop()
     assert peak < math.comb(28, 6) * 6 * 8, peak
+
+
+def test_no_size_below_the_top_is_held_as_indices():
+    # The pass holds the pruning test's factor rows of size 5 on both
+    # sides, 2 * 5 * C(28, 5) floats (7.5 MiB), one chunk of their
+    # operands and a few blocks: 10.75 MiB. The subsets of size 5 as
+    # indices, 5 * C(28, 5) * 8 bytes, would add 3.75 MiB.
+    a = _rip_benchmark_matrix()
+    tracemalloc.start()
+    try:
+        rip._subset_spectra(a, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20
 
 
 def _certified_above(lower: np.ndarray, k: int, sigma) -> np.ndarray:
@@ -769,7 +825,7 @@ def test_prefix_extension_certificate_equals_full_factorisation():
         gram = a.T @ a
         exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
         scaled = np.ldexp(gram, -exp)
-        levels = list(rip._colex_levels(n, k))
+        levels = [np.array(list(_oracle_colex_subsets(n, j))) for j in range(1, k + 1)]
         packed = [_pack(scaled[level[:, :, None], level[:, None, :]]) for level in levels]
         lam = np.linalg.eigvalsh(scaled[levels[-1][:, :, None], levels[-1][:, None, :]])
         low, high = lam[:, 0].min(), lam[:, -1].max()
@@ -851,8 +907,8 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
     assert (repr(check.report_2s), repr(check.report_3s)) == tuple(map(repr, expected))
     assert check.passed == (expected[0].delta + expected[1].delta < 1.0)
     # a bad or over-cap 2S is still reported before any pass: at S = 2 a
-    # 4 x 200 matrix has sum(C(200, k), k <= 4) subsets of size <= 2S
-    wide = seeded_rng(79).standard_normal((4, 200))
+    # 6 x 200 matrix (3S = M) has sum(C(200, k), k <= 4) subsets of size <= 2S
+    wide = seeded_rng(79).standard_normal((6, 200))
     total = sum(math.comb(200, k) for k in range(1, 5))
     assert total == 66018450 > rip.ENUMERATION_CAP
     with pytest.raises(TooLargeError, match=f"^{total} subsets exceed"):
