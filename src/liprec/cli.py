@@ -50,7 +50,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .core import (
     DomainError,
     LabeledSet,
     LabelingError,
-    LipschitzCertificate,
     LiprecError,
     NotApplicableError,
     NotInjectiveError,
@@ -86,8 +85,6 @@ from .svdrec import fit_reduced
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ASSERTION_FAILURE = 2
-
-TASKS = ("certify", "mwet", "theorem1", "theorem3", "rip", "example3")
 
 # Consistency tolerance for recovered observations, relative to 1 + |y|.
 CONSISTENCY_RTOL = 1e-8
@@ -294,14 +291,17 @@ def _labeled(operator: Operator, signals: np.ndarray, *,
 
 
 # --------------------------------------------------------------------------
-# Task runners. Each returns (assertions, results, traces); traces map a
-# name to a 1-D array for the optional CSV output.
+# Task runners. Each takes (operator, signals, params, seed), with operator
+# None for example3 and signals None for example3 and for rip without a
+# signals block, and returns (assertions, results, traces); traces map a
+# name to a 1-D array for the optional CSV output. The two recovery tasks
+# report through ``_recovery``.
 
 TaskOutput = Tuple[List[Dict[str, Any]], Dict[str, Any], Dict[str, np.ndarray]]
 
 
 def run_certify(operator: Operator, signals: np.ndarray,
-                params: Dict[str, Any]) -> TaskOutput:
+                params: Dict[str, Any], seed: int) -> TaskOutput:
     sample = _labeled(operator, signals, check_duplicates=False)
     omega = params.get("omega")
     bad_omega = None
@@ -393,23 +393,47 @@ def run_mwet(operator: Operator, signals: np.ndarray,
     return assertions, results, {"training_residual": residuals}
 
 
-def _certification(cert: LipschitzCertificate, results: Dict[str, Any]) -> Dict[str, Any]:
-    """The sample_certified assertion; records max_ratio, the pairs the
-    certifying scan examined, and the witness on failure.
+def _recovery(pipeline: Callable[[], Any], results: Dict[str, Any],
+              error_bound: Callable[[Any], float]) -> Tuple[Any, List[Dict[str, Any]]]:
+    """Run a recovery pipeline and assert on its report.
 
-    A sample of fewer than two signals has no pair to check, so its vacuous
-    certificate does not pass the assertion.
+    Returns the outcome, None when the sample did not certify, and the
+    sample_certified, training_interpolation and recovery_within_epsilon
+    assertions (only the first on that early stop). Records max_ratio, the
+    pairs the pipeline's one scan examined, the witness on failure and the
+    report's fields. error_bound(report) is the task's bound on the
+    recovery error. A sample of fewer than two signals has no pair to
+    check, so its vacuous certificate does not pass.
     """
+    try:
+        outcome = pipeline()
+        cert = outcome.certificate
+    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
+        raise _labeling_failed(exc)
+    except NotLipschitzError as exc:
+        outcome, cert = None, exc.certificate
     results["max_ratio"] = cert.max_ratio
     results["pairs_examined"] = cert._pairs_examined
     if not cert.passed:
         results["witness"] = cert.witness
-    return assertion("sample_certified", cert.passed and results["sample_size"] > 1,
-                     cert.max_ratio, cert.omega)
+    assertions = [assertion("sample_certified", cert.passed and results["sample_size"] > 1,
+                            cert.max_ratio, cert.omega)]
+    if outcome is None:
+        return None, assertions
+    report = outcome.report
+    results.update(dataclasses.asdict(report))
+    bound = error_bound(report)
+    assertions += [
+        assertion("training_interpolation", report.max_training_residual <= TOL_EVAL,
+                  report.max_training_residual, TOL_EVAL),
+        assertion("recovery_within_epsilon", report.max_recovery_error <= bound,
+                  report.max_recovery_error, bound),
+    ]
+    return outcome, assertions
 
 
 def run_theorem1(operator: Operator, signals: np.ndarray,
-                 params: Dict[str, Any]) -> TaskOutput:
+                 params: Dict[str, Any], seed: int) -> TaskOutput:
     omega = _number(_require(params, "omega", "params"), "params.omega")
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     norm_op, scale = normalize(operator, signals)
@@ -420,27 +444,15 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
         "scale": scale,
         "omega_normalized": omega_n,
     }
-    try:
-        outcome = cover_pipeline(sample, omega_n, epsilon)
-    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
-        raise _labeling_failed(exc)
-    except NotLipschitzError as exc:
-        return [_certification(exc.certificate, results)], results, {}
-    certified = _certification(outcome.certificate, results)
-    report = outcome.report
-    results.update(dataclasses.asdict(report))
-    assertions = [
-        certified,
-        assertion("training_interpolation",
-                  report.max_training_residual <= TOL_EVAL,
-                  report.max_training_residual, TOL_EVAL),
-        assertion("recovery_within_epsilon",
-                  report.max_recovery_error <= epsilon + TOL_CERT,
-                  report.max_recovery_error, epsilon + TOL_CERT),
-        assertion("cover_within_cell_bound",
-                  report.cells_occupied <= report.cells_bound,
-                  float(report.cells_occupied), float(report.cells_bound)),
-    ]
+    outcome, assertions = _recovery(lambda: cover_pipeline(sample, omega_n, epsilon),
+                                    results, lambda report: epsilon + TOL_CERT)
+    if outcome is None:
+        return assertions, results, {}
+    # t^M may pass the float64 range; the report then shows an infinite bound.
+    cells = outcome.report.cells_bound
+    assertions.append(assertion(
+        "cover_within_cell_bound", outcome.report.cells_occupied <= cells,
+        outcome.report.cells_occupied, cells if cells <= sys.float_info.max else math.inf))
     return assertions, results, {"recovery_error": outcome.recovery_errors}
 
 
@@ -454,38 +466,27 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
                             max(operator.signal_dim, operator.obs_dim))
     sample = _labeled(operator, signals, check_duplicates=False)
     results: Dict[str, Any] = {"sample_size": len(sample)}
-    try:
-        outcome = fit_reduced(sample, operator, omega, epsilon)
-    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
-        raise _labeling_failed(exc)
-    except NotLipschitzError as exc:
-        return [_certification(exc.certificate, results)], results, {}
-    certified = _certification(outcome.certificate, results)
+
+    def error_bound(report) -> float:
+        if report.exact_inversion:
+            # Square full-rank operator: Psi inverts exactly, no trained part.
+            return CONSISTENCY_RTOL * (1.0 + float(
+                np.linalg.norm(sample.signals, axis=1).max()))
+        return epsilon + TOL_CERT
+
+    outcome, assertions = _recovery(lambda: fit_reduced(sample, operator, omega, epsilon),
+                                    results, error_bound)
+    if outcome is None:
+        return assertions, results, {}
     report = outcome.report
-    results.update(dataclasses.asdict(report))
-    if report.exact_inversion:
-        # Square full-rank operator: Psi inverts exactly, no trained part.
-        err_bound = CONSISTENCY_RTOL * (1.0 + float(
-            np.linalg.norm(sample.signals, axis=1).max()))
-    else:
-        err_bound = epsilon + TOL_CERT
     rng = seeded_rng(seed)
     probes = rng.standard_normal((num_draws, operator.signal_dim))
     observations = probes @ operator.matrix.T
     residuals = outcome.recovery.consistency_residuals(probes)
     rel = residuals / (1.0 + np.linalg.norm(observations, axis=1))
-    assertions = [
-        certified,
-        assertion("training_interpolation",
-                  report.max_training_residual <= TOL_EVAL,
-                  report.max_training_residual, TOL_EVAL),
-        assertion("recovery_within_epsilon",
-                  report.max_recovery_error <= err_bound,
-                  report.max_recovery_error, err_bound),
-        assertion("observation_consistency",
-                  float(rel.max()) <= CONSISTENCY_RTOL,
-                  float(rel.max()), CONSISTENCY_RTOL),
-    ]
+    assertions.append(assertion("observation_consistency",
+                                float(rel.max()) <= CONSISTENCY_RTOL,
+                                float(rel.max()), CONSISTENCY_RTOL))
     if not report.exact_inversion:
         assertions.append(assertion(
             "reduced_grid_no_coarser", report.t_reduced <= report.t_full,
@@ -494,7 +495,8 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     return assertions, results, {"recovery_error": outcome.recovery_errors}
 
 
-def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput:
+def run_rip(operator: Operator, signals: Optional[np.ndarray],
+            params: Dict[str, Any], seed: int) -> TaskOutput:
     """delta_S and the sparse probe at delta_2S, both from one pass at 2S."""
     if not isinstance(operator, MatrixOperator):
         raise ProblemError("task 'rip' needs a matrix operator")
@@ -526,11 +528,16 @@ def run_rip(operator: Operator, params: Dict[str, Any], seed: int) -> TaskOutput
     return assertions, results, {}
 
 
-def run_example3(params: Dict[str, Any]) -> TaskOutput:
+def run_example3(operator: None, signals: None,
+                 params: Dict[str, Any], seed: int) -> TaskOutput:
     """Built-in ramp fixture: the three certification facts in one report."""
     checks, results = acceptance.ramp_fixture()
     return ([assertion(c.name, c.passed, c.observed, c.bound) for c in checks],
             results, {})
+
+
+TASKS = {"certify": run_certify, "mwet": run_mwet, "theorem1": run_theorem1,
+         "theorem3": run_theorem3, "rip": run_rip, "example3": run_example3}
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +549,7 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     if not isinstance(problem, dict):
         raise ProblemError("problem file must contain a JSON object")
     task = _require(problem, "task", "problem")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise ProblemError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
     params = problem.get("params") or {}
     if not isinstance(params, dict):
@@ -551,27 +558,13 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     threads = thread_budget()  # an invalid LIPREC_THREADS fails before any work
     start = time.perf_counter()
 
-    if task == "example3":
-        assertions, results, traces = run_example3(params)
-    else:
+    operator = signals = None
+    if task != "example3":
         operator = build_operator(_require(problem, "operator", "problem"))
-        if task == "rip":
-            if "signals" in problem:
-                # rip draws its own probes, but a malformed block is still bad input.
-                build_signals(problem["signals"], operator, seed)
-            assertions, results, traces = run_rip(operator, params, seed)
-        else:
-            signals = build_signals(_require(problem, "signals", "problem"),
-                                    operator, seed)
-            if task == "certify":
-                assertions, results, traces = run_certify(operator, signals, params)
-            elif task == "mwet":
-                assertions, results, traces = run_mwet(operator, signals, params, seed)
-            elif task == "theorem1":
-                assertions, results, traces = run_theorem1(operator, signals, params)
-            else:
-                assertions, results, traces = run_theorem3(operator, signals,
-                                                           params, seed)
+        # rip draws its own probes, but a malformed block is still bad input.
+        if task != "rip" or "signals" in problem:
+            signals = build_signals(_require(problem, "signals", "problem"), operator, seed)
+    assertions, results, traces = TASKS[task](operator, signals, params, seed)
 
     runtime_ms = (time.perf_counter() - start) * 1000.0
     report = {

@@ -38,7 +38,7 @@ from .core import (
     ParameterError,
 )
 from .lipschitz import _certify_sample
-from .mwet import MwetHypothesis, fit
+from .mwet import MwetHypothesis, _fit
 
 GridMode = Literal["full", "reduced"]
 
@@ -194,21 +194,23 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPip
     signals (closer than ``TOL_DUP``) with a LabelingError before anything
     else, and it certifies: the result carries the certificate, and so
     does the NotLipschitzError raised when certification fails. The
-    fitted hypothesis uses per-coordinate constant omega, so its training
-    residuals are ~0 and every sample point is recovered to within
-    epsilon; both maxima are reported for assertion by the caller.
+    representatives belong to the certified sample, so the hypothesis is
+    fitted at omega with no pass over their pairs (see ``mwet._fit``):
+    its training residuals are ~0 and every sample point is recovered to
+    within epsilon. Each sample point is evaluated once, and the
+    representatives' errors are the training residuals; both maxima are
+    reported for assertion by the caller.
     """
     cert = _certify_sample(sample, omega)
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
     cover = build_cover(sample, spec)
-    hypothesis = fit(cover.representative_set(), omega1=omega)
-    training_residual = float(hypothesis.training_residuals().max())
+    hypothesis = _fit(cover.representative_set(), omega, 0.0)
     errors = np.linalg.norm(hypothesis.evaluate(sample.observations) - sample.signals, axis=1)
     report = CoverReport(
         t=spec.t,
         cells_occupied=len(cover),
         cells_bound=spec.cell_bound,
-        max_training_residual=training_residual,
+        max_training_residual=float(errors[cover.representative_indices()].max()),
         max_recovery_error=float(errors.max()),
         epsilon=float(epsilon),
     )

@@ -394,7 +394,16 @@ def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
 
 
 def _fit(training: LabeledSet, omega1: Optional[float], tight: float) -> MwetHypothesis:
-    """``fit`` on a non-empty set whose tight constant is already known."""
+    """``fit`` on a non-empty set whose tight constant is already known.
+
+    The covering pipelines pass tight = 0.0 with omega1 = the omega their
+    sample certified at: their training set is drawn from the certified
+    sample, so that certificate stands in for the tight constant and no
+    pass over the training pairs runs. The min-form extension at any
+    omega1 is omega1-Lipschitz per coordinate, and it interpolates
+    wherever the certificate holds. The overflow check on omega1 * sqrt(d)
+    runs either way.
+    """
     if omega1 is None:
         omega1 = tight
     else:

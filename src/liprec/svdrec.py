@@ -43,7 +43,7 @@ from .core import (
 )
 from .covering import GridCover, _check_epsilon, build_cover, grid_spec
 from .lipschitz import _certify_sample
-from .mwet import MwetHypothesis, fit
+from .mwet import MwetHypothesis, _fit
 from .operators import MatrixOperator, unit_box
 
 RANK_TOL = 1e-10
@@ -237,7 +237,11 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     for cell assignment (which rescales the grid constant to omega*scale);
     the hypothesis itself trains on raw effective observations, keeping
     Psi and the grid consistent. Training pairs are (A x^j, V2^T x^j) for
-    the cover representatives x^j, with per-coordinate constant omega.
+    the cover representatives x^j, fitted at omega with no pass over their
+    pairs: null components are no farther apart than their signals, and
+    effective observations as far apart as their observations, so the
+    sample's certificate covers them. Each sample point is recovered once,
+    and the representatives' errors are the training residuals.
 
     A square full-rank operator short-circuits to exact inversion with no
     hypothesis, no grid, and a report whose grid fields are None; epsilon
@@ -275,14 +279,11 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     cover = build_cover(cover_source, spec)
     reps = cover.representative_indices()
     # Null components may repeat across representatives (e.g. a sample inside
-    # a translate of range(A)); only the observations must stay distinct.
+    # a translate of range(A)); the observations, one per cell, do not.
     training = LabeledSet.from_arrays(sample.signals[reps] @ factors.v2,
                                       eff_obs[reps], check_duplicates=False)
-    hypothesis = fit(training, omega1=omega)
+    hypothesis = _fit(training, omega, 0.0)
     recovery = SvdRecoveryMap(factors=factors, hypothesis=hypothesis)
-
-    rep_err = np.linalg.norm(
-        recovery.recover(sample.observations[reps]) - sample.signals[reps], axis=1)
     errors = np.linalg.norm(recovery.recover(sample.observations) - sample.signals,
                             axis=1)
     report = ReducedReport(
@@ -290,7 +291,7 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
         t_full=spec_full.t,
         cells_occupied=len(cover),
         cells_bound=spec.cell_bound,
-        max_training_residual=float(rep_err.max()),
+        max_training_residual=float(errors[reps].max()),
         max_recovery_error=float(errors.max()),
         epsilon=float(epsilon),
         effective_rank=r,

@@ -350,6 +350,40 @@ def test_execute_theorem3_needs_matrix():
         cli.execute(problem)
 
 
+def _near_pair_problem(task, pair, others):
+    return {"task": task, "operator": {"type": "matrix", "data": [[1.0, 0.0]]},
+            "signals": {"type": "list", "data": pair + [[i / 100, 0.0] for i in others]},
+            "params": {"omega": 1.0, "epsilon": 0.5}}
+
+
+NEAR_PAIRS = {
+    # The pair straddles a cell face (t = 5 for theorem1, t_reduced = 4 for
+    # theorem3), so both of its rows are representatives. Its ratio is far
+    # above omega = 1, but its signals are within TOL_CERT, so the sample
+    # certifies; the pipeline used to re-scan the representatives and abort.
+    "collision": _near_pair_problem(
+        "theorem1", [[0.4 - 1e-14, 0.0], [0.4, 1e-10]], [i for i in range(101) if i != 40]),
+    "collision_theorem3": _near_pair_problem(
+        "theorem3", [[0.5 - 1e-14, 0.0], [0.5, 1e-10]], [i for i in range(101) if i != 50]),
+    "ratio_50": _near_pair_problem(
+        "theorem1", [[0.4 - 1e-11, 0.0], [0.4, 5e-10]], [i for i in range(101) if i != 40]),
+    # Sample rows 0-60 fill cells 0, 3 and 4 only, so the pair (rows 61, 62)
+    # are representatives 3 and 4.
+    "collision_last": _near_pair_problem(
+        "theorem1", [], [i for i in range(101) if not 20 <= i < 60]),
+}
+NEAR_PAIRS["collision_last"]["signals"]["data"] += [[0.4 - 1e-14, 0.0], [0.4, 1e-10]]
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_PAIRS))
+def test_a_certified_sample_with_a_near_pair_is_recovered(case):
+    report, _ = cli.execute(NEAR_PAIRS[case])
+    assert report["results"]["max_ratio"] > 50.0
+    assert [a["name"] for a in report["assertions"]][:3] == [
+        "sample_certified", "training_interpolation", "recovery_within_epsilon"]
+    assert all(a["passed"] for a in report["assertions"])
+
+
 def test_execute_rip_pass():
     report, _ = cli.execute(json.loads((PROBLEMS / "rip_balanced.json").read_text()))
     by_name = {a["name"]: a for a in report["assertions"]}
@@ -685,6 +719,23 @@ def test_main_run_covers_at_a_grid_side_near_int64(tmp_path, name, points):
                           "--set", "params.epsilon=1e-18"])
     assert code == cli.EXIT_OK
     assert json.loads(out.read_text())["results"]["cells_occupied"] == points
+
+
+def test_main_run_reports_a_cell_bound_past_float64_as_infinite(tmp_path):
+    # t is about 1.9e18, so t^17 passes the float64 range; the bound used
+    # to end in an OverflowError traceback.
+    signals = core.seeded_rng(5).uniform(size=(5, 17))
+    problem = {"task": "theorem1", "operator": {"type": "matrix", "data": np.eye(17).tolist()},
+               "signals": {"type": "list", "data": signals.tolist()},
+               "params": {"omega": 1.0, "epsilon": 1e-17}}
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    assert _run_main(["run", str(path), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    results = report["results"]
+    assert results["cells_bound"] == results["t"] ** 17 > 2 ** 1024
+    assert report["assertions"][-1] == {"name": "cover_within_cell_bound", "passed": True,
+                                        "observed": 5.0, "bound": "Infinity"}
 
 
 @pytest.mark.parametrize("name,key,width", [

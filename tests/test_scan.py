@@ -31,6 +31,7 @@ from liprec import (
     TOL_DUP,
     LabeledSet,
     LabelingError,
+    MwetHypothesis,
     NotInjectiveError,
     check_relaxed_lipschitz,
     cli,
@@ -511,15 +512,34 @@ def test_cli_certifies_the_sample_once(monkeypatch, problem_file, omega_factor):
     assert certified == (omega_factor == 1.0)
     if problem_file in FAILED_KEYS:
         if certified:
-            # The fitted hypothesis scans its training set, which is smaller.
+            # The hypothesis trains on fewer rows than the sample, and is
+            # fitted at the certified omega with no pass over them.
             assert report["results"]["cells_occupied"] < n
         else:
             assert len(report["assertions"]) == 1
             assert set(report["results"]) == FAILED_KEYS[problem_file]
     # Labeling, duplicate check, certification and (for certify) the tight
-    # constant all come from this one pass.
-    assert scans.count(n) == 1
+    # constant all come from this one pass, the run's only one.
+    assert scans == [n]
     assert 0 < report["results"]["pairs_examined"] <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("problem_file,probes", [
+    ("theorem1_ramp.json", []), ("theorem3_projection.json", [500])])
+def test_cli_evaluates_the_sample_once(monkeypatch, problem_file, probes):
+    # The training residuals are read from the sample's recovery errors;
+    # theorem3 also recovers its consistency probes, and nothing else.
+    rows = []
+    evaluate = MwetHypothesis._evaluate_rows
+
+    def evaluating(self, q):
+        rows.append(len(q))
+        return evaluate(self, q)
+
+    monkeypatch.setattr(MwetHypothesis, "_evaluate_rows", evaluating)
+    report, _ = cli.execute(_load(problem_file))
+    assert all(a["passed"] for a in report["assertions"])
+    assert rows == [report["results"]["sample_size"]] + probes
 
 
 def test_cli_certifies_a_large_sample_once_with_pruning(monkeypatch):
