@@ -28,7 +28,10 @@ of either of two tile sources, which give the same bits.
 
 * The tiled scan, ``_pair_tiles``, yields tiles of consecutive rows
   against every later row, each bounded by the ``_PAIR_TILE_ELEMENTS``
-  budget, so memory stays O(n + budget).
+  budget, so memory stays O(n + budget). Its tiles are a few rows by
+  up to n - 1 columns, and it runs under a small numpy ufunc buffer
+  (``_ufunc_buffer``), so that the broadcast subtractions of tiles at
+  least that wide skip numpy's buffered loop.
 * The pruned scan (``_pruned_max_pair``) cuts the rows into leaf blocks
   of ``_LEAF_ROWS`` rows by a k-d tree over their observations (over
   their signals for a question that reads no observations). Every node
@@ -55,6 +58,7 @@ signal pair in the same pass.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass, field
@@ -276,6 +280,41 @@ def _map_blocks(worker, starts: range, workers: int) -> list:
     if errors:
         raise errors[0]
     return results
+
+
+# numpy's ufunc buffer, in elements, inside the kernels' broadcast blocks:
+# the MWET evaluation tiles and the tiled pair scan. A ufunc whose operands
+# broadcast (a row against a column) and whose rows are shorter than the
+# buffer, 8192 elements by default, can run through numpy's buffered
+# iterator, at 3-4x the cost per element. Broadcast subtractions in ns
+# per element (2-vCPU Xeon, numpy 2.4.6; BENCH_26.json, op_sweep):
+#
+#   (rows, columns)                 buffer 8192   buffer 1024
+#   (21, 1500)  MWET tile           0.85          0.21
+#   (10, 1499)  pair-scan tile      1.10          0.29
+#
+# Elementwise ufuncs, min/max and integer reductions give the same bits at
+# every buffer size, and no float sum runs in these blocks, so only speed
+# changes. The pruned scan's leaf tiles, 16 columns wide, and the rip
+# kernel keep numpy's buffer: under 1024 or 512 elements they ran at most
+# 5% faster, inside the host's noise (BENCH_26.json, out_of_scope).
+_UFUNC_BUFFER = 1 << 10
+
+
+@contextlib.contextmanager
+def _ufunc_buffer():
+    """Run the body with numpy's ufunc buffer at ``_UFUNC_BUFFER`` elements.
+
+    The size is numpy's per-thread state, and a thread does not inherit
+    its starter's, so each thread of ``_map_blocks`` sets it in its own
+    blocks. The caller's size is restored on every exit, errors included;
+    ``np.errstate`` restores it only on numpy 2.
+    """
+    old = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 # Element budget of one pair-scan tile: rows * width distances per array,
@@ -508,10 +547,12 @@ def _scan_tiled(n: int, dim: int, kept: int) -> bool:
             or 2 * kept > pairs)
 
 
+@_ufunc_buffer()
 def _tiled_max_pair(x: np.ndarray, y: Optional[np.ndarray], fold: _Fold) -> None:
     """Feed ``fold`` every pair, tile by tile in row-major order. A test's
     first passing pair is the first one met, so a test is evaluated only
-    until it passes, and a question without a score stops there."""
+    until it passes, and a question without a score stops there. The
+    tiles are computed and folded under ``_ufunc_buffer``."""
     for i0, dx, dy in _pair_tiles(x, y):
         rows, width = dx.shape
 

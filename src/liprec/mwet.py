@@ -27,11 +27,13 @@ over the chunk axis goes straight into it, and each later chunk's goes
 into a spare row and is folded in from there. ``evaluate`` returns one
 transposed, C-contiguous copy; ``lipschitz_audit`` reads the rows as
 they are and sums their squares row by row (``_col_norms``). Tiles are long
-(thousands of queries) and chunks short (a few training points), so that
-every broadcast numpy call runs on long rows; see ``_MIN_ROWS``. Every
+(thousands of queries) and chunks short (a few training points), and each
+tile runs under a small numpy ufunc buffer (``core._ufunc_buffer``), so
+that the broadcast numpy calls of a full tile run on rows longer than
+the buffer and skip numpy's buffered loop; see ``_MIN_ROWS``. Every
 buffer is bounded by an element count, so evaluation memory is O(tile)
-whatever the number of queries, and the result is the same exact min over
-every training point for any tile or chunk size.
+whatever the number of queries, and the result is the same exact min
+over every training point for any tile or chunk size.
 
 A call of at least ``_THREAD_PAIRS`` query-training distances runs its
 tiles on up to ``core.thread_budget()`` threads (LIPREC_THREADS), at most
@@ -74,32 +76,42 @@ from .lipschitz import tight_omega
 # walked one at a time, so no block has an m axis and the budget does not
 # scale with m. A query tile holds rows = max(_MIN_ROWS, budget // n)
 # queries, capped at the query count, and a training chunk holds
-# max(1, budget // rows) points, capped at n: 4 points at the floor.
+# max(1, budget // rows) points, capped at n: 16 points at the floor.
 #
-# The floor is set by the cost of numpy's broadcast calls, which falls
-# steeply once a block's rows pass a few thousand elements. In ns per
-# element on a 2**15-element block (2-vCPU Xeon, numpy 2.4.6):
+# The floor is set by the cost of numpy's broadcast calls, and that cost
+# is set by numpy's ufunc buffer, not by the row count: a broadcast call
+# whose rows are shorter than the buffer (8192 elements by default) can
+# run through numpy's buffered iterator, at 3-4x the cost per element, as
+# the add below does at every row length under 8192. Each block therefore
+# runs under core._ufunc_buffer (1024 elements), where rows of 1024 and
+# up cost what 8192-row ones do. In ns per element on a
+# 2**15-element block, at buffer 8192 and at 1024 (2-vCPU Xeon,
+# numpy 2.4.6; BENCH_26.json, op_sweep):
 #
-#   rows                          256-2730   3000   4096   8192
-#   subtract, row - column        1.10-1.33  0.26   0.45   0.32
-#   add, block + column           0.91-1.04  1.21   1.43   0.43
-#   min over axis 0, strided out  0.79-1.71  1.79   1.76   1.90
-#   min over axis 0, contiguous   0.25-0.36  0.36   0.41   0.36
+#   rows                               256    1024   2048   4096   8192
+#   subtract, row - column    8192     0.76   0.98   1.00   0.25   0.27
+#                             1024     0.55   0.26   0.23   0.24   0.28
+#   add, block + column       8192     0.83   0.83   0.81   0.82   0.24
+#                             1024     0.82   0.30   0.25   0.28   0.24
+#   min over axis 0           8192     0.25   0.20   0.23   0.23   0.29
+#     (contiguous out)        1024     0.24   0.21   0.24   0.25   0.29
 #
-# So a tile holds at least 8192 rows (a call's last may hold fewer), and
+# So a tile holds at least 2048 rows (a call's last may hold fewer), and
 # the result is output-major, so that every per-output min and fold
-# writes a contiguous row.
-# Longer tiles ran slower: 2 points per chunk, and on two threads a
-# 20000-query call splits into one long tile and one short one. A 2**16
-# budget (8 points per chunk) ran criterion 2's audits 5-10% faster but
-# raised mwet_dense's peak memory by 4.5%. The lanes sum over m alone,
+# writes a contiguous row. Of floors 1024, 2048 and 4096 under buffers
+# of 512, 1024 and 2048 elements, 2048 rows ran mwet_dense's and
+# criterion 2's calls fastest, with buffers of 512 and 1024 level
+# (BENCH_26.json, floor_buffer_sweep); a 20000-query call is ten tiles,
+# which two threads share evenly. A
+# 2**16 budget (more points per chunk) raised mwet_dense's peak memory by
+# 4.5% (measured under the default buffer). The lanes sum over m alone,
 # in an order that depends on m only, and the min is exact, so the output
-# is bit-identical for every budget and floor; only speed and memory
-# change. Each evaluation thread holds one tile, lane, square and min-row
-# set, about 1.3 MiB at m = 8; the (m, rows) tile takes 64 KiB of it per
-# observation coordinate.
+# is bit-identical for every budget, floor and buffer size; only speed
+# and memory change. Each evaluation thread holds one tile, lane, square
+# and min-row set, about 0.9 MiB at m = 8; the (m, rows) tile takes
+# 16 KiB of it per observation coordinate.
 _TILE_ELEMENTS = 1 << 15
-_MIN_ROWS = 8192
+_MIN_ROWS = 2048
 
 # A call runs its tiles on more than one thread only when it computes at
 # least this many query-training distances. Below it a second thread
@@ -193,6 +205,7 @@ class MwetHypothesis:
         sig = self.training.signals
         (count, m), n = q.shape, len(self.training)
         out = np.empty((self.output_dim, count))
+        threads = thread_budget()  # an invalid LIPREC_THREADS fails at any size
         if self.omega1 == 0.0:
             # Every term is 0 * distance + signal, so each query recovers
             # the same column minima, without the distance pass whose
@@ -207,17 +220,19 @@ class MwetHypothesis:
         starts = range(0, count, rows)
         workers = 1
         if count * n >= _THREAD_PAIRS:
-            workers = min(thread_budget(), len(starts), _MAX_THREADS)
+            workers = min(threads, len(starts), _MAX_THREADS)
 
         def worker():
             # One buffer set per thread; each tile writes only its own
-            # columns of out. errstate is per thread, so each tile sets it.
+            # columns of out. errstate and the ufunc buffer size are per
+            # thread, so each tile sets both.
             tile = np.empty((m, rows))
             acc = np.empty((2, chunk, rows))
             scratch = np.empty((chunk, rows))
             low = np.empty(rows)
 
             @np.errstate(over="ignore")
+            @core._ufunc_buffer()
             def block(start: int) -> None:
                 k = min(rows, count - start)
                 tile[:, :k] = q[start:start + k].T

@@ -267,7 +267,7 @@ def test_threaded_kernels_join_their_threads(monkeypatch):
     workers.clear()
     training = LabeledSet(rng.standard_normal((200, 3)), rng.standard_normal((200, 2)))
     # 21000 queries against 200 training points: 4.2M distances, above the
-    # cutoff for threading, in 83 tiles of 256 rows
+    # cutoff for threading, in 11 tiles of 2048 rows
     MwetHypothesis(training=training, omega1=2.0).evaluate(rng.standard_normal((21000, 2)))
     assert workers == [3]
     assert threading.active_count() == before

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -91,9 +92,9 @@ def test_evaluate_batch_agrees_with_single():
 
 def test_evaluate_blocking_boundary():
     # 200 x 2 training points: the tile takes its _MIN_ROWS floor and the
-    # training set splits into chunks of _TILE_ELEMENTS // tile points (50
-    # chunks of 4 at 8192 rows), so the seam between the first two tiles
-    # is checked across every chunk seam
+    # training set splits into chunks of _TILE_ELEMENTS // tile points (12
+    # chunks of 16 and one of 8 at 2048 rows), so the seam between the
+    # first two tiles is checked across every chunk seam
     rng = seeded_rng(24)
     ls = _random_instance(rng, n=200)
     hyp = fit(ls)
@@ -176,7 +177,7 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
 def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, n, obs_dim, sig_dim):
     # The default tile and chunk, nothing patched, on the benchmark's call
     # shapes: 20000 queries against 52 training points, as in criterion
-    # 2's audits (three tiles on the calling thread, under the threading
+    # 2's audits (ten tiles on the calling thread, under the threading
     # cutoff), and against 1500, as in mwet_dense's audit (the same tiles,
     # threaded). The dimensions stay small at n = 1500 for the oracle's
     # sake: its (4096, n, M) block is 147 MB at M = 3, and its einsum and
@@ -192,7 +193,7 @@ def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, n, obs_dim, sig
         monkeypatch.setenv("LIPREC_THREADS", threads)
         calls.clear()
         assert np.array_equal(hyp.evaluate(queries), expected)
-        assert calls == [(3, 1 if n == 52 else int(threads))]
+        assert calls == [(10, 1 if n == 52 else int(threads))]
 
 
 LANE_DIMS = list(range(1, 41)) + [127, 128, 129, 200, 256, 300]
@@ -414,9 +415,9 @@ def _spy_map_blocks(monkeypatch):
 
 
 def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
-    # 8 training points: tiles of 8192 rows in two chunks of 4, and 2^19
+    # 8 training points: tiles of 4096 rows in one chunk of 8, and 2^19
     # queries are 2^22 distances, the cutoff. One query fewer runs on the
-    # calling thread; at the cutoff the 64 tiles run on LIPREC_THREADS
+    # calling thread; at the cutoff the 128 tiles run on LIPREC_THREADS
     # threads, at most four.
     rng = seeded_rng(43)
     hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((8, 3)),
@@ -429,13 +430,175 @@ def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
         calls.clear()
         below = hyp.evaluate(queries[:-1])
         assert np.array_equal(hyp.evaluate(queries)[:-1], below)
-        assert calls == [(64, 1), (64, workers)]
+        assert calls == [(128, 1), (128, workers)]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_evaluate_reads_the_thread_budget_at_any_size(monkeypatch, raw):
+    # LIPREC_THREADS is read on every call, as rip_delta reads it: an
+    # invalid value fails a 10-query call as it fails one of 2^19 queries
+    # against 8 training points (the threading cutoff), and the omega1 = 0
+    # shortcut and the audit as well.
+    rng = seeded_rng(43)
+    training = LabeledSet(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+    queries = rng.standard_normal((2 ** 19, 2))
+    monkeypatch.setenv("LIPREC_THREADS", raw)
+    for omega1 in (2.0, 0.0):
+        hyp = MwetHypothesis(training=training, omega1=omega1)
+        for call in (lambda: hyp.evaluate(queries[:10]), lambda: hyp.evaluate(queries),
+                     lambda: hyp.lipschitz_audit(10, seed=1)):
+            with pytest.raises(ParameterError, match="^LIPREC_THREADS must be"):
+                call()
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_tiles_around_the_ufunc_buffer_bit_identical_to_4096_blocks(monkeypatch, shift,
+                                                                    threads, grid):
+    # Tiles of one row fewer than the ufunc buffer that evaluate's blocks
+    # run under, as many rows, and one more: each block's broadcast calls
+    # have inner loops just below, at and just above the buffer, and a
+    # short last tile of 3 rows far below it. The training chunk is the
+    # default one for the tile, 32 points of 50. Integer-grid data ties
+    # distances and minima; Gaussian data shows any change of summation
+    # order.
+    rows = core._UFUNC_BUFFER + shift
+    monkeypatch.setattr(mwet, "_MIN_ROWS", rows)
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    rng = np.random.default_rng(rows)
+
+    def draw(shape):
+        if grid:
+            return rng.integers(-3, 4, size=shape).astype(float)
+        return rng.standard_normal(shape) * 3.0
+
+    hyp = MwetHypothesis(training=LabeledSet(draw((50, 4)), draw((50, 11))), omega1=1.5)
+    queries = draw((2 * rows + 3, 11))
+    calls = _spy_map_blocks(monkeypatch)
+    got = hyp.evaluate(queries)
+    assert calls == [(3, int(threads))]
+    assert got.tobytes() == _blocked_4096_eval(hyp, queries).tobytes()
+
+
+def _numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+CALLER_STATES = [(16, {"all": "ignore"}), (8192, {"all": "warn"}),
+                 (1 << 16, {"divide": "ignore", "over": "warn", "under": "print",
+                            "invalid": "ignore"})]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("bufsize, err", CALLER_STATES)
+def test_public_calls_keep_the_callers_numpy_state(monkeypatch, threads, bufsize, err):
+    # evaluate's blocks and the tiled pair scan set numpy's ufunc buffer
+    # on each thread that runs them. After evaluate, the audit and
+    # tight_omega (30 points: the tiled scan), the caller's buffer size
+    # and error settings are as it set them, whether the call returned,
+    # raised DomainError (the overflow fixtures above), or failed inside
+    # a block. Tiles of 7 rows, with the threading cutoff patched away,
+    # hand blocks to every thread.
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
+    monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    ls = _segment_instance()
+    hyp, huge = fit(ls, omega1=2.0), fit(ls, omega1=5e307)
+    far = LabeledSet.from_arrays([[0.0], [1.0]], [[-1e154], [1e154]])
+    queries = ls.observations[np.arange(600) % 30]
+
+    def in_block(dx, dy):
+        raise DomainError("raised inside a tile")
+
+    returning = [lambda: hyp.evaluate(queries), lambda: hyp.lipschitz_audit(300, seed=1),
+                 lambda: tight_omega(ls)]
+    raising = [lambda: huge.evaluate(np.vstack([queries, [100.0, 100.0]])),
+               lambda: huge.lipschitz_audit(100, seed=3), lambda: tight_omega(far),
+               lambda: core._first_max_pair(ls.signals, ls.observations, in_block)]
+    old_err = np.seterr(**err)
+    old_size = np.setbufsize(bufsize)
+    try:
+        state = _numpy_state()
+        for call in returning:
+            call()
+            assert _numpy_state() == state
+        for call in raising:
+            with pytest.raises(DomainError):
+                call()
+            assert _numpy_state() == state
+        with mock.patch.object(mwet, "_einsum_lanes", lambda m: ([m], [])):
+            with pytest.raises(IndexError):  # coordinate m is out of range
+                hyp.evaluate(queries)
+        assert _numpy_state() == state
+    finally:
+        np.setbufsize(old_size)
+        np.seterr(**old_err)
+
+
+def test_each_block_sets_the_ufunc_buffer_on_its_own_thread(monkeypatch):
+    # evaluate sets the small buffer once per tile, on the thread that
+    # runs the tile, and gives that thread's own size back after it (a
+    # worker thread starts at numpy's default); the tiled scan does so
+    # once per scan. 600 queries in tiles of 7 rows are 86 tiles.
+    ls = _segment_instance()  # its duplicate check is a tiled scan too
+    sizes = {}
+    setbufsize = np.setbufsize
+
+    def spy(size):
+        sizes.setdefault(threading.get_ident(), []).append(size)
+        return setbufsize(size)
+
+    monkeypatch.setattr(np, "setbufsize", spy)
+    monkeypatch.setenv("LIPREC_THREADS", "2")
+    monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
+    monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    MwetHypothesis(training=ls, omega1=2.0).evaluate(ls.observations[np.arange(600) % 30])
+    assert sum(len(seen) for seen in sizes.values()) == 2 * 86
+    for seen in sizes.values():
+        assert seen == [core._UFUNC_BUFFER, 8192] * (len(seen) // 2)
+    sizes.clear()
+    tight_omega(ls)
+    assert sizes == {threading.get_ident(): [core._UFUNC_BUFFER, 8192]}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_results_do_not_depend_on_the_callers_buffer_size(monkeypatch, threads):
+    # A caller's ufunc buffer of 16 elements, numpy's default 8192 or 2^16
+    # changes no bit of evaluate, the audit or the tiled scan's
+    # certificate. 5000 queries against 300 training points run as three
+    # default tiles, threaded with the cutoff patched away; 300 points
+    # take the tiled scan. The expected values are computed first, at
+    # numpy's default buffer.
+    monkeypatch.setenv("LIPREC_THREADS", threads)
+    monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    rng = seeded_rng(44)
+    training = LabeledSet(rng.standard_normal((300, 5)), rng.standard_normal((300, 9)))
+    hyp = MwetHypothesis(training=training, omega1=1.5)
+    queries = rng.standard_normal((5000, 9)) * 3.0
+    expected = _blocked_4096_eval(hyp, queries).tobytes()
+    audit = _evaluate_audit(hyp, 700, seed=5).hex()
+    cert = tight_omega(training)
+    for size in (16, 8192, 1 << 16):
+        old = np.setbufsize(size)
+        try:
+            got, ratio, again = (hyp.evaluate(queries), hyp.lipschitz_audit(700, seed=5),
+                                 tight_omega(training))
+        finally:
+            np.setbufsize(old)
+        assert got.tobytes() == expected
+        assert ratio.hex() == audit
+        assert (again.omega.hex(), again.witness, again._pairs_examined) == (
+            cert.omega.hex(), cert.witness, 300 * 299 // 2)
 
 
 def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
-    # 16 tiles of 8192 queries against 100 x 8 training points, with
+    # 64 tiles of 2048 queries against 100 x 8 training points, with
     # LIPREC_THREADS = 16: four threads run, each with one buffer set of
-    # about 1.3 MiB, so the traced peak (with the 1 MiB output) stays under
+    # about 0.9 MiB, so the traced peak (with the 1 MiB output) stays under
     # the tile-bound test's bound; sixteen sets would pass it.
     rng = seeded_rng(26)
     training = LabeledSet(rng.standard_normal((100, 1)), rng.standard_normal((100, 8)))
@@ -449,14 +612,14 @@ def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls == [(16, mwet._MAX_THREADS)]
+    assert calls == [(64, mwet._MAX_THREADS)]
     assert peak < 8 * 2 ** 20
 
 
 def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
     # mwet_segment.json on 200 signals audits 41000 pairs in one evaluate
     # call: 82000 queries against 200 training points are 16.4M distances,
-    # above the cutoff, in 10 tiles of 8192 rows and one of 80
+    # above the cutoff, in 40 tiles of 2048 rows and one of 80
     problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
     workers = _spy_map_blocks(monkeypatch)
     reports = {}
@@ -473,7 +636,7 @@ def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatc
             report["metadata"].pop(clock)
         reports[threads] = json.dumps(report, sort_keys=True)
         # the training residuals (one tile), then the audit
-        assert workers == [(1, 1), (11, int(threads))]
+        assert workers == [(1, 1), (41, int(threads))]
     assert reports["1"] == reports["2"]
 
 

@@ -621,3 +621,32 @@ def test_cli_duplicate_signals_exit_1_before_certification(tmp_path, capsys, pro
     assert capsys.readouterr().err == ("error: labeling the sample failed: duplicate "
                                        f"signals at indices {pair[0]} and {pair[1]}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["1", "default"])
+@pytest.mark.parametrize("kind", ["lattice", "float", "near_duplicate"])
+def test_tiled_scan_across_the_ufunc_buffer_matches_the_loops(monkeypatch, kind, budget):
+    # The tiled scan runs under core._UFUNC_BUFFER. With n = buffer + 3 rows
+    # its tiles are from buffer + 2 down to 1 columns wide: with one-row
+    # tiles every width, including buffer - 1, buffer and buffer + 1, and
+    # with the default budget tiles of about 15 rows on both sides of the
+    # buffer. The rule is patched to scan every pair, and each answer
+    # matches the row loops: maxima, witnesses, first passing pairs, and
+    # pairs_examined equal to every pair. The lattice ties distances and
+    # counts its neighbours as duplicates.
+    n = core._UFUNC_BUFFER + 3
+    if budget is not None:
+        monkeypatch.setattr(core, "_PAIR_TILE_ELEMENTS", budget)
+    monkeypatch.setattr(core, "_scan_tiled", lambda n, dim, kept: True)
+    rng = np.random.default_rng(n)
+    tol = TOL_DUP
+    if kind == "lattice":
+        x, a = _lattice_sheet(n, seed=2)
+        y = x @ a.T
+        tol = 1.5
+        monkeypatch.setattr(core, "TOL_DUP", tol)
+    else:
+        x, y = rng.standard_normal((n, 5)), rng.standard_normal((n, 3))
+        if kind == "near_duplicate":
+            x[900], y[900] = x[17] + 1e-14, y[17] + 1e-13
+    _check_against_oracles((x, y), 0.7, 0.5, tol)

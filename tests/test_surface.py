@@ -1,5 +1,7 @@
 """The names that users and the benchmark tracer rely on all resolve, and
-none of them takes a per-call tolerance, rank or cap override.
+none of them takes a per-call tolerance, rank or cap override. Neither
+importing the package nor running a sample problem changes numpy's ufunc
+buffer size or error settings.
 
 ``perfbench/spans.py`` wraps each (module, qualname) in its ``TARGETS`` and
 fails with AttributeError at install time if one is gone, which would break
@@ -10,10 +12,16 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
+import sys
+
+import numpy as np
 
 import liprec
+from liprec import cli
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_public_name_resolves():
@@ -65,3 +73,36 @@ def test_no_public_call_takes_a_tolerance_rank_or_cap_override():
     assert found == []
     # the walk reaches classmethods and methods, not only functions
     assert {"LabeledSet.from_arrays", "MwetHypothesis.evaluate", "rip_delta"} <= scanned
+
+
+def _numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+def test_import_keeps_the_numpy_state():
+    # The kernels set numpy's ufunc buffer inside their own blocks only:
+    # importing the package leaves the buffer size and error settings of a
+    # fresh interpreter as numpy sets them.
+    code = ("import numpy as np\n"
+            "before = (np.getbufsize(), np.geterr())\n"
+            "import liprec\n"
+            "print(before == (np.getbufsize(), np.geterr()), np.getbufsize())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["True", "8192"]
+
+
+def test_every_problem_keeps_the_callers_numpy_state(tmp_path):
+    # `liprec run` on every sample problem, in this process, under a
+    # caller's own ufunc buffer size and error settings: both are as the
+    # caller set them after each run.
+    old_err = np.seterr(all="ignore")
+    old_size = np.setbufsize(1 << 12)
+    try:
+        state = _numpy_state()
+        for problem in sorted((ROOT / "problems").glob("*.json")):
+            cli.main(["run", str(problem), "--out", str(tmp_path / problem.name)])
+            assert _numpy_state() == state, problem.name
+    finally:
+        np.setbufsize(old_size)
+        np.seterr(**old_err)
