@@ -20,7 +20,7 @@ Tasks:
   mwet       fit the min-form extension, check interpolation and the
              global expansion bound empirically
   theorem1   grid-cover recovery with a full-dimension hypothesis
-             (observations box-normalized first; the grid constant
+             (labeled observations box-normalized; the grid constant
              rescales by the normalization factor)
   theorem3   SVD-reduced recovery for a matrix operator, including the
              observation-consistency check on random signals
@@ -29,6 +29,13 @@ Tasks:
              delta_2S both read from one subset-spectra pass at 2S
   example3   built-in one-dimensional ramp fixture: a certified interval,
              a colliding pair, and a union set certified at 2 but not 1.99
+
+Errors come in one order: labeling ("labeling the sample failed: ..."),
+including duplicates even where distances overflow, then parameters, then
+the sample's own faults (overflow; mwet's collisions). theorem1 and
+theorem3 keep one exception: they read omega and epsilon (theorem3 also
+its operator and num_pairs) before labeling, and check their values after
+the sample's pass.
 
 Reports serialize floats through Python's repr (shortest round-trip for
 64-bit values), so parse-and-reserialize is lossless; non-finite values
@@ -57,7 +64,6 @@ import numpy as np
 from . import __version__, acceptance, rip
 from .core import (
     TOL_CERT,
-    TOL_DUP,
     TOL_EVAL,
     DomainError,
     LabeledSet,
@@ -67,18 +73,17 @@ from .core import (
     NotInjectiveError,
     NotLipschitzError,
     ParameterError,
-    _duplicate_error,
     seeded_rng,
 )
 from .core import thread_budget as core_thread_budget
 from .covering import cover_pipeline
-from .lipschitz import _check_omega, _scan_sample, _tight, injectivity_tolerance
-from .mwet import _fit
+from .lipschitz import _check_omega, _scan_sample, _tight
+from .mwet import _fit, _row_norms
 from .operators import (
     MatrixOperator,
     Operator,
     PiecewiseExampleOperator,
-    normalize,
+    unit_box,
 )
 from .svdrec import fit_reduced
 
@@ -275,19 +280,12 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
                        "'affine_segment', or 'sparse_random')")
 
 
-def _labeling_failed(exc: LiprecError) -> ProblemError:
-    return ProblemError(f"labeling the sample failed: {exc}")
-
-
-def _labeled(operator: Operator, signals: np.ndarray, *,
-             check_duplicates: bool = True) -> LabeledSet:
-    """Label the sample. Tasks that scan its pairs anyway pass
-    check_duplicates=False and report duplicates from that scan."""
+def _labeled(operator: Operator, signals: np.ndarray) -> LabeledSet:
+    """Label the sample; each task searches it for duplicates in its pass."""
     try:
-        return LabeledSet.from_operator(operator, signals,
-                                        check_duplicates=check_duplicates)
+        return LabeledSet(signals, operator.apply(signals))
     except LiprecError as exc:
-        raise _labeling_failed(exc)
+        raise LabelingError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +300,7 @@ TaskOutput = Tuple[List[Dict[str, Any]], Dict[str, Any], Dict[str, np.ndarray]]
 
 def run_certify(operator: Operator, signals: np.ndarray,
                 params: Dict[str, Any], seed: int) -> TaskOutput:
-    sample = _labeled(operator, signals, check_duplicates=False)
+    sample = _labeled(operator, signals)
     omega = params.get("omega")
     bad_omega = None
     if omega is not None:
@@ -313,11 +311,12 @@ def run_certify(operator: Operator, signals: np.ndarray,
     # One pass over the pairs finds duplicate signals, the first observation
     # collision and the verdict at omega. Without a collision its maximum
     # ratio is the tight constant. A duplicate is a labeling error, so it is
-    # reported ahead of a bad omega.
-    scan = _scan_sample(sample, omega, tol_dup=TOL_DUP,
-                        tol_inj=injectivity_tolerance(sample.observations))
-    if scan.duplicate is not None:
-        raise _labeling_failed(_duplicate_error(scan.duplicate))
+    # reported ahead of a bad omega, and a bad omega ahead of overflow.
+    try:
+        scan = _scan_sample(sample, omega, collisions=True, duplicates=True)
+    except DomainError:
+        if bad_omega is None:
+            raise
     if bad_omega is not None:
         raise bad_omega
     results: Dict[str, Any] = {
@@ -342,19 +341,13 @@ def run_certify(operator: Operator, signals: np.ndarray,
 
 def run_mwet(operator: Operator, signals: np.ndarray,
              params: Dict[str, Any], seed: int) -> TaskOutput:
-    sample = _labeled(operator, signals, check_duplicates=False)
+    sample = _labeled(operator, signals)
     # One pass: a duplicate fails the labeling, ahead of a bad parameter, and
-    # the rest the fit, after one. Distances that overflow stop the pass
-    # before any pair; labeling's own search, on the signals, still runs.
+    # the rest the fit, after one.
     unfit = None
     try:
-        tight = _tight(sample, TOL_DUP).omega
-    except LabelingError as exc:
-        raise _labeling_failed(exc)
-    except DomainError as exc:
-        _labeled(operator, signals)
-        unfit = exc
-    except NotInjectiveError as exc:
+        tight = _tight(sample, duplicates=True).omega
+    except (DomainError, NotInjectiveError) as exc:
         unfit = exc
     omega1 = params.get("omega")
     if omega1 is not None:
@@ -408,8 +401,6 @@ def _recovery(pipeline: Callable[[], Any], results: Dict[str, Any],
     try:
         outcome = pipeline()
         cert = outcome.certificate
-    except LabelingError as exc:  # duplicate signals, found by the pipeline's scan
-        raise _labeling_failed(exc)
     except NotLipschitzError as exc:
         outcome, cert = None, exc.certificate
     results["max_ratio"] = cert.max_ratio
@@ -436,15 +427,18 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
                  params: Dict[str, Any], seed: int) -> TaskOutput:
     omega = _number(_require(params, "omega", "params"), "params.omega")
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
-    norm_op, scale = normalize(operator, signals)
-    sample = _labeled(norm_op, signals, check_duplicates=False)
+    sample = _labeled(operator, signals)
+    lo, scale = unit_box(sample.observations)
+    if not math.isfinite(scale):  # the distances overflow too: raise, a duplicate first
+        _scan_sample(sample, None, duplicates=True)
+    boxed = LabeledSet(sample.signals, (sample.observations - lo) / scale)
     omega_n = omega * scale
     results: Dict[str, Any] = {
         "sample_size": len(sample),
         "scale": scale,
         "omega_normalized": omega_n,
     }
-    outcome, assertions = _recovery(lambda: cover_pipeline(sample, omega_n, epsilon),
+    outcome, assertions = _recovery(lambda: cover_pipeline(boxed, omega_n, epsilon),
                                     results, lambda report: epsilon + TOL_CERT)
     if outcome is None:
         return assertions, results, {}
@@ -464,14 +458,13 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
         raise ProblemError("task 'theorem3' needs a matrix operator")
     num_draws = _draw_count(params.get("num_pairs", 1000), "params.num_pairs",
                             max(operator.signal_dim, operator.obs_dim))
-    sample = _labeled(operator, signals, check_duplicates=False)
+    sample = _labeled(operator, signals)
     results: Dict[str, Any] = {"sample_size": len(sample)}
 
     def error_bound(report) -> float:
         if report.exact_inversion:
             # Square full-rank operator: Psi inverts exactly, no trained part.
-            return CONSISTENCY_RTOL * (1.0 + float(
-                np.linalg.norm(sample.signals, axis=1).max()))
+            return CONSISTENCY_RTOL * (1.0 + float(_row_norms(sample.signals).max()))
         return epsilon + TOL_CERT
 
     outcome, assertions = _recovery(lambda: fit_reduced(sample, operator, omega, epsilon),
@@ -481,9 +474,12 @@ def run_theorem3(operator: Operator, signals: np.ndarray,
     report = outcome.report
     rng = seeded_rng(seed)
     probes = rng.standard_normal((num_draws, operator.signal_dim))
-    observations = probes @ operator.matrix.T
+    try:
+        observations = operator.apply(probes)
+    except DomainError:
+        raise ProblemError("the observations of the consistency probes overflow float64") from None
     residuals = outcome.recovery.consistency_residuals(probes)
-    rel = residuals / (1.0 + np.linalg.norm(observations, axis=1))
+    rel = residuals / (1.0 + _row_norms(observations))
     assertions.append(assertion("observation_consistency",
                                 float(rel.max()) <= CONSISTENCY_RTOL,
                                 float(rel.max()), CONSISTENCY_RTOL))
@@ -564,7 +560,10 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
         # rip draws its own probes, but a malformed block is still bad input.
         if task != "rip" or "signals" in problem:
             signals = build_signals(_require(problem, "signals", "problem"), operator, seed)
-    assertions, results, traces = TASKS[task](operator, signals, params, seed)
+    try:
+        assertions, results, traces = TASKS[task](operator, signals, params, seed)
+    except LabelingError as exc:  # from _labeled, or a duplicate found by the task's pass
+        raise ProblemError(f"labeling the sample failed: {exc}") from None
 
     runtime_ms = (time.perf_counter() - start) * 1000.0
     report = {

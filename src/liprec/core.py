@@ -459,7 +459,8 @@ def _first_max_pair(x: np.ndarray, y: Optional[np.ndarray], score=None, tests=()
     returned ``_Fold`` holds the maximum score over pairs i < j, the first
     pair in row-major order that attains it, the first pair passing each
     test and how many pairs were examined. DomainError is raised, before
-    any pair, when distances would overflow.
+    any pair, when distances would overflow; a score or test that itself
+    overflows (omega * dy) reads inf, silently.
 
     Pruning rests on one contract: the score and every test are evaluated
     elementwise with rounded (so monotone) float operations, the score is
@@ -481,9 +482,10 @@ def _first_max_pair(x: np.ndarray, y: Optional[np.ndarray], score=None, tests=()
     if n > 1:
         _check_spans({"signals": x} if y is None else {"signals": x, "observations": y})
         dim = (x if y is None else y).shape[1]
-        if _scan_tiled(n, dim, 0) or not _pruned_max_pair(x, y, fold, dim):
-            fold = _Fold(score, tests)  # a pruned attempt fed it the diagonal
-            _tiled_max_pair(x, y, fold)
+        with np.errstate(over="ignore"):
+            if _scan_tiled(n, dim, 0) or not _pruned_max_pair(x, y, fold, dim):
+                fold = _Fold(score, tests)  # a pruned attempt fed it the diagonal
+                _tiled_max_pair(x, y, fold)
     return fold
 
 
@@ -520,11 +522,10 @@ class _Fold:
     def bound(self, near, far, gap):
         """The score bound of node pairs whose dx lie in [near, far] and
         whose dy are at least gap, and a bit per test that may hold."""
-        with np.errstate(over="ignore"):
-            value = np.full(far.shape, -np.inf) if self.score is None else self.score(far, gap)
-            may = np.zeros(far.shape, dtype=np.int64)
-            for t, test in enumerate(self.tests):
-                may |= (test(far, gap) | test(near, gap)).astype(np.int64) << t
+        value = np.full(far.shape, -np.inf) if self.score is None else self.score(far, gap)
+        may = np.zeros(far.shape, dtype=np.int64)
+        for t, test in enumerate(self.tests):
+            may |= (test(far, gap) | test(near, gap)).astype(np.int64) << t
         return value, may
 
 
@@ -843,13 +844,13 @@ class LabeledSet:
 
     Stored column-wise as two read-only arrays: ``signals`` with shape
     (count, signal_dim) and ``observations`` with shape (count, obs_dim).
-    Duplicate signals (closer than ``TOL_DUP``) are rejected at
-    construction unless explicitly waived, e.g. for derived training data
-    whose targets may legitimately coincide, or for a sample whose
-    certification pass checks for duplicates itself. The search is a
-    question to the package's one pair reduction that reads only the
-    signals, so on low-dimensional signals it examines little beyond the
-    pairs inside its leaf blocks.
+    ``from_arrays`` and ``from_operator`` reject duplicate signals (closer
+    than ``TOL_DUP``) with a LabelingError; the constructor does not search,
+    for derived sets whose rows may coincide and for samples whose one pass
+    searches them (``lipschitz._scan_sample``). A duplicate is a labeling
+    fault, reported ahead of a bad parameter and of the sample's own faults,
+    even past overflowing distances. The search reads only the signals, so
+    on low-dimensional signals it examines little beyond its leaf blocks.
     """
 
     signals: np.ndarray
@@ -865,21 +866,19 @@ class LabeledSet:
         object.__setattr__(self, "observations", readonly(obs))
 
     @classmethod
-    def from_arrays(cls, signals, observations, *, check_duplicates: bool = True) -> "LabeledSet":
+    def from_arrays(cls, signals, observations) -> "LabeledSet":
         out = cls(np.atleast_2d(np.asarray(signals, dtype=np.float64)),
                   np.atleast_2d(np.asarray(observations, dtype=np.float64)))
-        if check_duplicates:
-            dup = out._find_duplicate()
-            if dup is not None:
-                raise _duplicate_error(dup)
+        dup = out._find_duplicate()
+        if dup is not None:
+            raise _duplicate_error(dup)
         return out
 
     @classmethod
-    def from_operator(cls, operator, signals, *, check_duplicates: bool = True) -> "LabeledSet":
+    def from_operator(cls, operator, signals) -> "LabeledSet":
         """Label the given signals by applying the operator to each."""
         sig = np.atleast_2d(np.asarray(signals, dtype=np.float64))
-        obs = operator.apply(sig)
-        return cls.from_arrays(sig, obs, check_duplicates=check_duplicates)
+        return cls.from_arrays(sig, operator.apply(sig))
 
     def _find_duplicate(self) -> Optional[Tuple[int, int]]:
         """The first pair of signals closer than ``TOL_DUP``, or None."""

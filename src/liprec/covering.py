@@ -38,7 +38,7 @@ from .core import (
     ParameterError,
 )
 from .lipschitz import _certify_sample
-from .mwet import MwetHypothesis, _fit
+from .mwet import MwetHypothesis, _fit, _row_norms
 
 GridMode = Literal["full", "reduced"]
 
@@ -105,8 +105,8 @@ def grid_spec(signal_dim: int, obs_dim: int, omega: float, epsilon: float,
     return _grid(obs_dim, omega, epsilon, factor, signal_dim)
 
 
-def _cell_indices(spec: GridSpec, observations: np.ndarray, tol: float) -> np.ndarray:
-    """Cell digits of each observation row in [0,1]^M (within tol per coordinate).
+def _cell_indices(spec: GridSpec, observations: np.ndarray) -> np.ndarray:
+    """Cell digits of each observation row in [0,1]^M (within TOL_CERT per coordinate).
 
     Digit k is floor(y_k * t) clamped into [0, t-1], which assigns the
     closed top face to the last cell. y is clamped into [0, 1] first, so
@@ -117,9 +117,9 @@ def _cell_indices(spec: GridSpec, observations: np.ndarray, tol: float) -> np.nd
         raise ParameterError(
             f"epsilon = {spec.epsilon!r} is too small: "
             f"the grid side t = {spec.t:.3g} overflows the int64 cell digits")
-    if np.any(observations < -tol) or np.any(observations > 1.0 + tol):
-        row = int(np.argmax(np.any((observations < -tol) | (observations > 1.0 + tol), axis=1)))
-        raise OutOfBoxError(f"observation {row} lies outside [0, 1]^M + {tol:.1e}")
+    outside = np.any((observations < -TOL_CERT) | (observations > 1.0 + TOL_CERT), axis=1)
+    if outside.any():
+        raise OutOfBoxError(f"observation {outside.argmax()} lies outside [0, 1]^M + {TOL_CERT:.1e}")
     unit = np.clip(observations, 0.0, 1.0)
     return np.clip(np.floor(unit * spec.t).astype(np.int64), 0, spec.t - 1)
 
@@ -156,7 +156,7 @@ def build_cover(sample: LabeledSet, spec: GridSpec) -> GridCover:
     if sample.obs_dim != spec.obs_dim:
         raise DimensionError(
             f"sample obs dim {sample.obs_dim} != grid dim {spec.obs_dim}")
-    digits = _cell_indices(spec, sample.observations, TOL_CERT)
+    digits = _cell_indices(spec, sample.observations)
     # One stable sort groups each cell's rows in input order.
     order = np.lexsort(digits.T)
     first = np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
@@ -205,7 +205,7 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPip
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
     cover = build_cover(sample, spec)
     hypothesis = _fit(cover.representative_set(), omega, 0.0)
-    errors = np.linalg.norm(hypothesis.evaluate(sample.observations) - sample.signals, axis=1)
+    errors = _row_norms(hypothesis.evaluate(sample.observations) - sample.signals)
     report = CoverReport(
         t=spec.t,
         cells_occupied=len(cover),

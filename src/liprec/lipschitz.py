@@ -19,9 +19,9 @@ overflow float64 raise DomainError before any pair is examined: an
 inf/inf ratio certifies nothing.
 
 The verification pass (``_scan_sample``) can also report the first
-observation collision and the first duplicate signal pair, and it counts
-the pairs it examined. ``tight_omega`` asks through it, the pipelines
-reject duplicates with it (``_certify_sample``), and the ``certify`` and
+observation collision and raise for the first duplicate signal pair, and
+it counts the pairs it examined. ``tight_omega`` asks through it, the
+pipelines certify with it (``_certify_sample``), and the ``certify`` and
 ``mwet`` tasks read everything they need from its one pass.
 """
 
@@ -32,9 +32,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     TOL_CERT,
-    TOL_DUP,
     DegenerateScaleError,
     DegenerateSetError,
     DimensionError,
@@ -111,19 +111,16 @@ def tight_omega(labeled_set: LabeledSet) -> LipschitzCertificate:
     return _tight(labeled_set)
 
 
-def _tight(labeled_set: LabeledSet, tol_dup: Optional[float] = None) -> LipschitzCertificate:
-    """``tight_omega``'s pass, also asking for signals closer than
-    ``tol_dup``: LabelingError for those goes ahead of NotInjectiveError."""
-    tol_inj = injectivity_tolerance(labeled_set.observations)
-    scan = _scan_sample(labeled_set, None, tol_inj=tol_inj, tol_dup=tol_dup)
-    if scan.duplicate is not None:
-        raise _duplicate_error(scan.duplicate)
+def _tight(labeled_set: LabeledSet, *, duplicates: bool = False) -> LipschitzCertificate:
+    """``tight_omega``'s pass; with ``duplicates``, a LabelingError for
+    duplicate signals goes ahead of everything else (see ``_scan_sample``)."""
+    scan = _scan_sample(labeled_set, None, collisions=True, duplicates=duplicates)
     if scan.collision is not None:
         i, j = scan.collision
         y = labeled_set.observations
         distance = np.linalg.norm((y[j] - y[i])[None], axis=1)[0]
-        raise NotInjectiveError(f"signals {i} and {j} share an observation "
-                                f"(distance {distance:.3e} <= {tol_inj:.3e})", pair=scan.collision)
+        raise NotInjectiveError(f"signals {i} and {j} share an observation (distance {distance:.3e}"
+                                f" <= {injectivity_tolerance(y):.3e})", pair=scan.collision)
     return scan.certificate(scan.max_ratio)
 
 
@@ -140,7 +137,6 @@ class _SampleScan(NamedTuple):
     witness: Optional[Tuple[int, int]]
     violated: bool
     collision: Optional[Tuple[int, int]]
-    duplicate: Optional[Tuple[int, int]]
     pairs_examined: int  # n(n - 1) / 2 unless block bounds skipped some
 
     def certificate(self, omega: float) -> LipschitzCertificate:
@@ -154,34 +150,44 @@ class _SampleScan(NamedTuple):
 
 
 def _scan_sample(labeled_set: LabeledSet, omega: Optional[float], *,
-                 tol_inj: Optional[float] = None,
-                 tol_dup: Optional[float] = None) -> _SampleScan:
+                 collisions: bool = False, duplicates: bool = False) -> _SampleScan:
     """The verification pass of ``verify_lipschitz``, with what else it sees.
 
     Reports the maximum ratio and its first pair (an observation collision
     between distinct signals counts as an infinite ratio), whether some
     pair breaks ||x1 - x2|| <= omega * ||y1 - y2|| + TOL_CERT (never, for
-    omega None), the first pair whose observations are within ``tol_inj``,
-    the first pair of signals closer than ``tol_dup`` and the number of
-    pairs examined. A check whose tolerance is None is skipped and reports
-    None. Where no pair collides, the maximum ratio is bit-identical to
-    ``tight_omega``'s constant.
-    Fewer than two rows give the vacuous scan: ratio 0 and no pairs.
+    omega None), with ``collisions`` the first pair whose observations are
+    within ``injectivity_tolerance``, and the number of pairs examined.
+    Where no pair collides, the maximum ratio is bit-identical to
+    ``tight_omega``'s constant. With ``duplicates``, the first pair of
+    signals closer than ``TOL_DUP`` raises LabelingError ahead of all else,
+    even where norms or distances overflow before the first pair (the
+    signals alone are then searched). Fewer than two rows give the vacuous
+    scan: ratio 0 and no pairs.
     """
-    if len(labeled_set) < 2:
-        return _SampleScan(0.0, None, False, None, None, 0)
     tests = {}
     if omega is not None:
         tests["violation"] = lambda dx, dy: dx > omega * dy + TOL_CERT
-    if tol_inj is not None:
-        tests["collision"] = lambda dx, dy: dy <= tol_inj
-    if tol_dup is not None:
-        tests["duplicate"] = lambda dx, dy: dx < tol_dup
-    scan = _first_max_pair(labeled_set.signals, labeled_set.observations, _ratios,
-                           tuple(tests.values()))
+    try:
+        if collisions:
+            radius = injectivity_tolerance(labeled_set.observations)
+            tests["collision"] = lambda dx, dy: dy <= radius
+        if duplicates:
+            tests["duplicate"] = lambda dx, dy: dx < core.TOL_DUP
+        if len(labeled_set) < 2:
+            return _SampleScan(0.0, None, False, None, 0)
+        scan = _first_max_pair(labeled_set.signals, labeled_set.observations, _ratios,
+                               tuple(tests.values()))
+    except DomainError:
+        duplicate = labeled_set._find_duplicate() if duplicates else None
+        if duplicate is not None:
+            raise _duplicate_error(duplicate) from None
+        raise
     found = dict(zip(tests, scan.firsts))
+    if found.get("duplicate") is not None:
+        raise _duplicate_error(found["duplicate"])
     return _SampleScan(scan.best, scan.witness, found.get("violation") is not None,
-                       found.get("collision"), found.get("duplicate"), scan.pairs_examined)
+                       found.get("collision"), scan.pairs_examined)
 
 
 def verify_lipschitz(labeled_set: LabeledSet, omega: float) -> LipschitzCertificate:
@@ -204,10 +210,8 @@ def _certify_sample(sample: LabeledSet, omega: float) -> LipschitzCertificate:
     not omega-certified. Returns the certificate otherwise.
     """
     valid = bool(np.isfinite(omega) and omega > 0.0)
-    scan = _scan_sample(sample, omega if valid else None, tol_dup=TOL_DUP)
-    if scan.duplicate is not None:
-        raise _duplicate_error(scan.duplicate)
-    cert = scan.certificate(_check_omega(omega))
+    cert = _scan_sample(sample, omega if valid else None,
+                        duplicates=True).certificate(_check_omega(omega))
     if not cert.passed:
         raise NotLipschitzError(
             f"sample is not {omega:g}-certified: pair {cert.witness} has ratio "

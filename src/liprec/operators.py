@@ -138,5 +138,6 @@ def unit_box(points: np.ndarray) -> Tuple[np.ndarray, float]:
     """Shift (coordinate-wise minimum) and scale (largest coordinate range,
     1 if all points coincide) that map a (k, M) point stack into [0, 1]^M."""
     lo = points.min(axis=0)
-    span = float((points.max(axis=0) - lo).max())
+    with np.errstate(over="ignore"):  # a span past float64 is an infinite scale
+        span = float((points.max(axis=0) - lo).max())
     return lo, span if span > 0.0 else 1.0

@@ -43,7 +43,7 @@ from .core import (
 )
 from .covering import GridCover, _check_epsilon, build_cover, grid_spec
 from .lipschitz import _certify_sample
-from .mwet import MwetHypothesis, _fit
+from .mwet import MwetHypothesis, _fit, _row_norms
 from .operators import MatrixOperator, unit_box
 
 RANK_TOL = 1e-10
@@ -192,7 +192,7 @@ class SvdRecoveryMap:
         xs = np.atleast_2d(np.asarray(signals, dtype=np.float64))
         y = xs @ self.factors.source.T
         back = self.recover(y) @ self.factors.source.T
-        return np.linalg.norm(back - y, axis=1)
+        return _row_norms(back - y)
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     if r == n:
         _check_epsilon(epsilon)
         recovery = SvdRecoveryMap(factors=factors, hypothesis=None)
-        errors = np.linalg.norm(recovery.recover(sample.observations) - sample.signals,
-                                axis=1)
+        errors = _row_norms(recovery.recover(sample.observations) - sample.signals)
         report = ReducedReport(
             t_reduced=None, t_full=None, cells_occupied=0, cells_bound=None,
             max_training_residual=0.0, max_recovery_error=float(errors.max()),
@@ -274,18 +273,14 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     unit_obs = (eff_obs - lo) / scale
     spec = grid_spec(n, r, omega * scale, epsilon, "reduced")
     spec_full = grid_spec(n, r, omega * scale, epsilon, "full")
-    cover_source = LabeledSet.from_arrays(sample.signals, unit_obs,
-                                          check_duplicates=False)
-    cover = build_cover(cover_source, spec)
+    cover = build_cover(LabeledSet(sample.signals, unit_obs), spec)
     reps = cover.representative_indices()
     # Null components may repeat across representatives (e.g. a sample inside
     # a translate of range(A)); the observations, one per cell, do not.
-    training = LabeledSet.from_arrays(sample.signals[reps] @ factors.v2,
-                                      eff_obs[reps], check_duplicates=False)
+    training = LabeledSet(sample.signals[reps] @ factors.v2, eff_obs[reps])
     hypothesis = _fit(training, omega, 0.0)
     recovery = SvdRecoveryMap(factors=factors, hypothesis=hypothesis)
-    errors = np.linalg.norm(recovery.recover(sample.observations) - sample.signals,
-                            axis=1)
+    errors = _row_norms(recovery.recover(sample.observations) - sample.signals)
     report = ReducedReport(
         t_reduced=spec.t,
         t_full=spec_full.t,

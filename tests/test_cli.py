@@ -10,7 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from liprec import MwetHypothesis, cli, core
+from liprec import (
+    LabeledSet,
+    MatrixOperator,
+    MwetHypothesis,
+    cli,
+    core,
+    cover_pipeline,
+    normalize,
+    tight_omega,
+)
 from liprec.rip import rip_delta, spectral_balance
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -649,6 +658,157 @@ def test_main_run_overflowing_distances_exit_1(tmp_path, capsys, task):
     err = capsys.readouterr().err
     assert "overflow float64" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _main_on(tmp_path, problem):
+    """cli.main on one problem: exit code, and the RuntimeWarnings it let out."""
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run_main(["run", str(path), "--out", str(out)])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert out.exists() == (code != cli.EXIT_INPUT_ERROR)
+    return code
+
+
+@pytest.mark.parametrize("task", ["certify", "mwet", "theorem1", "theorem3"])
+def test_main_run_names_a_duplicate_past_overflowing_observations(tmp_path, capsys, task):
+    # Rows 0 and 1 repeat, and the observation norms and distances overflow
+    # when squared. Labeling goes first, so every task names the duplicate;
+    # certify and theorem3 used to exit with the overflow's DomainError.
+    problem = {"task": task, "operator": {"type": "matrix", "data": [[1e155, 0.0]]},
+               "signals": {"type": "list", "data": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+               "params": {"omega": 1.0, "epsilon": 0.5}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: labeling the sample failed: duplicate signals at indices 0 and 1\n")
+
+
+@pytest.mark.parametrize("omega,message", [
+    ('"x"', "field 'params.omega' must be a number, got 'x'"),
+    ("-1", "ParameterError: omega must be a positive finite number, got -1.0"),
+])
+@pytest.mark.parametrize("signals,duplicate", [
+    ([[0.0, 0.0], [1.0, 0.0]], False), ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], True)])
+def test_main_run_certify_reports_labeling_then_omega_then_overflow(tmp_path, capsys, omega,
+                                                                    message, signals,
+                                                                    duplicate):
+    # The observation norms overflow: a duplicate goes first, a bad omega
+    # next, as in the mwet task; the overflow used to go ahead of a bad omega.
+    problem = {"task": "certify", "operator": {"type": "matrix", "data": [[1e155, 0.0]]},
+               "signals": {"type": "list", "data": signals},
+               "params": {"omega": json.loads(omega)}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    if duplicate:
+        message = "labeling the sample failed: duplicate signals at indices 0 and 2"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    problem["params"] = {}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: " + (
+        "labeling the sample failed: duplicate signals at indices 0 and 2" if duplicate else
+        "DomainError: observations: their norms overflow float64, so the injectivity "
+        "tolerance is not finite") + "\n"
+
+
+@pytest.mark.parametrize("task", ["certify", "mwet", "theorem1"])
+@pytest.mark.parametrize("signals,message", [
+    ([[0.0], [1.0], [3.5]], "input outside the operator domain [0, 3]"),
+    ([], "signals: expected a non-empty 2-D array, got shape (0, 1)"),
+], ids=["out_of_domain", "empty"])
+def test_main_run_every_task_labels_the_same_way(tmp_path, capsys, task, signals, message):
+    # theorem1 used to apply a normalized operator before labeling, so it
+    # reported "DomainError: input outside ..." and, for an empty list,
+    # "CalibrationError: normalization needs at least one calibration signal".
+    problem = {"task": task, "operator": {"type": "piecewise_example"},
+               "signals": {"type": "list", "data": signals},
+               "params": {"omega": 1.0, "epsilon": 0.5}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: labeling the sample failed: {message}\n"
+
+
+@pytest.mark.parametrize("signals,message", [
+    ([[1.0, 0.0], [0.0, 1.0]], "DomainError: observations: pairwise distances overflow "
+                               "float64 (the squared diagonal of their bounding box is not finite)"),
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+     "labeling the sample failed: duplicate signals at indices 0 and 2"),
+])
+def test_main_run_theorem1_rejects_observations_whose_span_overflows(tmp_path, capsys, signals,
+                                                                     message):
+    # Observations 1e308 and -1e308 have no finite unit box. theorem1 used to
+    # warn of an overflow in subtract and exit with "DomainError: scale must
+    # be a positive finite number, got inf", a duplicate or not.
+    problem = {"task": "theorem1", "operator": {"type": "matrix", "data": [[1e308, -1e308]]},
+               "signals": {"type": "list", "data": signals},
+               "params": {"omega": 1.0, "epsilon": 0.5}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("problem_file", ["theorem1_ramp.json", "theorem3_projection.json"])
+def test_main_run_recovers_at_a_huge_omega(tmp_path, problem_file):
+    # At omega = epsilon = 1e155 the hypothesis recovers some sample points
+    # with errors whose squares overflow: their norms used to read inf, with
+    # a RuntimeWarning, and recovery_within_epsilon failed (exit 2).
+    problem = json.loads((PROBLEMS / problem_file).read_text())
+    problem["params"].update(omega=1e155, epsilon=1e155)
+    assert _main_on(tmp_path, problem) == cli.EXIT_OK
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert 0.0 < results["max_recovery_error"] <= 1e155
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_theorem1_boxes_its_sample_as_the_normalized_operator_does(seed):
+    # theorem1 labels under the operator itself, then boxes the labeled
+    # observations: the same bits as labeling under normalize's wrapper.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, 3))
+    x = rng.standard_normal((80, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    boxed_op, scale = normalize(MatrixOperator(a), x)
+    sample = LabeledSet.from_operator(boxed_op, x)
+    omega = 1.01 * tight_omega(LabeledSet.from_operator(MatrixOperator(a), x)).omega
+    epsilon = float(np.ptp(x, axis=0).max()) / 4.0
+    report, traces = cli.execute({
+        "task": "theorem1", "operator": {"type": "matrix", "data": a.tolist()},
+        "signals": {"type": "list", "data": x.tolist()},
+        "params": {"omega": omega, "epsilon": epsilon}})
+    expected = cover_pipeline(sample, omega * scale, epsilon)
+    results = report["results"]
+    assert all(entry["passed"] for entry in report["assertions"])
+    assert (results["scale"], results["omega_normalized"]) == (scale, omega * scale)
+    assert {key: results[key] for key in dataclasses.asdict(expected.report)} == \
+        dataclasses.asdict(expected.report)
+    assert traces["recovery_error"].tobytes() == expected.recovery_errors.tobytes()
+
+
+def test_main_run_theorem3_consistency_on_an_operator_with_huge_entries(tmp_path):
+    # The map is consistent, but ||A x|| and the residuals of the probes
+    # overflow when squared: the check used to read NaN and exit 2, with
+    # RuntimeWarnings. The null coordinate keeps the signals apart.
+    problem = {"task": "theorem3",
+               "operator": {"type": "matrix", "data": [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]]},
+               "signals": {"type": "list", "data": [[0.0, 0.0, 0.0], [1e-200, 0.0, 0.5],
+                                                    [0.0, 1e-200, 0.25],
+                                                    [1e-200, 1e-200, 1.0]]},
+               "params": {"omega": 10.0, "epsilon": 0.5, "num_pairs": 50}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    consistency = {a["name"]: a for a in report["assertions"]}["observation_consistency"]
+    assert 0.0 <= consistency["observed"] <= 1e-15
+
+
+def test_main_run_theorem3_rejects_consistency_probes_that_overflow(tmp_path, capsys):
+    # The sample's observations are finite, but a standard normal probe
+    # times 1e308 is not: one error line, where numpy used to warn twice
+    # ahead of "DomainError: observations: entries must be finite".
+    problem = {"task": "theorem3",
+               "operator": {"type": "matrix", "data": [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+               "signals": {"type": "list", "data": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5],
+                                                    [0.0, 2.0, 0.25], [0.0, 3.0, 1.0]]},
+               "params": {"omega": 10.0, "epsilon": 0.5, "num_pairs": 50}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "error: the observations of the consistency probes overflow float64\n")
 
 
 @pytest.mark.parametrize("omega,message", [

@@ -2,8 +2,10 @@
 
 Each problem in problems/ is cut to a small sample (count <= 20, num_pairs
 <= 50), then mutated: fields dropped or replaced by wrong JSON types, 0,
-negative numbers, NaN or inf. Whatever the input, ``cli.main`` returns
-0, 1 or 2 and raises nothing. Exit 1 prints one ``error:`` diagnostic and
+negative numbers, NaN, inf, or numbers whose squares (1e155) or whose
+products with almost anything (1e308) overflow float64. Whatever the
+input, ``cli.main`` returns 0, 1 or 2 and raises nothing, and no numpy
+RuntimeWarning escapes it. Exit 1 prints one ``error:`` diagnostic and
 writes no report; exit 0 means every assertion in the report passed; and
 on a one-signal sample no certification, injectivity or audit assertion
 passes, since no pair was examined.
@@ -16,6 +18,7 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -42,9 +45,16 @@ def _small(problem):
 BASES = {path.name: _small(json.loads(path.read_text()))
          for path in sorted(PROBLEMS.glob("*.json"))}
 
+# A vacuous one-signal certificate lets theorem3 reach its consistency
+# probes, whose observation norms overflow when squared: they used to read
+# NaN, with RuntimeWarnings.
+HUGE_PROBES = copy.deepcopy(BASES["theorem3_square.json"])
+HUGE_PROBES["operator"]["data"][0][0] = 1e155
+HUGE_PROBES["signals"]["count"] = 1
+
 # Deep copies, so that no two mutations share (and grow) one list or dict.
-VALUES = st.sampled_from([0, 1, -1, -0.5, math.nan, math.inf, -math.inf, None, True,
-                          "x", [], {}, [0.0], *cli.TASKS]).map(copy.deepcopy)
+VALUES = st.sampled_from([0, 1, -1, -0.5, math.nan, math.inf, -math.inf, 1e155, 1e308,
+                          None, True, "x", [], {}, [0.0], *cli.TASKS]).map(copy.deepcopy)
 
 
 def _paths(node, prefix=()):
@@ -99,6 +109,10 @@ OVERRIDES = st.lists(
 @example(problem=b'{"task": "certify\xe9"}', sets=[], missing=None)
 @example(problem=BASES["example3.json"], sets=[], missing="out")
 @example(problem=BASES["certify_segment.json"], sets=[], missing="trace")
+@example(problem=HUGE_PROBES, sets=[], missing=None)
+# The exact-inversion bound reads the norm of a 1e155 signal.
+@example(problem=BASES["theorem3_square.json"], sets=["signals.start=[1e155, 0]",
+                                                      "signals.count=1"], missing=None)
 def test_cli_survives_mutated_problems(problem, sets, missing):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -107,9 +121,13 @@ def test_cli_survives_mutated_problems(problem, sets, missing):
         out = tmp / ("missing" if missing == "out" else "") / "report.json"
         trace = tmp / ("missing" if missing == "trace" else "") / "trace.csv"
         stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(["run", str(path), "--out", str(out), "--trace", str(trace),
                              *[f"--set={item}" for item in sets]])
+        # pytest captures warnings, so the stderr check below never sees one.
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_ASSERTION_FAILURE)
         if code == cli.EXIT_INPUT_ERROR or missing:
             assert code == cli.EXIT_INPUT_ERROR

@@ -122,8 +122,8 @@ def test_duplicate_check_uses_tolerance():
     obs = [[0.0], [1.0]]
     with pytest.raises(LabelingError):
         LabeledSet.from_arrays(sig, obs)
-    # explicit waiver keeps both rows
-    ls = LabeledSet.from_arrays(sig, obs, check_duplicates=False)
+    # the constructor does not search, so it keeps both rows
+    ls = LabeledSet(sig, obs)
     assert len(ls) == 2
     # signals just beyond TOL_DUP apart are distinct
     ls = LabeledSet.from_arrays([[0.0], [2e-12]], obs)

@@ -93,9 +93,9 @@ def test_grid_spec_rejects_a_side_that_overflows(omega, epsilon, mode):
     assert grid_spec(3, 2, 1.0, 1e-300, mode).t > 10 ** 300
 
 
-def _digits(spec, *rows, tol=TOL_CERT):
+def _digits(spec, *rows):
     """Cell digits of each observation row, as tuples."""
-    return list(map(tuple, covering._cell_indices(spec, np.array(rows), tol).tolist()))
+    return list(map(tuple, covering._cell_indices(spec, np.array(rows)).tolist()))
 
 
 def test_cell_digits_fit_int64_up_to_the_largest_grid_side():
@@ -120,15 +120,17 @@ def test_cell_index_hand_values():
     assert _digits(spec, [0.0, 0.0], [0.5, 0.99], [1.0, 1.0]) == [(0, 0), (4, 7), (7, 7)]
 
 
-def test_cell_index_tolerance_and_out_of_box():
+def test_cell_index_tolerance_and_out_of_box(monkeypatch):
     spec = grid_spec(3, 2, 1.0, 0.5, "full")
     assert _digits(spec, [-1e-10, 0.5], [1.0 + 1e-10, 0.5]) == [(0, 4), (7, 4)]
-    assert _digits(spec, [-0.005, 1.005], tol=0.01) == [(0, 7)]
     for outside in ([-0.01, 0.5], [0.5, 1.01]):
         with pytest.raises(OutOfBoxError, match="observation 1 lies outside"):
             _digits(spec, [0.5, 0.5], outside)
-    with pytest.raises(OutOfBoxError):
-        _digits(spec, [-0.02, 0.5], tol=0.01)
+    # The box check reads TOL_CERT at call time.
+    monkeypatch.setattr(covering, "TOL_CERT", 0.01)
+    assert _digits(spec, [-0.005, 1.005]) == [(0, 7)]
+    with pytest.raises(OutOfBoxError, match=r"\[0, 1\]\^M \+ 1.0e-02"):
+        _digits(spec, [-0.02, 0.5])
     with pytest.raises(DimensionError):
         build_cover(LabeledSet.from_arrays([[0.0, 0.0, 0.0]], [[0.5]]), spec)
 
@@ -198,9 +200,8 @@ def test_build_cover_matches_dict_loop(data, t, m, n):
     obs = data.draw(arrays(np.float64, (n, m), elements=elements))
     spec = covering.GridSpec(t=t, obs_dim=m, signal_dim=1, omega=1.0, epsilon=1.0,
                              dim_factor=1.0)
-    sample = LabeledSet.from_arrays(np.arange(n, dtype=float)[:, None], obs,
-                                    check_duplicates=False)
-    expected = _oracle_representatives(covering._cell_indices(spec, obs, 1e-9))
+    sample = LabeledSet(np.arange(n, dtype=float)[:, None], obs)
+    expected = _oracle_representatives(covering._cell_indices(spec, obs))
     got = build_cover(sample, spec).representatives
     assert list(got.items()) == list(expected.items())
     assert all(type(d) is int for key in got for d in key)
@@ -256,7 +257,7 @@ def test_cover_pipeline_rejects_duplicate_signals_first():
     op = PiecewiseExampleOperator()
     x = np.linspace(0.0, 1.0, 50)[:, None]
     x[30] = x[12]
-    sample = LabeledSet.from_operator(op, x, check_duplicates=False)
+    sample = LabeledSet(x, op.apply(x))
     for omega in (1.0, 0.5, 0.0):  # certified, uncertified, invalid
         with pytest.raises(LabelingError, match="duplicate signals at indices 12 and 30"):
             cover_pipeline(sample, omega=omega, epsilon=0.2)

@@ -5,6 +5,8 @@ pairs); the blocked implementation must agree with it exactly. Invariance
 under scaling and shifting is checked against freshly relabeled sets.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def test_overflowing_distances_raise_before_any_pair():
     y = x * [1.0, 1e-300]
     with pytest.raises(DomainError, match="signals: pairwise distances overflow"):
         LabeledSet.from_arrays(x, y)
-    ls = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    ls = LabeledSet(x, y)
     for check in (tight_omega, lambda s: verify_lipschitz(s, 1.0),
                   lambda s: check_relaxed_lipschitz(s, 1.0, 0.0)):
         with pytest.raises(DomainError):
@@ -255,7 +257,24 @@ def test_overflowing_distances_raise_before_any_pair():
 def test_pruned_scan_checks_overflow_before_its_first_block(monkeypatch):
     monkeypatch.setattr(core, "_scan_tiled", lambda n, obs_dim, kept: False)
     x = np.array([[0.0, 0.0], [1e200, 1.0], [2e200, -1.0]])
-    ls = LabeledSet.from_arrays(x, x * [1.0, 1e-300], check_duplicates=False)
+    ls = LabeledSet(x, x * [1.0, 1e-300])
     for check in (lambda s: verify_lipschitz(s, 1.0), lambda s: check_relaxed_lipschitz(s, 1.0, 0.0)):
         with pytest.raises(DomainError, match="signals: pairwise distances overflow"):
             check(ls)
+
+
+@pytest.mark.parametrize("path", ["tiled", "pruned"])
+def test_a_constant_whose_products_overflow_reads_inf_silently(monkeypatch, path):
+    # omega * dy passes float64 for every pair but the closest ones: the
+    # violation test and the relaxed slack read inf there, and numpy used to
+    # warn from the tiles of either scan.
+    if path == "pruned":
+        monkeypatch.setattr(core, "_scan_tiled", lambda n, obs_dim, kept: False)
+    x = np.arange(40.0)[:, None]
+    ls = LabeledSet(x, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify_lipschitz(ls, 1e308)
+        relaxed = check_relaxed_lipschitz(ls, 1e308, 0.0)
+    assert cert.passed and cert.max_ratio == 1.0
+    assert relaxed.passed and relaxed.min_slack == 1e308 - 1.0 and relaxed.worst_pair == (0, 1)

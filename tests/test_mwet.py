@@ -850,8 +850,7 @@ def test_lipschitz_audit_measures_a_huge_finite_constant():
 
 def test_audit_degenerate_observations():
     # every training observation identical: sampling box collapses
-    ls = LabeledSet.from_arrays([[0.0], [1.0]], [[2.0], [2.0]],
-                                check_duplicates=False)
+    ls = LabeledSet([[0.0], [1.0]], [[2.0], [2.0]])
     hyp = MwetHypothesis(training=ls, omega1=1.0)
     assert hyp.lipschitz_audit(100, seed=0) == 0.0
 
@@ -897,8 +896,7 @@ def test_fit_guards():
     ls = _random_instance(rng)
     with pytest.raises(ParameterError):
         fit(ls, omega1=-1.0)
-    colliding = LabeledSet.from_arrays([[0.0], [1.0]], [[0.0], [0.0]],
-                                       check_duplicates=False)
+    colliding = LabeledSet([[0.0], [1.0]], [[0.0], [0.0]])
     with pytest.raises(NotInjectiveError):
         fit(colliding)
 

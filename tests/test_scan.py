@@ -9,8 +9,9 @@ observations, near-duplicate signals, identical observations and points
 on the faces of block boxes, for every tile budget, leaf block size and
 k-d tree depth up to 6, on the tiled scan, on the block-pruned scan and
 under the rule that picks one. The fused verification pass, which also
-reports the first collision and the first duplicate, must match all three
-oracles from its one pass.
+reports the first collision, must match all three oracles from its one
+pass, and asked for duplicates too it must raise the oracle's first
+duplicate pair or else see exactly what it saw without the question.
 
 The tiles sum squared differences coordinate by coordinate in the order
 numpy's add.reduce uses, so a guard test compares them with
@@ -204,9 +205,27 @@ def test_scan_matches_original_loops(case, omega, epsilon, tol, path):
         _check_against_oracles(data, omega, epsilon, tol)
 
 
+def _scan_with_duplicates(labeled, omega, expected, plain, pairs):
+    """The fused pass asked for duplicates too: it raises the LabelingError
+    of ``expected``, the oracle's first duplicate pair, or else sees what
+    ``plain``, the same pass without the question, saw."""
+    if expected is not None:
+        with pytest.raises(LabelingError) as exc:
+            lipschitz._scan_sample(labeled, omega, collisions=True, duplicates=True)
+        assert str(exc.value) == f"duplicate signals at indices {expected[0]} and {expected[1]}"
+        assert exc.value.index == expected[1]
+        return
+    scan = lipschitz._scan_sample(labeled, omega, collisions=True, duplicates=True)
+    assert scan.certificate(omega) == plain.certificate(omega)
+    assert (scan.collision, _bits(scan.max_ratio)) == (plain.collision, _bits(plain.max_ratio))
+    assert 0 < scan.pairs_examined <= pairs
+    if core._scan_tiled(len(labeled), labeled.obs_dim, 0):
+        assert scan.pairs_examined == pairs
+
+
 def _check_against_oracles(data, omega, epsilon, tol):
     x, y = data
-    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    labeled = LabeledSet(x, y)
     pairs = len(x) * (len(x) - 1) // 2
 
     omegas = [omega]
@@ -233,18 +252,17 @@ def _check_against_oracles(data, omega, epsilon, tol):
         cert = verify_lipschitz(labeled, w)
         assert (cert.verdict, cert.witness) == (verdict, witness)
         assert _bits(cert.max_ratio) == _bits(max_ratio)
-        # The fused pass: verification, first collision, first duplicate.
-        scan = lipschitz._scan_sample(labeled, w, tol_dup=tol,
-                                      tol_inj=injectivity_tolerance(y))
+        # The fused pass: verification and the first collision.
+        scan = lipschitz._scan_sample(labeled, w, collisions=True)
         assert scan.certificate(w) == cert
         assert scan.collision == collision
-        assert scan.duplicate == _oracle_duplicate(x, tol)
         assert 0 < scan.pairs_examined <= pairs
         if core._scan_tiled(len(x), y.shape[1], 0):  # the rule chose the tiled scan
             assert scan.pairs_examined == pairs
         if collision is None:  # then its maximum ratio is the tight constant
             assert _bits(scan.max_ratio) == _bits(expected[0])
             assert scan.witness == expected[1]
+        _scan_with_duplicates(labeled, w, _oracle_duplicate(x, tol), scan, pairs)
 
     passed, min_slack, worst_pair = _oracle_relaxed(x, y, omega, epsilon, 1e-9)
     relaxed = check_relaxed_lipschitz(labeled, omega, epsilon)
@@ -300,17 +318,18 @@ def test_pruned_scan_matches_the_loops_on_a_tied_sheet(plant):
         y[1500] = y[700]
         if plant == "duplicate":
             x[1500] = x[700]
-    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    labeled = LabeledSet(x, y)
     _, _, max_ratio = _oracle_verify(x, y, 1.0, 1e-9)
     omega = max_ratio if np.isfinite(max_ratio) else 1.0
     verdict, witness, max_ratio = _oracle_verify(x, y, omega, 1e-9)
-    scan = lipschitz._scan_sample(labeled, omega, tol_dup=TOL_DUP,
-                                  tol_inj=injectivity_tolerance(y))
+    scan = lipschitz._scan_sample(labeled, omega, collisions=True)
     assert (scan.certificate(omega).verdict, scan.witness) == (verdict, witness)
     assert _bits(scan.max_ratio) == _bits(max_ratio)
     assert scan.collision == (None if plant == "none" else (700, 1500))
-    assert scan.duplicate == _oracle_duplicate(x, TOL_DUP)
     assert scan.pairs_examined < 2000 * 1999 // 2  # the fixed rule chose the pruned scan
+    duplicate = _oracle_duplicate(x, TOL_DUP)
+    assert duplicate == (None if plant != "duplicate" else (700, 1500))
+    _scan_with_duplicates(labeled, omega, duplicate, scan, 2000 * 1999 // 2)
     if plant == "none":
         best, tight_witness = _oracle_tight(x, y)
         cert = tight_omega(labeled)
@@ -333,7 +352,7 @@ def test_block_bounds_hold_exactly_on_ties(monkeypatch, leaf_rows, budget):
     monkeypatch.setattr(core, "_scan_tiled", _prune_always)
     x, a = _lattice_sheet(600, seed=1)
     y = x @ a.T
-    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    labeled = LabeledSet(x, y)
     best, witness = _oracle_tight(x, y)
     cert = tight_omega(labeled)
     assert (_bits(cert.omega), cert.witness) == (_bits(best), witness)
@@ -449,7 +468,7 @@ def test_fallback_is_decided_before_any_leaf_pair_is_bounded(monkeypatch, data, 
     monkeypatch.setattr(blocks, "__init__", spy_build)
     monkeypatch.setattr(blocks, "bounds", spy_bounds)
     monkeypatch.setattr(blocks, "tile", spy_tile)
-    labeled = LabeledSet.from_arrays(x, y, check_duplicates=False)
+    labeled = LabeledSet(x, y)
     pairs = len(x) * (len(x) - 1) // 2
     cert = tight_omega(labeled)
     if path == "pruned":

@@ -1,5 +1,6 @@
 """The names that users and the benchmark tracer rely on all resolve, and
-none of them takes a per-call tolerance, rank or cap override. Neither
+no function or method of the package, public or private, takes a per-call
+tolerance, rank or cap override. Neither
 importing the package nor running a sample problem changes numpy's ufunc
 buffer size or error settings.
 
@@ -12,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -51,9 +53,29 @@ def _is_override(name):
     return name.startswith("tol") or name in ("rank_tol", "cap")
 
 
+def _module_callables():
+    """Every function, method, classmethod and staticmethod defined in the
+    package's own modules, private ones included, by qualified name."""
+    for info in pkgutil.iter_modules(liprec.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"liprec.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported, not defined here
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    func = getattr(member, "__func__", member)  # class/staticmethods
+                    if inspect.isfunction(func):
+                        yield f"{info.name}.{name}.{attr}", func
+
+
 def test_no_public_call_takes_a_tolerance_rank_or_cap_override():
     # TOL_*, RANK_TOL and ENUMERATION_CAP are the package's fixed policy:
-    # no exported function, method or classmethod lets a caller change one.
+    # no exported function, method or classmethod lets a caller change one,
+    # and no private one does either, so each reads the constants itself.
     found, scanned = [], set()
     for name in liprec.__all__:
         obj = getattr(liprec, name)
@@ -63,7 +85,7 @@ def test_no_public_call_takes_a_tolerance_rank_or_cap_override():
                           for attr, member in vars(obj).items()
                           if isinstance(member, (classmethod, staticmethod))
                           or inspect.isfunction(member)]
-        for qualname, func in callables:
+        for qualname, func in [*callables, *_module_callables()]:
             try:
                 params = inspect.signature(func).parameters
             except (TypeError, ValueError):  # builtins without a signature
@@ -71,8 +93,12 @@ def test_no_public_call_takes_a_tolerance_rank_or_cap_override():
             scanned.add(qualname)
             found += [f"{qualname}({p})" for p in params if _is_override(p)]
     assert found == []
-    # the walk reaches classmethods and methods, not only functions
-    assert {"LabeledSet.from_arrays", "MwetHypothesis.evaluate", "rip_delta"} <= scanned
+    # the walk reaches classmethods and methods, not only functions, and
+    # the private helpers of every module
+    assert {"LabeledSet.from_arrays", "MwetHypothesis.evaluate", "rip_delta",
+            "lipschitz._scan_sample", "lipschitz._tight", "covering._cell_indices",
+            "core.LabeledSet._find_duplicate", "mwet.MwetHypothesis._evaluate_rows",
+            "cli.run_certify"} <= scanned
 
 
 def _numpy_state():

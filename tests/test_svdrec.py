@@ -242,7 +242,7 @@ def test_fit_reduced_checks_labels_and_duplicates_in_one_scan(monkeypatch):
     op = _random_operator(rng, 2, 3)
     x = rng.standard_normal((12, 3))
     x[9] = x[4]
-    sample = LabeledSet.from_operator(op, x, check_duplicates=False)
+    sample = LabeledSet(x, op.apply(x))
     omega = 2.0 * tight_omega(LabeledSet.from_operator(op, x[:9])).omega
     scans = []
     original = core._pair_tiles
@@ -260,7 +260,7 @@ def test_fit_reduced_checks_labels_and_duplicates_in_one_scan(monkeypatch):
         fit_reduced(distinct, op, 0.0, 0.5)
     # The O(n) residual check stays ahead of the pair scan.
     scans.clear()
-    off = LabeledSet.from_arrays(x, sample.observations + 1e-6, check_duplicates=False)
+    off = LabeledSet(x, sample.observations + 1e-6)
     with pytest.raises(LabelingError, match="pair 0: observation is off"):
         fit_reduced(off, op, omega, 0.5)
     assert scans == []
