@@ -15,6 +15,7 @@ tests/test_acceptance.py runs the same functions under pytest.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -42,9 +43,6 @@ from .svdrec import fit_reduced, identity_check, svd_factor
 # it exceeds the 1e-9 tolerance on its own. Capping the constant keeps
 # every measurement two orders of magnitude above the noise floor.
 _OMEGA_CAP = 1e3
-
-_cache: Dict[str, object] = {}
-
 
 @dataclass(frozen=True)
 class Check:
@@ -98,25 +96,24 @@ def _finish(number: int, label: str, task: str, checks: List[Check],
                            details=details or {})
 
 
+@functools.cache
 def _mwet_instances() -> List[MwetHypothesis]:
     """100 random Gaussian instances shared by criteria 1 and 2."""
-    if "mwet" not in _cache:
-        rng = seeded_rng(100)
-        instances = []
-        for _ in range(100):
-            while True:
-                n = int(rng.integers(2, 9))              # N <= 8
-                m = int(rng.integers(1, min(4, n) + 1))  # M <= 4
-                count = int(rng.integers(2, 101))        # |sample| <= 100
-                op = MatrixOperator(rng.standard_normal((m, n)))
-                sample = LabeledSet.from_operator(op, rng.standard_normal((count, n)))
-                # fit's omega1 defaults to the sample's tight constant
-                h = fit(sample)
-                if h.omega1 <= _OMEGA_CAP:
-                    break
-            instances.append(h)
-        _cache["mwet"] = instances
-    return _cache["mwet"]
+    rng = seeded_rng(100)
+    instances = []
+    for _ in range(100):
+        while True:
+            n = int(rng.integers(2, 9))              # N <= 8
+            m = int(rng.integers(1, min(4, n) + 1))  # M <= 4
+            count = int(rng.integers(2, 101))        # |sample| <= 100
+            op = MatrixOperator(rng.standard_normal((m, n)))
+            sample = LabeledSet.from_operator(op, rng.standard_normal((count, n)))
+            # fit's omega1 defaults to the sample's tight constant
+            h = fit(sample)
+            if h.omega1 <= _OMEGA_CAP:
+                break
+        instances.append(h)
+    return instances
 
 
 def criterion_1() -> CriterionResult:

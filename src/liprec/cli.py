@@ -104,9 +104,9 @@ def thread_budget() -> int:
 
     ``core.thread_budget`` is the one reader: the same value caps the BLAS
     pool (set as an environment default at import time, see the package
-    __init__), the threads of the rip subset-spectra kernel and those of
-    MWET evaluation (at most four), and it is recorded in report
-    metadata. An invalid value is a ProblemError.
+    __init__) and the threads of MWET evaluation (at most four), and
+    nothing else; it is recorded in report metadata. An invalid value is
+    a ProblemError.
     """
     try:
         return core_thread_budget()
@@ -668,18 +668,8 @@ def _criterion_entry(result: acceptance.CriterionResult) -> Dict[str, Any]:
     """Serialize one criterion. runtime_s is wall-clock metadata: it is
     the only field that differs between repeated runs (budgets carry wide
     margins, so within_budget stays put)."""
-    return {
-        "number": result.number,
-        "label": result.label,
-        "task": result.task,
-        "passed": result.passed,
-        "summary": result.summary,
-        "checks": [dataclasses.asdict(c) for c in result.checks],
-        "runtime_s": result.runtime_s,
-        "budget_s": result.budget_s,
-        "within_budget": result.within_budget,
-        "details": result.details,
-    }
+    return dict(dataclasses.asdict(result), passed=result.passed,
+                within_budget=result.within_budget)
 
 
 def _corrupt(entry: Dict[str, Any], factor: float) -> None:

@@ -1,7 +1,7 @@
 """Shared numeric vocabulary: vectors, labeled signal/observation sets,
 Lipschitz certificates, the error taxonomy, deterministic RNG seeding, the
 worker-thread budget read from LIPREC_THREADS, and the one thread helper
-that spreads a kernel's blocks over it.
+that spreads MWET evaluation's tiles over it.
 
 Everything is float64. Containers are frozen dataclasses whose arrays are
 marked read-only after construction, so objects may be shared freely across
@@ -215,8 +215,9 @@ def seeded_rng(seed: int) -> np.random.Generator:
 def thread_budget() -> int:
     """Worker-thread cap from LIPREC_THREADS, the hardware count by default.
 
-    The package __init__ also passes the value to the BLAS pool as an
-    environment default before numpy loads. Raises ParameterError for a
+    It caps MWET evaluation's tile threads, and the package __init__
+    passes the value to the BLAS pool as an environment default before
+    numpy loads; it caps nothing else. Raises ParameterError for a
     value that is not a positive integer.
     """
     raw = os.environ.get("LIPREC_THREADS", "").strip()
@@ -231,26 +232,29 @@ def thread_budget() -> int:
     return value
 
 
-def _map_blocks(worker, starts: range, workers: int) -> list:
-    """[block(start) for start in starts] on up to `workers` threads, in order.
+def _map_blocks(worker, starts: range, workers: int) -> None:
+    """Run block(start) once for each start, on up to `workers` threads.
 
-    The package's one thread helper. worker() runs once on each thread
-    and returns that thread's block function, so a thread sets up its
-    buffers once. The threads claim the starts one at a time, in order,
-    so a thread slowed by other work on its core takes fewer blocks
-    instead of holding up the call. The calling thread is one of them
-    and starts workers - 1 more (numpy releases the GIL inside its
-    kernels). Every thread is joined before the call returns, and the
-    first error raised on any of them is raised again here. With
-    workers <= 1 no thread starts. Plain threads need no module beyond
-    ``threading``, which numpy has loaded already: a pool module would
-    cost every threaded run its import time.
+    The package's one thread helper, which MWET evaluation's tiles run
+    on; each block writes its own part of the caller's output and
+    returns nothing. worker() runs once on each thread and returns that
+    thread's block function, so a thread sets up its buffers once. The
+    threads claim the starts one at a time, in order, so a thread slowed
+    by other work on its core takes fewer blocks instead of holding up
+    the call. The calling thread is one of them and starts workers - 1
+    more (numpy releases the GIL inside its kernels). Every thread is
+    joined before the call returns, and the first error raised on any of
+    them is raised again here. With workers <= 1 no thread starts. Plain
+    threads need no module beyond ``threading``, which numpy has loaded
+    already: a pool module would cost every threaded run its import
+    time.
     """
     if workers <= 1:
         block = worker()
-        return [block(start) for start in starts]
-    results = [None] * len(starts)
-    claims = iter(range(len(starts)))
+        for start in starts:
+            block(start)
+        return
+    claims = iter(starts)
     lock = threading.Lock()
     errors = []
 
@@ -259,10 +263,10 @@ def _map_blocks(worker, starts: range, workers: int) -> list:
             block = worker()
             while True:
                 with lock:
-                    index = next(claims, None)
-                if index is None:
+                    start = next(claims, None)
+                if start is None:
                     return
-                results[index] = block(starts[index])
+                block(start)
         except BaseException as exc:  # raised again on the calling thread
             with lock:
                 errors.append(exc)
@@ -279,7 +283,6 @@ def _map_blocks(worker, starts: range, workers: int) -> list:
             thread.join()
     if errors:
         raise errors[0]
-    return results
 
 
 # numpy's ufunc buffer, in elements, inside the kernels' broadcast blocks:

@@ -16,27 +16,28 @@ Each size is decided once. It goes to ``np.linalg.eigvalsh`` whole when
 it has at most a quarter block of subsets, or when the previous size's
 extremes lo and hi leave no room to prove a spectrum inside them (hi -
 lo within the test's margin, as for the identity). Every other size is
-tested in full: a float Cholesky test on the calling thread proves most
-spectra inside (lo, hi) by a margin. lo and hi bound this size's
-extremes by Cauchy interlacing, so a subset the test rules out has a
-deviation strictly below its size's best and cannot change a record. The
-test reads only the last row of each subset's shifted Cholesky factor,
-and builds those rows one size at a time at the tested size's shifts: a
-subset whose two largest columns are p < t takes the row of the subset
-without p, one new entry from the rows of the subsets without p and
-without t, and a last pivot. Those are the float operations, in the same
-order, that factoring the subset's Gram applies to its last row, so the
-test certifies exactly the subsets a full factorisation would, at one
-dot product of length k - 2 per subset of the tested size k. Memory is
-those rows of size S - 1 on both sides, O(C(N, S - 1) S) floats, plus a
-few blocks. The size's ranks, one range or one sorted array of the
-subsets the test kept, go to eigvalsh in colex order in fixed blocks
-that up to ``core.thread_budget()`` threads claim in order (numpy
-releases the GIL inside the eigensolver). Block results are reduced in
+tested in full: a float Cholesky test proves most spectra inside (lo,
+hi) by a margin. lo and hi bound this size's extremes by Cauchy
+interlacing, so a subset the test rules out has a deviation strictly
+below its size's best and cannot change a record. The test reads only
+the last row of each subset's shifted Cholesky factor, and builds those
+rows one size at a time at the tested size's shifts: a subset whose two
+largest columns are p < t takes the row of the subset without p, one new
+entry from the rows of the subsets without p and without t, and a last
+pivot. Those are the float operations, in the same order, that factoring
+the subset's Gram applies to its last row, so the test certifies exactly
+the subsets a full factorisation would, at one dot product of length
+k - 2 per subset of the tested size k. Memory is those rows of size
+S - 1 on both sides, O(C(N, S - 1) S) floats, plus a few blocks. The size's
+ranks, one range or one sorted array of the subsets the test kept, go to
+eigvalsh in colex order in fixed blocks, one after another on the
+calling thread; on the benchmark's and the acceptance suite's matrices
+every size is one block (BENCH_28.json). Block results are reduced in
 block order with a strict comparison, so the constants and the extremal
 subset (the first in size-then-colex order) are bit-identical for every
-block size and thread count. A Gram matrix that overflows float64 is
-rejected with DomainError before any size.
+block size. ``LIPREC_THREADS`` reaches the kernel only through the BLAS
+pool. A Gram matrix that overflows float64 is rejected with DomainError
+before any size.
 
 The kernel returns one record per size, and a size's record depends on
 the smaller sizes alone, so a pass at S serves every size up to S. Each
@@ -63,7 +64,6 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from . import core
 from .core import (
     TOL_CERT,
     DomainError,
@@ -72,15 +72,14 @@ from .core import (
     TooLargeError,
     as_matrix,
     seeded_rng,
-    thread_budget,
 )
 from .operators import MatrixOperator
 
 ENUMERATION_CAP = 10 ** 7
 
 # Subsets per eigvalsh call, and rows per chunk of the pruning test (a chunk
-# holds whole p-blocks, see _chunks). Each worker thread holds one block's
-# Gram stack and spectra at a time, and the test one chunk's operands, so a
+# holds whole p-blocks, see _chunks). The kernel holds one block's Gram
+# stack and spectra at a time, and the test one chunk's operands, so a
 # small block keeps peak memory level; the results do not depend on the
 # block size.
 _EIG_BLOCK = 1 << 12
@@ -151,15 +150,6 @@ def _spectra(gram: np.ndarray, sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     """Smallest and largest Gram eigenvalue of each subset in the rows of sub."""
     lam = np.linalg.eigvalsh(gram[sub[:, :, None], sub[:, None, :]])
     return lam[:, 0], lam[:, -1]
-
-
-def _fold(acc: tuple, part: tuple) -> tuple:
-    """Folds one block's extremes into a level's; a later block must beat the deviation."""
-    lo, hi, best, where = acc
-    b_lo, b_hi, b_dev, j = part
-    if b_dev > best:
-        best, where = b_dev, j
-    return min(lo, b_lo), max(hi, b_hi), best, where
 
 
 def _chunks(n: int, k: int) -> Iterator[Tuple[int, List[Tuple[int, int, int]]]]:
@@ -284,7 +274,7 @@ def _tested_rows(scaled: np.ndarray, k: int, sigma: np.ndarray) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _level_extremes(gram: np.ndarray, k: int, exp: int, threads: int,
+def _level_extremes(gram: np.ndarray, k: int, exp: int,
                     smaller: Tuple[float, float]) -> tuple:
     """(lambda_min, lambda_max, deviation, first extremal subset) over size k >= 2.
 
@@ -299,13 +289,14 @@ def _level_extremes(gram: np.ndarray, k: int, exp: int, threads: int,
     moves neither, and its deviation stays strictly below the size's best,
     however 1 - lambda and lambda - 1 round. It changes no field of the
     record. The ranks left, one range or one sorted array in colex order,
-    are cut into blocks of _EIG_BLOCK subsets that up to ``threads``
-    threads unrank (_unranked) and send to eigvalsh; the blocks are folded
-    in order with a strict comparison. 2^exp >= max(1, max |G|) is the unit
-    of the test (see _factor_level). Memory is the test's factor rows of
-    size k - 1 on both sides, 2 (k - 1) C(N, k - 1) floats, one chunk of
-    its operands, one eigvalsh block per thread, and one rank per kept
-    subset of a tested size; no size's subsets are ever held as indices.
+    are cut into blocks of _EIG_BLOCK subsets, each unranked (_unranked)
+    and sent to eigvalsh in turn on the calling thread; each block's
+    extremes are folded in block order, and a later block must beat the
+    deviation strictly. 2^exp >= max(1, max |G|) is the unit of the test
+    (see _factor_level). Memory is the test's factor rows of size k - 1 on
+    both sides, 2 (k - 1) C(N, k - 1) floats, one chunk of its operands,
+    one eigvalsh block, and one rank per kept subset of a tested size; no
+    size's subsets are ever held as indices.
     """
     n = gram.shape[0]
     lo, hi = (math.ldexp(bound, -exp) for bound in smaller)
@@ -320,20 +311,17 @@ def _level_extremes(gram: np.ndarray, k: int, exp: int, threads: int,
     else:
         rows = _tested_rows(np.ldexp(gram, -exp), k, np.array([lo, -hi]))
     pascal = np.array([[math.comb(t, j) for t in range(n)] for j in range(1, k + 1)])
-
-    def block(start: int) -> tuple:
+    low, high, best, where = math.inf, -math.inf, -math.inf, None
+    for start in range(0, len(rows), _EIG_BLOCK):
         ranks = rows[start:start + _EIG_BLOCK]
         if isinstance(ranks, range):
             ranks = np.arange(ranks.start, ranks.stop)
         sub = _unranked(ranks, pascal)
-        b_lo, b_hi, dev, j = _extremes(*_spectra(gram, sub))
-        return b_lo, b_hi, dev, tuple(int(i) for i in sub[j])
-
-    starts = range(0, len(rows), _EIG_BLOCK)
-    acc = (math.inf, -math.inf, -math.inf, None)
-    for part in core._map_blocks(lambda: block, starts, min(threads, len(starts))):
-        acc = _fold(acc, part)
-    return acc
+        b_low, b_high, dev, j = _extremes(*_spectra(gram, sub))
+        low, high = min(low, b_low), max(high, b_high)
+        if dev > best:
+            best, where = dev, tuple(int(i) for i in sub[j])
+    return low, high, best, where
 
 
 def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
@@ -351,7 +339,6 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
         gram = a.T @ a
     if not np.isfinite(gram).all():
         raise DomainError("matrix: Gram entries overflow float64 (A^T A is not finite)")
-    threads = thread_budget()
     exp = math.frexp(max(float(np.abs(gram).max()), 1.0))[1]
     # 1x1 Grams are the squared column norms; no eigensolver needed.
     diag = np.diag(gram)
@@ -359,7 +346,7 @@ def _subset_spectra(a: np.ndarray, S: int) -> List[_SizeSpectra]:
     records = [_SizeSpectra(lo, hi, best, (where,))]
     for k in range(2, S + 1):
         # lo and hi still hold the previous size's extremes
-        lo, hi, best, subset = _level_extremes(gram, k, exp, threads, (lo, hi))
+        lo, hi, best, subset = _level_extremes(gram, k, exp, (lo, hi))
         records.append(_SizeSpectra(lo, hi, best, subset))
     return records
 

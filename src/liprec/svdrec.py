@@ -187,11 +187,14 @@ class SvdRecoveryMap:
         """Per-signal norm of A R(A x) - A x under the original operator.
 
         Stays at roundoff for every x in R^N, trained or not, because the
-        recovery feeds back only range(A) components.
+        recovery feeds back only range(A) components. Where A R(A x) does
+        not fit float64, as for a huge trained null component, its row
+        reads inf or nan, silently.
         """
         xs = np.atleast_2d(np.asarray(signals, dtype=np.float64))
         y = xs @ self.factors.source.T
-        back = self.recover(y) @ self.factors.source.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = self.recover(y) @ self.factors.source.T
         return _row_norms(back - y)
 
 

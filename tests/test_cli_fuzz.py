@@ -52,6 +52,14 @@ HUGE_PROBES = copy.deepcopy(BASES["theorem3_square.json"])
 HUGE_PROBES["operator"]["data"][0][0] = 1e155
 HUGE_PROBES["signals"]["count"] = 1
 
+# theorem3 on the balanced matrix times 1e200: the one signal's trained null
+# component is huge, A R(A x) overflows float64, and the product used to
+# let out a RuntimeWarning before observation_consistency failed.
+HUGE_RECOVERY = dict(copy.deepcopy(BASES["rip_balanced.json"]), task="theorem3",
+                     params={"omega": 1, "epsilon": 0.5, "num_pairs": 50})
+HUGE_RECOVERY["operator"]["data"] = [[value * 1e200 for value in row]
+                                     for row in HUGE_RECOVERY["operator"]["data"]]
+
 # Deep copies, so that no two mutations share (and grow) one list or dict.
 VALUES = st.sampled_from([0, 1, -1, -0.5, math.nan, math.inf, -math.inf, 1e155, 1e308,
                           None, True, "x", [], {}, [0.0], *cli.TASKS]).map(copy.deepcopy)
@@ -110,6 +118,7 @@ OVERRIDES = st.lists(
 @example(problem=BASES["example3.json"], sets=[], missing="out")
 @example(problem=BASES["certify_segment.json"], sets=[], missing="trace")
 @example(problem=HUGE_PROBES, sets=[], missing=None)
+@example(problem=HUGE_RECOVERY, sets=[], missing=None)
 # The exact-inversion bound reads the norm of a 1e155 signal.
 @example(problem=BASES["theorem3_square.json"], sets=["signals.start=[1e155, 0]",
                                                       "signals.count=1"], missing=None)

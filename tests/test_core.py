@@ -20,8 +20,6 @@ from liprec import (
     MwetHypothesis,
     ParameterError,
     core,
-    rip,
-    rip_delta,
     validate_labeled_set,
 )
 from liprec.core import as_matrix, as_vector, readonly, seeded_rng
@@ -203,30 +201,31 @@ def test_import_applies_the_thread_budget_rule_to_blas(raw, blas, budget):
     assert out.stdout.strip() == repr((blas, budget))
 
 
-def test_map_blocks_returns_results_in_order():
-    # every start once, results in start order, one worker() per thread,
-    # the calling thread among them
-    made, seen = [], {}
+def test_map_blocks_runs_each_block_once():
+    # every start exactly once on 1, 2 and 3 workers, one worker() per
+    # thread, the calling thread among them; the call returns nothing
+    made, seen = [], []
 
     def worker():
         made.append(threading.current_thread())
 
         def block(start):
-            seen[start] = threading.current_thread()
-            return start * start
+            seen.append((start, threading.current_thread()))
 
         return block
 
     starts = range(0, 40, 2)
-    assert core._map_blocks(worker, starts, 3) == [s * s for s in starts]
-    assert sorted(seen) == list(starts)
-    assert len(made) == 3 and len({id(thread) for thread in made}) == 3
-    assert threading.current_thread() in made
-    assert set(map(id, seen.values())) <= set(map(id, made))
+    for workers in (1, 2, 3):
+        made.clear()
+        seen.clear()
+        assert core._map_blocks(worker, starts, workers) is None
+        assert sorted(start for start, _ in seen) == list(starts), workers
+        assert len(made) == workers and len({id(thread) for thread in made}) == workers
+        assert threading.current_thread() in made
+        assert {id(thread) for _, thread in seen} <= set(map(id, made))
     made.clear()
-    assert core._map_blocks(worker, range(5), 1) == [0, 1, 4, 9, 16]
-    assert core._map_blocks(worker, range(0), 0) == []
-    assert made == [threading.current_thread()] * 2
+    assert core._map_blocks(worker, range(0), 0) is None
+    assert made == [threading.current_thread()]
 
     def failing():
         def block(start):
@@ -245,26 +244,18 @@ def test_map_blocks_returns_results_in_order():
 
 
 def test_threaded_kernels_join_their_threads(monkeypatch):
-    # rip_delta's blocks and evaluate's tiles, each over three threads: no
-    # started thread outlives the call
+    # evaluate's tiles over three threads: no started thread outlives the call
     workers = []
     map_blocks = core._map_blocks
 
     def spy(fn, starts, count):
         workers.append(count)
-        return map_blocks(fn, starts, count)
+        map_blocks(fn, starts, count)
 
     monkeypatch.setattr(core, "_map_blocks", spy)
     monkeypatch.setenv("LIPREC_THREADS", "3")
-    monkeypatch.setattr(rip, "_EIG_BLOCK", 7)
     rng = seeded_rng(41)
     before = threading.active_count()
-    # the identity's subsets all tie, so the pruning test keeps them all
-    # and each level of several blocks sends them to the worker threads
-    rip_delta(np.eye(10), 3)
-    assert max(workers) == 3
-    assert threading.active_count() == before
-    workers.clear()
     training = LabeledSet(rng.standard_normal((200, 3)), rng.standard_normal((200, 2)))
     # 21000 queries against 200 training points: 4.2M distances, above the
     # cutoff for threading, in 11 tiles of 2048 rows

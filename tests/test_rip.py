@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liprec import acceptance, cli, core, rip
+from liprec import acceptance, cli, rip
 from liprec import (
     DimensionError,
     DomainError,
@@ -485,13 +485,12 @@ def rip_cases(draw):
 
 
 DEFAULT_BLOCK = rip._EIG_BLOCK
-# Every block size and thread budget the kernel is run under; block 1 puts
-# each subset in a block of its own, so every tie falls across a block seam.
-# No level here fills the default block; at blocks of 1, 7 and 32 a level
-# of more than a quarter block whose previous size leaves room is tested
-# over every prefix block, several where it has more prefixes than a block.
-KERNEL_SETTINGS = [(block, threads) for block in (1, 7, 32, DEFAULT_BLOCK)
-                   for threads in ("1", "2")]
+# Every block size the kernel is run under; block 1 puts each subset in a
+# block of its own, so every tie falls across a block seam. No level here
+# fills the default block; at blocks of 1, 7 and 32 a level of more than a
+# quarter block whose previous size leaves room is tested over every
+# prefix block, several where it has more prefixes than a block.
+KERNEL_SETTINGS = (1, 7, 32, DEFAULT_BLOCK)
 
 
 @settings(max_examples=120, deadline=None)
@@ -503,12 +502,11 @@ def _kernel_matches_seed_loops(case):
     expected_balance = _outcome(_oracle_spectral_balance, a, S)
     # the records hold lambda_min unclamped, which spectral_balance clamps at 0
     expected_records = _outcome(_oracle_records, a, S)
-    for block, threads in KERNEL_SETTINGS:
-        with mock.patch.object(rip, "_EIG_BLOCK", block), \
-                mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
-            assert _outcome(rip_delta, a, S) == expected_delta, (block, threads)
-            assert _outcome(spectral_balance, a, S) == expected_balance, (block, threads)
-            assert _outcome(rip._subset_spectra, a, S) == expected_records, (block, threads)
+    for block in KERNEL_SETTINGS:
+        with mock.patch.object(rip, "_EIG_BLOCK", block):
+            assert _outcome(rip_delta, a, S) == expected_delta, block
+            assert _outcome(spectral_balance, a, S) == expected_balance, block
+            assert _outcome(rip._subset_spectra, a, S) == expected_records, block
     assert _colex(a.shape[1], S) == expected_colex
 
 
@@ -531,9 +529,9 @@ def test_kernel_bit_identical_to_seed_loops(monkeypatch):
         tested.append(k)
         return tested_rows(scaled, k, sigma)
 
-    def level_spy(gram, k, exp, threads, smaller):
+    def level_spy(gram, k, exp, smaller):
         calls = len(tested)
-        record = level_extremes(gram, k, exp, threads, smaller)
+        record = level_extremes(gram, k, exp, smaller)
         if len(tested) == calls and math.comb(gram.shape[0], k) > rip._EIG_BLOCK // 4:
             no_room.append(smaller)
         return record
@@ -573,10 +571,9 @@ def _near_ties():
 def test_pruned_records_equal_oracle_on_near_ties():
     for a in _near_ties():
         expected = repr(_oracle_records(a, 4))
-        for block, threads in KERNEL_SETTINGS:
-            with mock.patch.object(rip, "_EIG_BLOCK", block), \
-                    mock.patch.dict(os.environ, {"LIPREC_THREADS": threads}):
-                assert repr(rip._subset_spectra(a, 4)) == expected, (block, threads)
+        for block in KERNEL_SETTINGS:
+            with mock.patch.object(rip, "_EIG_BLOCK", block):
+                assert repr(rip._subset_spectra(a, 4)) == expected, block
 
 
 def _rip_benchmark_matrix():
@@ -603,7 +600,7 @@ def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
         untested.setattr(rip, "_extension", certify_nothing)
         expected = repr(rip._subset_spectra(a, 6))
     spectra = rip._spectra
-    for block, threads in KERNEL_SETTINGS:
+    for block in KERNEL_SETTINGS:
         sent = {}
 
         def counted(gram, sub):
@@ -612,11 +609,10 @@ def test_every_block_of_a_multi_block_size_is_tested(monkeypatch):
 
         monkeypatch.setattr(rip, "_spectra", counted)
         monkeypatch.setattr(rip, "_EIG_BLOCK", block)
-        monkeypatch.setenv("LIPREC_THREADS", threads)
-        assert repr(rip._subset_spectra(a, 6)) == expected, (block, threads)
+        assert repr(rip._subset_spectra(a, 6)) == expected, block
         for k in (2, 3):  # sizes of at most a quarter block go to eigvalsh whole
             assert sent[k] == math.comb(28, k) or math.comb(28, k) > block // 4, (block, sent)
-        assert all(sent[k] < 1000 for k in (3, 4, 5, 6)), (block, threads, sent)
+        assert all(sent[k] < 1000 for k in (3, 4, 5, 6)), (block, sent)
 
 
 def test_every_prefix_block_of_a_tested_size_is_tested_on_copied_columns(monkeypatch):
@@ -916,44 +912,29 @@ def test_recoverability_condition_makes_one_kernel_pass(monkeypatch):
     assert sizes == [3]
 
 
-def test_cli_rip_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
+def test_cli_rip_reports_identical_for_every_block_size(tmp_path, monkeypatch):
     balanced = pathlib.Path(__file__).resolve().parent.parent / "problems" / "rip_balanced.json"
-    # Every subset of the identity's columns ties, so a level of several
-    # blocks stops testing after its first block of prefixes and sends
-    # every subset to the worker threads; the balanced matrix's levels may
-    # rule subsets out on the calling thread instead.
+    # Every subset of the identity's columns ties, so the pruning test has
+    # no room and each size goes to eigvalsh whole, in several blocks at
+    # block 7 (C(10, 2) = 45); the balanced matrix's levels may rule
+    # subsets out instead.
     tied = tmp_path / "rip_identity.json"
     tied.write_text(json.dumps(dict(json.loads(balanced.read_text()),
                                     operator={"type": "matrix", "data": np.eye(10).tolist()})))
-    workers = []
-    map_blocks = core._map_blocks
-
-    def spy(fn, starts, count):
-        workers.append(count)
-        return map_blocks(fn, starts, count)
-
-    monkeypatch.setattr(core, "_map_blocks", spy)
     sizes = _counting_kernel(monkeypatch)
     for problem in (balanced, tied):
         reports = {}
         for block in (7, DEFAULT_BLOCK):
             monkeypatch.setattr(rip, "_EIG_BLOCK", block)
-            for threads in ("1", "2"):
-                monkeypatch.setenv("LIPREC_THREADS", threads)
-                workers.clear()
-                out = tmp_path / f"report-{problem.stem}-{block}-{threads}.json"
-                assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
-                report = json.loads(out.read_text())
-                assert report["metadata"].pop("threads") == int(threads)
-                for clock in ("runtime_ms", "timestamp"):
-                    report["metadata"].pop(clock)
-                reports[block, threads] = json.dumps(report, sort_keys=True)
-                if problem == tied:
-                    # block 7 splits every size >= 2 into several blocks (C(10, 2) = 45)
-                    assert max(workers) == (int(threads) if block == 7 else 1)
+            out = tmp_path / f"report-{problem.stem}-{block}.json"
+            assert cli.main(["run", str(problem), "--out", str(out)]) == cli.EXIT_OK
+            report = json.loads(out.read_text())
+            for clock in ("runtime_ms", "timestamp"):
+                report["metadata"].pop(clock)
+            reports[block] = json.dumps(report, sort_keys=True)
         assert len(set(reports.values())) == 1
     # delta_S and delta_2S both come from one pass at 2S
-    assert sizes == [4] * 8
+    assert sizes == [4] * 4
 
 
 def test_cli_rip_checks_2s_before_any_pass(tmp_path, capsys, monkeypatch):
@@ -984,12 +965,14 @@ def test_import_and_single_block_runs_load_no_thread_pool():
     # set-up time is measured end to end: a single-block rip pass and a
     # one-tile evaluate call (500 queries against 3 training points) start
     # no thread, and threaded runs start plain threads, so no run pays for
-    # importing a pool module. The threaded rip pass is on the identity,
-    # whose tied subsets the pruning test keeps, so a level's blocks go to
-    # the worker threads. 2 * 10^5 queries against 30 training points
-    # are above the cutoff for threading, and start one thread.
+    # importing a pool module. The rip kernel starts no thread at any
+    # size: on the identity at block 7, where the pruning test has no
+    # room, every size goes to eigvalsh in several blocks on the calling
+    # thread under LIPREC_THREADS = 2. 2 * 10^5 queries against 30
+    # training points are above the cutoff for threading, and start one
+    # thread.
     code = ("import sys, threading, numpy as np, liprec\n"
-            "from liprec import core, rip\n"
+            "from liprec import rip\n"
             "started = []\n"
             "start = threading.Thread.start\n"
             "threading.Thread.start = lambda self: (started.append(1), start(self))[1]\n"
@@ -999,7 +982,7 @@ def test_import_and_single_block_runs_load_no_thread_pool():
             "print(len(started), 'concurrent.futures' in sys.modules)\n"
             "rip._EIG_BLOCK = 7\n"
             "liprec.rip_delta(np.eye(10), 3)\n"
-            "print(len(started) > 0, 'concurrent.futures' in sys.modules)\n"
+            "print(len(started), 'concurrent.futures' in sys.modules)\n"
             "threaded = len(started)\n"
             "obs = np.arange(90.0).reshape(30, 3)\n"
             "liprec.fit(liprec.LabeledSet.from_arrays(obs, obs)).evaluate(np.zeros((200000, 3)))\n"
@@ -1007,10 +990,11 @@ def test_import_and_single_block_runs_load_no_thread_pool():
     env = dict(os.environ, LIPREC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[:3] == ["0 False", "True False", "1 False"]
+    assert out.stdout.split("\n")[:3] == ["0 False", "0 False", "1 False"]
 
 
-def test_kernel_rejects_invalid_thread_budget(monkeypatch):
+def test_kernel_does_not_read_the_thread_budget(monkeypatch):
+    # LIPREC_THREADS caps the BLAS pool and MWET evaluation only
+    expected = repr(rip_delta(np.eye(4), 2))
     monkeypatch.setenv("LIPREC_THREADS", "0")
-    with pytest.raises(ParameterError, match="LIPREC_THREADS must be positive, got 0"):
-        rip_delta(np.eye(4), 2)
+    assert repr(rip_delta(np.eye(4), 2)) == expected
