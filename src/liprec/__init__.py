@@ -77,7 +77,6 @@ from .mwet import MwetHypothesis, fit
 from .covering import (
     CoverPipelineResult,
     CoverReport,
-    GridCover,
     GridSpec,
     build_cover,
     cover_pipeline,
@@ -121,7 +120,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "FitReducedResult",
-    "GridCover",
     "GridSpec",
     "LabeledSet",
     "LabelingError",

@@ -245,7 +245,7 @@ def build_signals(spec: Any, operator: Operator, default_seed: int) -> np.ndarra
     if not isinstance(spec, dict):
         raise ProblemError("field 'signals' must be an object")
     kind = _require(spec, "type", "signals")
-    if kind in ("list", "finite_list"):
+    if kind == "list":
         data = _float_array(_require(spec, "data", "signals"), "signals.data")
         if data.ndim == 1:
             data = data[:, None]

@@ -41,7 +41,9 @@ of either of two tile sources, which give the same bits.
   monotone. Node pairs are bounded from the top of the tree down, and
   only those where a test may hold or whose score bound can reach the
   running maximum are refined, so a skipped pair can neither be nor tie
-  the witness. Memory stays O(n + budget) here too.
+  the witness. Every node also keeps its least row, and a test counts as
+  unable to hold in a node pair once the test's first pair so far
+  precedes all of its rows. Memory stays O(n + budget) here too.
 * A fixed rule, ``_scan_tiled``, picks the tiled scan before any pair of
   leaves is bounded: when all pairs fit eight tiles, when the leaves are
   too few to halve every coordinate of the split array once
@@ -471,10 +473,11 @@ def _first_max_pair(x: np.ndarray, y: Optional[np.ndarray], score=None, tests=()
     in dx and holds more readily as dy shrinks. A node pair's bounds on dx
     and dy (see ``_LeafBlocks``) therefore bound the computed value of every
     pair below it, and a node pair is skipped only when its score bound is
-    below the running maximum and no test can hold in it. A skipped pair
-    scores strictly less than the maximum, so it cannot be or tie the
-    witness, and the pairs examined give the same maximum, witness and
-    first passing pairs as the exhaustive row-major scan, bit for bit. The
+    below the running maximum and no test can hold in it ahead of that
+    test's first pair so far. A skipped pair scores strictly less than the
+    maximum, so it cannot be or tie the witness, and the pairs examined
+    give the same maximum, witness and first passing pairs as the
+    exhaustive row-major scan, bit for bit. The
     k-d tree splits the observations, or the signals for a question
     without observations; the order of the rows in the tree decides only
     which rows share a block. The tiled scan runs instead whenever
@@ -522,13 +525,19 @@ class _Fold:
             if top > self.best or pair < self.witness:  # the witness's own value: 0.0 or -0.0
                 self.best, self.witness = float(values[at]), pair
 
-    def bound(self, near, far, gap):
-        """The score bound of node pairs whose dx lie in [near, far] and
-        whose dy are at least gap, and a bit per test that may hold."""
+    def bound(self, near, far, gap, least):
+        """The score bound of node pairs whose dx lie in [near, far], whose
+        dy are at least gap and whose rows are at least ``least``, and a bit
+        per test that may hold in one of them. A test's bit is clear where
+        ``least`` is past the row of its first pair so far: every pair
+        there comes later in row-major order."""
         value = np.full(far.shape, -np.inf) if self.score is None else self.score(far, gap)
         may = np.zeros(far.shape, dtype=np.int64)
         for t, test in enumerate(self.tests):
-            may |= (test(far, gap) | test(near, gap)).astype(np.int64) << t
+            hold = test(far, gap) | test(near, gap)
+            if self.firsts[t] is not None:
+                hold &= least <= self.firsts[t][0]
+            may |= hold.astype(np.int64) << t
         return value, may
 
 
@@ -666,9 +675,10 @@ class _LeafBlocks:
 
     Nodes 0 to count - 1 are the leaves, in order; the others are internal
     and hold a run of whole leaves. An internal node's boxes are the union
-    of its children's, so its bounds hold for every pair below it. The
-    last leaf is padded with copies of its last row, which leave its boxes
-    unchanged and form no pair.
+    of its children's, and its least row the least of theirs, so its
+    bounds hold for every pair below it. The last leaf is padded with
+    copies of its last row, which leave its boxes and least row unchanged
+    and form no pair.
     """
 
     def __init__(self, x: np.ndarray, y: Optional[np.ndarray]):
@@ -686,6 +696,8 @@ class _LeafBlocks:
         self.halves = np.stack([np.arange(nodes), np.full(nodes, -1)])
         self.sizes = np.empty(nodes, dtype=np.int64)
         self.sizes[:self.count] = self.real.sum(axis=1)
+        self.least = np.empty(nodes, dtype=np.int64)
+        self.least[:self.count] = self.rows.min(axis=1)
         # Box corners of every node: signal coordinates, then observation ones.
         leaves = np.concatenate([a for a in (self.x, self.y) if a is not None])
         self.lo = np.empty((leaves.shape[0], nodes))
@@ -694,6 +706,7 @@ class _LeafBlocks:
         for ids, left, right in reversed(levels):
             self.halves[:, ids] = left, right
             self.sizes[ids] = self.sizes[left] + self.sizes[right]
+            self.least[ids] = np.minimum(self.least[left], self.least[right])
             self.lo[:, ids] = np.minimum(self.lo[:, left], self.lo[:, right])
             self.hi[:, ids] = np.maximum(self.hi[:, left], self.hi[:, right])
         # Every pair of distinct leaves lies below exactly one of these
@@ -702,12 +715,13 @@ class _LeafBlocks:
 
     def bounds(self, a: np.ndarray, b: np.ndarray):
         """Bounds for node pairs (a[k], b[k]): dx between the signal boxes'
-        gap and reach, dy at least the observation boxes' gap (or None)."""
+        gap and reach, dy at least the observation boxes' gap (or None),
+        and every row at least the pair's least row."""
         w = self.x.shape[0]
         lo_a, hi_a, lo_b, hi_b = self.lo[:, a], self.hi[:, a], self.lo[:, b], self.hi[:, b]
         x = lo_a[:w], hi_a[:w], lo_b[:w], hi_b[:w]
         gap = None if self.y is None else _box_gaps(lo_a[w:], hi_a[w:], lo_b[w:], hi_b[w:])
-        return _box_gaps(*x), _box_reaches(*x), gap
+        return _box_gaps(*x), _box_reaches(*x), gap, np.minimum(self.least[a], self.least[b])
 
     def children(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The node pairs one level below pairs (a[k], b[k]), as a (2, m)
@@ -771,8 +785,11 @@ def _pruned_max_pair(x: np.ndarray, y: Optional[np.ndarray], fold: _Fold, dim: i
     count, and when it never does the function returns False, having fed
     only the diagonal. The second descent bounds node pairs from the top of
     the tree down and refines only those where a test may hold or whose
-    score bound reaches the running maximum. In each batch the leaf pairs
-    where a test may hold are examined first, then the rest in decreasing
+    score bound reaches the running maximum. In both, a test counts as
+    unable to hold in a node pair once its first pair so far precedes all
+    of the node pair's rows (``_Fold.bound``), so a failing verification
+    soon stops refining for violations. In each batch the leaf pairs where
+    a test may hold are examined first, then the rest in decreasing
     order of their score bound (touching blocks, with an infinite ratio
     bound, first) until a bound falls below the running maximum. Memory
     stays O(n + budget).

@@ -14,16 +14,18 @@ extension with per-coordinate constant omega recovers every certified
 sample point to within epsilon.
 
 Cells are half-open with the top face clamped into the last cell, making
-the partition disjoint and the representative map deterministic
-(first sample point per cell, in input order). Only occupied cells are
-stored; t^M is a bound, never a work estimate.
+the partition disjoint and the representatives deterministic (first
+sample point per cell, in input order). A cover is just those sample
+rows, ascending (``build_cover``): both pipelines train on
+``sample.subset(rows)``, and no cell table is kept. Only occupied cells
+are touched; t^M is a bound, never a work estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Literal, Tuple
+from typing import Literal
 
 import numpy as np
 
@@ -69,21 +71,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
 
 
-def _grid(obs_dim: int, omega: float, epsilon: float, dim_factor: float,
-          signal_dim: int) -> GridSpec:
-    if not (np.isfinite(omega) and omega > 0.0):
-        raise ParameterError(f"omega must be positive, got {omega}")
-    _check_epsilon(epsilon)
-    side = (1.0 + dim_factor) * omega * math.sqrt(obs_dim) / epsilon
-    if not math.isfinite(side):
-        raise ParameterError(
-            f"epsilon = {epsilon!r} is too small for omega = {omega!r}: "
-            f"the grid side t overflows")
-    t = math.ceil(side)
-    return GridSpec(t=max(t, 1), obs_dim=obs_dim, signal_dim=signal_dim,
-                    omega=float(omega), epsilon=float(epsilon), dim_factor=float(dim_factor))
-
-
 def grid_spec(signal_dim: int, obs_dim: int, omega: float, epsilon: float,
               mode: GridMode) -> GridSpec:
     """Cell count and geometry for the chosen hypothesis output mode.
@@ -102,7 +89,16 @@ def grid_spec(signal_dim: int, obs_dim: int, omega: float, epsilon: float,
         factor = math.sqrt(signal_dim - obs_dim)
     else:
         raise ParameterError(f"unknown grid mode {mode!r}")
-    return _grid(obs_dim, omega, epsilon, factor, signal_dim)
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ParameterError(f"omega must be positive, got {omega}")
+    _check_epsilon(epsilon)
+    side = (1.0 + factor) * omega * math.sqrt(obs_dim) / epsilon
+    if not math.isfinite(side):
+        raise ParameterError(
+            f"epsilon = {epsilon!r} is too small for omega = {omega!r}: "
+            f"the grid side t overflows")
+    return GridSpec(t=max(math.ceil(side), 1), obs_dim=obs_dim, signal_dim=signal_dim,
+                    omega=float(omega), epsilon=float(epsilon), dim_factor=float(factor))
 
 
 def _cell_indices(spec: GridSpec, observations: np.ndarray) -> np.ndarray:
@@ -124,44 +120,18 @@ def _cell_indices(spec: GridSpec, observations: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(unit * spec.t).astype(np.int64), 0, spec.t - 1)
 
 
-@dataclass(frozen=True)
-class GridCover:
-    """One training representative per occupied cell of a grid.
-
-    ``representatives`` maps cell digit tuples to row indices into
-    ``source``, in first-occurrence order; the mapped pair is the earliest
-    sample point whose observation falls in the cell.
-    """
-
-    spec: GridSpec
-    representatives: Dict[Tuple[int, ...], int]
-    source: LabeledSet
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def representative_indices(self) -> np.ndarray:
-        return np.fromiter(self.representatives.values(), dtype=np.int64,
-                           count=len(self.representatives))
-
-    def representative_set(self) -> LabeledSet:
-        """The representatives as a labeled set, in first-occurrence order."""
-        return self.source.subset(self.representative_indices())
-
-
-def build_cover(sample: LabeledSet, spec: GridSpec) -> GridCover:
-    """Select the first sample point, in input order, per occupied cell."""
-    if len(sample) == 0:
+def build_cover(observations: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The cover's sample rows: the first row, in input order, of each
+    occupied cell, as an ascending int64 array."""
+    if len(observations) == 0:
         raise DegenerateSetError("cannot cover an empty sample")
-    if sample.obs_dim != spec.obs_dim:
+    if observations.shape[1] != spec.obs_dim:
         raise DimensionError(
-            f"sample obs dim {sample.obs_dim} != grid dim {spec.obs_dim}")
-    digits = _cell_indices(spec, sample.observations)
+            f"sample obs dim {observations.shape[1]} != grid dim {spec.obs_dim}")
+    digits = _cell_indices(spec, observations)
     # One stable sort groups each cell's rows in input order.
     order = np.lexsort(digits.T)
-    first = np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
-    reps = {tuple(digits[row].tolist()): int(row) for row in first}
-    return GridCover(spec=spec, representatives=reps, source=sample)
+    return np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
 
 
 @dataclass(frozen=True)
@@ -178,7 +148,7 @@ class CoverReport:
 
 @dataclass(frozen=True)
 class CoverPipelineResult:
-    cover: GridCover
+    representatives: np.ndarray  # the cover's rows of the sample, ascending
     hypothesis: MwetHypothesis
     report: CoverReport
     recovery_errors: np.ndarray  # per sample point, in input order
@@ -203,16 +173,16 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPip
     """
     cert = _certify_sample(sample, omega)
     spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
-    cover = build_cover(sample, spec)
-    hypothesis = _fit(cover.representative_set(), omega, 0.0)
+    reps = build_cover(sample.observations, spec)
+    hypothesis = _fit(sample.subset(reps), omega, 0.0)
     errors = _row_norms(hypothesis.evaluate(sample.observations) - sample.signals)
     report = CoverReport(
         t=spec.t,
-        cells_occupied=len(cover),
+        cells_occupied=len(reps),
         cells_bound=spec.cell_bound,
-        max_training_residual=float(errors[cover.representative_indices()].max()),
+        max_training_residual=float(errors[reps].max()),
         max_recovery_error=float(errors.max()),
         epsilon=float(epsilon),
     )
-    return CoverPipelineResult(cover=cover, hypothesis=hypothesis, report=report,
+    return CoverPipelineResult(representatives=reps, hypothesis=hypothesis, report=report,
                                recovery_errors=errors, certificate=cert)

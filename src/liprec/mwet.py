@@ -26,7 +26,7 @@ running min across chunks is a contiguous row: the first chunk's min
 over the chunk axis goes straight into it, and each later chunk's goes
 into a spare row and is folded in from there. ``evaluate`` returns one
 transposed, C-contiguous copy; ``lipschitz_audit`` reads the rows as
-they are and sums their squares row by row (``_col_norms``). Tiles are long
+they are and sums their squares row by row (``_row_norms``). Tiles are long
 (thousands of queries) and chunks short (a few training points), and each
 tile runs under a small numpy ufunc buffer (``core._ufunc_buffer``), so
 that the broadcast numpy calls of a full tile run on rows longer than
@@ -332,13 +332,13 @@ class MwetHypothesis:
         # one each, and one evaluate call covers both halves.
         ends = rng.uniform(lo, hi, size=(2, num_pairs, self.input_dim))
         y1, y2 = ends
-        gaps = _col_norms((y1 - y2).T)
+        gaps = _row_norms(y1 - y2)
         for _ in range(64):
             close = np.flatnonzero(gaps < floor)
             if close.size == 0:
                 break
             y2[close] = rng.uniform(lo, hi, size=(close.size, self.input_dim))
-            gaps[close] = _col_norms((y1[close] - y2[close]).T)
+            gaps[close] = _row_norms(y1[close] - y2[close])
         try:
             recovered = self._evaluate_rows(ends.reshape(2 * num_pairs, self.input_dim))
         except DomainError as exc:
@@ -346,7 +346,7 @@ class MwetHypothesis:
                 "the audit's sampling box (the training observations' bounding box, "
                 "inflated by 50%) holds a point whose recovered value overflows float64 "
                 f"at omega1 = {self.omega1:.6g}") from exc
-        num = _col_norms(recovered[:, :num_pairs] - recovered[:, num_pairs:])
+        num = _row_norms((recovered[:, :num_pairs] - recovered[:, num_pairs:]).T)
         valid = gaps >= floor
         if not np.any(valid):
             return 0.0
@@ -354,40 +354,29 @@ class MwetHypothesis:
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(d, axis=1), without overflow in the squares.
+    """np.linalg.norm of each C-order row of d, without overflow in the squares.
 
-    A row whose plain norm is not finite is divided by the power of two at
-    or just below its largest magnitude, which is finite, and its norm
-    multiplied back. Both steps are exact short of underflow, so the
-    result is inf only where the norm itself exceeds float64, and every
-    other row keeps the plain norm's bits.
+    The squares of columns d[:, t] are summed in ``np.add.reduce``'s order
+    over a contiguous axis (``core._norms``), so every norm is
+    bit-identical to ``np.linalg.norm`` of a C-contiguous copy of d,
+    whatever its layout: output-major rows are read as they are through
+    their transpose. ``_pairwise_sum`` adds into its terms, so each square
+    is a fresh array. A row whose norm is not finite is divided by the
+    power of two at or just below its largest magnitude, which is finite,
+    and its norm multiplied back. Both steps are exact short of underflow,
+    so the result is inf only where the norm itself exceeds float64.
     """
+    def norms(a):
+        return core._norms(lambda t: np.multiply(a[:, t], a[:, t]), a.shape[1])
+
     with np.errstate(over="ignore"):
-        out = np.linalg.norm(d, axis=1)
+        out = norms(d)
         big = np.flatnonzero(~np.isfinite(out))
         if big.size:
             rows = d[big]
             largest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
             scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
-            out[big] = np.linalg.norm(rows / scale[:, None], axis=1) * scale
-    return out
-
-
-def _col_norms(rows: np.ndarray) -> np.ndarray:
-    """_row_norms(rows.T) for a (width, count) array, read row by row.
-
-    The squares of the rows are summed in ``np.add.reduce``'s order over a
-    contiguous axis (``core._norms``), so every norm is bit-identical to
-    ``np.linalg.norm`` of a C-contiguous (count, width) copy, whatever the
-    layout of rows. ``_pairwise_sum`` adds into its terms, so each square
-    is a fresh array. A norm that is not finite is recomputed by
-    ``_row_norms``, on a C-contiguous gather of its column.
-    """
-    with np.errstate(over="ignore"):
-        out = core._norms(lambda t: np.multiply(rows[t], rows[t]), rows.shape[0])
-        big = np.flatnonzero(~np.isfinite(out))
-        if big.size:
-            out[big] = _row_norms(rows.T[big])
+            out[big] = norms(rows / scale[:, None]) * scale
     return out
 
 

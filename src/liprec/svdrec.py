@@ -41,7 +41,7 @@ from .core import (
     as_batch,
     readonly,
 )
-from .covering import GridCover, _check_epsilon, build_cover, grid_spec
+from .covering import _check_epsilon, build_cover, grid_spec
 from .lipschitz import _certify_sample
 from .mwet import MwetHypothesis, _fit, _row_norms
 from .operators import MatrixOperator, unit_box
@@ -220,7 +220,7 @@ class ReducedReport:
 @dataclass(frozen=True)
 class FitReducedResult:
     recovery: SvdRecoveryMap
-    cover: Optional[GridCover]
+    representatives: Optional[np.ndarray]  # the cover's rows of the sample; None if exact
     report: ReducedReport
     recovery_errors: np.ndarray  # per sample point, in input order
     certificate: LipschitzCertificate  # the sample's certification at omega
@@ -269,15 +269,14 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
             t_reduced=None, t_full=None, cells_occupied=0, cells_bound=None,
             max_training_residual=0.0, max_recovery_error=float(errors.max()),
             epsilon=float(epsilon), effective_rank=r, exact_inversion=True)
-        return FitReducedResult(recovery=recovery, cover=None, report=report,
+        return FitReducedResult(recovery=recovery, representatives=None, report=report,
                                 recovery_errors=errors, certificate=cert)
 
     lo, scale = unit_box(eff_obs)
     unit_obs = (eff_obs - lo) / scale
     spec = grid_spec(n, r, omega * scale, epsilon, "reduced")
     spec_full = grid_spec(n, r, omega * scale, epsilon, "full")
-    cover = build_cover(LabeledSet(sample.signals, unit_obs), spec)
-    reps = cover.representative_indices()
+    reps = build_cover(unit_obs, spec)
     # Null components may repeat across representatives (e.g. a sample inside
     # a translate of range(A)); the observations, one per cell, do not.
     training = LabeledSet(sample.signals[reps] @ factors.v2, eff_obs[reps])
@@ -287,12 +286,12 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     report = ReducedReport(
         t_reduced=spec.t,
         t_full=spec_full.t,
-        cells_occupied=len(cover),
+        cells_occupied=len(reps),
         cells_bound=spec.cell_bound,
         max_training_residual=float(errors[reps].max()),
         max_recovery_error=float(errors.max()),
         epsilon=float(epsilon),
         effective_rank=r,
         exact_inversion=False)
-    return FitReducedResult(recovery=recovery, cover=cover, report=report,
+    return FitReducedResult(recovery=recovery, representatives=reps, report=report,
                             recovery_errors=errors, certificate=cert)

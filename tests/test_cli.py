@@ -121,8 +121,9 @@ def test_build_signals_list_variants():
     op = cli.build_operator({"type": "piecewise_example"})
     flat = cli.build_signals({"type": "list", "data": [0.1, 0.2]}, op, 0)
     assert flat.shape == (2, 1)
-    alias = cli.build_signals({"type": "finite_list", "data": [[0.3]]}, op, 0)
-    assert alias.shape == (1, 1)
+    with pytest.raises(cli.ProblemError, match=r"^unknown signals\.type 'finite_list' "
+                                                r"\(expected 'list', "):
+        cli.build_signals({"type": "finite_list", "data": [[0.3]]}, op, 0)
     with pytest.raises(cli.ProblemError):
         cli.build_signals({"type": "list", "data": [[0.1, 0.2]]}, op, 0)
 

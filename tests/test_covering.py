@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from liprec import (
+    DegenerateSetError,
     DimensionError,
     LabeledSet,
     LabelingError,
@@ -23,10 +24,14 @@ from liprec import (
     TOL_CERT,
     build_cover,
     cover_pipeline,
+    fit_reduced,
     grid_spec,
+    svd_factor,
+    tight_omega,
 )
 from liprec import covering
 from liprec.core import seeded_rng
+from liprec.operators import unit_box
 
 
 def test_grid_spec_full_mode_hand_value():
@@ -132,7 +137,7 @@ def test_cell_index_tolerance_and_out_of_box(monkeypatch):
     with pytest.raises(OutOfBoxError, match=r"\[0, 1\]\^M \+ 1.0e-02"):
         _digits(spec, [-0.02, 0.5])
     with pytest.raises(DimensionError):
-        build_cover(LabeledSet.from_arrays([[0.0, 0.0, 0.0]], [[0.5]]), spec)
+        build_cover(np.array([[0.5]]), spec)
 
 
 def test_cell_index_consistent_with_side():
@@ -160,10 +165,10 @@ def test_build_cover_first_wins():
     spec = grid_spec(2, 1, 1.0, 3.0, "full")
     assert spec.t == 1
     ls = LabeledSet.from_arrays([[0.0, 0.0], [1.0, 1.0]], [[0.2], [0.8]])
-    cover = build_cover(ls, spec)
-    assert len(cover) == 1
-    assert cover.representatives[(0,)] == 0
-    assert np.array_equal(cover.representative_set().signals, [[0.0, 0.0]])
+    reps = build_cover(ls.observations, spec)
+    assert reps.tolist() == [0]
+    assert _digits(spec, *ls.observations[reps]) == [(0,)]
+    assert np.array_equal(ls.subset(reps).signals, [[0.0, 0.0]])
 
 
 def test_build_cover_every_sampled_cell_occupied():
@@ -172,13 +177,14 @@ def test_build_cover_every_sampled_cell_occupied():
     x = np.sort(rng.uniform(0.0, 1.0, size=1000))[:, None]
     ls = LabeledSet.from_operator(op, x)
     spec = grid_spec(1, 1, 1.0, 0.2, "full")
-    cover = build_cover(ls, spec)
-    assert len(cover) <= spec.t
+    reps = build_cover(ls.observations, spec)
+    assert len(reps) <= spec.t
     cells = _digits(spec, *ls.observations)
-    assert set(cover.representatives) == set(cells)
-    # each representative's observation really lies in its cell
-    for cell, row in cover.representatives.items():
-        assert cells[row] == cell
+    # one representative per occupied cell, each the first row in its cell
+    assert len({cells[row] for row in reps}) == len(reps)
+    assert {cells[row] for row in reps} == set(cells)
+    for row in reps:
+        assert cells.index(cells[row]) == row
 
 
 def _oracle_representatives(digits):
@@ -200,22 +206,20 @@ def test_build_cover_matches_dict_loop(data, t, m, n):
     obs = data.draw(arrays(np.float64, (n, m), elements=elements))
     spec = covering.GridSpec(t=t, obs_dim=m, signal_dim=1, omega=1.0, epsilon=1.0,
                              dim_factor=1.0)
-    sample = LabeledSet(np.arange(n, dtype=float)[:, None], obs)
     expected = _oracle_representatives(covering._cell_indices(spec, obs))
-    got = build_cover(sample, spec).representatives
-    assert list(got.items()) == list(expected.items())
-    assert all(type(d) is int for key in got for d in key)
-    assert all(type(row) is int for row in got.values())
+    got = build_cover(obs, spec)
+    assert got.tolist() == list(expected.values())
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
 
 
 def test_build_cover_guards():
     spec = grid_spec(2, 2, 1.0, 0.5, "full")
-    ls = LabeledSet.from_arrays([[0.0, 0.0]], [[0.5]])
-    with pytest.raises(DimensionError):
-        build_cover(ls, spec)
-    outside = LabeledSet.from_arrays([[0.0, 0.0]], [[0.5, 1.7]])
+    with pytest.raises(DegenerateSetError, match="^cannot cover an empty sample$"):
+        build_cover(np.empty((0, 2)), spec)
+    with pytest.raises(DimensionError, match=r"^sample obs dim 1 != grid dim 2$"):
+        build_cover(np.array([[0.5]]), spec)
     with pytest.raises(OutOfBoxError):
-        build_cover(outside, spec)
+        build_cover(np.array([[0.5, 1.7]]), spec)
 
 
 def test_representative_set_order_matches_first_occurrence():
@@ -223,9 +227,9 @@ def test_representative_set_order_matches_first_occurrence():
     assert spec.t == 2
     ls = LabeledSet.from_arrays([[0.9, 0.0], [0.1, 0.0], [0.95, 0.0]],
                                 [[0.9], [0.1], [0.95]])
-    cover = build_cover(ls, spec)
-    reps = cover.representative_set()
-    assert np.array_equal(reps.observations[:, 0], [0.9, 0.1])
+    reps = build_cover(ls.observations, spec)
+    assert reps.tolist() == [0, 1]
+    assert np.array_equal(ls.subset(reps).observations[:, 0], [0.9, 0.1])
 
 
 def test_cover_pipeline_ramp_recovery():
@@ -278,6 +282,43 @@ def test_cover_pipeline_linear_segment():
     result = cover_pipeline(sample, omega=omega * scale, epsilon=0.3)
     assert result.report.max_recovery_error <= 0.3
     assert result.report.max_training_residual <= 1e-9
+
+
+def test_pipelines_train_on_the_cover_rows():
+    # Both pipelines train on exactly the rows build_cover picks: the full
+    # one on its sample's observations, the reduced one on the unit-boxed
+    # effective observations of a rank-2 operator. The grid side is 8.
+    rng = seeded_rng(45)
+    op = MatrixOperator(rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4)))
+    raw = LabeledSet.from_operator(op, rng.standard_normal((300, 4)))
+    omega = tight_omega(raw).omega
+
+    lo, scale = unit_box(raw.observations)
+    sample = LabeledSet.from_arrays(raw.signals, (raw.observations - lo) / scale)
+    epsilon = (1.0 + math.sqrt(4)) * omega * scale * math.sqrt(3) / 7.5
+    full = cover_pipeline(sample, omega * scale, epsilon)
+    reps = build_cover(sample.observations, grid_spec(4, 3, omega * scale, epsilon, "full"))
+    assert 1 < len(reps) < len(sample) and full.report.t == 8
+    assert np.array_equal(full.representatives, reps)
+    assert np.array_equal(full.hypothesis.training.signals, sample.signals[reps])
+    assert np.array_equal(full.hypothesis.training.observations, sample.observations[reps])
+    assert full.report.cells_occupied == len(reps)
+    assert full.report.max_training_residual == full.recovery_errors[reps].max()
+
+    factors = svd_factor(op)
+    eff_obs = factors.project(raw.observations)
+    lo, scale = unit_box(eff_obs)
+    epsilon = (1.0 + math.sqrt(2)) * omega * scale * math.sqrt(2) / 7.5
+    reduced = fit_reduced(raw, op, omega, epsilon)
+    spec = grid_spec(4, 2, omega * scale, epsilon, "reduced")
+    reps = build_cover((eff_obs - lo) / scale, spec)
+    assert 1 < len(reps) < len(raw) and reduced.report.t_reduced == 8
+    assert np.array_equal(reduced.representatives, reps)
+    training = reduced.recovery.hypothesis.training
+    assert np.array_equal(training.observations, eff_obs[reps])
+    assert np.array_equal(training.signals, raw.signals[reps] @ factors.v2)
+    assert reduced.report.cells_occupied == len(reps)
+    assert reduced.report.max_training_residual == reduced.recovery_errors[reps].max()
 
 
 def test_grid_spec_value_survives_roundtrip():

@@ -786,9 +786,10 @@ def test_lipschitz_audit_measures_a_redrawn_pair_by_its_new_gap():
 @settings(max_examples=150, deadline=None)
 @given(width=st.sampled_from(list(range(1, 21)) + [127, 128, 129, 130]),
        count=st.integers(1, 30), overflow=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_col_norms_equal_the_norms_of_c_order_rows(width, count, overflow, seed):
-    # _col_norms(a.T) sums each column's squares in add.reduce's order over
-    # a contiguous axis, as np.linalg.norm(a, axis=1) does on C-order rows:
+def test_row_norms_equal_the_norms_of_c_order_rows(width, count, overflow, seed):
+    # _row_norms(a) sums each row's squares in add.reduce's order over a
+    # contiguous axis, as np.linalg.norm(a, axis=1) does on C-order rows,
+    # whether a is C-order or the transpose of C-order (width, count) rows:
     # in sequence below 8, in eight accumulators up to 128, by halving
     # above. Magnitudes spread over 1e-3..1e3 within a row and 1e-100..1e100
     # across rows, so any other order shows in the bits. Rows scaled to a
@@ -809,7 +810,7 @@ def test_col_norms_equal_the_norms_of_c_order_rows(width, count, overflow, seed)
     for rows in (np.ascontiguousarray(a.T), a.T):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert mwet._col_norms(rows).tobytes() == expected.tobytes()
+            assert mwet._row_norms(rows.T).tobytes() == expected.tobytes()
 
 
 def test_lipschitz_audit_names_its_box_when_a_value_overflows():

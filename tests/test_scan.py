@@ -482,6 +482,24 @@ def test_fallback_is_decided_before_any_leaf_pair_is_bounded(monkeypatch, data, 
     assert (_bits(cert.omega), cert.witness) == (_bits(best), witness)
 
 
+def test_failing_verification_stops_refining_for_its_violation(monkeypatch):
+    # At a fifth of the tight constant the violation test passes early.
+    # Node pairs whose rows all come after its first pair so far are then
+    # bounded by the ratio alone, so the pruned scan keeps well under half
+    # of the pairs, and its certificate is the tiled scan's, bit for bit.
+    x, a = _lattice_sheet(2000, seed=0)
+    labeled = LabeledSet(x, x @ a.T)
+    pairs = 2000 * 1999 // 2
+    omega = 0.2 * tight_omega(labeled).omega
+    cert = verify_lipschitz(labeled, omega)
+    assert cert.verdict == "violated"
+    assert cert._pairs_examined < pairs // 2
+    monkeypatch.setattr(core, "_scan_tiled", lambda n, dim, kept: True)
+    tiled = verify_lipschitz(labeled, omega)
+    assert tiled._pairs_examined == pairs
+    assert cert == tiled and _bits(cert.max_ratio) == _bits(tiled.max_ratio)
+
+
 # --------------------------------------------------------------------------
 # One pass over the sample per certify / theorem1 / theorem3 run.
 

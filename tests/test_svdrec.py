@@ -137,7 +137,7 @@ def test_exact_inversion_square_operator():
     result = fit_reduced(sample, op, omega, epsilon=0.1)
     assert result.report.exact_inversion
     assert result.recovery.exact_inversion
-    assert result.cover is None
+    assert result.representatives is None
     assert result.report.t_reduced is None
     assert result.report.effective_rank == 3
     assert result.recovery_errors.max() <= 1e-9
