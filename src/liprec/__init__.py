@@ -35,7 +35,6 @@ from .core import (
     TOL_CERT,
     TOL_DUP,
     TOL_EVAL,
-    CalibrationError,
     ConstantTooSmallError,
     DegenerateScaleError,
     DegenerateSetError,
@@ -57,13 +56,7 @@ from .core import (
     seeded_rng,
     validate_labeled_set,
 )
-from .operators import (
-    MatrixOperator,
-    NormalizedOperator,
-    Operator,
-    PiecewiseExampleOperator,
-    normalize,
-)
+from .operators import MatrixOperator, Operator, PiecewiseExampleOperator
 from .lipschitz import (
     AffineTransform,
     RelaxedLipschitzResult,
@@ -111,7 +104,6 @@ __all__ = [
     "TOL_EVAL",
     "AffineTransform",
     "BalanceResult",
-    "CalibrationError",
     "ConstantTooSmallError",
     "CoverPipelineResult",
     "CoverReport",
@@ -128,7 +120,6 @@ __all__ = [
     "MatrixOperator",
     "MwetHypothesis",
     "NoNullSpaceError",
-    "NormalizedOperator",
     "NotApplicableError",
     "NotInjectiveError",
     "NotLipschitzError",
@@ -156,7 +147,6 @@ __all__ = [
     "grid_spec",
     "identity_check",
     "injectivity_tolerance",
-    "normalize",
     "rip_delta",
     "rip_to_omega",
     "seeded_rng",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rip
 from .core import LabeledSet, NotInjectiveError, seeded_rng
-from .covering import cover_pipeline
+from .covering import cover_pipeline, unit_box
 from .lipschitz import (
     AffineTransform,
     affine_transform,
@@ -35,7 +35,7 @@ from .lipschitz import (
     verify_lipschitz,
 )
 from .mwet import MwetHypothesis, fit
-from .operators import MatrixOperator, PiecewiseExampleOperator, normalize
+from .operators import MatrixOperator, PiecewiseExampleOperator
 from .svdrec import fit_reduced, identity_check, svd_factor
 
 # Instances with huge tight constants make criterion 2 unmeasurable: the
@@ -154,8 +154,9 @@ def criterion_3() -> CriterionResult:
     op = MatrixOperator(rng.standard_normal((2, 3)))
     seg_start, seg_end = rng.standard_normal(3), rng.standard_normal(3)
     segment = seg_start + np.linspace(0.0, 1.0, 500)[:, None] * (seg_end - seg_start)
-    norm_op, _ = normalize(op, segment)
-    sample_b = LabeledSet.from_operator(norm_op, segment)
+    raw_b = LabeledSet.from_operator(op, segment)
+    lo, scale = unit_box(raw_b.observations)
+    sample_b = LabeledSet(raw_b.signals, (raw_b.observations - lo) / scale)
     omega_b = tight_omega(sample_b).omega
     result_b = cover_pipeline(sample_b, omega=omega_b, epsilon=0.25)
     expected_t = math.ceil((1.0 + math.sqrt(3)) * omega_b * math.sqrt(2) / 0.25)

@@ -76,15 +76,10 @@ from .core import (
     seeded_rng,
 )
 from .core import thread_budget as core_thread_budget
-from .covering import cover_pipeline
+from .covering import cover_pipeline, unit_box
 from .lipschitz import _check_omega, _scan_sample, _tight
 from .mwet import _fit, _row_norms
-from .operators import (
-    MatrixOperator,
-    Operator,
-    PiecewiseExampleOperator,
-    unit_box,
-)
+from .operators import MatrixOperator, Operator, PiecewiseExampleOperator
 from .svdrec import fit_reduced
 
 EXIT_OK = 0
@@ -547,7 +542,7 @@ def execute(problem: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarr
     task = _require(problem, "task", "problem")
     if not isinstance(task, str) or task not in TASKS:
         raise ProblemError(f"unknown task {task!r} (expected one of {', '.join(TASKS)})")
-    params = problem.get("params") or {}
+    params = problem.get("params", {})
     if not isinstance(params, dict):
         raise ProblemError("field 'params' must be an object")
     seed = _at_least(params.get("seed", 0), "params.seed", 0)

@@ -97,10 +97,6 @@ class DomainError(LiprecError):
     """Input lies outside an operator's domain."""
 
 
-class CalibrationError(LiprecError):
-    """Normalization was requested without calibration samples."""
-
-
 class NotInjectiveError(LiprecError):
     """Two distinct signals share an observation; carries their indices."""
 
@@ -413,15 +409,12 @@ def _tile_distances(columns: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """out[r, c] = ||a[i0 + 1 + c] - a[i0 + r]|| for rows i0 <= i0 + r < i1.
 
     ``columns`` is a.T, C-contiguous, so each coordinate's differences are
-    one broadcast subtraction. Every entry is bit-identical to
-    ``np.linalg.norm(a[i + 1:] - a[i], axis=1)``. Entries with c < r are
-    not pairs (j <= i) and are set to NaN, so every comparison with one
-    is False.
+    one broadcast subtraction. Row r from c = r on is bit-identical to
+    ``np.linalg.norm(a[i0 + r + 1:] - a[i0 + r], axis=1)``. Entries with
+    c < r are not pairs (j <= i); ``_Fold.tile``'s ``valid`` mask leaves
+    them out.
     """
-    rows = i1 - i0
-    out = _distances(columns[:, i0 + 1:], columns[:, i0:i1, None])
-    out[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.nan
-    return out
+    return _distances(columns[:, i0 + 1:], columns[:, i0:i1, None])
 
 
 def _check_spans(arrays) -> None:

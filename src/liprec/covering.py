@@ -1,5 +1,11 @@
 """Covering-based training-set construction and end-to-end recovery.
 
+Both recovery pipelines box their own observations: ``unit_box`` shifts
+and uniformly rescales them into the unit hypercube, which divides every
+observation distance by the box's scale, so the grid is built at omega
+times that scale (``_unit_cover``). The pipelines certify and fit in the
+observations' own units, at omega; the box only assigns cells.
+
 The unit observation hypercube [0,1]^M is partitioned into t^M axis-aligned
 cells of side 1/t, with
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Tuple
 
 import numpy as np
 
@@ -120,6 +126,15 @@ def _cell_indices(spec: GridSpec, observations: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(unit * spec.t).astype(np.int64), 0, spec.t - 1)
 
 
+def unit_box(points: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Shift (coordinate-wise minimum) and scale (largest coordinate range,
+    1 if all points coincide) that map a (k, M) point stack into [0, 1]^M."""
+    lo = points.min(axis=0)
+    with np.errstate(over="ignore"):  # a span past float64 is an infinite scale
+        span = float((points.max(axis=0) - lo).max())
+    return lo, span if span > 0.0 else 1.0
+
+
 def build_cover(observations: np.ndarray, spec: GridSpec) -> np.ndarray:
     """The cover's sample rows: the first row, in input order, of each
     occupied cell, as an ascending int64 array."""
@@ -132,6 +147,16 @@ def build_cover(observations: np.ndarray, spec: GridSpec) -> np.ndarray:
     # One stable sort groups each cell's rows in input order.
     order = np.lexsort(digits.T)
     return np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
+
+
+def _unit_cover(observations: np.ndarray, signal_dim: int, omega: float, epsilon: float,
+                mode: GridMode) -> Tuple[np.ndarray, GridSpec, float]:
+    """The cover's rows of observations in any units, with its grid and
+    the box scale: the observations are boxed by ``unit_box`` and covered
+    by the grid at omega * scale."""
+    lo, scale = unit_box(observations)
+    spec = grid_spec(signal_dim, observations.shape[1], omega * scale, epsilon, mode)
+    return build_cover((observations - lo) / scale, spec), spec, scale
 
 
 @dataclass(frozen=True)
@@ -159,21 +184,21 @@ def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPip
     """Certify the sample, then cover, fit, and verify its recovery.
 
     The sample stands in for the (possibly uncountable) Lipschitz set: it
-    must certify at ``omega`` and its observations must lie in [0,1]^M.
-    This is the sample's one pass over its pairs. It rejects duplicate
-    signals (closer than ``TOL_DUP``) with a LabelingError before anything
-    else, and it certifies: the result carries the certificate, and so
-    does the NotLipschitzError raised when certification fails. The
+    must certify at ``omega``. Its observations may be in any units: the
+    cover boxes them itself (``_unit_cover``), and ``t`` is the side of that
+    boxed grid. This is the sample's one pass over its pairs. It rejects
+    duplicate signals (closer than ``TOL_DUP``) with a LabelingError before
+    anything else, and it certifies: the result carries the certificate, and
+    so does the NotLipschitzError raised when certification fails. The
     representatives belong to the certified sample, so the hypothesis is
-    fitted at omega with no pass over their pairs (see ``mwet._fit``):
-    its training residuals are ~0 and every sample point is recovered to
-    within epsilon. Each sample point is evaluated once, and the
-    representatives' errors are the training residuals; both maxima are
-    reported for assertion by the caller.
+    fitted at omega with no pass over their pairs (see ``mwet._fit``): its
+    training residuals are ~0 and every sample point is recovered to within
+    epsilon. Each sample point is evaluated once, and the representatives'
+    errors are the training residuals; both maxima are reported for
+    assertion by the caller.
     """
     cert = _certify_sample(sample, omega)
-    spec = grid_spec(sample.signal_dim, sample.obs_dim, omega, epsilon, "full")
-    reps = build_cover(sample.observations, spec)
+    reps, spec, _ = _unit_cover(sample.observations, sample.signal_dim, omega, epsilon, "full")
     hypothesis = _fit(sample.subset(reps), omega, 0.0)
     errors = _row_norms(hypothesis.evaluate(sample.observations) - sample.signals)
     report = CoverReport(

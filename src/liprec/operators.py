@@ -1,10 +1,10 @@
 """Concrete signal-to-observation transforms.
 
 An operator maps signal space R^N into observation space R^M with M <= N.
-Three realizations are provided: a dense linear matrix, a fixed piecewise
-1-D ramp that is continuous but not injective on its whole domain, and a
-normalization wrapper that shifts and uniformly rescales another operator's
-outputs into the unit hypercube.
+Two realizations are provided: a dense linear matrix and a fixed piecewise
+1-D ramp that is continuous but not injective on its whole domain.
+Operators label signals in their own units; the recovery pipelines box
+the observations themselves (``covering.unit_box``).
 
 Operators are immutable and ``apply`` is pure, so they are safe for
 unrestricted concurrent use. ``apply`` accepts a single vector of length N
@@ -13,18 +13,9 @@ or a stack of shape (k, N) and returns the matching shape.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from .core import (
-    CalibrationError,
-    DimensionError,
-    DomainError,
-    as_batch,
-    as_matrix,
-    readonly,
-)
+from .core import DimensionError, DomainError, as_batch, as_matrix, readonly
 
 
 class Operator:
@@ -89,55 +80,3 @@ class PiecewiseExampleOperator(Operator):
 
     def __repr__(self):
         return "PiecewiseExampleOperator()"
-
-
-class NormalizedOperator(Operator):
-    """Wrapper applying (inner(x) - shift) / scale coordinate-wise.
-
-    The single uniform scale keeps all pairwise observation distances
-    divided by exactly ``scale``, so a Lipschitz constant omega under the
-    inner operator becomes omega * scale under the wrapper.
-    """
-
-    def __init__(self, inner: Operator, shift, scale: float):
-        shift = np.asarray(shift, dtype=np.float64)
-        if shift.shape != (inner.obs_dim,):
-            raise DimensionError(
-                f"shift must have length {inner.obs_dim}, got shape {shift.shape}")
-        if not (np.isfinite(scale) and scale > 0.0):
-            raise DomainError(f"scale must be a positive finite number, got {scale}")
-        self.inner = inner
-        self.shift = readonly(shift)
-        self.scale = float(scale)
-        self.signal_dim = inner.signal_dim
-        self.obs_dim = inner.obs_dim
-
-    def _apply(self, batch):
-        return (self.inner._apply(batch) - self.shift) / self.scale
-
-    def __repr__(self):
-        return f"NormalizedOperator({self.inner!r}, scale={self.scale:g})"
-
-
-def normalize(operator: Operator, calibration) -> Tuple[NormalizedOperator, float]:
-    """Fit a unit-box normalization of ``operator`` on calibration signals.
-
-    The shift and scale are the ``unit_box`` of the calibration outputs,
-    so every calibration output lands in [0, 1]^M. Returns the wrapper and
-    the scale, which is the factor by which any Lipschitz constant measured
-    under the inner operator must be multiplied to apply to the wrapper.
-    """
-    cal = np.atleast_2d(np.asarray(calibration, dtype=np.float64))
-    if cal.size == 0:
-        raise CalibrationError("normalization needs at least one calibration signal")
-    lo, scale = unit_box(operator.apply(cal))
-    return NormalizedOperator(operator, lo, scale), scale
-
-
-def unit_box(points: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Shift (coordinate-wise minimum) and scale (largest coordinate range,
-    1 if all points coincide) that map a (k, M) point stack into [0, 1]^M."""
-    lo = points.min(axis=0)
-    with np.errstate(over="ignore"):  # a span past float64 is an infinite scale
-        span = float((points.max(axis=0) - lo).max())
-    return lo, span if span > 0.0 else 1.0

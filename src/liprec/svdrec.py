@@ -41,10 +41,10 @@ from .core import (
     as_batch,
     readonly,
 )
-from .covering import _check_epsilon, build_cover, grid_spec
+from .covering import _check_epsilon, _unit_cover, grid_spec
 from .lipschitz import _certify_sample
 from .mwet import MwetHypothesis, _fit, _row_norms
-from .operators import MatrixOperator, unit_box
+from .operators import MatrixOperator
 
 RANK_TOL = 1e-10
 
@@ -236,15 +236,16 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     ``TOL_DUP``) with a LabelingError, ahead of any certification failure,
     and certifies: the result carries the certificate, and so does the
     NotLipschitzError raised when certification fails.
-    Covering happens in the effective observation space, box-normalized
-    for cell assignment (which rescales the grid constant to omega*scale);
-    the hypothesis itself trains on raw effective observations, keeping
-    Psi and the grid consistent. Training pairs are (A x^j, V2^T x^j) for
-    the cover representatives x^j, fitted at omega with no pass over their
-    pairs: null components are no farther apart than their signals, and
-    effective observations as far apart as their observations, so the
-    sample's certificate covers them. Each sample point is recovered once,
-    and the representatives' errors are the training residuals.
+    Covering happens in the effective observation space, boxed for cell
+    assignment by ``covering._unit_cover`` (which rescales the grid constant
+    to omega*scale); the hypothesis itself trains on raw effective
+    observations, keeping Psi and the grid consistent. Training pairs are
+    (A x^j, V2^T x^j) for the cover representatives x^j, fitted at omega
+    with no pass over their pairs: null components are no farther apart than
+    their signals, and effective observations as far apart as their
+    observations, so the sample's certificate covers them. Each sample point
+    is recovered once, and the representatives' errors are the training
+    residuals.
 
     A square full-rank operator short-circuits to exact inversion with no
     hypothesis, no grid, and a report whose grid fields are None; epsilon
@@ -272,11 +273,7 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
         return FitReducedResult(recovery=recovery, representatives=None, report=report,
                                 recovery_errors=errors, certificate=cert)
 
-    lo, scale = unit_box(eff_obs)
-    unit_obs = (eff_obs - lo) / scale
-    spec = grid_spec(n, r, omega * scale, epsilon, "reduced")
-    spec_full = grid_spec(n, r, omega * scale, epsilon, "full")
-    reps = build_cover(unit_obs, spec)
+    reps, spec, scale = _unit_cover(eff_obs, n, omega, epsilon, "reduced")
     # Null components may repeat across representatives (e.g. a sample inside
     # a translate of range(A)); the observations, one per cell, do not.
     training = LabeledSet(sample.signals[reps] @ factors.v2, eff_obs[reps])
@@ -285,7 +282,7 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     errors = _row_norms(recovery.recover(sample.observations) - sample.signals)
     report = ReducedReport(
         t_reduced=spec.t,
-        t_full=spec_full.t,
+        t_full=grid_spec(n, r, omega * scale, epsilon, "full").t,
         cells_occupied=len(reps),
         cells_bound=spec.cell_bound,
         max_training_residual=float(errors[reps].max()),

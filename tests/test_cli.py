@@ -17,9 +17,9 @@ from liprec import (
     cli,
     core,
     cover_pipeline,
-    normalize,
     tight_omega,
 )
+from liprec.covering import unit_box
 from liprec.rip import rip_delta, spectral_balance
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -601,6 +601,23 @@ def test_main_run_rejects_ragged_or_non_numeric_arrays(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["[]", "0", '""', "false", "null", "[1]"])
+def test_main_run_rejects_params_that_are_not_an_object(tmp_path, capsys, value):
+    # A falsy params value used to run the task with default parameters.
+    problem = PROBLEMS / "certify_segment.json"
+    out = tmp_path / "report.json"
+    code = _run_main(["run", str(problem), "--out", str(out), "--set", f"params={value}"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: field 'params' must be an object\n"
+    assert not out.exists()
+
+
+def test_main_run_reads_a_missing_params_as_empty(tmp_path):
+    problem = json.loads((PROBLEMS / "certify_segment.json").read_text())
+    del problem["params"]
+    assert _main_on(tmp_path, problem) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("problem_file,name", [
     ("certify_segment.json", "certified_at_omega"),
     ("theorem1_ramp.json", "sample_certified"),
@@ -759,15 +776,16 @@ def test_main_run_recovers_at_a_huge_omega(tmp_path, problem_file):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_theorem1_boxes_its_sample_as_the_normalized_operator_does(seed):
+def test_theorem1_boxes_its_labeled_observations(seed):
     # theorem1 labels under the operator itself, then boxes the labeled
-    # observations: the same bits as labeling under normalize's wrapper.
+    # observations and certifies them at omega * scale.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2, 3))
     x = rng.standard_normal((80, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
-    boxed_op, scale = normalize(MatrixOperator(a), x)
-    sample = LabeledSet.from_operator(boxed_op, x)
-    omega = 1.01 * tight_omega(LabeledSet.from_operator(MatrixOperator(a), x)).omega
+    raw = LabeledSet.from_operator(MatrixOperator(a), x)
+    lo, scale = unit_box(raw.observations)
+    sample = LabeledSet(x, (raw.observations - lo) / scale)
+    omega = 1.01 * tight_omega(raw).omega
     epsilon = float(np.ptp(x, axis=0).max()) / 4.0
     report, traces = cli.execute({
         "task": "theorem1", "operator": {"type": "matrix", "data": a.tolist()},

@@ -29,9 +29,9 @@ from liprec import (
     svd_factor,
     tight_omega,
 )
-from liprec import covering
+from liprec import covering, svdrec
 from liprec.core import seeded_rng
-from liprec.operators import unit_box
+from liprec.covering import unit_box
 
 
 def test_grid_spec_full_mode_hand_value():
@@ -282,6 +282,62 @@ def test_cover_pipeline_linear_segment():
     result = cover_pipeline(sample, omega=omega * scale, epsilon=0.3)
     assert result.report.max_recovery_error <= 0.3
     assert result.report.max_training_residual <= 1e-9
+
+
+def _readme_sample():
+    """The README's library example: a line under a Gaussian 2 x 3 operator."""
+    rng = np.random.default_rng(3)
+    op = MatrixOperator(rng.standard_normal((2, 3)))
+    line = rng.standard_normal(3) + np.linspace(0.0, 1.0, 400)[:, None] * rng.standard_normal(3)
+    return LabeledSet.from_operator(op, line)
+
+
+def test_cover_pipeline_boxes_a_raw_sample():
+    # The pipeline certifies and fits the sample as given, at omega, and
+    # covers it as if it had been boxed and certified at omega * scale.
+    raw = _readme_sample()
+    assert raw.observations.min() < 0.0  # outside [0, 1]^2
+    omega, epsilon = tight_omega(raw).omega, 0.25
+    lo, scale = unit_box(raw.observations)
+    boxed = LabeledSet(raw.signals, (raw.observations - lo) / scale)
+    result = cover_pipeline(raw, omega, epsilon)
+    expected = cover_pipeline(boxed, omega * scale, epsilon)
+    assert np.array_equal(result.representatives, expected.representatives)
+    assert (result.report.t, result.report.cells_occupied) == \
+        (expected.report.t, expected.report.cells_occupied) == (50, 63)
+    assert result.certificate.omega == omega
+    assert result.report.max_recovery_error <= epsilon
+    # The hypothesis takes raw observations.
+    assert np.array_equal(result.hypothesis.training.observations,
+                          raw.observations[result.representatives])
+    errors = np.linalg.norm(result.hypothesis.evaluate(raw.observations) - raw.signals, axis=1)
+    assert errors.max() <= epsilon
+    assert np.array_equal(errors, result.recovery_errors)
+    # build_cover itself still covers only the unit box.
+    with pytest.raises(OutOfBoxError):
+        build_cover(raw.observations, grid_spec(3, 2, omega * scale, epsilon, "full"))
+
+
+def test_both_pipelines_take_their_rows_from_the_unit_cover(monkeypatch):
+    rng = seeded_rng(46)
+    op = MatrixOperator(rng.standard_normal((2, 4)))
+    raw = LabeledSet.from_operator(op, 5.0 * rng.standard_normal((60, 4)))
+    omega = tight_omega(raw).omega
+    calls = []
+    unit_cover = covering._unit_cover
+
+    def spy(observations, signal_dim, omega, epsilon, mode):
+        out = unit_cover(observations, signal_dim, omega, epsilon, mode)
+        calls.append((mode, out[0]))
+        return out
+
+    monkeypatch.setattr(covering, "_unit_cover", spy)
+    monkeypatch.setattr(svdrec, "_unit_cover", spy)
+    full = cover_pipeline(raw, omega, 1.0)
+    reduced = fit_reduced(raw, op, omega, 1.0)
+    assert [mode for mode, _ in calls] == ["full", "reduced"]
+    assert calls[0][1] is full.representatives
+    assert calls[1][1] is reduced.representatives
 
 
 def test_pipelines_train_on_the_cover_rows():

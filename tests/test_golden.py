@@ -1,4 +1,5 @@
-"""Every sample problem's report matches its stored copy in tests/golden/.
+"""Every sample problem's report matches its stored copy in tests/golden/,
+and the selftest payload matches the benchmark's reference.
 
 A golden file is the report of one ``problems/*.json`` run through
 ``cli.execute``, without the fields that vary between runs (``runtime_ms``,
@@ -11,21 +12,26 @@ report on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says so.
+
+``perfbench/workloads.py`` holds the selftest reference and its check; it
+is loaded by path and not modified.
 """
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from liprec import cli
+from liprec import acceptance, cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 GOLDEN = ROOT / "tests" / "golden"
 NAMES = sorted(path.name for path in PROBLEMS.glob("*.json"))
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def golden_text(name: str) -> str:
@@ -49,6 +55,19 @@ def test_every_problem_has_a_golden_report():
 def test_report_matches_golden(name, threads, monkeypatch):
     monkeypatch.setenv("LIPREC_THREADS", threads)
     assert golden_text(name) == (GOLDEN / name).read_text()
+
+
+def test_selftest_payload_matches_the_benchmark_reference(criterion_result):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    entries = [cli._criterion_entry(criterion_result(runner))
+               for _, runner in acceptance.ALL_CRITERIA]
+    # As ``liprec selftest --out`` writes it, read back.
+    report = {"task": "selftest", "passed": all(e["passed"] for e in entries),
+              "criteria": entries}
+    report = json.loads(json.dumps(cli.to_jsonable(report), allow_nan=False))
+    assert workloads.check_selftest_report(report, workloads.load_selftest_reference()) == []
 
 
 if __name__ == "__main__":

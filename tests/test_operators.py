@@ -1,20 +1,16 @@
-"""Operator implementations: matrix, piecewise ramp, normalization."""
+"""Operator implementations: matrix and piecewise ramp; the unit box."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from liprec import (
-    CalibrationError,
-    DimensionError,
-    DomainError,
-    MatrixOperator,
-    NormalizedOperator,
-    PiecewiseExampleOperator,
-    normalize,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liprec import DimensionError, DomainError, MatrixOperator, PiecewiseExampleOperator
 from liprec.core import seeded_rng
+from liprec.covering import unit_box
 
 
 def test_matrix_operator_single_and_batch():
@@ -54,7 +50,6 @@ def test_operator_rejects_wrong_length_and_nonfinite():
 @pytest.mark.parametrize("op,x", [
     (MatrixOperator([[1e308, 1e308]]), [1.0, 1.0]),
     (MatrixOperator([[1e308, -1e308]]), [2.0, 2.0]),  # inf - inf
-    (NormalizedOperator(MatrixOperator([[1.0]]), [-1e308], 1.0), [1e308]),
 ])
 def test_operator_rejects_observations_that_overflow(op, x):
     # finite inputs and a finite matrix whose product overflows: numpy used
@@ -85,55 +80,56 @@ def test_piecewise_ramp_domain():
         op.apply([3.01])
 
 
-def test_normalized_operator_formula():
-    inner = MatrixOperator.identity(2)
-    wrapped = NormalizedOperator(inner, shift=[1.0, 2.0], scale=4.0)
-    out = wrapped.apply([5.0, 6.0])
-    assert np.allclose(out, [1.0, 1.0])
-
-
-def test_normalized_operator_validation():
-    inner = MatrixOperator.identity(2)
-    with pytest.raises(DimensionError):
-        NormalizedOperator(inner, shift=[1.0], scale=1.0)
-    with pytest.raises(DomainError):
-        NormalizedOperator(inner, shift=[0.0, 0.0], scale=0.0)
-    with pytest.raises(DomainError):
-        NormalizedOperator(inner, shift=[0.0, 0.0], scale=-1.0)
-
-
-def test_normalize_maps_calibration_into_unit_box():
+def test_unit_box_maps_points_into_the_unit_box():
     rng = seeded_rng(3)
-    op = MatrixOperator(rng.standard_normal((2, 4)))
-    cal = rng.standard_normal((50, 4))
-    wrapped, scale = normalize(op, cal)
-    out = wrapped.apply(cal)
-    assert out.min() >= -1e-12
-    assert out.max() <= 1.0 + 1e-12
-    # the scale is the widest coordinate range of the raw outputs
-    raw = op.apply(cal)
-    assert scale == pytest.approx((raw.max(axis=0) - raw.min(axis=0)).max())
+    raw = MatrixOperator(rng.standard_normal((2, 4))).apply(rng.standard_normal((50, 4)))
+    lo, scale = unit_box(raw)
+    boxed = (raw - lo) / scale
+    assert boxed.min() == 0.0
+    assert boxed.max() == 1.0  # the widest coordinate touches both faces
+    # the scale is the widest coordinate range of the raw points
+    assert scale == (raw.max(axis=0) - raw.min(axis=0)).max()
 
 
-def test_normalize_divides_distances_by_scale():
+def test_unit_box_divides_distances_by_scale():
     rng = seeded_rng(4)
-    op = MatrixOperator(rng.standard_normal((3, 5)))
-    cal = rng.standard_normal((20, 5))
-    wrapped, scale = normalize(op, cal)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
-    raw_gap = np.linalg.norm(op.apply(a) - op.apply(b))
-    new_gap = np.linalg.norm(wrapped.apply(a) - wrapped.apply(b))
-    assert new_gap == pytest.approx(raw_gap / scale, rel=1e-12)
+    raw = rng.standard_normal((20, 3)) * 7.0 + 5.0
+    lo, scale = unit_box(raw)
+    boxed = (raw - lo) / scale
+    for i in range(1, len(raw)):
+        raw_gap = np.linalg.norm(raw[i] - raw[0])
+        assert np.linalg.norm(boxed[i] - boxed[0]) == pytest.approx(raw_gap / scale, rel=1e-12)
 
 
-def test_normalize_degenerate_outputs_get_unit_scale():
-    op = MatrixOperator([[0.0, 0.0]])
-    wrapped, scale = normalize(op, [[1.0, 2.0], [3.0, 4.0]])
+def test_unit_box_of_coincident_points_has_unit_scale():
+    lo, scale = unit_box(np.array([[1.0, 2.0], [1.0, 2.0]]))
     assert scale == 1.0
-    assert np.array_equal(wrapped.apply([9.0, 9.0]), [0.0])
+    assert np.array_equal(lo, [1.0, 2.0])
 
 
-def test_normalize_needs_calibration():
-    op = MatrixOperator.identity(2)
-    with pytest.raises(CalibrationError):
-        normalize(op, np.zeros((0, 2)))
+@st.composite
+def _point_stacks(draw):
+    """One row or more, tied or constant columns, spans 1e-150 to 1e150."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    span = 10.0 ** draw(st.integers(-150, 150))
+    centre = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.integers(-150, 150))
+    unit = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    points = np.array([[centre + span * draw(unit) for _ in range(cols)]
+                       for _ in range(rows)])
+    for c in range(cols):
+        if draw(st.booleans()):  # a constant column
+            points[:, c] = points[0, c]
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_stacks())
+def test_unit_box_is_idempotent_on_its_own_output(points):
+    # Boxing an already boxed stack shifts by zero and scales by exactly 1,
+    # so a pipeline that boxes a boxed sample changes no bit.
+    lo, scale = unit_box(points)
+    boxed = (points - lo) / scale
+    lo2, scale2 = unit_box(boxed)
+    assert scale2 == 1.0
+    assert not lo2.any()
+    assert ((boxed - lo2) / scale2).tobytes() == boxed.tobytes()
