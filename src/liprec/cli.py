@@ -11,9 +11,9 @@ override, or an output path that cannot be written. ``liprec selftest``
 runs the bundled acceptance suite (the eight fixed-seed criteria in
 liprec.acceptance) and prints a pass/fail table.
 
-The repository's problems/ directory holds one sample problem per task.
-Those files are the only copy of the sample problems; the tests run each
-of them and re-derive the balanced matrix of rip_balanced.json.
+The repository's problems/ directory holds at least one sample problem
+per task. Those files are the only copy of the sample problems; the tests
+run each of them and re-derive the balanced matrix of rip_balanced.json.
 
 Tasks:
   certify    pairwise Lipschitz certification of the labeled sample
@@ -424,10 +424,12 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
     epsilon = _number(_require(params, "epsilon", "params"), "params.epsilon")
     sample = _labeled(operator, signals)
     lo, scale = unit_box(sample.observations)
-    if not math.isfinite(scale):  # the distances overflow too: raise, a duplicate first
-        _scan_sample(sample, None, duplicates=True)
-    boxed = LabeledSet(sample.signals, (sample.observations - lo) / scale)
     omega_n = omega * scale
+    if not math.isfinite(scale) or (math.isfinite(omega) and omega_n == math.inf):
+        # A duplicate first; an infinite scale overflows the distances too.
+        _scan_sample(sample, None, duplicates=True)
+        raise ProblemError(f"omega = {omega!r} times the box scale {scale!r} overflows float64")
+    boxed = LabeledSet(sample.signals, (sample.observations - lo) / scale)
     results: Dict[str, Any] = {
         "sample_size": len(sample),
         "scale": scale,

@@ -1,10 +1,10 @@
 """Covering-based training-set construction and end-to-end recovery.
 
-Both recovery pipelines box their own observations: ``unit_box`` shifts
-and uniformly rescales them into the unit hypercube, which divides every
-observation distance by the box's scale, so the grid is built at omega
-times that scale (``_unit_cover``). The pipelines certify and fit in the
-observations' own units, at omega; the box only assigns cells.
+Both recovery pipelines, ``cover_pipeline`` and ``svdrec.fit_reduced``,
+certify their sample and then run one body, ``_recover``. It boxes the
+observations with ``unit_box``, which divides every observation distance
+by the box's scale, so the grid is built at omega times that scale; the
+fit runs at omega in the observations' own units.
 
 The unit observation hypercube [0,1]^M is partitioned into t^M axis-aligned
 cells of side 1/t, with
@@ -22,16 +22,15 @@ sample point to within epsilon.
 Cells are half-open with the top face clamped into the last cell, making
 the partition disjoint and the representatives deterministic (first
 sample point per cell, in input order). A cover is just those sample
-rows, ascending (``build_cover``): both pipelines train on
-``sample.subset(rows)``, and no cell table is kept. Only occupied cells
-are touched; t^M is a bound, never a work estimate.
+rows, ascending (``build_cover``); no cell table is kept. Only occupied
+cells are touched; t^M is a bound, never a work estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Tuple
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 
@@ -149,14 +148,31 @@ def build_cover(observations: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.sort(order[np.r_[True, (np.diff(digits[order], axis=0) != 0).any(axis=1)]])
 
 
-def _unit_cover(observations: np.ndarray, signal_dim: int, omega: float, epsilon: float,
-                mode: GridMode) -> Tuple[np.ndarray, GridSpec, float]:
-    """The cover's rows of observations in any units, with its grid and
-    the box scale: the observations are boxed by ``unit_box`` and covered
-    by the grid at omega * scale."""
+def _recover(signals: np.ndarray, observations: np.ndarray, omega: float, epsilon: float,
+             null_basis: Optional[np.ndarray] = None
+             ) -> Tuple[np.ndarray, GridSpec, float, MwetHypothesis]:
+    """The pipelines' common body: (rows, grid, box scale, hypothesis).
+
+    The cover's rows of the boxed observations are fitted at omega, each
+    row's observation mapped to its signal ("full" mode) or, given an
+    (N, N - r) ``null_basis``, to its null component
+    ``signals[rows] @ null_basis`` ("reduced" mode). The rows belong to a
+    sample certified at omega, and null components are no farther apart
+    than their signals, so the certificate covers the rows: the fit runs
+    with no pass over their pairs (``mwet._fit``), and the training
+    residuals are the representatives' errors in the caller's one
+    evaluation of the sample.
+    """
     lo, scale = unit_box(observations)
-    spec = grid_spec(signal_dim, observations.shape[1], omega * scale, epsilon, mode)
-    return build_cover((observations - lo) / scale, spec), spec, scale
+    if math.isfinite(omega) and omega * scale == math.inf:
+        raise ParameterError(
+            f"omega = {omega!r} times the box scale {scale!r} overflows float64: "
+            f"no grid for epsilon = {epsilon!r}")
+    mode: GridMode = "full" if null_basis is None else "reduced"
+    spec = grid_spec(signals.shape[1], observations.shape[1], omega * scale, epsilon, mode)
+    rows = build_cover((observations - lo) / scale, spec)
+    targets = signals[rows] if null_basis is None else signals[rows] @ null_basis
+    return rows, spec, scale, _fit(LabeledSet(targets, observations[rows]), omega, 0.0)
 
 
 @dataclass(frozen=True)
@@ -181,25 +197,18 @@ class CoverPipelineResult:
 
 
 def cover_pipeline(sample: LabeledSet, omega: float, epsilon: float) -> CoverPipelineResult:
-    """Certify the sample, then cover, fit, and verify its recovery.
+    """Certify the sample at omega, then recover it through ``_recover``.
 
-    The sample stands in for the (possibly uncountable) Lipschitz set: it
-    must certify at ``omega``. Its observations may be in any units: the
-    cover boxes them itself (``_unit_cover``), and ``t`` is the side of that
-    boxed grid. This is the sample's one pass over its pairs. It rejects
-    duplicate signals (closer than ``TOL_DUP``) with a LabelingError before
-    anything else, and it certifies: the result carries the certificate, and
-    so does the NotLipschitzError raised when certification fails. The
-    representatives belong to the certified sample, so the hypothesis is
-    fitted at omega with no pass over their pairs (see ``mwet._fit``): its
-    training residuals are ~0 and every sample point is recovered to within
-    epsilon. Each sample point is evaluated once, and the representatives'
-    errors are the training residuals; both maxima are reported for
+    The sample stands in for the (possibly uncountable) Lipschitz set, in
+    any units; ``t`` is the side of its boxed grid. Its one pass over its
+    pairs (``lipschitz._certify_sample``) rejects a duplicate signal
+    first and certifies: the result carries the certificate, and so does
+    the NotLipschitzError raised when certification fails. Each sample
+    point is evaluated once, and both error maxima are reported for
     assertion by the caller.
     """
     cert = _certify_sample(sample, omega)
-    reps, spec, _ = _unit_cover(sample.observations, sample.signal_dim, omega, epsilon, "full")
-    hypothesis = _fit(sample.subset(reps), omega, 0.0)
+    reps, spec, _, hypothesis = _recover(sample.signals, sample.observations, omega, epsilon)
     errors = _row_norms(hypothesis.evaluate(sample.observations) - sample.signals)
     report = CoverReport(
         t=spec.t,

@@ -60,7 +60,6 @@ from . import core
 from .core import (
     TOL_CERT,
     ConstantTooSmallError,
-    DegenerateSetError,
     DomainError,
     LabeledSet,
     ParameterError,
@@ -392,8 +391,6 @@ def fit(training: LabeledSet, omega1: Optional[float] = None) -> MwetHypothesis:
     an infinite bound would pass any audit. Injectivity of the observations
     is required and checked.
     """
-    if len(training) == 0:
-        raise DegenerateSetError("cannot fit on an empty labeled set")
     return _fit(training, omega1, 0.0 if len(training) == 1 else tight_omega(training).omega)
 
 

@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    DegenerateSetError,
     LabeledSet,
     LipschitzCertificate,
     OperatorClassError,
@@ -41,9 +40,9 @@ from .core import (
     as_batch,
     readonly,
 )
-from .covering import _check_epsilon, _unit_cover, grid_spec
+from .covering import _check_epsilon, _recover, grid_spec
 from .lipschitz import _certify_sample
-from .mwet import MwetHypothesis, _fit, _row_norms
+from .mwet import MwetHypothesis, _row_norms
 from .operators import MatrixOperator
 
 RANK_TOL = 1e-10
@@ -228,24 +227,15 @@ class FitReducedResult:
 
 def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
                 epsilon: float) -> FitReducedResult:
-    """Cover, fit, and assemble the reduced recovery map for a linear operator.
+    """The reduced recovery map of a sample labeled by a linear operator.
 
     The sample must be labeled by ``operator`` (an O(n) residual check,
-    LabelingError otherwise) and certify at ``omega``. One pass over the
-    sample's pairs then rejects duplicate signals (closer than
-    ``TOL_DUP``) with a LabelingError, ahead of any certification failure,
-    and certifies: the result carries the certificate, and so does the
-    NotLipschitzError raised when certification fails.
-    Covering happens in the effective observation space, boxed for cell
-    assignment by ``covering._unit_cover`` (which rescales the grid constant
-    to omega*scale); the hypothesis itself trains on raw effective
-    observations, keeping Psi and the grid consistent. Training pairs are
-    (A x^j, V2^T x^j) for the cover representatives x^j, fitted at omega
-    with no pass over their pairs: null components are no farther apart than
-    their signals, and effective observations as far apart as their
-    observations, so the sample's certificate covers them. Each sample point
-    is recovered once, and the representatives' errors are the training
-    residuals.
+    LabelingError otherwise) and is then certified at omega as in
+    ``cover_pipeline``. ``covering._recover`` learns only the null
+    components V2^T x of the cover's rows, from their effective
+    observations; effective observations are as far apart as their
+    observations, so the certificate carries over, and Psi inverts the
+    observed part. Each sample point is recovered once.
 
     A square full-rank operator short-circuits to exact inversion with no
     hypothesis, no grid, and a report whose grid fields are None; epsilon
@@ -254,8 +244,6 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
     if not isinstance(operator, MatrixOperator):
         raise OperatorClassError(
             f"reduced recovery needs a matrix operator, got {type(operator).__name__}")
-    if len(sample) == 0:
-        raise DegenerateSetError("cannot fit on an empty sample")
     _check_observations(sample, operator)
     cert = _certify_sample(sample, omega)
     factors = svd_factor(operator)
@@ -273,11 +261,8 @@ def fit_reduced(sample: LabeledSet, operator: MatrixOperator, omega: float,
         return FitReducedResult(recovery=recovery, representatives=None, report=report,
                                 recovery_errors=errors, certificate=cert)
 
-    reps, spec, scale = _unit_cover(eff_obs, n, omega, epsilon, "reduced")
-    # Null components may repeat across representatives (e.g. a sample inside
-    # a translate of range(A)); the observations, one per cell, do not.
-    training = LabeledSet(sample.signals[reps] @ factors.v2, eff_obs[reps])
-    hypothesis = _fit(training, omega, 0.0)
+    reps, spec, scale, hypothesis = _recover(sample.signals, eff_obs, omega, epsilon,
+                                             factors.v2)
     recovery = SvdRecoveryMap(factors=factors, hypothesis=hypothesis)
     errors = _row_norms(recovery.recover(sample.observations) - sample.signals)
     report = ReducedReport(

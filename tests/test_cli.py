@@ -763,6 +763,30 @@ def test_main_run_theorem1_rejects_observations_whose_span_overflows(tmp_path, c
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("task,operator,signals,scale", [
+    ("theorem1", [[1e150, 0.0], [0.0, 1e150]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "1e+150"),
+    ("theorem3", [[1e150, 0.0]], [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], "2e+150"),
+])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_main_run_names_omega_and_the_scale_whose_product_overflows(tmp_path, capsys, task,
+                                                                    operator, signals, scale,
+                                                                    duplicate):
+    # omega = 1e160 is finite and the sample certifies, but omega times the
+    # box scale overflows. theorem1 used to exit with "omega must be a
+    # positive finite number, got inf", theorem3 with "omega must be
+    # positive, got inf". A duplicate is still reported first.
+    problem = {"task": task, "operator": {"type": "matrix", "data": operator},
+               "signals": {"type": "list", "data": signals + [signals[0]] * duplicate},
+               "params": {"omega": 1e160, "epsilon": 1.0}}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "inf" not in err
+    if duplicate:
+        assert err == "error: labeling the sample failed: duplicate signals at indices 0 and 3\n"
+    else:
+        assert err.startswith("error: ") and f"omega = 1e+160 times the box scale {scale} " in err
+
+
 @pytest.mark.parametrize("problem_file", ["theorem1_ramp.json", "theorem3_projection.json"])
 def test_main_run_recovers_at_a_huge_omega(tmp_path, problem_file):
     # At omega = epsilon = 1e155 the hypothesis recovers some sample points

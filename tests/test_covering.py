@@ -32,6 +32,7 @@ from liprec import (
 from liprec import covering, svdrec
 from liprec.core import seeded_rng
 from liprec.covering import unit_box
+from liprec.mwet import _fit
 
 
 def test_grid_spec_full_mode_hand_value():
@@ -318,26 +319,92 @@ def test_cover_pipeline_boxes_a_raw_sample():
         build_cover(raw.observations, grid_spec(3, 2, omega * scale, epsilon, "full"))
 
 
-def test_both_pipelines_take_their_rows_from_the_unit_cover(monkeypatch):
+def test_both_pipelines_take_their_rows_from_the_recovery_body(monkeypatch):
     rng = seeded_rng(46)
     op = MatrixOperator(rng.standard_normal((2, 4)))
     raw = LabeledSet.from_operator(op, 5.0 * rng.standard_normal((60, 4)))
     omega = tight_omega(raw).omega
-    calls = []
-    unit_cover = covering._unit_cover
+    calls, covers = [], []
+    recover, cover = covering._recover, covering.build_cover
 
-    def spy(observations, signal_dim, omega, epsilon, mode):
-        out = unit_cover(observations, signal_dim, omega, epsilon, mode)
-        calls.append((mode, out[0]))
+    def spy(signals, observations, omega, epsilon, null_basis=None):
+        out = recover(signals, observations, omega, epsilon, null_basis)
+        calls.append((null_basis, out))
         return out
 
-    monkeypatch.setattr(covering, "_unit_cover", spy)
-    monkeypatch.setattr(svdrec, "_unit_cover", spy)
+    def count(observations, spec):
+        covers.append(spec.t)
+        return cover(observations, spec)
+
+    monkeypatch.setattr(covering, "_recover", spy)
+    monkeypatch.setattr(svdrec, "_recover", spy)
+    # The body reaches build_cover through the module global, where a
+    # wrapper (perfbench's, for one) sees it.
+    monkeypatch.setattr(covering, "build_cover", count)
     full = cover_pipeline(raw, omega, 1.0)
     reduced = fit_reduced(raw, op, omega, 1.0)
-    assert [mode for mode, _ in calls] == ["full", "reduced"]
-    assert calls[0][1] is full.representatives
-    assert calls[1][1] is reduced.representatives
+    (full_basis, full_out), (null_basis, reduced_out) = calls
+    assert full_basis is None and np.array_equal(null_basis, svd_factor(op).v2)
+    assert full_out[0] is full.representatives and full_out[3] is full.hypothesis
+    assert reduced_out[0] is reduced.representatives
+    assert reduced_out[3] is reduced.recovery.hypothesis
+    assert covers == [full.report.t, reduced.report.t_reduced]
+
+
+def _reference_recover(signals, observations, omega, epsilon, null_basis):
+    """``covering._recover`` spelled out one step at a time."""
+    lo, scale = unit_box(observations)
+    mode = "full" if null_basis is None else "reduced"
+    spec = grid_spec(signals.shape[1], observations.shape[1], omega * scale, epsilon, mode)
+    rows = build_cover((observations - lo) / scale, spec)
+    targets = signals[rows] if null_basis is None else signals[rows] @ null_basis
+    return rows, spec, scale, _fit(LabeledSet(targets, observations[rows]), omega, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), signal_dim=st.integers(2, 4),
+       reduced=st.booleans(), step=st.sampled_from([1e-3, 0.3, 0.7, 3.0, 1e4]),
+       per_tick=st.integers(1, 3), omega=st.floats(0.1, 10.0))
+def test_recover_equals_its_steps(data, n, signal_dim, reduced, step, per_tick, omega):
+    obs_dim = data.draw(st.integers(1, signal_dim - 1 if reduced else signal_dim))
+    # Lattice observations (box scale = span * step): boxed, they sit on or
+    # next to cell faces, since the grid side is about per_tick * span.
+    ticks = data.draw(arrays(np.int64, (n, obs_dim), elements=st.integers(-3, 3)))
+    observations = ticks * step + 0.5
+    span = max(int((ticks.max(axis=0) - ticks.min(axis=0)).max()), 1)
+    q, _ = np.linalg.qr(seeded_rng(signal_dim).standard_normal((signal_dim, signal_dim)))
+    v1, v2 = q[:, :obs_dim], q[:, obs_dim:]
+    # Null components drawn from {0, 1}, so that rows repeat them.
+    null = data.draw(arrays(np.int64, (n, signal_dim - obs_dim), elements=st.integers(0, 1)))
+    signals = observations @ v1.T + null @ v2.T
+    null_basis = v2 if reduced else None
+    factor = math.sqrt(signal_dim - obs_dim if reduced else signal_dim)
+    _, scale = unit_box(observations)
+    epsilon = (1.0 + factor) * omega * scale * math.sqrt(obs_dim) / (per_tick * span)
+
+    rows, spec, scale, hypothesis = covering._recover(signals, observations, omega, epsilon,
+                                                      null_basis)
+    want = _reference_recover(signals, observations, omega, epsilon, null_basis)
+    assert rows.dtype == np.int64 and np.array_equal(rows, want[0])
+    assert (spec, scale) == want[1:3]
+    assert hypothesis.omega1 == want[3].omega1 == omega
+    for got, expected in ((hypothesis.training.signals, want[3].training.signals),
+                          (hypothesis.training.observations, want[3].training.observations),
+                          (hypothesis.evaluate(observations), want[3].evaluate(observations))):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_recover_names_omega_and_the_scale_whose_product_overflows():
+    # omega is finite, but omega * scale is not: the grid used to reject an
+    # infinite omega ("omega must be positive, got inf").
+    signals = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    observations = 1e150 * signals[:, :1]
+    with pytest.raises(ParameterError, match=r"^omega = 1e\+160 times the box scale 2e\+150 "
+                                             r"overflows float64: no grid for epsilon = 1.0$"):
+        covering._recover(signals, observations, 1e160, 1.0)
+    for omega in (0.0, -1e160, math.nan, math.inf):  # the grid's own message
+        with pytest.raises(ParameterError, match="^omega must be positive"):
+            covering._recover(signals, observations, omega, 1.0)
 
 
 def test_pipelines_train_on_the_cover_rows():
