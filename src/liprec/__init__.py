@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 
 # Honor LIPREC_THREADS before numpy loads its BLAS, which sizes its thread
 # pool from these variables at library-load time. Only defaults are set;
-# explicit user settings win. The same value caps MWET evaluation's tile
-# threads and nothing else. It counts when int() accepts it and it is >= 1,
-# the rule of core.thread_budget, which MWET evaluation and the
-# command-line layer read and which rejects other values; it cannot run
-# here because core loads numpy.
+# explicit user settings win. The same value caps the worker processes of
+# MWET evaluation and criterion 2's audits and nothing else. It counts
+# when int() accepts it and it is >= 1, the rule of core.thread_budget,
+# which MWET evaluation, criterion 2 and the command-line layer read and
+# which rejects other values; it cannot run here because core loads numpy.
 _raw = _os.environ.get("LIPREC_THREADS", "").strip()
 try:
     _count = int(_raw)

@@ -95,13 +95,13 @@ class ProblemError(ValueError):
 
 
 def thread_budget() -> int:
-    """Worker-thread cap from LIPREC_THREADS, hardware count by default.
+    """Worker cap from LIPREC_THREADS, hardware count by default.
 
     ``core.thread_budget`` is the one reader: the same value caps the BLAS
     pool (set as an environment default at import time, see the package
-    __init__) and the threads of MWET evaluation (at most four), and
-    nothing else; it is recorded in report metadata. An invalid value is
-    a ProblemError.
+    __init__) and the worker processes of MWET evaluation and criterion
+    2's audits (at most four), and nothing else; it is recorded in report
+    metadata. An invalid value is a ProblemError.
     """
     try:
         return core_thread_budget()
@@ -425,9 +425,11 @@ def run_theorem1(operator: Operator, signals: np.ndarray,
     sample = _labeled(operator, signals)
     lo, scale = unit_box(sample.observations)
     omega_n = omega * scale
-    if not math.isfinite(scale) or (math.isfinite(omega) and omega_n == math.inf):
+    if not (math.isfinite(omega) and omega > 0.0 and math.isfinite(omega_n)):
         # A duplicate first; an infinite scale overflows the distances too.
+        # An invalid omega is named as given, not times the scale.
         _scan_sample(sample, None, duplicates=True)
+        _check_omega(omega)
         raise ProblemError(f"omega = {omega!r} times the box scale {scale!r} overflows float64")
     boxed = LabeledSet(sample.signals, (sample.observations - lo) / scale)
     results: Dict[str, Any] = {

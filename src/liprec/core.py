@@ -1,11 +1,13 @@
 """Shared numeric vocabulary: vectors, labeled signal/observation sets,
 Lipschitz certificates, the error taxonomy, deterministic RNG seeding, the
-worker-thread budget read from LIPREC_THREADS, and the one thread helper
-that spreads MWET evaluation's tiles over it.
+worker budget read from LIPREC_THREADS, and the one parallel helper,
+which spreads MWET evaluation's tiles and criterion 2's audits over
+forked worker processes.
 
 Everything is float64. Containers are frozen dataclasses whose arrays are
 marked read-only after construction, so objects may be shared freely across
-threads; all operations on them are pure functions of their inputs.
+threads and forked processes; all operations on them are pure functions of
+their inputs.
 
 The distance used throughout the package is the Euclidean norm. The
 tolerances are fixed package constants:
@@ -61,8 +63,10 @@ signal pair in the same pass.
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 import os
-import threading
+import pickle
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Optional, Tuple
 
@@ -211,11 +215,12 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def thread_budget() -> int:
-    """Worker-thread cap from LIPREC_THREADS, the hardware count by default.
+    """Worker cap from LIPREC_THREADS, the hardware count by default.
 
-    It caps MWET evaluation's tile threads, and the package __init__
-    passes the value to the BLAS pool as an environment default before
-    numpy loads; it caps nothing else. Raises ParameterError for a
+    It caps the worker processes of ``_map_blocks`` (MWET evaluation's
+    tiles, criterion 2's audits), the caller included, and the package
+    __init__ passes the value to the BLAS pool as an environment default
+    before numpy loads; it caps nothing else. Raises ParameterError for a
     value that is not a positive integer.
     """
     raw = os.environ.get("LIPREC_THREADS", "").strip()
@@ -230,57 +235,151 @@ def thread_budget() -> int:
     return value
 
 
-def _map_blocks(worker, starts: range, workers: int) -> None:
-    """Run block(start) once for each start, on up to `workers` threads.
+# Claim records of one ``_map_blocks`` call: at most this many 4-byte
+# indices, written in one call before any fork. 4096 bytes fit the
+# smallest buffer a Linux pipe is given, one page, so the write never
+# waits for a reader.
+_CLAIMS = 1024
 
-    The package's one thread helper, which MWET evaluation's tiles run
-    on; each block writes its own part of the caller's output and
-    returns nothing. worker() runs once on each thread and returns that
-    thread's block function, so a thread sets up its buffers once. The
-    threads claim the starts one at a time, in order, so a thread slowed
-    by other work on its core takes fewer blocks instead of holding up
-    the call. The calling thread is one of them and starts workers - 1
-    more (numpy releases the GIL inside its kernels). Every thread is
-    joined before the call returns, and the first error raised on any of
-    them is raised again here. With workers <= 1 no thread starts. Plain
-    threads need no module beyond ``threading``, which numpy has loaded
-    already: a pool module would cost every threaded run its import
-    time.
+_in_worker = False  # set while a process runs the blocks of a forking ``_map_blocks``
+
+
+def _map_blocks(worker, starts: range, workers: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """Run block(start) once for each start, on up to `workers` processes,
+    and return the float64 array of `shape` that the blocks filled.
+
+    The package's one parallel helper: MWET evaluation's tiles and
+    criterion 2's audits run on it. worker(out) runs once in each worker
+    process and returns that process's block function, so a process sets
+    up its buffers once; each block writes its own part of ``out`` and
+    returns nothing. The calling process is one of the workers and forks
+    workers - 1 more, so they share no GIL; ``out`` then lives in an
+    anonymous shared mmap made before the forks. The workers claim the
+    starts in order from a pipe pre-filled with claim records (runs of
+    consecutive starts beyond ``_CLAIMS`` of them), so a worker slowed by
+    other work on its core takes fewer blocks. A worker that fails drains
+    the pipe, so the others stop at their next claim; its error is
+    pickled back through a pipe of its own, and the caller raises an
+    interrupt first, else the error of the earliest failing start, or a
+    RuntimeError naming an error that does not survive pickling. A child runs only the block
+    functions and always ends with ``os._exit``, so it never returns into
+    the caller's frames nor flushes stdio; every child is reaped with
+    waitpid before the call returns, on errors and KeyboardInterrupt too.
+    With workers <= 1, inside a worker (so workers never nest), or
+    without ``os.fork``, no process starts and the caller runs every
+    block; a fork that fails with OSError starts no further worker.
     """
-    if workers <= 1:
-        block = worker()
+    global _in_worker
+    if workers <= 1 or _in_worker or not hasattr(os, "fork"):
+        out = np.empty(shape)
+        block = worker(out)
         for start in starts:
             block(start)
-        return
-    claims = iter(starts)
-    lock = threading.Lock()
-    errors = []
-
-    def run() -> None:
-        try:
-            block = worker()
-            while True:
-                with lock:
-                    start = next(claims, None)
-                if start is None:
-                    return
-                block(start)
-        except BaseException as exc:  # raised again on the calling thread
-            with lock:
-                errors.append(exc)
-                for _ in claims:  # the other threads stop at their next claim
-                    pass
-
-    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
+        return out
+    size = math.prod(shape)
+    out = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), count=size).reshape(shape)
+    group = -(-len(starts) // _CLAIMS)
+    claims, fill = os.pipe()
+    os.write(fill, np.arange(-(-len(starts) // group), dtype="<u4").tobytes())
+    os.close(fill)  # an empty pipe now reads as the end of the claims
+    children, errors = [], []
     try:
-        run()
+        for _ in range(workers - 1):
+            report, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(report)
+                os.close(send)
+                break
+            if pid == 0:
+                _work_in_child(worker, out, starts, claims, group, report, send)
+            os.close(send)
+            children.append((pid, report))
+        _in_worker = True
+        failure = _run_claims(worker, out, starts, claims, group)
+        if failure is not None:
+            errors.append(failure)
     finally:
-        for thread in threads:
-            thread.join()
+        _in_worker = False
+        for pid, report in children:
+            errors += _reap(pid, report)
+        os.close(claims)
     if errors:
-        raise errors[0]
+        # An interrupt first, then the earliest failing start.
+        raise min(errors, key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
+    return out
+
+
+def _run_claims(worker, out: np.ndarray, starts: range, claims: int, group: int):
+    """One worker's share of a ``_map_blocks`` call: build its block
+    function, then run the blocks of each claim read from the pipe until
+    the pipe is empty.
+
+    Returns None, or (start, error) for the block that raised (start -1
+    for worker itself), after draining the pipe so that every other
+    worker stops at its next claim.
+    """
+    start = -1
+    try:
+        block = worker(out)
+        while True:
+            record = os.read(claims, 4)
+            if not record:
+                return None
+            k = int.from_bytes(record, "little")
+            for start in starts[k * group:(k + 1) * group]:
+                block(start)
+    except BaseException as exc:
+        while os.read(claims, 4096):
+            pass
+        return start, exc
+
+
+def _work_in_child(worker, out, starts, claims, group, report, send):
+    """A forked worker: run its claims, send its error, if any, through
+    ``send``, and end the process; never returns."""
+    global _in_worker
+    status = 1
+    try:
+        _in_worker = True
+        os.close(report)
+        failure = _run_claims(worker, out, starts, claims, group)
+        if failure is None:
+            status = 0
+        else:
+            start, exc = failure
+            try:
+                pickled = pickle.dumps(exc)
+            except Exception:
+                pickled = None
+            record = memoryview(pickle.dumps((start, type(exc).__name__, str(exc), pickled)))
+            while record:
+                record = record[os.write(send, record):]
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, report: int) -> list:
+    """Read a child's error pipe to its end, wait for the child, and
+    return [(start, error)] if it failed, else []."""
+    chunks = []
+    try:
+        while chunk := os.read(report, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(report)
+        _, status = os.waitpid(pid, 0)
+    if chunks:
+        start, name, message, pickled = pickle.loads(b"".join(chunks))
+        try:
+            return [(start, pickle.loads(pickled))]
+        except Exception:  # None, or an error whose class cannot rebuild it
+            return [(start, RuntimeError(f"a worker process raised {name}: {message}"))]
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        return [(-1, RuntimeError(f"a worker process ended with exit code {code}"))]
+    return []
 
 
 # numpy's ufunc buffer, in elements, inside the kernels' broadcast blocks:
@@ -306,10 +405,11 @@ _UFUNC_BUFFER = 1 << 10
 def _ufunc_buffer():
     """Run the body with numpy's ufunc buffer at ``_UFUNC_BUFFER`` elements.
 
-    The size is numpy's per-thread state, and a thread does not inherit
-    its starter's, so each thread of ``_map_blocks`` sets it in its own
-    blocks. The caller's size is restored on every exit, errors included;
-    ``np.errstate`` restores it only on numpy 2.
+    The size is numpy's per-thread state, which a worker process of
+    ``_map_blocks`` copies from its caller at the fork, so each block
+    sets it in the process that runs it. The caller's size is restored
+    on every exit, errors included; ``np.errstate`` restores it only on
+    numpy 2.
     """
     old = np.setbufsize(_UFUNC_BUFFER)
     try:

@@ -36,15 +36,16 @@ whatever the number of queries, and the result is the same exact min
 over every training point for any tile or chunk size.
 
 A call of at least ``_THREAD_PAIRS`` query-training distances runs its
-tiles on up to ``core.thread_budget()`` threads (LIPREC_THREADS), at most
-``_MAX_THREADS`` and at most one per tile, the calling thread included;
-they claim the tiles in order through ``core._map_blocks``. Each thread
-keeps its own buffer set, and with at most ``_MAX_THREADS`` sets
-evaluation memory stays O(tile) on any host. Each tile writes only its
-own columns of the result. A query's arithmetic does not depend on its tile
-or thread, so the output is bit-identical for any thread count. Smaller
-calls run on the calling thread alone. Once every tile has finished, an
-entry that overflowed on the way is recomputed at a power-of-two scale;
+tiles on up to ``core.thread_budget()`` worker processes (LIPREC_THREADS),
+at most ``_MAX_THREADS`` and at most one per tile, the calling process
+included; they claim the tiles in order through ``core._map_blocks``.
+Each worker keeps its own buffer set, and with at most ``_MAX_THREADS``
+sets evaluation memory stays O(tile) on any host. Each tile writes only
+its own columns of the result, which the workers share. A query's
+arithmetic does not depend on its tile or worker, so the output is
+bit-identical for any worker count. Smaller calls run in the calling
+process alone. Once every tile has finished, an entry that overflowed on
+the way is recomputed at a power-of-two scale, in the calling process;
 only a recovered value that itself exceeds float64 raises DomainError.
 """
 
@@ -101,31 +102,31 @@ from .lipschitz import tight_omega
 # of 512, 1024 and 2048 elements, 2048 rows ran mwet_dense's and
 # criterion 2's calls fastest, with buffers of 512 and 1024 level
 # (BENCH_26.json, floor_buffer_sweep); a 20000-query call is ten tiles,
-# which two threads share evenly. A
+# which two worker processes share evenly. A
 # 2**16 budget (more points per chunk) raised mwet_dense's peak memory by
 # 4.5% (measured under the default buffer). The lanes sum over m alone,
 # in an order that depends on m only, and the min is exact, so the output
 # is bit-identical for every budget, floor and buffer size; only speed
-# and memory change. Each evaluation thread holds one tile, lane, square
+# and memory change. Each evaluation worker holds one tile, lane, square
 # and min-row set, about 0.9 MiB at m = 8; the (m, rows) tile takes
 # 16 KiB of it per observation coordinate.
 _TILE_ELEMENTS = 1 << 15
 _MIN_ROWS = 2048
 
-# A call runs its tiles on more than one thread only when it computes at
-# least this many query-training distances. Below it a second thread
-# does not pay reliably: on a 2-core host, calls of 0.8M-2M distances
-# (selftest's audits, theorem3_sheet's) ran 0.72-1.27x their serial time
-# on two threads, median 0.91-1.03x, and up to 1.32x with the other core
-# busy, so selftest's run_s spread several times wider than serially.
-# mwet_dense's call of 3e7 distances ran 0.83x (median of 3; 0.79-1.10x)
-# and 0.88-0.93x with the other core busy.
-# At most _MAX_THREADS threads take part, whatever LIPREC_THREADS allows,
-# so the (chunk, rows) blocks of a call stay within 12 blocks, 3 MiB.
-# Smaller blocks would bound memory too, but each numpy call then does
-# less work per GIL hand-off: halving the blocks on two threads took away
-# most of the gain (mwet_dense's evaluate went from 0.67 to 0.88 of the
-# serial time).
+# A call runs its tiles on more than one worker process only when it
+# computes at least this many query-training distances. One fork,
+# os._exit and waitpid of a 45 MB process takes about 4 ms, so below the
+# cutoff a second process pays little: on a 2-core host (2-vCPU Xeon,
+# numpy 2.4.6, median of 7; BENCH_32.json, in_process), two processes ran
+# calls of 1.0M and 2.0M distances at 0.94x and 0.86x their serial time,
+# 4.0M at 0.70x, and mwet_dense's call of 3e7 at 0.63x. Threads ran that
+# call at 0.83x: each numpy call costs about 8 us, and the threads took
+# turns holding the GIL between calls. Calls of 0.8M-2M distances
+# (selftest's audits, theorem3_sheet's) therefore stay serial; criterion
+# 2 spreads its audits, not their tiles, over the workers.
+# At most _MAX_THREADS processes take part, whatever LIPREC_THREADS
+# allows, so the (chunk, rows) blocks of a call stay within 12 blocks,
+# 3 MiB.
 _THREAD_PAIRS = 1 << 22
 _MAX_THREADS = 4
 
@@ -203,12 +204,12 @@ class MwetHypothesis:
         """evaluate(q).T for a (count, m) batch, as a C-contiguous (d, count) array."""
         sig = self.training.signals
         (count, m), n = q.shape, len(self.training)
-        out = np.empty((self.output_dim, count))
         threads = thread_budget()  # an invalid LIPREC_THREADS fails at any size
         if self.omega1 == 0.0:
             # Every term is 0 * distance + signal, so each query recovers
             # the same column minima, without the distance pass whose
             # squares could overflow.
+            out = np.empty((self.output_dim, count))
             out[:] = np.add(0.0, sig).min(axis=0)[:, None]
             return out
         columns = np.ascontiguousarray(self.training.observations.T)
@@ -221,10 +222,10 @@ class MwetHypothesis:
         if count * n >= _THREAD_PAIRS:
             workers = min(threads, len(starts), _MAX_THREADS)
 
-        def worker():
-            # One buffer set per thread; each tile writes only its own
-            # columns of out. errstate and the ufunc buffer size are per
-            # thread, so each tile sets both.
+        def worker(out):
+            # One buffer set per worker process; each tile writes only its
+            # own columns of out, which the processes share. Each tile sets
+            # errstate and the ufunc buffer size in the process that runs it.
             tile = np.empty((m, rows))
             acc = np.empty((2, chunk, rows))
             scratch = np.empty((chunk, rows))
@@ -261,7 +262,7 @@ class MwetHypothesis:
 
             return block
 
-        core._map_blocks(worker, starts, workers)
+        out = core._map_blocks(worker, starts, workers, (self.output_dim, count))
         self._rescale_overflows(q, out.T)
         return out
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import warnings
 
@@ -787,6 +788,31 @@ def test_main_run_names_omega_and_the_scale_whose_product_overflows(tmp_path, ca
         assert err.startswith("error: ") and f"omega = 1e+160 times the box scale {scale} " in err
 
 
+@pytest.mark.parametrize("problem_file", ["theorem1_segment.json", "theorem1_ramp.json"])
+@pytest.mark.parametrize("omega", [-1.0, 0.0])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_main_run_names_an_invalid_theorem1_omega_as_given(tmp_path, capsys, problem_file, omega,
+                                                          duplicate):
+    # theorem1 certifies its boxed sample at omega times the box scale, and
+    # an invalid omega used to be named so multiplied: "got
+    # -0.2749999999999997" for the segment's scale 0.275. The ramp's scale
+    # is 1.0, which hid it. A duplicate is still reported first, and every
+    # case exits 1.
+    problem = json.loads((PROBLEMS / problem_file).read_text())
+    problem["params"]["omega"] = omega
+    spec = problem["signals"]
+    if duplicate:
+        points = np.linspace(spec["start"], spec["end"], spec["count"]).tolist()
+        problem["signals"] = {"type": "list", "data": points + points[:1]}
+    assert _main_on(tmp_path, problem) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    if duplicate:
+        assert err == ("error: labeling the sample failed: duplicate signals at indices 0 and "
+                       f"{spec['count']}\n")
+    else:
+        assert err == f"error: ParameterError: omega must be a positive finite number, got {omega}\n"
+
+
 @pytest.mark.parametrize("problem_file", ["theorem1_ramp.json", "theorem3_projection.json"])
 def test_main_run_recovers_at_a_huge_omega(tmp_path, problem_file):
     # At omega = epsilon = 1e155 the hypothesis recovers some sample points
@@ -1182,6 +1208,40 @@ def test_selftest_filter(capsys):
     assert "criterion 7" in out
     assert "criterion 3" not in out
     assert _run_main(["selftest", "--filter", "nosuch"]) == 1
+
+
+def test_selftest_mwet_audits_on_worker_processes(tmp_path, monkeypatch, process_log,
+                                                  no_child_left):
+    # Criterion 2's 100 audits are the blocks of one core._map_blocks call,
+    # run on LIPREC_THREADS worker processes (each process that runs the
+    # call's worker() logs its pid). The report is the same for 1 and 2,
+    # runtimes aside, and no child is left after either run.
+    map_blocks = core._map_blocks
+
+    def spy(worker, starts, count, shape):
+        if len(starts) != 100:  # an audit's own evaluate call
+            return map_blocks(worker, starts, count, shape)
+
+        def logged(out):
+            process_log.append("audits", os.getpid())
+            return worker(out)
+
+        return map_blocks(logged, starts, count, shape)
+
+    monkeypatch.setattr(core, "_map_blocks", spy)
+    payloads = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LIPREC_THREADS", threads)
+        process_log.path.unlink(missing_ok=True)
+        out = tmp_path / f"selftest-{threads}.json"
+        assert _run_main(["selftest", "--filter", "mwet", "--out", str(out)]) == 0
+        no_child_left()
+        assert len(set(process_log.read("audits"))) == int(threads)
+        payload = json.loads(out.read_text())
+        for entry in payload["criteria"]:
+            entry.pop("runtime_s")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_selftest_report_deterministic_modulo_runtime(tmp_path):

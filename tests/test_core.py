@@ -1,9 +1,10 @@
 """Container, coercion, and validation behavior in liprec.core."""
 
 import os
+import signal
 import subprocess
 import sys
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,64 +202,221 @@ def test_import_applies_the_thread_budget_rule_to_blas(raw, blas, budget):
     assert out.stdout.strip() == repr((blas, budget))
 
 
-def test_map_blocks_runs_each_block_once():
+def test_map_blocks_runs_each_block_once(process_log, no_child_left):
     # every start exactly once on 1, 2 and 3 workers, one worker() per
-    # thread, the calling thread among them; the call returns nothing
-    made, seen = [], []
-
-    def worker():
-        made.append(threading.current_thread())
+    # worker process, the calling process among them; the blocks fill the
+    # returned array, shared with the children
+    def worker(out):
+        process_log.append("worker", os.getpid())
 
         def block(start):
-            seen.append((start, threading.current_thread()))
+            process_log.append("block", start, os.getpid())
+            out[start // 2] = start
 
         return block
 
     starts = range(0, 40, 2)
     for workers in (1, 2, 3):
-        made.clear()
-        seen.clear()
-        assert core._map_blocks(worker, starts, workers) is None
-        assert sorted(start for start, _ in seen) == list(starts), workers
-        assert len(made) == workers and len({id(thread) for thread in made}) == workers
-        assert threading.current_thread() in made
-        assert {id(thread) for _, thread in seen} <= set(map(id, made))
-    made.clear()
-    assert core._map_blocks(worker, range(0), 0) is None
-    assert made == [threading.current_thread()]
+        process_log.path.unlink(missing_ok=True)
+        out = core._map_blocks(worker, starts, workers, (20,))
+        assert out.tolist() == list(starts), workers
+        made = [pid for pid, in process_log.read("worker")]
+        seen = process_log.read("block")
+        assert sorted(int(start) for start, _ in seen) == list(starts)
+        assert len(made) == workers and len(set(made)) == workers
+        assert str(os.getpid()) in made
+        assert {pid for _, pid in seen} <= set(made)
+    process_log.path.unlink()
+    assert core._map_blocks(worker, range(0), 0, (0,)).shape == (0,)
+    assert process_log.read("worker") == [(str(os.getpid()),)]
+    # more workers than cores, and more starts than claim records, so
+    # that a claim holds a run of three starts
+    process_log.path.unlink()
+    starts = range(0, 2 * 3 * core._CLAIMS - 2, 2)
+    out = core._map_blocks(worker, starts, 4, (len(starts),))
+    assert out.tolist() == list(starts)
+    assert sorted(int(start) for start, _ in process_log.read("block")) == list(starts)
+    assert len(set(process_log.read("worker"))) == 4
 
-    def failing():
+    def failing(out):
         def block(start):
             if start == 3:
                 raise ValueError("block 3 failed")
-            return start
 
         return block
 
-    # an error on any thread reaches the caller, and no thread outlives the call
-    before = threading.active_count()
+    # an error in any worker reaches the caller, and no child outlives the call
     for workers in (1, 2, 3):
         with pytest.raises(ValueError, match="^block 3 failed$"):
-            core._map_blocks(failing, range(8), workers)
-    assert threading.active_count() == before
+            core._map_blocks(failing, range(8), workers, (8,))
+    no_child_left()
 
 
-def test_threaded_kernels_join_their_threads(monkeypatch):
-    # evaluate's tiles over three threads: no started thread outlives the call
-    workers = []
+def _log_workers(monkeypatch, process_log):
+    """Make each process that runs a core._map_blocks call's worker()
+    log its pid under "worker"."""
     map_blocks = core._map_blocks
 
-    def spy(fn, starts, count):
-        workers.append(count)
-        map_blocks(fn, starts, count)
+    def spy(worker, starts, count, shape):
+        def logged(out):
+            process_log.append("worker", os.getpid())
+            return worker(out)
+
+        return map_blocks(logged, starts, count, shape)
 
     monkeypatch.setattr(core, "_map_blocks", spy)
+
+
+def test_forked_kernels_reap_their_children(monkeypatch, process_log, no_child_left):
+    # evaluate's tiles over three worker processes: no child outlives the call
+    _log_workers(monkeypatch, process_log)
     monkeypatch.setenv("LIPREC_THREADS", "3")
     rng = seeded_rng(41)
-    before = threading.active_count()
     training = LabeledSet(rng.standard_normal((200, 3)), rng.standard_normal((200, 2)))
     # 21000 queries against 200 training points: 4.2M distances, above the
-    # cutoff for threading, in 11 tiles of 2048 rows
+    # cutoff for worker processes, in 11 tiles of 2048 rows
     MwetHypothesis(training=training, omega1=2.0).evaluate(rng.standard_normal((21000, 2)))
-    assert workers == [3]
-    assert threading.active_count() == before
+    assert len(set(process_log.read("worker"))) == 3
+    no_child_left()
+
+
+def _fails_in_children(error):
+    """A worker whose blocks sleep, so that the child claims some, and
+    raise ``error`` (a callable of the start) in a child only."""
+    caller = os.getpid()
+
+    def worker(out):
+        def block(start):
+            time.sleep(0.01)
+            if os.getpid() != caller:
+                raise error(start)
+
+        return block
+
+    return worker
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def test_map_blocks_raises_a_childs_error_in_the_caller(no_child_left):
+    # A child's exception reaches the caller with its type and message,
+    # pickled through its pipe; one that does not unpickle (a class whose
+    # constructor takes two arguments, pickled with one) or does not pickle
+    # (a local class) becomes a RuntimeError naming its type and message.
+    class LocalError(Exception):
+        pass
+
+    for error, expected, message in [
+            (lambda s: ValueError(f"block {s} failed"), ValueError, r"^block \d+ failed$"),
+            (lambda s: DomainError(f"block {s} is out"), DomainError, r"^block \d+ is out$"),
+            (lambda s: _TwoArgumentError(f"block {s}", 2), RuntimeError,
+             r"^a worker process raised _TwoArgumentError: block \d+$"),
+            (lambda s: LocalError(f"block {s}"), RuntimeError,
+             r"^a worker process raised LocalError: block \d+$")]:
+        with pytest.raises(expected, match=message):
+            core._map_blocks(_fails_in_children(error), range(20), 2, (20,))
+        no_child_left()
+
+
+def test_map_blocks_stops_every_worker_after_a_failure(process_log, no_child_left):
+    # Block 0 fails at once; the other worker is inside a 0.2 s block by
+    # then, and finds no claim left after it, so at most two of the eight
+    # blocks run.
+    def worker(out):
+        def block(start):
+            process_log.append("block", start)
+            if start == 0:
+                raise ValueError("block 0 failed")
+            time.sleep(0.2)
+
+        return block
+
+    with pytest.raises(ValueError, match="^block 0 failed$"):
+        core._map_blocks(worker, range(8), 2, (8,))
+    assert len(process_log.read("block")) <= 2
+    no_child_left()
+
+
+def test_map_blocks_reaps_its_children_on_interrupt_and_crash(no_child_left):
+    # A KeyboardInterrupt in the caller's block, and a child killed by a
+    # signal, whose blocks are lost: both reach the caller once every
+    # child is reaped.
+    caller = os.getpid()
+
+    def interrupted(out):
+        def block(start):
+            time.sleep(0.01)
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+
+        return block
+
+    def crashing(out):
+        def block(start):
+            time.sleep(0.01)
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        return block
+
+    with pytest.raises(KeyboardInterrupt):
+        core._map_blocks(interrupted, range(20), 3, (20,))
+    no_child_left()
+    with pytest.raises(RuntimeError, match=f"^a worker process ended with exit code "
+                                           f"-{int(signal.SIGKILL)}$"):
+        core._map_blocks(crashing, range(20), 2, (20,))
+    no_child_left()
+
+
+def test_map_blocks_runs_serially_when_fork_fails(monkeypatch, process_log, no_child_left):
+    # Where os.fork raises OSError, the caller runs every block, and MWET
+    # evaluation above the cutoff gives the same bits.
+    rng = seeded_rng(42)
+    hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((8, 3)),
+                                             rng.standard_normal((8, 2))), omega1=2.0)
+    queries = rng.standard_normal((2 ** 19, 2))
+    monkeypatch.setenv("LIPREC_THREADS", "2")
+    expected = hyp.evaluate(queries)
+
+    def fork():
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _log_workers(monkeypatch, process_log)
+    assert hyp.evaluate(queries).tobytes() == expected.tobytes()
+    assert process_log.read("worker") == [(str(os.getpid()),)]
+    no_child_left()
+
+
+def test_map_blocks_inside_a_worker_starts_no_process(monkeypatch, no_child_left):
+    # A nested call runs serially in the worker that made it: the inner
+    # blocks all run in that process, and no process but the caller forks.
+    caller, fork = os.getpid(), os.fork
+
+    def guarded_fork():
+        assert os.getpid() == caller, "a worker process forked"
+        return fork()
+
+    monkeypatch.setattr(os, "fork", guarded_fork)
+
+    def inner(out):
+        def block(start):
+            out[start] = os.getpid()
+
+        return block
+
+    def outer(out):
+        def block(start):
+            time.sleep(0.01)
+            pids = core._map_blocks(inner, range(4), 4, (4,))
+            out[start] = os.getpid() if (pids == os.getpid()).all() else -1
+
+        return block
+
+    pids = core._map_blocks(outer, range(12), 2, (12,))
+    assert (pids > 0).all()
+    no_child_left()

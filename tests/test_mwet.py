@@ -6,11 +6,11 @@ two Lipschitz properties (per-coordinate omega1, stacked omega1 * sqrt(d))
 are exercised on random query pairs well outside the training data.
 """
 
+import itertools
 import json
 import math
 import os
 import pathlib
-import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -143,9 +143,9 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
     # for that tile, 1 or 7 points, or all n. Both module constants are
     # patched so that evaluate tiles exactly so. (The default 8192-row
     # tile is checked on its own below: here its oracle blocks would reach
-    # 200 MB.) The tiles run on 1, 2 or 3 threads, with the size cutoff
-    # for threading patched away; 2, 3 and 5 tiles hand threads whole and
-    # partial last tiles, and more tiles than threads.
+    # 200 MB.) The tiles run on 1, 2 or 3 worker processes, with the size
+    # cutoff for forking patched away; 2, 3 and 5 tiles hand workers whole
+    # and partial last tiles, and more tiles than workers.
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -174,12 +174,13 @@ def test_tiled_evaluate_bit_identical_to_4096_blocks(n, obs_dim, sig_dim, count,
 
 
 @pytest.mark.parametrize("n, obs_dim, sig_dim", [(52, 4, 8), (1500, 3, 2)])
-def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, n, obs_dim, sig_dim):
+def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, process_log, n, obs_dim,
+                                                    sig_dim):
     # The default tile and chunk, nothing patched, on the benchmark's call
     # shapes: 20000 queries against 52 training points, as in criterion
-    # 2's audits (ten tiles on the calling thread, under the threading
-    # cutoff), and against 1500, as in mwet_dense's audit (the same tiles,
-    # threaded). The dimensions stay small at n = 1500 for the oracle's
+    # 2's audits (ten tiles in the calling process, under the cutoff for
+    # forking), and against 1500, as in mwet_dense's audit (the same
+    # tiles, on worker processes). The dimensions stay small at n = 1500 for the oracle's
     # sake: its (4096, n, M) block is 147 MB at M = 3, and its einsum and
     # per-output mins take seconds.
     rng = np.random.default_rng(n)
@@ -188,7 +189,7 @@ def test_default_tiles_bit_identical_to_4096_blocks(monkeypatch, n, obs_dim, sig
     hyp = MwetHypothesis(training=training, omega1=1.5)
     queries = rng.standard_normal((20000, obs_dim)) * 3.0
     expected = _blocked_4096_eval(hyp, queries)
-    calls = _spy_map_blocks(monkeypatch)
+    calls = _spy_map_blocks(monkeypatch, process_log)
     for threads in ("1", "2"):
         monkeypatch.setenv("LIPREC_THREADS", threads)
         calls.clear()
@@ -289,9 +290,9 @@ def test_evaluate_rejects_outputs_that_overflow(monkeypatch, threads):
     # omega_global = 5e307 * sqrt(4) = 1e308 is finite, but omega1 times the
     # distance of a query a few units off the training segment is not, so
     # the recovered value is not either; evaluate used to warn and return
-    # inf. Tiles of 7 rows over two threads: the first bad query, row 450,
-    # is named whichever thread computed it, after every tile has finished
-    # (the size cutoff for threading is patched away).
+    # inf. Tiles of 7 rows over two worker processes: the first bad query,
+    # row 450, is named whichever worker computed it, after every tile has
+    # finished (the size cutoff for forking is patched away).
     monkeypatch.setenv("LIPREC_THREADS", threads)
     monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
     monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
@@ -327,8 +328,8 @@ def test_evaluate_recovers_values_whose_terms_overflow(monkeypatch, threads):
     # squares of a query 1e155 away at omega1 = 1e-151, where the value is
     # about 1e4 and the signals decide the min; squares at 1e200, omega1 = 1;
     # the gap and the distance of a query near +-1.5e308 at omega1 = 0.25.
-    # The far rows of a multi-tile call (threaded, with the size cutoff
-    # patched away) match a math.hypot oracle, the other rows keep their
+    # The far rows of a multi-tile call (on worker processes, with the size
+    # cutoff patched away) match a math.hypot oracle, the other rows keep their
     # bits, and no numpy warning is printed.
     monkeypatch.setenv("LIPREC_THREADS", threads)
     monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
@@ -401,30 +402,43 @@ def test_evaluate_at_omega_zero_recovers_the_signal_minima():
     assert np.array_equal(hyp.evaluate(queries[0]), ls.signals.min(axis=0))
 
 
-def _spy_map_blocks(monkeypatch):
-    """Record (blocks, workers) of each core._map_blocks call."""
-    calls = []
+def _spy_map_blocks(monkeypatch, process_log):
+    """Record (blocks, worker processes) of each core._map_blocks call.
+
+    Each process that runs the call's worker() logs its pid; the caller
+    is among them and runs it once, as does every other worker.
+    """
+    calls, tags = [], itertools.count()
     map_blocks = core._map_blocks
 
-    def spy(fn, starts, count):
-        calls.append((len(starts), count))
-        return map_blocks(fn, starts, count)
+    def spy(worker, starts, count, shape):
+        tag = f"call{next(tags)}"
+
+        def logged(out):
+            process_log.append(tag, os.getpid())
+            return worker(out)
+
+        out = map_blocks(logged, starts, count, shape)
+        pids = [pid for pid, in process_log.read(tag)]
+        assert len(set(pids)) == len(pids) and str(os.getpid()) in pids
+        calls.append((len(starts), len(pids)))
+        return out
 
     monkeypatch.setattr(core, "_map_blocks", spy)
     return calls
 
 
-def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
+def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch, process_log):
     # 8 training points: tiles of 4096 rows in one chunk of 8, and 2^19
-    # queries are 2^22 distances, the cutoff. One query fewer runs on the
-    # calling thread; at the cutoff the 128 tiles run on LIPREC_THREADS
-    # threads, at most four.
+    # queries are 2^22 distances, the cutoff. One query fewer runs in the
+    # calling process; at the cutoff the 128 tiles run on LIPREC_THREADS
+    # worker processes, at most four, the caller included.
     rng = seeded_rng(43)
     hyp = MwetHypothesis(training=LabeledSet(rng.standard_normal((8, 3)),
                                              rng.standard_normal((8, 2))), omega1=2.0)
     queries = rng.standard_normal((2 ** 19, 2))
     assert 2 ** 19 * 8 == mwet._THREAD_PAIRS
-    calls = _spy_map_blocks(monkeypatch)
+    calls = _spy_map_blocks(monkeypatch, process_log)
     for threads, workers in [("1", 1), ("2", 2), ("3", 3), ("16", 4)]:
         monkeypatch.setenv("LIPREC_THREADS", threads)
         calls.clear()
@@ -437,7 +451,7 @@ def test_evaluate_threads_only_calls_of_the_cutoff_size(monkeypatch):
 def test_evaluate_reads_the_thread_budget_at_any_size(monkeypatch, raw):
     # LIPREC_THREADS is read on every call, as rip_delta reads it: an
     # invalid value fails a 10-query call as it fails one of 2^19 queries
-    # against 8 training points (the threading cutoff), and the omega1 = 0
+    # against 8 training points (the cutoff for forking), and the omega1 = 0
     # shortcut and the audit as well.
     rng = seeded_rng(43)
     training = LabeledSet(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
@@ -454,8 +468,8 @@ def test_evaluate_reads_the_thread_budget_at_any_size(monkeypatch, raw):
 @pytest.mark.parametrize("grid", [False, True])
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("shift", [-1, 0, 1])
-def test_tiles_around_the_ufunc_buffer_bit_identical_to_4096_blocks(monkeypatch, shift,
-                                                                    threads, grid):
+def test_tiles_around_the_ufunc_buffer_bit_identical_to_4096_blocks(monkeypatch, process_log,
+                                                                    shift, threads, grid):
     # Tiles of one row fewer than the ufunc buffer that evaluate's blocks
     # run under, as many rows, and one more: each block's broadcast calls
     # have inner loops just below, at and just above the buffer, and a
@@ -476,7 +490,7 @@ def test_tiles_around_the_ufunc_buffer_bit_identical_to_4096_blocks(monkeypatch,
 
     hyp = MwetHypothesis(training=LabeledSet(draw((50, 4)), draw((50, 11))), omega1=1.5)
     queries = draw((2 * rows + 3, 11))
-    calls = _spy_map_blocks(monkeypatch)
+    calls = _spy_map_blocks(monkeypatch, process_log)
     got = hyp.evaluate(queries)
     assert calls == [(3, int(threads))]
     assert got.tobytes() == _blocked_4096_eval(hyp, queries).tobytes()
@@ -495,12 +509,12 @@ CALLER_STATES = [(16, {"all": "ignore"}), (8192, {"all": "warn"}),
 @pytest.mark.parametrize("bufsize, err", CALLER_STATES)
 def test_public_calls_keep_the_callers_numpy_state(monkeypatch, threads, bufsize, err):
     # evaluate's blocks and the tiled pair scan set numpy's ufunc buffer
-    # on each thread that runs them. After evaluate, the audit and
+    # in each process that runs them. After evaluate, the audit and
     # tight_omega (30 points: the tiled scan), the caller's buffer size
     # and error settings are as it set them, whether the call returned,
     # raised DomainError (the overflow fixtures above), or failed inside
-    # a block. Tiles of 7 rows, with the threading cutoff patched away,
-    # hand blocks to every thread.
+    # a block. Tiles of 7 rows, with the cutoff for forking patched away,
+    # hand blocks to every worker.
     monkeypatch.setenv("LIPREC_THREADS", threads)
     monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
     monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
@@ -538,31 +552,40 @@ def test_public_calls_keep_the_callers_numpy_state(monkeypatch, threads, bufsize
         np.seterr(**old_err)
 
 
-def test_each_block_sets_the_ufunc_buffer_on_its_own_thread(monkeypatch):
-    # evaluate sets the small buffer once per tile, on the thread that
-    # runs the tile, and gives that thread's own size back after it (a
-    # worker thread starts at numpy's default); the tiled scan does so
-    # once per scan. 600 queries in tiles of 7 rows are 86 tiles.
+def test_each_block_sets_the_ufunc_buffer_in_its_own_worker(monkeypatch, process_log):
+    # evaluate sets the small buffer once per tile, in the worker process
+    # that runs the tile, and gives that process's own size back after it
+    # (a child starts at its caller's, here numpy's default); the tiled
+    # scan does so once per scan. 600 queries in tiles of 7 rows are 86
+    # tiles. Each process logs the sizes it sets.
     ls = _segment_instance()  # its duplicate check is a tiled scan too
-    sizes = {}
     setbufsize = np.setbufsize
 
     def spy(size):
-        sizes.setdefault(threading.get_ident(), []).append(size)
+        process_log.append("size", os.getpid(), size)
         return setbufsize(size)
+
+    def sizes():
+        by_process = {}
+        for pid, size in process_log.read("size"):
+            by_process.setdefault(pid, []).append(int(size))
+        process_log.path.unlink()
+        return by_process
 
     monkeypatch.setattr(np, "setbufsize", spy)
     monkeypatch.setenv("LIPREC_THREADS", "2")
     monkeypatch.setattr(mwet, "_MIN_ROWS", 7)
     monkeypatch.setattr(mwet, "_TILE_ELEMENTS", 7 * 30)
     monkeypatch.setattr(mwet, "_THREAD_PAIRS", 0)
+    process_log.path.unlink(missing_ok=True)
     MwetHypothesis(training=ls, omega1=2.0).evaluate(ls.observations[np.arange(600) % 30])
-    assert sum(len(seen) for seen in sizes.values()) == 2 * 86
-    for seen in sizes.values():
+    seen_by = sizes()
+    assert len(seen_by) <= 2
+    assert sum(len(seen) for seen in seen_by.values()) == 2 * 86
+    for seen in seen_by.values():
         assert seen == [core._UFUNC_BUFFER, 8192] * (len(seen) // 2)
-    sizes.clear()
     tight_omega(ls)
-    assert sizes == {threading.get_ident(): [core._UFUNC_BUFFER, 8192]}
+    assert sizes() == {str(os.getpid()): [core._UFUNC_BUFFER, 8192]}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -570,7 +593,7 @@ def test_results_do_not_depend_on_the_callers_buffer_size(monkeypatch, threads):
     # A caller's ufunc buffer of 16 elements, numpy's default 8192 or 2^16
     # changes no bit of evaluate, the audit or the tiled scan's
     # certificate. 5000 queries against 300 training points run as three
-    # default tiles, threaded with the cutoff patched away; 300 points
+    # default tiles, on worker processes with the cutoff patched away; 300 points
     # take the tiled scan. The expected values are computed first, at
     # numpy's default buffer.
     monkeypatch.setenv("LIPREC_THREADS", threads)
@@ -595,17 +618,35 @@ def test_results_do_not_depend_on_the_callers_buffer_size(monkeypatch, threads):
             cert.omega.hex(), cert.witness, 300 * 299 // 2)
 
 
-def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
+def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch, process_log):
     # 64 tiles of 2048 queries against 100 x 8 training points, with
-    # LIPREC_THREADS = 16: four threads run, each with one buffer set of
-    # about 0.9 MiB, so the traced peak (with the 1 MiB output) stays under
-    # the tile-bound test's bound; sixteen sets would pass it.
+    # LIPREC_THREADS = 16: four worker processes run, each with one buffer
+    # set of about 0.9 MiB. Each logs its traced peak after every block it
+    # runs (a child's tracer is a copy of the caller's, so its peak also
+    # counts what the caller traced before the fork), and every peak, and
+    # the caller's after the call (with the 1 MiB output), stays under the
+    # tile-bound test's bound.
     rng = seeded_rng(26)
     training = LabeledSet(rng.standard_normal((100, 1)), rng.standard_normal((100, 8)))
     hyp = MwetHypothesis(training=training, omega1=2.0)
     queries = rng.standard_normal((16 * 8192, 8))
     monkeypatch.setenv("LIPREC_THREADS", "16")
-    calls = _spy_map_blocks(monkeypatch)
+    calls = _spy_map_blocks(monkeypatch, process_log)
+    map_blocks = core._map_blocks
+
+    def traced(worker, starts, count, shape):
+        def logging_peaks(out):
+            block = worker(out)
+
+            def run(start):
+                block(start)
+                process_log.append("peak", os.getpid(), tracemalloc.get_traced_memory()[1])
+
+            return run
+
+        return map_blocks(logging_peaks, starts, count, shape)
+
+    monkeypatch.setattr(core, "_map_blocks", traced)
     tracemalloc.start()
     try:
         hyp.evaluate(queries)
@@ -613,15 +654,20 @@ def test_evaluate_peak_memory_stays_bounded_on_many_threads(monkeypatch):
     finally:
         tracemalloc.stop()
     assert calls == [(64, mwet._MAX_THREADS)]
+    peaks = process_log.read("peak")
+    assert len(peaks) == 64
+    assert max(int(bytes_) for _, bytes_ in peaks) < 8 * 2 ** 20
     assert peak < 8 * 2 ** 20
 
 
-def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch):
+def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatch, process_log,
+                                                            no_child_left):
     # mwet_segment.json on 200 signals audits 41000 pairs in one evaluate
     # call: 82000 queries against 200 training points are 16.4M distances,
-    # above the cutoff, in 40 tiles of 2048 rows and one of 80
+    # above the cutoff, in 40 tiles of 2048 rows and one of 80, on
+    # LIPREC_THREADS worker processes; none is left after the run
     problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "mwet_segment.json"
-    workers = _spy_map_blocks(monkeypatch)
+    workers = _spy_map_blocks(monkeypatch, process_log)
     reports = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("LIPREC_THREADS", threads)
@@ -637,6 +683,7 @@ def test_cli_mwet_reports_identical_for_one_and_two_threads(tmp_path, monkeypatc
         reports[threads] = json.dumps(report, sort_keys=True)
         # the training residuals (one tile), then the audit
         assert workers == [(1, 1), (41, int(threads))]
+        no_child_left()
     assert reports["1"] == reports["2"]
 
 
@@ -755,7 +802,8 @@ def test_lipschitz_audit_equals_the_evaluate_and_row_norms_audit(
     # sum from d = 8 up. One-dimensional observations can redraw pairs;
     # omega1 = 1e160 makes the differences' squares overflow, so both
     # sides rescale. Tiles of 7 or 64 rows split the audit's one call into
-    # up to 200 tiles, on one thread or two (the size cutoff patched away).
+    # up to 200 tiles, on one worker process or two (the size cutoff patched
+    # away).
     rng = np.random.default_rng(seed)
     training = LabeledSet(rng.standard_normal((n, sig_dim)),
                           rng.standard_normal((n, obs_dim)))

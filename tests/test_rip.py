@@ -964,33 +964,37 @@ def test_criterion_6_makes_one_pass_per_matrix(monkeypatch):
 def test_import_and_single_block_runs_load_no_thread_pool():
     # set-up time is measured end to end: a single-block rip pass and a
     # one-tile evaluate call (500 queries against 3 training points) start
-    # no thread, and threaded runs start plain threads, so no run pays for
-    # importing a pool module. The rip kernel starts no thread at any
-    # size: on the identity at block 7, where the pruning test has no
-    # room, every size goes to eigvalsh in several blocks on the calling
-    # thread under LIPREC_THREADS = 2. 2 * 10^5 queries against 30
-    # training points are above the cutoff for threading, and start one
-    # thread.
-    code = ("import sys, threading, numpy as np, liprec\n"
+    # no thread and no process, and parallel runs fork plain worker
+    # processes, so no run pays for importing a pool module. The rip
+    # kernel starts neither at any size: on the identity at block 7,
+    # where the pruning test has no room, every size goes to eigvalsh in
+    # several blocks in the calling process under LIPREC_THREADS = 2.
+    # 2 * 10^5 queries against 30 training points are above the cutoff
+    # for forking, and fork once. Each line counts the threads started,
+    # the forks and whether a pool module is loaded.
+    code = ("import os, sys, threading, numpy as np, liprec\n"
             "from liprec import rip\n"
-            "started = []\n"
-            "start = threading.Thread.start\n"
+            "started, forks = [], []\n"
+            "start, fork = threading.Thread.start, os.fork\n"
             "threading.Thread.start = lambda self: (started.append(1), start(self))[1]\n"
+            "os.fork = lambda: (forks.append(1), fork())[1]\n"
+            "def show():\n"
+            "    pools = ('concurrent.futures', 'multiprocessing')\n"
+            "    print(len(started), len(forks), any(name in sys.modules for name in pools))\n"
             "liprec.rip_delta(np.eye(6), 3)\n"
             "hyp = liprec.fit(liprec.LabeledSet.from_arrays(np.eye(3), np.eye(3)))\n"
             "hyp.evaluate(np.zeros((500, 3)))\n"
-            "print(len(started), 'concurrent.futures' in sys.modules)\n"
+            "show()\n"
             "rip._EIG_BLOCK = 7\n"
             "liprec.rip_delta(np.eye(10), 3)\n"
-            "print(len(started), 'concurrent.futures' in sys.modules)\n"
-            "threaded = len(started)\n"
+            "show()\n"
             "obs = np.arange(90.0).reshape(30, 3)\n"
             "liprec.fit(liprec.LabeledSet.from_arrays(obs, obs)).evaluate(np.zeros((200000, 3)))\n"
-            "print(len(started) - threaded, 'concurrent.futures' in sys.modules)")
+            "show()")
     env = dict(os.environ, LIPREC_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[:3] == ["0 False", "0 False", "1 False"]
+    assert out.stdout.split("\n")[:3] == ["0 0 False", "0 0 False", "0 1 False"]
 
 
 def test_kernel_does_not_read_the_thread_budget(monkeypatch):
